@@ -49,7 +49,6 @@ class Encoding:
     a_pred: list[int]
     # Known pairs are unit-true.
     known_a_pairs: set[tuple[int, int]]
-    known_b_pairs: set[tuple[int, int]]
     known_edges: list[Edge]
     constraints: list[EncodedConstraint]
     pair_count: int = 0
@@ -63,9 +62,6 @@ class Encoding:
         for i in range(self.n):
             for j in iter_bits(self.a_adj[i] | self.b_adj[i]):
                 yield (i, j)
-
-    def induced_row(self, i: int) -> int:
-        return self._induced_rows[i]
 
     def induced_pairs(self) -> Iterator[tuple[int, int]]:
         for i in range(self.n):
@@ -99,7 +95,6 @@ def encode(graph: Polygraph) -> Encoding:
         b_adj=[0] * n,
         a_pred=[0] * n,
         known_a_pairs=set(),
-        known_b_pairs=set(),
         known_edges=list(graph.known_edges),
         constraints=[],
     )
@@ -108,8 +103,6 @@ def encode(graph: Polygraph) -> Encoding:
         i, j = vindex[edge[0]], vindex[edge[1]]
         if edge[2] == RW:
             enc.b_adj[i] |= 1 << j
-            if known:
-                enc.known_b_pairs.add((i, j))
         else:
             enc.a_adj[i] |= 1 << j
             enc.a_pred[j] |= 1 << i

@@ -105,34 +105,6 @@ def reach_masks(n: int, adj: list[int]) -> list[int]:
     return [scc_reach[scc_of[v]] for v in range(n)]
 
 
-def floyd_warshall_reach(n: int, adj: list[int]) -> list[int]:
-    """Reference transitive closure; O(n^2) word ops, used for cross-checks."""
-    reach = list(adj)
-    for k in range(n):
-        bit = 1 << k
-        row_k = reach[k]
-        for i in range(n):
-            if reach[i] & bit:
-                reach[i] |= row_k
-    return reach
-
-
-def bfs_reach(n: int, adj: list[int]) -> list[int]:
-    """Per-source BFS transitive closure; independent of the SCC-based path."""
-    out = []
-    for src in range(n):
-        seen = 0
-        frontier = adj[src]
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & ~seen
-        out.append(seen)
-    return out
-
-
 def bfs_path(adj: list[int], src: int, dst: int) -> list[int] | None:
     """Shortest vertex path src..dst, expanding neighbors in ascending order."""
     if src == dst:

@@ -10,7 +10,7 @@ from .errors import SicheckError
 from .explain import Counterexample, interpret
 from .histories import History, completeness_gate, CompletenessReport
 from .polygraph import build_polygraph, constraint_count
-from .pruning import PruneOutcome, prune_constraints
+from .pruning import KnownIndex, PruneOutcome, prune_constraints
 from .solving import SolveResult, solve, verify_witness
 from .witness import WitnessCycle
 
@@ -113,6 +113,7 @@ def check_si(
 
     t0 = time.monotonic()
     cycle: WitnessCycle | None = None
+    index: KnownIndex | None = None
     if no_prune:
         working = original
         verdict.stats_after = verdict.stats_before
@@ -125,6 +126,8 @@ def check_si(
         if outcome.verdict == "immediate-violation":
             assert outcome.violation is not None
             cycle = outcome.violation.cycle
+        index = outcome.index  # None after an immediate violation
+        del outcome
 
     if cycle is None:
         t0 = time.monotonic()
@@ -134,7 +137,10 @@ def check_si(
             with open(emit_encoding_path, "wb") as sink:
                 export_encoding(enc, sink)
         t0 = time.monotonic()
-        result: SolveResult = solve(working, enc, budget_ms=remaining_ms())
+        result: SolveResult = solve(working, enc, budget_ms=remaining_ms(), index=index)
+        # Verification and the explainer build their own views of the graph;
+        # do not hold the index while they do.
+        index = None
         verdict.decisions = result.decisions
         verdict.conflicts = result.conflicts
         verdict.timings_ms["solve"] = (time.monotonic() - t0) * 1000

@@ -15,7 +15,6 @@ generated and pruned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import SicheckError
 from .histories import INIT_TXN, History, TxnId, effective_reads_writes, txn_label
@@ -126,9 +125,6 @@ class Polygraph:
         """The writer whose value `reader` effectively read on `key`."""
         return self.read_from.get((key, reader))
 
-    def edge_count(self) -> int:
-        return len(self.known_edges)
-
 
 def create_known_graph(history: History) -> Polygraph:
     """Build vertices, session-order edges, and writer-to-reader edges.
@@ -221,9 +217,3 @@ def constraint_count(graph: Polygraph) -> tuple[int, int]:
                 if reader != other:
                     unknown += 1
     return len(graph.constraints), unknown
-
-
-def iter_constraints(graph: Polygraph) -> Iterator[Constraint]:
-    """Constraints in deterministic (key, writer pair) order."""
-    for cid in sorted(graph.constraints):
-        yield graph.constraints[cid]

@@ -1,12 +1,16 @@
 """Constraint pruning against the currently known part of the induced graph.
 
-Each outer iteration rebuilds, from the known edges only, the pair-level
-induced graph K = A ∪ (A ∘ B), where A holds session-order, writer-reader,
-and resolved write-order edges and B holds resolved read-overwrite edges.
-A constraint branch is impossible when adding one of its edges would close a
-cycle in K; the constraint is then dropped and the surviving branch's edges
-become known. Branch tests within one iteration all use the iteration-start
-reachability, so newly promoted edges take effect in the next iteration.
+The pruner keeps one index of the known edges for the whole check: the
+pair-level induced graph K = A ∪ (A ∘ B), where A holds session-order,
+writer-reader, and resolved write-order edges and B holds resolved
+read-overwrite edges, together with K's transitive closure. A constraint
+branch is impossible when adding one of its edges would close a cycle in K;
+the constraint is then dropped and the surviving branch's edges become known.
+Branch tests within one iteration all read the iteration-start index; the
+edges an iteration promotes are folded into the index in place after its
+constraint loop, so they take effect in the next iteration. The next
+iteration re-tests only constraints whose reachability or predecessor rows
+that update changed, and the final index is handed on to the solver.
 
 If both branches of some constraint are impossible the history is violating
 and the outcome carries a witness cycle for each dead branch.
@@ -26,7 +30,12 @@ _LABEL_RANK = {SO: 0, WR: 1, WW: 2, RW: 3}
 
 
 class KnownIndex:
-    """Pair-level bitmask view of a polygraph's known edges."""
+    """Pair-level bitmask view of a polygraph's known edges.
+
+    Built once from `graph.known_edges`; `add_edges` folds in edges appended
+    since, in place. After every update the index equals a fresh build over
+    the graph's known edges, field by field.
+    """
 
     def __init__(self, graph: Polygraph):
         self.graph = graph
@@ -40,37 +49,58 @@ class KnownIndex:
         # One representative labeled edge per pair, lowest (rank, key) first.
         self.a_label: dict[tuple[int, int], Edge] = {}
         self.b_label: dict[tuple[int, int], Edge] = {}
-        for edge in graph.known_edges:
-            src, dst, label, key = edge
-            i, j = self.vindex[src], self.vindex[dst]
-            pair = (i, j)
-            if label == RW:
-                self.b_adj[i] |= 1 << j
-                if pair not in self.b_label or self._ranked(edge) < self._ranked(self.b_label[pair]):
-                    self.b_label[pair] = edge
-            else:
-                self.a_adj[i] |= 1 << j
-                self.a_pred[j] |= 1 << i
-                if pair not in self.a_label or self._ranked(edge) < self._ranked(self.a_label[pair]):
-                    self.a_label[pair] = edge
-        self.k_adj = self._compose()
-        self.reach = reach_masks(n, self.k_adj)
+        self.k_adj = [0] * n
+        self.reach = [0] * n
+        self.add_edges(graph.known_edges)
 
     @staticmethod
     def _ranked(edge: Edge) -> tuple[int, str]:
         return (_LABEL_RANK[edge[2]], edge[3] or "")
 
-    def _compose(self) -> list[int]:
-        k_adj = list(self.a_adj)
-        for u in range(self.n):
-            row = self.a_adj[u]
-            if not row:
+    def add_edges(self, edges: list[Edge]) -> set[int]:
+        """Fold known edges into the index; return the vertices whose reach or
+        A-predecessor row changed."""
+        vindex = self.vindex
+        new_a: list[tuple[int, int]] = []
+        new_b: dict[int, int] = {}  # middle vertex -> its new B bits
+        for edge in edges:
+            i, j = vindex[edge[0]], vindex[edge[1]]
+            pair = (i, j)
+            labels = self.b_label if edge[2] == RW else self.a_label
+            old = labels.get(pair)
+            if old is None:
+                if edge[2] == RW:
+                    self.b_adj[i] |= 1 << j
+                    new_b[i] = new_b.get(i, 0) | 1 << j
+                else:
+                    new_a.append(pair)
+            elif self._ranked(edge) >= self._ranked(old):
                 continue
-            acc = k_adj[u]
-            for m in iter_bits(row):
-                acc |= self.b_adj[m]
-            k_adj[u] = acc
-        return k_adj
+            labels[pair] = edge
+
+        # New compositions through an A pair older than this batch: one row OR
+        # per (predecessor, middle vertex). A bits are still those of before.
+        k_adj = self.k_adj
+        grown: set[int] = set()
+        for m, bits in new_b.items():
+            for p in iter_bits(self.a_pred[m]):
+                k_adj[p] |= bits
+                grown.add(p)
+        # New A pairs compose with every B pair, old or new.
+        changed: set[int] = set()
+        for i, j in new_a:
+            self.a_adj[i] |= 1 << j
+            self.a_pred[j] |= 1 << i
+            k_adj[i] |= 1 << j | self.b_adj[j]
+            grown.add(i)
+            changed.add(j)
+
+        # The closure stands unless some new K bit is not already reachable.
+        reach = self.reach
+        if any(k_adj[p] & ~reach[p] for p in grown):
+            self.reach = reach_masks(self.n, k_adj)
+            changed.update(v for v, row in enumerate(self.reach) if row != reach[v])
+        return changed
 
     def decompose(self, u: int, v: int) -> list[Edge]:
         """Underlying labeled dependencies of a K edge (direct or composed)."""
@@ -138,6 +168,8 @@ class PruneOutcome:
     verdict: str = "ok"  # "ok" | "immediate-violation"
     violation: ImmediateViolation | None = None
     resolved_per_iteration: list[int] = field(default_factory=list)
+    # The known-graph index after the last promotion; None after an immediate violation.
+    index: KnownIndex | None = None
 
 
 def _branch_blocked(
@@ -194,23 +226,17 @@ def prune_constraints(
     """Iterate branch elimination to a fixpoint; mutates the given polygraph."""
     outcome = PruneOutcome(graph=graph)
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    prev_reach: list[int] | None = None
-    prev_pred: list[int] | None = None
+    index = KnownIndex(graph)
+    changed: set[int] | None = None  # None: test every constraint
 
     while max_iterations is None or outcome.iterations < max_iterations:
-        index = KnownIndex(graph)
-        changed_vertex = [True] * index.n
-        if prev_reach is not None:
-            for v in range(index.n):
-                changed_vertex[v] = (
-                    index.reach[v] != prev_reach[v] or index.a_pred[v] != prev_pred[v]
-                )
+        promoted_from = len(graph.known_edges)
         resolved_here = 0
         for cid in sorted(graph.constraints):
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceededError("pruning budget exhausted")
             cons = graph.constraints[cid]
-            if prev_reach is not None and not _inputs_changed(index, graph, cons, changed_vertex):
+            if changed is not None and not _inputs_changed(index, graph, cons, changed):
                 continue
             either_blocked = _branch_blocked(index, graph, cons, EITHER)
             or_blocked = _branch_blocked(index, graph, cons, OR)
@@ -238,19 +264,19 @@ def prune_constraints(
         outcome.iterations += 1
         if resolved_here == 0:
             break
-        prev_reach, prev_pred = index.reach, index.a_pred
+        changed = index.add_edges(graph.known_edges[promoted_from:])
+    outcome.index = index
     return outcome
 
 
 def _inputs_changed(
-    index: KnownIndex, graph: Polygraph, cons: Constraint, changed_vertex: list[bool]
+    index: KnownIndex, graph: Polygraph, cons: Constraint, changed: set[int]
 ) -> bool:
     """True when any reachability or predecessor row a branch test reads changed."""
-    fi, si = index.vindex[cons.first], index.vindex[cons.second]
-    if changed_vertex[fi] or changed_vertex[si]:
+    if index.vindex[cons.first] in changed or index.vindex[cons.second] in changed:
         return True
     for writer in (cons.first, cons.second):
         for reader in graph.readers.get((cons.key, writer), ()):
-            if changed_vertex[index.vindex[reader]]:
+            if index.vindex[reader] in changed:
                 return True
     return False

@@ -55,11 +55,14 @@ class Solver:
         encoding: Encoding,
         budget_ms: int | None = None,
         max_decisions: int | None = None,
+        index: KnownIndex | None = None,
     ):
         self.graph = graph
         self.enc = encoding
         self.n = encoding.n
-        self.known = KnownIndex(graph)
+        # The known-graph index is only read here, so a supplied one (the
+        # pruner's final index of this graph) is used as it is.
+        self.known = KnownIndex(graph) if index is None else index
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.max_decisions = max_decisions
         self.decisions = 0
@@ -67,8 +70,8 @@ class Solver:
 
         # Known pair presence is permanent; dynamic presence is counted so that
         # overlapping contributions undo cleanly.
-        self.known_a_rows = list(self.known.a_adj)
-        self.known_b_rows = list(self.known.b_adj)
+        self.known_a_rows = self.known.a_adj
+        self.known_b_rows = self.known.b_adj
         self.dyn_a_count: dict[tuple[int, int], int] = {}
         self.dyn_b_count: dict[tuple[int, int], int] = {}
         self.dyn_ind_count: dict[tuple[int, int], int] = {}
@@ -83,7 +86,7 @@ class Solver:
         # maintained topological order.
         self.ind_rows = [0] * self.n
         self.ind_rev = [0] * self.n
-        self.known_ind_rows = [0] * self.n
+        self.known_ind_rows = self.known.k_adj
         self.ord = list(range(self.n))
         # Trail of undoable actions: ("a"|"b", pair) count bumps and
         # ("ind", pair) insertions.
@@ -105,11 +108,7 @@ class Solver:
 
     def check_known_acyclic(self) -> WitnessCycle | None:
         """Seed the induced graph from known edges; report a cycle if one exists."""
-        for i in range(self.n):
-            row = self.known_a_rows[i]
-            for m in iter_bits(self.known_a_rows[i]):
-                row |= self.known_b_rows[m]
-            self.known_ind_rows[i] = row
+        for i, row in enumerate(self.known_ind_rows):
             self.ind_rows[i] = row
             for j in iter_bits(row):
                 self.ind_rev[j] |= 1 << i
@@ -391,9 +390,16 @@ def solve(
     encoding: Encoding,
     budget_ms: int | None = None,
     max_decisions: int | None = None,
+    index: KnownIndex | None = None,
 ) -> SolveResult:
-    """Decide whether some branch resolution yields an acyclic induced graph."""
-    return Solver(graph, encoding, budget_ms=budget_ms, max_decisions=max_decisions).solve()
+    """Decide whether some branch resolution yields an acyclic induced graph.
+
+    `index` may pass the pruner's final known-graph index of `graph`, which
+    saves building it again; it is not modified.
+    """
+    return Solver(
+        graph, encoding, budget_ms=budget_ms, max_decisions=max_decisions, index=index
+    ).solve()
 
 
 def verify_witness(result: SolveResult, graph: Polygraph) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .histories import txn_label
-from .polygraph import RW, ConstraintKey, Edge
+from .polygraph import RW, Edge
 
 # Where a dependency edge comes from:
 #   ("known",)                    original session-order / writer-reader edge,
@@ -57,14 +57,6 @@ class WitnessCycle:
                 if (b - a) % n != 1 and (a - b) % n != 1:
                     return True
         return False
-
-    def branch_uses(self) -> dict[ConstraintKey, set[str]]:
-        """Which branches of which constraints the cycle draws edges from."""
-        uses: dict[ConstraintKey, set[str]] = {}
-        for _, origin in self.deps:
-            if origin[0] in ("branch", "resolved"):
-                uses.setdefault(origin[1], set()).add(origin[2])
-        return uses
 
     def canonical(self) -> "WitnessCycle":
         """Rotate so the lexicographically smallest dependency leads."""

@@ -1,14 +1,8 @@
 import random
 
-from sicheck.graphs import (
-    bfs_path,
-    bfs_reach,
-    find_cycle,
-    floyd_warshall_reach,
-    iter_bits,
-    reach_masks,
-    tarjan_scc,
-)
+from sicheck.graphs import bfs_path, find_cycle, iter_bits, reach_masks, tarjan_scc
+
+from reference_closures import bfs_reach, floyd_warshall_reach
 
 
 def adj_from_edges(n, edges):

@@ -1,18 +1,37 @@
+import gc
 import random
+import weakref
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sicheck.graphs import bfs_reach, floyd_warshall_reach, iter_bits, reach_masks
-from sicheck.polygraph import EITHER, OR, RW, SO, WR, WW, build_polygraph
+from sicheck import pipeline
+from sicheck.graphs import iter_bits, reach_masks
+from sicheck.harness import random_small_history
+from sicheck.polygraph import EITHER, OR, RW, SO, WR, WW, Polygraph, build_polygraph
 from sicheck.pruning import (
     KnownIndex,
     prune_constraints,
     rw_branch_blocked,
     ww_branch_blocked,
 )
-from sicheck.histories import INIT_TXN
+from sicheck.histories import INIT_TXN, completeness_gate
+from sicheck.workload import DISTRIBUTIONS, PROFILES, WorkloadParams, generate, inject
 
 from conftest import T0, T1, T2, T3, T4, T5, committed, mk_history
+from reference_closures import bfs_reach, floyd_warshall_reach
+
+
+def _immediate_violation():
+    # T1 reads y from its session successor T2, and both write x.
+    return mk_history(
+        [[committed([("w", "x", 1), ("r", "y", 7)]), committed([("w", "x", 2), ("w", "y", 7)])]]
+    )
+
+
+def _sat_history():
+    return mk_history([[committed([("w", "x", 1)])], [committed([("r", "x", 1), ("w", "x", 2)])]])
 
 
 class TestBranchTests:
@@ -140,12 +159,8 @@ class TestLongForkPruning:
 
 class TestImmediateViolation:
     def test_both_branches_blocked(self):
-        # T1 reads y from its own session successor T2; both write x. Either
-        # write order closes a cycle with known edges alone.
-        history = mk_history(
-            [[committed([("w", "x", 1), ("r", "y", 7)]), committed([("w", "x", 2), ("w", "y", 7)])]]
-        )
-        graph = build_polygraph(history)
+        # Either write order closes a cycle with known edges alone.
+        graph = build_polygraph(_immediate_violation())
         outcome = prune_constraints(graph)
         assert outcome.verdict == "immediate-violation"
         violation = outcome.violation
@@ -215,3 +230,190 @@ class TestKnownIndexDecomposition:
         assert (index.k_adj[t1] >> t2) & 1
         deps = index.decompose(t1, t2)
         assert deps == [(T1, T3, WR, "x"), (T3, T2, RW, "y")]
+
+    def test_label_is_lowest_rank_then_key_whatever_the_order(self):
+        a, b = (0, 0), (1, 0)
+        graph = Polygraph(vertices=(a, b), known_edges=[
+            (a, b, WW, "z"), (a, b, WW, "y"), (b, a, RW, "y"), (b, a, RW, "x"),
+        ])
+        index = KnownIndex(graph)
+        assert index.a_label[(0, 1)] == (a, b, WW, "y")
+        assert index.b_label[(1, 0)] == (b, a, RW, "x")
+        graph.known_edges += [(a, b, WR, "z"), (a, b, WR, "x"), (a, b, WW, "w")]
+        index.add_edges(graph.known_edges[4:])
+        assert index.a_label[(0, 1)] == (a, b, WR, "x")
+        graph.known_edges.append((a, b, SO, None))
+        index.add_edges(graph.known_edges[7:])
+        assert index.a_label[(0, 1)] == (a, b, SO, None)
+
+
+def _index_fields(index: KnownIndex) -> tuple:
+    return (index.a_adj, index.b_adj, index.a_pred, index.a_label, index.b_label,
+            index.k_adj, index.reach)
+
+
+_RANK = {SO: 0, WR: 1, WW: 2, RW: 3}
+
+
+def _reference_fields(graph) -> tuple:
+    """The index fields computed directly from the known edges, sharing no code with it."""
+    vindex = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(vindex)
+    a_adj, b_adj, a_pred = [0] * n, [0] * n, [0] * n
+    a_label: dict = {}
+    b_label: dict = {}
+    for edge in graph.known_edges:
+        i, j = vindex[edge[0]], vindex[edge[1]]
+        adj, labels = (b_adj, b_label) if edge[2] == RW else (a_adj, a_label)
+        adj[i] |= 1 << j
+        if edge[2] != RW:
+            a_pred[j] |= 1 << i
+        labels[(i, j)] = min(labels.get((i, j), edge), edge,
+                             key=lambda e: (_RANK[e[2]], e[3] or ""))
+    k_adj = list(a_adj)
+    for i in range(n):
+        for m in range(n):
+            if (a_adj[i] >> m) & 1:
+                k_adj[i] |= b_adj[m]
+    return (a_adj, b_adj, a_pred, a_label, b_label, k_adj, floyd_warshall_reach(n, k_adj))
+
+
+@contextmanager
+def audited_updates():
+    """Check every KnownIndex.add_edges call while active.
+
+    After each call the index must equal a fresh build over the graph's known
+    edges and the directly computed reference, and the returned set must name exactly the vertices whose reach or
+    A-predecessor row changed. Counts prune updates (calls on a built index)
+    and those that close a cycle, i.e. give some vertex its own reach bit.
+    """
+    update = KnownIndex.add_edges
+    audit = {"updates": 0, "cycle_closing": 0}
+    building_reference = False
+
+    def checked(self, edges):
+        nonlocal building_reference
+        if building_reference:
+            return update(self, edges)
+        built = bool(self.a_label or self.b_label)
+        reach, a_pred = list(self.reach), list(self.a_pred)
+        changed = update(self, edges)
+        building_reference = True
+        try:
+            fresh = KnownIndex(self.graph)
+        finally:
+            building_reference = False
+        assert _index_fields(self) == _index_fields(fresh) == _reference_fields(self.graph)
+        assert changed == {
+            v for v in range(self.n) if self.reach[v] != reach[v] or self.a_pred[v] != a_pred[v]
+        }
+        if built:
+            audit["updates"] += 1
+            if any((self.reach[v] >> v) & 1 and not (reach[v] >> v) & 1 for v in range(self.n)):
+                audit["cycle_closing"] += 1
+        return changed
+
+    KnownIndex.add_edges = checked
+    try:
+        yield audit
+    finally:
+        KnownIndex.add_edges = update
+
+
+def _prune_audited(history, audit) -> None:
+    if not completeness_gate(history).ok():
+        return
+    graph = build_polygraph(history)
+    outcome = prune_constraints(graph)
+    if outcome.verdict == "ok":
+        assert _index_fields(outcome.index) == _index_fields(KnownIndex(graph))
+
+
+@st.composite
+def workload_histories(draw):
+    """Mock-store histories of small random shapes, some with an injected anomaly."""
+    params = WorkloadParams(
+        sessions=draw(st.integers(5, 8)),
+        txns_per_session=draw(st.integers(1, 10)),
+        ops_per_txn=draw(st.integers(1, 5)),
+        keys=draw(st.integers(1, 8)),
+        dist=draw(st.sampled_from(DISTRIBUTIONS)),
+        profile=draw(st.sampled_from(PROFILES)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    history = generate(params)
+    kind = draw(st.sampled_from((None, "long-fork", "lost-update", "causality-violation")))
+    return history if kind is None else inject(history, kind, params.seed)
+
+
+class TestIncrementalIndex:
+    def test_updates_match_fresh_builds_on_random_histories(self):
+        with audited_updates() as audit:
+            for seed in range(1200):
+                _prune_audited(random_small_history(seed), audit)
+        assert audit["updates"] > 0
+        # Seeds 323, 735 and 1005 promote edges that together close a cycle.
+        assert audit["cycle_closing"] >= 3
+
+    def test_updates_match_fresh_builds_with_injected_anomalies(self):
+        with audited_updates() as audit:
+            for seed in range(6):
+                params = WorkloadParams(sessions=6, txns_per_session=12, ops_per_txn=4,
+                                        keys=6, dist="uniform", seed=seed)
+                for kind in ("long-fork", "lost-update", "causality-violation"):
+                    _prune_audited(inject(generate(params), kind, seed), audit)
+        # An injected long fork's promotions always close its cycle.
+        assert audit["cycle_closing"] >= 6
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(workload_histories())
+    def test_updates_match_fresh_builds_on_generated_histories(self, history):
+        with audited_updates() as audit:
+            _prune_audited(history, audit)
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Weak references to every KnownIndex built while the test runs."""
+    built: list[weakref.ref] = []
+    init = KnownIndex.__init__
+
+    def counted(self, graph):
+        init(self, graph)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(KnownIndex, "__init__", counted)
+    return built
+
+
+class TestIndexLifetime:
+    def test_built_once_per_check(self, index_builds, long_fork, lost_update):
+        for history in (long_fork, lost_update, _immediate_violation(), _sat_history()):
+            index_builds.clear()
+            pipeline.check_si(history)
+            assert len(index_builds) == 1
+        # Without pruning the solver builds the only index.
+        index_builds.clear()
+        assert pipeline.check_si(lost_update, no_prune=True).outcome == "violation"
+        assert len(index_builds) == 1
+
+    def test_released_before_verification_and_explainer(
+        self, monkeypatch, index_builds, long_fork, lost_update
+    ):
+        entered = []
+
+        def no_live_index(name, fn):
+            def wrapped(*args, **kwargs):
+                gc.collect()
+                assert all(ref() is None for ref in index_builds), f"index alive in {name}"
+                entered.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "verify_witness",
+                            no_live_index("verify", pipeline.verify_witness))
+        monkeypatch.setattr(pipeline, "interpret", no_live_index("interpret", pipeline.interpret))
+        # Solver-unsat, immediate violation and sat, in that order.
+        for history in (lost_update, _immediate_violation(), _sat_history()):
+            pipeline.check_si(history)
+        assert entered == ["verify", "interpret", "interpret", "verify"]

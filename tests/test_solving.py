@@ -3,7 +3,7 @@ import pytest
 from sicheck.encoding import encode
 from sicheck.errors import BudgetExceededError
 from sicheck.polygraph import RW, WR, build_polygraph
-from sicheck.pruning import prune_constraints
+from sicheck.pruning import KnownIndex, prune_constraints
 from sicheck.solving import SolveResult, solve, verify_witness
 from sicheck.witness import WitnessCycle
 
@@ -77,6 +77,25 @@ class TestSolve:
             _, pruned = pipeline(history)
             _, raw = pipeline(history, no_prune=True)
             assert pruned.status == raw.status
+
+    def test_supplied_index_gives_the_same_result(self, long_fork, lost_update, causality_violation):
+        sat = mk_history([[committed([("w", "x", 1)])], [committed([("r", "x", 1), ("w", "x", 2)])]])
+        for history in (long_fork, lost_update, causality_violation, sat):
+            for no_prune in (False, True):
+                graph = build_polygraph(history)
+                if no_prune:
+                    index = KnownIndex(graph)
+                else:
+                    index = prune_constraints(graph).index
+                enc = encode(graph)
+                own = solve(graph, enc)
+                rows = (index.a_adj, index.b_adj, index.a_pred, index.k_adj, index.reach)
+                before = [list(r) for r in rows] + [dict(index.a_label), dict(index.b_label)]
+                assert solve(graph, enc, index=index) == own
+                # The solver only reads the index it is given.
+                after = [list(r) for r in rows] + [index.a_label, index.b_label]
+                assert after == before
+                assert own.status == ("sat" if history is sat else "unsat")
 
 
 class TestVerifyWitness:
