@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide whether histories satisfy snapshot isolation")
     p_check.add_argument("history", nargs="+", help="history file(s), canonical JSON")
-    p_check.add_argument("--format", choices=["json"], default="json")
     p_check.add_argument("--json", action="store_true", help="machine-readable verdict per file")
     p_check.add_argument("--no-prune", action="store_true", help="skip constraint pruning")
     p_check.add_argument("--budget-ms", type=int, default=None, help="time budget for the check")

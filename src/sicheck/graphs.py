@@ -3,6 +3,13 @@
 Vertices are 0..n-1 and each adjacency row is an int whose bit j marks an
 edge to vertex j. Python ints make union/closure operations cheap at the few
 thousand vertices this checker works with.
+
+The kernels handle a whole row per Python-level step rather than one edge:
+sets of vertices (unvisited, on the DFS stack, still to fold) are masks too,
+`row & mask` selects the successors that matter, and `mask & -mask` picks
+the lowest of them, which keeps the ascending visit order of a per-edge
+walk. Known induced graphs are close to transitively closed, so most of a
+row's edges need no step of their own.
 """
 
 from __future__ import annotations
@@ -22,87 +29,82 @@ def tarjan_scc(n: int, adj: list[int]) -> list[list[int]]:
     """Strongly connected components in reverse topological order.
 
     Iterative Tarjan; each emitted component precedes, in the returned list,
-    every component that can reach it.
+    every component that can reach it. The DFS descends into the lowest
+    unvisited successor first, and `low[v]` is folded once over the
+    successors still on the stack when `v` finishes: a successor on the
+    stack when first seen stays there until `v` finishes, so the DFS tree,
+    the components and their order are those of the edge-by-edge version.
     """
-    index_of = [-1] * n
+    index_of = [0] * n
     low = [0] * n
-    on_stack = [False] * n
+    unvisited = (1 << n) - 1
+    on_stack = 0
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
 
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work: list[tuple[int, Iterator[int]]] = [(root, iter_bits(adj[root]))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index_of[w] == -1:
-                    index_of[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter_bits(adj[w])))
-                    advanced = True
+    while unvisited:
+        work: list[int] = []
+        fresh = unvisited  # the next root is its lowest bit
+        while True:
+            if fresh:
+                bit = fresh & -fresh
+                v = bit.bit_length() - 1
+                unvisited ^= bit
+                on_stack |= bit
+                index_of[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                work.append(v)
+            else:
+                v = work.pop()
+                low_v = low[v]
+                for w in iter_bits(adj[v] & on_stack):
+                    if index_of[w] < low_v:
+                        low_v = index_of[w]
+                if work and low_v < low[work[-1]]:
+                    low[work[-1]] = low_v
+                if low_v == index_of[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack ^= 1 << w
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(sorted(comp))
+                if not work:
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
+            fresh = adj[work[-1]] & unvisited
     return sccs
 
 
 def reach_masks(n: int, adj: list[int]) -> list[int]:
     """Transitive closure R+ as bitmask rows.
 
-    A vertex reaches itself only through an actual cycle (its component has
-    more than one vertex or a self-loop).
+    A vertex reaches itself only through an actual cycle: every vertex of a
+    component with more than one vertex, or with a self-loop, is a successor
+    of the component's own rows. Components are closed in reverse
+    topological order, so every successor outside a component already has
+    its row; folding the lowest pending successor's row also clears from the
+    pending mask every vertex that row covers, since their rows are subsets.
     """
-    sccs = tarjan_scc(n, adj)
-    scc_of = [0] * n
-    for ci, comp in enumerate(sccs):
+    reach = [0] * n
+    for comp in tarjan_scc(n, adj):
+        out = 0
+        comp_mask = 0
         for v in comp:
-            scc_of[v] = ci
-    scc_reach = [0] * len(sccs)
-    for ci, comp in enumerate(sccs):
-        succ = 0
-        cyclic = len(comp) > 1
+            out |= adj[v]
+            comp_mask |= 1 << v
+        pending = out & ~comp_mask
+        while pending:
+            bit = pending & -pending
+            row = reach[bit.bit_length() - 1]
+            out |= row
+            pending &= ~(row | bit)
         for v in comp:
-            row = adj[v]
-            succ |= row
-            if (row >> v) & 1:
-                cyclic = True
-        out = succ
-        for s in iter_bits(succ):
-            si = scc_of[s]
-            if si != ci:
-                out |= scc_reach[si]
-        if cyclic:
-            mask = 0
-            for v in comp:
-                mask |= 1 << v
-            out |= mask
-        scc_reach[ci] = out
-    return [scc_reach[scc_of[v]] for v in range(n)]
+            reach[v] = out
+    return reach
 
 
 def bfs_path(adj: list[int], src: int, dst: int) -> list[int] | None:

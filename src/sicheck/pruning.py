@@ -127,17 +127,15 @@ def ww_branch_blocked(src: int, dst: int, reach: list[int]) -> bool:
     return bool((reach[dst] >> src) & 1)
 
 
-def rw_branch_blocked(src: int, dst: int, a_pred: list[int], reach: list[int]) -> bool:
+def rw_branch_blocked(src: int, dst: int, a_pred: list[int], reach: list[int]) -> int:
     """Would the read-overwrite edge src->dst compose into a K cycle?
 
     The candidate edge composes with every known A-edge p->src into a K edge
     p->dst, so a cycle arises when dst already reaches some predecessor p, or
     when a predecessor is dst itself (the composition is then a self-loop).
+    Returns the mask of such predecessors, nonzero exactly when blocked.
     """
-    for p in iter_bits(a_pred[src]):
-        if p == dst or (reach[dst] >> p) & 1:
-            return True
-    return False
+    return a_pred[src] & (reach[dst] | 1 << dst)
 
 
 @dataclass(slots=True)
@@ -175,16 +173,19 @@ class PruneOutcome:
 def _branch_blocked(
     index: KnownIndex, graph: Polygraph, cons: Constraint, branch: str
 ) -> BlockedEdge | None:
-    """First impossible edge of the branch, in WW-then-readers order."""
+    """First impossible edge of the branch, in WW-then-readers order.
+
+    A blocked RW edge names its lowest blocking A-predecessor.
+    """
     for edge in cons.edges(graph, branch):
         src, dst = index.vindex[edge[0]], index.vindex[edge[1]]
         if edge[2] == WW:
             if ww_branch_blocked(src, dst, index.reach):
                 return BlockedEdge(edge, None)
         else:
-            for p in iter_bits(index.a_pred[src]):
-                if p == dst or (index.reach[dst] >> p) & 1:
-                    return BlockedEdge(edge, p)
+            blockers = rw_branch_blocked(src, dst, index.a_pred, index.reach)
+            if blockers:
+                return BlockedEdge(edge, (blockers & -blockers).bit_length() - 1)
     return None
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
 
 from .encoding import Encoding
 from .errors import BudgetExceededError
@@ -405,37 +404,49 @@ def solve(
 def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
     """Independent certificate check for either outcome.
 
-    A sat witness must re-derive to an acyclic induced graph; an unsat cycle
-    must be closed, undesired, and justified edge by edge by its claimed
+    A sat witness must assign a branch to every constraint, and no other
+    constraint, and re-derive to an acyclic induced graph; an unsat cycle must
+    be closed, undesired, and justified edge by edge by its claimed
     provenance without drawing on both branches of any constraint.
     """
     if result.status == "sat":
-        if result.assignment is None:
+        assignment = result.assignment
+        if assignment is None or assignment.keys() != graph.constraints.keys():
             return False
         edges = list(graph.known_edges)
-        for cid, branch in result.assignment.items():
-            cons = graph.constraints.get(cid)
-            if cons is None or branch not in (EITHER, OR):
+        for cid, branch in assignment.items():
+            if branch not in (EITHER, OR):
                 return False
-            edges.extend(cons.edges(graph, branch))
-        non_rw = {(e[0], e[1]) for e in edges if e[2] != RW}
-        rw_succ: dict = {}
-        for e in edges:
-            if e[2] == RW:
-                rw_succ.setdefault(e[0], set()).add(e[1])
-        induced: dict = {}
-        for src, dst in non_rw:
-            induced.setdefault(src, set()).add(dst)
-            for nxt in rw_succ.get(dst, ()):
-                induced.setdefault(src, set()).add(nxt)
-        for src, dsts in induced.items():
-            if src in dsts:
-                return False
-        try:
-            tuple(TopologicalSorter(induced).static_order())
-        except CycleError:
-            return False
-        return True
+            edges.extend(graph.constraints[cid].edges(graph, branch))
+        # Induced graph over vertex indices: non-RW edges and non-RW∘RW
+        # compositions. Kahn's algorithm orders every vertex only if it is
+        # acyclic; a self-loop keeps its vertex from ever becoming ready.
+        vindex = {v: i for i, v in enumerate(graph.vertices)}
+        n = len(vindex)
+        rw_succ: list[set[int]] = [set() for _ in range(n)]
+        for src, dst, kind, _ in edges:
+            if kind == RW:
+                rw_succ[vindex[src]].add(vindex[dst])
+        induced: list[set[int]] = [set() for _ in range(n)]
+        for src, dst, kind, _ in edges:
+            if kind != RW:
+                row = induced[vindex[src]]
+                row.add(vindex[dst])
+                row |= rw_succ[vindex[dst]]
+        indegree = [0] * n
+        for row in induced:
+            for j in row:
+                indegree[j] += 1
+        ready = [i for i in range(n) if not indegree[i]]
+        ordered = 0
+        while ready:
+            i = ready.pop()
+            ordered += 1
+            for j in induced[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    ready.append(j)
+        return ordered == n
 
     cycle = result.cycle
     if cycle is None or not cycle.deps or not cycle.closed():

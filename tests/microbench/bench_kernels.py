@@ -1,0 +1,61 @@
+"""Layer micro-benchmarks for the known-graph kernels.
+
+Times `tarjan_scc`, `reach_masks`, the `KnownIndex` build and the prune
+branch tests on the known induced graphs of the benchmark's workload shapes
+(`perfbench/workloads.py`, first history of run seed 1). The file name keeps
+it out of the default test run; run it from the repository root with
+
+    PYTHONPATH=src:. python -m pytest tests/microbench/bench_kernels.py
+
+(pytest-benchmark options such as `--benchmark-columns=min,median` apply).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from perfbench.workloads import WORKLOADS
+from sicheck.graphs import reach_masks, tarjan_scc
+from sicheck.histories import parse_history
+from sicheck.polygraph import EITHER, OR, build_polygraph
+from sicheck.pruning import KnownIndex, _branch_blocked, prune_constraints
+
+SEED = 1
+
+
+@pytest.fixture(scope="module", params=sorted(WORKLOADS))
+def graphs(request):
+    """The workload's polygraph, its index before pruning and its final K."""
+    history = parse_history(WORKLOADS[request.param].case(SEED).data)
+    initial = build_polygraph(history)
+    index = KnownIndex(initial)
+    pruned = build_polygraph(history)
+    final = prune_constraints(pruned).index or KnownIndex(pruned)
+    return initial, index, final
+
+
+def test_tarjan_scc(benchmark, graphs):
+    final = graphs[2]
+    benchmark(tarjan_scc, final.n, final.k_adj)
+
+
+def test_reach_masks(benchmark, graphs):
+    final = graphs[2]
+    benchmark(reach_masks, final.n, final.k_adj)
+
+
+def test_known_index_build(benchmark, graphs):
+    benchmark(KnownIndex, graphs[0])
+
+
+def test_branch_blocked(benchmark, graphs):
+    """Both branch tests of every constraint against the pre-prune index."""
+    graph, index, _ = graphs
+    constraints = list(graph.constraints.values())
+
+    def first_iteration():
+        for cons in constraints:
+            _branch_blocked(index, graph, cons, EITHER)
+            _branch_blocked(index, graph, cons, OR)
+
+    benchmark(first_iteration)

@@ -1,12 +1,66 @@
-"""Reference transitive closures over bitmask rows, for cross-checking
-`sicheck.graphs.reach_masks` and the pruner's incrementally kept closure.
+"""Reference graph kernels over bitmask rows, for cross-checking
+`sicheck.graphs.tarjan_scc`, `sicheck.graphs.reach_masks` and the pruner's
+incrementally kept closure.
 
-Both are deliberately naive and independent of the SCC-based path.
+The closures are deliberately naive and independent of the SCC-based path;
+the Tarjan reference walks one edge per step, as the row-at-a-time kernel
+must reproduce exactly.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from sicheck.graphs import iter_bits
+
+
+def tarjan_scc_per_edge(n: int, adj: list[int]) -> list[list[int]]:
+    """Iterative Tarjan visiting one successor edge per step, in ascending order."""
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work: list[tuple[int, Iterator[int]]] = [(root, iter_bits(adj[root]))]
+        index_of[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index_of[w] == -1:
+                    index_of[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter_bits(adj[w])))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index_of[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index_of[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+    return sccs
 
 
 def floyd_warshall_reach(n: int, adj: list[int]) -> list[int]:

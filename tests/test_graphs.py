@@ -1,8 +1,15 @@
+import dataclasses
 import random
 
-from sicheck.graphs import bfs_path, find_cycle, iter_bits, reach_masks, tarjan_scc
+from hypothesis import given, settings, strategies as st
 
-from reference_closures import bfs_reach, floyd_warshall_reach
+from sicheck.graphs import bfs_path, find_cycle, iter_bits, reach_masks, tarjan_scc
+from sicheck.histories import completeness_gate
+from sicheck.polygraph import build_polygraph
+from sicheck.pruning import KnownIndex, prune_constraints
+from sicheck.workload import WorkloadParams, generate, inject
+
+from reference_closures import bfs_reach, floyd_warshall_reach, tarjan_scc_per_edge
 
 
 def adj_from_edges(n, edges):
@@ -44,6 +51,111 @@ class TestReach:
             n = rng.randint(1, 10)
             adj = [sum(1 << j for j in range(n) if rng.random() < 0.3) for _ in range(n)]
             assert reach_masks(n, adj) == floyd_warshall_reach(n, adj) == bfs_reach(n, adj)
+
+
+def random_graph(rng: random.Random, n: int) -> list[int]:
+    """A graph with planted cycles, self-loops and isolated vertices.
+
+    Densities run from a few edges to half of all pairs; some graphs are DAGs
+    under a random vertex order, and some are closed and then thinned, like
+    the near-closed known induced graphs the pruner builds.
+    """
+    full = (1 << n) - 1
+    words = rng.randint(1, 6)
+    adj = []
+    for i in range(n):
+        row = full
+        for _ in range(words):
+            row &= rng.getrandbits(n)
+        adj.append(row)
+    shape = rng.choice(("plain", "dag", "closed"))
+    if shape == "dag":
+        order = list(range(n))
+        rng.shuffle(order)
+        dag = [0] * n
+        for i in range(n):
+            for j in iter_bits(adj[i] & ~((2 << i) - 1)):
+                dag[order[i]] |= 1 << order[j]
+        adj = dag
+    for _ in range(rng.randint(0, 3)):
+        cycle = rng.sample(range(n), rng.randint(1, min(n, 6)))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            adj[a] |= 1 << b
+    if shape == "closed":
+        adj = floyd_warshall_reach(n, adj)
+        for _ in range(rng.randint(0, n)):
+            adj[rng.randrange(n)] &= ~(1 << rng.randrange(n))
+    for v in rng.sample(range(n), rng.randint(0, n // 4)):
+        adj[v] = 0
+        for u in range(n):
+            adj[u] &= ~(1 << v)
+    return adj
+
+
+def assert_kernels_match_references(n: int, adj: list[int]) -> None:
+    assert tarjan_scc(n, adj) == tarjan_scc_per_edge(n, adj)
+    assert reach_masks(n, adj) == floyd_warshall_reach(n, adj)
+
+
+@st.composite
+def drawn_graphs(draw):
+    n = draw(st.integers(1, 150))
+    vertex = st.integers(0, n - 1)
+    adj = [0] * n
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n)):
+        adj[u] |= 1 << v
+    for cycle in draw(st.lists(st.lists(vertex, min_size=1, max_size=8, unique=True),
+                               max_size=4)):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            adj[a] |= 1 << b
+    return n, adj
+
+
+# Small histories of the benchmark's four shapes.
+BENCHMARK_SHAPES = {
+    "zipf-anomaly": WorkloadParams(sessions=6, txns_per_session=15, ops_per_txn=8, keys=300,
+                                   dist="zipfian", profile="general"),
+    "uniform": WorkloadParams(sessions=6, txns_per_session=40, ops_per_txn=4, keys=5_000,
+                              dist="uniform", profile="general"),
+    "hotspot-write": WorkloadParams(sessions=6, txns_per_session=15, ops_per_txn=6, keys=200,
+                                    dist="hotspot", profile="write-heavy"),
+    "rmw-chains": WorkloadParams(sessions=8, txns_per_session=15, ops_per_txn=3, keys=100,
+                                 dist="zipfian", profile="rmw"),
+}
+INJECTED = ("long-fork", "lost-update", "causality-violation")
+
+
+class TestKernelsMatchReferences:
+    def test_seeded_random_graphs(self):
+        rng = random.Random(2023)
+        for _ in range(250):
+            n = rng.randint(1, 150)
+            assert_kernels_match_references(n, random_graph(rng, n))
+
+    def test_isolated_vertices_and_self_loops(self):
+        adj = adj_from_edges(5, [(1, 1), (3, 4), (4, 3)])
+        assert tarjan_scc(5, adj) == [[0], [1], [2], [3, 4]]
+        assert reach_masks(5, adj) == [0, 0b10, 0, 0b11000, 0b11000]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(drawn_graphs())
+    def test_drawn_graphs(self, graph):
+        assert_kernels_match_references(*graph)
+
+    def test_known_graphs_before_and_after_pruning(self):
+        for shape, params in BENCHMARK_SHAPES.items():
+            for seed in range(3):
+                history = generate(dataclasses.replace(params, seed=seed))
+                if shape == "zipf-anomaly":
+                    history = inject(history, INJECTED[seed], seed)
+                assert completeness_gate(history).ok()
+                graph = build_polygraph(history)
+                before = KnownIndex(graph)
+                assert_kernels_match_references(before.n, before.k_adj)
+                outcome = prune_constraints(graph)
+                after = outcome.index or KnownIndex(graph)
+                assert after.k_adj != before.k_adj
+                assert_kernels_match_references(after.n, after.k_adj)
 
 
 class TestPathsAndCycles:

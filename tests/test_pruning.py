@@ -6,11 +6,12 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sicheck import pipeline
+from sicheck import pipeline, pruning
 from sicheck.graphs import iter_bits, reach_masks
 from sicheck.harness import random_small_history
 from sicheck.polygraph import EITHER, OR, RW, SO, WR, WW, Polygraph, build_polygraph
 from sicheck.pruning import (
+    BlockedEdge,
     KnownIndex,
     prune_constraints,
     rw_branch_blocked,
@@ -329,6 +330,15 @@ def _prune_audited(history, audit) -> None:
         assert _index_fields(outcome.index) == _index_fields(KnownIndex(graph))
 
 
+def _injected_histories():
+    """Small uniform mock-store histories, each with one injected anomaly."""
+    for seed in range(6):
+        params = WorkloadParams(sessions=6, txns_per_session=12, ops_per_txn=4,
+                                keys=6, dist="uniform", seed=seed)
+        for kind in ("long-fork", "lost-update", "causality-violation"):
+            yield inject(generate(params), kind, seed)
+
+
 @st.composite
 def workload_histories(draw):
     """Mock-store histories of small random shapes, some with an injected anomaly."""
@@ -357,11 +367,8 @@ class TestIncrementalIndex:
 
     def test_updates_match_fresh_builds_with_injected_anomalies(self):
         with audited_updates() as audit:
-            for seed in range(6):
-                params = WorkloadParams(sessions=6, txns_per_session=12, ops_per_txn=4,
-                                        keys=6, dist="uniform", seed=seed)
-                for kind in ("long-fork", "lost-update", "causality-violation"):
-                    _prune_audited(inject(generate(params), kind, seed), audit)
+            for history in _injected_histories():
+                _prune_audited(history, audit)
         # An injected long fork's promotions always close its cycle.
         assert audit["cycle_closing"] >= 6
 
@@ -370,6 +377,53 @@ class TestIncrementalIndex:
     def test_updates_match_fresh_builds_on_generated_histories(self, history):
         with audited_updates() as audit:
             _prune_audited(history, audit)
+
+
+def branch_blocked_per_predecessor(index, graph, cons, branch):
+    """Reference branch test: each RW edge's A-predecessors tried one by one."""
+    for edge in cons.edges(graph, branch):
+        src, dst = index.vindex[edge[0]], index.vindex[edge[1]]
+        if edge[2] == WW:
+            if (index.reach[dst] >> src) & 1:
+                return BlockedEdge(edge, None)
+        else:
+            for p in iter_bits(index.a_pred[src]):
+                if p == dst or (index.reach[dst] >> p) & 1:
+                    return BlockedEdge(edge, p)
+    return None
+
+
+@pytest.fixture
+def audited_branch_tests(monkeypatch):
+    """Check every branch test prune makes against the reference; count RW blocks."""
+    blocked = pruning._branch_blocked
+    audit = {"rw_blocked": 0}
+
+    def checked(index, graph, cons, branch):
+        result = blocked(index, graph, cons, branch)
+        assert result == branch_blocked_per_predecessor(index, graph, cons, branch)
+        if result is not None and result.predecessor is not None:
+            audit["rw_blocked"] += 1
+        return result
+
+    monkeypatch.setattr(pruning, "_branch_blocked", checked)
+    return audit
+
+
+class TestBranchTestsMatchReference:
+    def test_random_histories(self, audited_branch_tests):
+        for seed in range(1200):
+            history = random_small_history(seed)
+            if completeness_gate(history).ok():
+                prune_constraints(build_polygraph(history))
+        assert audited_branch_tests["rw_blocked"] > 0
+
+    def test_injected_anomalies(self, audited_branch_tests, long_fork, lost_update,
+                                causality_violation):
+        fixtures = [long_fork, lost_update, causality_violation, _immediate_violation()]
+        for history in fixtures + list(_injected_histories()):
+            prune_constraints(build_polygraph(history))
+        assert audited_branch_tests["rw_blocked"] > 0
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from sicheck.polygraph import RW, WR, build_polygraph
 from sicheck.pruning import KnownIndex, prune_constraints
 from sicheck.solving import SolveResult, solve, verify_witness
 from sicheck.witness import WitnessCycle
+from sicheck.workload import WorkloadParams, generate, inject
 
 from conftest import T1, T2, T3, T4, committed, mk_history
 
@@ -131,6 +132,28 @@ class TestVerifyWitness:
         assignment = {cid: "either" for cid in graph.constraints}
         fake = SolveResult("sat", assignment=assignment)
         assert not verify_witness(fake, graph)
+
+    def test_sat_assignment_missing_a_constraint_rejected(self):
+        history = mk_history(
+            [
+                [committed([("w", "x", 1)])],
+                [committed([("r", "x", 1), ("w", "x", 2)])],
+                [committed([("w", "x", 3)])],
+            ]
+        )
+        graph, result = pipeline(history, no_prune=True)
+        assert result.status == "sat" and len(result.assignment) > 1
+        assert verify_witness(result, graph)
+        for cid in result.assignment:
+            partial = {k: b for k, b in result.assignment.items() if k != cid}
+            assert not verify_witness(SolveResult("sat", assignment=partial), graph)
+
+    def test_empty_sat_assignment_rejected_on_violating_history(self):
+        params = WorkloadParams(seed=3, sessions=5, txns_per_session=20)
+        graph = build_polygraph(inject(generate(params), "lost-update", 3))
+        assert graph.constraints
+        assert solve(graph, encode(graph)).status == "unsat"
+        assert not verify_witness(SolveResult("sat", assignment={}), graph)
 
     def test_adjacent_rw_cycle_rejected(self, long_fork):
         graph, result = pipeline(long_fork)
