@@ -20,7 +20,7 @@ from typing import IO, Iterator, NamedTuple
 
 from .graphs import iter_bits
 from .histories import TxnId
-from .polygraph import EITHER, OR, RW, Constraint, Edge, Polygraph
+from .polygraph import EITHER, OR, RW, Edge, Polygraph
 
 
 class EdgeVar(NamedTuple):
@@ -31,7 +31,6 @@ class EdgeVar(NamedTuple):
 
 @dataclass(slots=True)
 class EncodedConstraint:
-    constraint: Constraint
     either_edges: list[Edge]
     or_edges: list[Edge]
     either_pairs: list[tuple[int, int]]
@@ -40,13 +39,11 @@ class EncodedConstraint:
 
 @dataclass(slots=True)
 class Encoding:
-    vertices: tuple[TxnId, ...]
     vindex: dict[TxnId, int]
     n: int
     # Known plus potential (constraint-branch) edges per layer, as bitmask rows.
     a_adj: list[int]
     b_adj: list[int]
-    a_pred: list[int]
     # Known pairs are unit-true.
     known_a_pairs: set[tuple[int, int]]
     known_edges: list[Edge]
@@ -88,12 +85,10 @@ def encode(graph: Polygraph) -> Encoding:
     vindex = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
     enc = Encoding(
-        vertices=vertices,
         vindex=vindex,
         n=n,
         a_adj=[0] * n,
         b_adj=[0] * n,
-        a_pred=[0] * n,
         known_a_pairs=set(),
         known_edges=list(graph.known_edges),
         constraints=[],
@@ -105,7 +100,6 @@ def encode(graph: Polygraph) -> Encoding:
             enc.b_adj[i] |= 1 << j
         else:
             enc.a_adj[i] |= 1 << j
-            enc.a_pred[j] |= 1 << i
             if known:
                 enc.known_a_pairs.add((i, j))
 
@@ -120,7 +114,6 @@ def encode(graph: Polygraph) -> Encoding:
             add(edge, known=False)
         enc.constraints.append(
             EncodedConstraint(
-                constraint=cons,
                 either_edges=either_edges,
                 or_edges=or_edges,
                 either_pairs=[(vindex[e[0]], vindex[e[1]]) for e in either_edges],

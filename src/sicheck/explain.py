@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from .errors import BudgetExceededError, MissingSupportError
 from .histories import INIT_TXN, TxnId, txn_label
 from .polygraph import EITHER, OR, RW, SO, WR, WW, ConstraintKey, Edge, Polygraph
-from .witness import KNOWN_ORIGIN, Origin, WitnessCycle
+from .witness import KNOWN_ORIGIN, Origin, WitnessCycle, has_adjacent_rw
 
 CERTAIN = "certain"
 UNCERTAIN = "uncertain"
@@ -133,7 +133,7 @@ class EdgeUniverse:
                 dst = nxt[1]
                 if dst == target:
                     cycle = path + (nxt,)
-                    if not _has_adjacent_rw(cycle):
+                    if not has_adjacent_rw(cycle):
                         cycles.append(cycle)
                     continue
                 if dst in visited:
@@ -144,13 +144,6 @@ class EdgeUniverse:
                 stack.append((dst, path + (nxt,), visited | {dst}))
         cycles.sort(key=lambda c: (len(c), c))
         return cycles
-
-
-def _has_adjacent_rw(cycle: tuple[Edge, ...]) -> bool:
-    n = len(cycle)
-    if n < 2:
-        return False
-    return any(cycle[i][2] == RW and cycle[(i + 1) % n][2] == RW for i in range(n))
 
 
 def _branch_coverage(universe: EdgeUniverse, deps: set[Edge]) -> dict[ConstraintKey, set[str]]:
@@ -232,7 +225,7 @@ def find_cluster(
     return CycleCluster(best, complete=True), exhaustive
 
 
-def restore_rw_context(scenario: Scenario, graph: Polygraph) -> Scenario:
+def restore_rw_context(scenario: Scenario, universe: EdgeUniverse) -> Scenario:
     """Add, for each read-overwrite edge, its supporting writer's edges.
 
     An edge reader -RW(k)-> overwriter exists because some writer w gave the
@@ -240,6 +233,7 @@ def restore_rw_context(scenario: Scenario, graph: Polygraph) -> Scenario:
     the w -WW(k)-> overwriter and w -WR(k)-> reader dependencies (and w
     itself) are brought in when missing.
     """
+    graph = universe.graph
     for edge in sorted(e for e in scenario if e[2] == RW):
         reader, overwriter, _, key = edge
         writer = graph.read_from.get((key, reader))
@@ -251,17 +245,10 @@ def restore_rw_context(scenario: Scenario, graph: Polygraph) -> Scenario:
         wr: Edge = (writer, reader, WR, key)
         for support in (ww, wr):
             if support not in scenario:
-                origin = _origin_in(graph, support)
+                origin = universe.origin_of(support)
                 tag = CERTAIN if origin[0] == "known" else UNCERTAIN
                 scenario[support] = TaggedDependency(support, origin, tag, support=True)
     return scenario
-
-
-def _origin_in(graph: Polygraph, edge: Edge) -> Origin:
-    located = graph.constraint_for_edge(edge)
-    if located is not None:
-        return ("branch", located[0], located[1])
-    return KNOWN_ORIGIN
 
 
 def _certain_cycle_exists(edge: Edge, scenario: Scenario, max_len: int = 12) -> bool:
@@ -281,7 +268,7 @@ def _certain_cycle_exists(edge: Edge, scenario: Scenario, max_len: int = 12) -> 
         for nxt in succ.get(vertex, ()):
             dst = nxt[1]
             if dst == target:
-                if not _has_adjacent_rw(path + (nxt,)):
+                if not has_adjacent_rw(path + (nxt,)):
                     return True
                 continue
             if dst in visited or len(path) + 1 >= max_len:
@@ -354,8 +341,6 @@ def interpret(
     graph: Polygraph,
     cycle: WitnessCycle,
     budget_ms: int | None = None,
-    max_len: int | None = None,
-    max_cycles_per_dep: int = DEFAULT_MAX_CYCLES_PER_DEP,
 ) -> Counterexample:
     """Build the four-stage counterexample for a violation cycle.
 
@@ -363,8 +348,7 @@ def interpret(
     the solver against the pruned graph are re-derived here.
     """
     universe = EdgeUniverse(graph)
-    if max_len is None:
-        max_len = max(DEFAULT_MAX_CYCLE_LEN, min(len(graph.vertices), 16))
+    max_len = max(DEFAULT_MAX_CYCLE_LEN, min(len(graph.vertices), 16))
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
 
     cycle_edges = tuple(cycle.edges())
@@ -377,7 +361,7 @@ def interpret(
     minimal = True
     try:
         cluster, exhaustive = find_cluster(
-            universe, cycle_edges, deadline, max_len, max_cycles_per_dep
+            universe, cycle_edges, deadline, max_len, DEFAULT_MAX_CYCLES_PER_DEP
         )
         minimal = cluster.complete and exhaustive
     except BudgetExceededError:
@@ -392,7 +376,7 @@ def interpret(
                 scenario[e] = TaggedDependency(
                     e, origin, CERTAIN if origin[0] == "known" else UNCERTAIN
                 )
-    restore_rw_context(scenario, graph)
+    restore_rw_context(scenario, universe)
     participants = _snapshot(scenario)
     participant_edges = set(scenario)
 

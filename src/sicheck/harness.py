@@ -20,7 +20,8 @@ from pathlib import Path
 from .errors import LimitExceededError
 from .histories import ABORTED, COMMITTED, History, Operation, Transaction, serialize_history
 from .polygraph import Edge, Polygraph
-from .explain import EdgeUniverse, _first_gap, _has_adjacent_rw
+from .explain import EdgeUniverse, _first_gap
+from .witness import has_adjacent_rw
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +173,7 @@ def _all_undesired_cycles(universe: EdgeUniverse, max_cycles: int) -> list[tuple
                 dst = edge[1]
                 if dst == root:
                     cycle = path + (edge,)
-                    if not _has_adjacent_rw(cycle):
+                    if not has_adjacent_rw(cycle):
                         cycles.append(cycle)
                         if len(cycles) > max_cycles:
                             raise LimitExceededError("cycle universe too large")

@@ -1,11 +1,14 @@
-"""End-to-end check: gate, construct, prune, encode, solve, explain."""
+"""End-to-end check: gate, construct, prune, solve, explain.
+
+The Boolean encoding is built only when it is to be written out; the
+solver searches the polygraph and the known-graph index directly.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from .encoding import encode, export_encoding
 from .errors import SicheckError
 from .explain import Counterexample, interpret
 from .histories import History, completeness_gate, CompletenessReport
@@ -83,7 +86,6 @@ def check_si(
     budget_ms: int | None = None,
     explain: bool = True,
     emit_encoding_path: str | None = None,
-    verify: bool = True,
 ) -> Verdict:
     """Run the full checking pipeline on a parsed history."""
     verdict = Verdict(outcome=SI_HOLDS)
@@ -130,21 +132,25 @@ def check_si(
         del outcome
 
     if cycle is None:
-        t0 = time.monotonic()
-        enc = encode(working)
-        verdict.timings_ms["encode"] = (time.monotonic() - t0) * 1000
         if emit_encoding_path:
+            # Imported here: a check that writes no encoding never loads the encoder.
+            from .encoding import encode, export_encoding
+
+            t0 = time.monotonic()
+            enc = encode(working)
+            verdict.timings_ms["encode"] = (time.monotonic() - t0) * 1000
             with open(emit_encoding_path, "wb") as sink:
                 export_encoding(enc, sink)
+            del enc
         t0 = time.monotonic()
-        result: SolveResult = solve(working, enc, budget_ms=remaining_ms(), index=index)
+        result: SolveResult = solve(working, budget_ms=remaining_ms(), index=index)
         # Verification and the explainer build their own views of the graph;
         # do not hold the index while they do.
         index = None
         verdict.decisions = result.decisions
         verdict.conflicts = result.conflicts
         verdict.timings_ms["solve"] = (time.monotonic() - t0) * 1000
-        if verify and not verify_witness(result, working):
+        if not verify_witness(result, working):
             raise SicheckError("solver produced a witness that fails verification")
         if result.status == "sat":
             verdict.timings_ms["total"] = (time.monotonic() - started) * 1000

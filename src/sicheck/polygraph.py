@@ -96,35 +96,6 @@ class Polygraph:
             resolved_origin=dict(self.resolved_origin),
         )
 
-    def constraint_for_edge(self, edge: Edge) -> tuple[ConstraintKey, str] | None:
-        """Locate the constraint branch that owns a WW or RW edge, if any.
-
-        Edges promoted to known by the initial-writer resolution have no
-        owning constraint and return None.
-        """
-        src, dst, label, key = edge
-        if label in (SO, WR) or key is None:
-            return None
-        if label == WW:
-            pair = tuple(sorted((src, dst)))
-        else:  # RW: reader src read key from some writer w; the pair is (w, dst)
-            writer = self.reader_source(src, key)
-            if writer is None or writer == INIT_TXN:
-                return None
-            pair = tuple(sorted((writer, dst)))
-        cid: ConstraintKey = (key, pair[0], pair[1])
-        cons = self.constraints.get(cid)
-        if cons is None:
-            return None
-        for branch in (EITHER, OR):
-            if edge in cons.edges(self, branch):
-                return (cid, branch)
-        return None
-
-    def reader_source(self, reader: TxnId, key: str) -> TxnId | None:
-        """The writer whose value `reader` effectively read on `key`."""
-        return self.read_from.get((key, reader))
-
 
 def create_known_graph(history: History) -> Polygraph:
     """Build vertices, session-order edges, and writer-to-reader edges.

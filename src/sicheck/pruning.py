@@ -199,20 +199,21 @@ def _blocked_cycle(index: KnownIndex, graph: Polygraph, cons: Constraint, branch
     if edge[2] == WW:
         deps.append(branch_dep)
         for known in index.path_deps(dst, src):
-            deps.append((known, _origin(graph, known)))
+            deps.append((known, known_origin(graph, known)))
     else:
         p = blocked.predecessor
         assert p is not None
         pred_edge = index.a_label[(p, src)]
-        deps.append((pred_edge, _origin(graph, pred_edge)))
+        deps.append((pred_edge, known_origin(graph, pred_edge)))
         deps.append(branch_dep)
         if p != dst:
             for known in index.path_deps(dst, p):
-                deps.append((known, _origin(graph, known)))
+                deps.append((known, known_origin(graph, known)))
     return WitnessCycle(deps).canonical()
 
 
-def _origin(graph: Polygraph, edge: Edge) -> Origin:
+def known_origin(graph: Polygraph, edge: Edge) -> Origin:
+    """Origin of a known edge: promoted by pruning, or known from the start."""
     resolved = graph.resolved_origin.get(edge)
     if resolved is not None:
         return ("resolved", resolved[0], resolved[1])

@@ -15,12 +15,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .encoding import Encoding
 from .errors import BudgetExceededError
 from .graphs import find_cycle, iter_bits, tarjan_scc
 from .polygraph import EITHER, OR, RW, ConstraintKey, Edge, Polygraph
-from .pruning import KnownIndex
-from .witness import KNOWN_ORIGIN, Origin, WitnessCycle
+from .pruning import KnownIndex, known_origin
+from .witness import Origin, WitnessCycle, has_adjacent_rw
 
 
 @dataclass(slots=True)
@@ -51,17 +50,27 @@ class Solver:
     def __init__(
         self,
         graph: Polygraph,
-        encoding: Encoding,
+        _encoding: object = None,
         budget_ms: int | None = None,
         max_decisions: int | None = None,
         index: KnownIndex | None = None,
     ):
+        # The second parameter is ignored: the benchmark's traced run still
+        # passes an encoding here. It goes with the next change to the
+        # benchmark, as `interpret`'s `history` does.
         self.graph = graph
-        self.enc = encoding
-        self.n = encoding.n
         # The known-graph index is only read here, so a supplied one (the
         # pruner's final index of this graph) is used as it is.
         self.known = KnownIndex(graph) if index is None else index
+        self.n = self.known.n
+        self.vindex = self.known.vindex
+        # Decision order is the sorted constraint ids; each branch's edges
+        # are built once, not once per decision.
+        self.constraints = [graph.constraints[cid] for cid in sorted(graph.constraints)]
+        self.branch_edges = [
+            {EITHER: cons.edges(graph, EITHER), OR: cons.edges(graph, OR)}
+            for cons in self.constraints
+        ]
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.max_decisions = max_decisions
         self.decisions = 0
@@ -142,16 +151,10 @@ class Solver:
         if known_bit:
             label_map = self.known.a_label if layer == "a" else self.known.b_label
             edge = label_map[(i, j)]
-            return edge, self._known_origin(edge)
+            return edge, known_origin(self.graph, edge)
         stack = (self.dyn_a_edges if layer == "a" else self.dyn_b_edges)[(i, j)]
         edge, cid, branch = stack[0]
         return edge, ("branch", cid, branch)
-
-    def _known_origin(self, edge: Edge) -> Origin:
-        resolved = self.graph.resolved_origin.get(edge)
-        if resolved is not None:
-            return ("resolved", resolved[0], resolved[1])
-        return KNOWN_ORIGIN
 
     def _decompose_pair(self, i: int, j: int) -> list[tuple[Edge, Origin]]:
         """Underlying labeled deps of a present induced pair (i, j)."""
@@ -235,7 +238,7 @@ class Solver:
         return cycle, culprits
 
     def _add_edge(self, edge: Edge, cid: ConstraintKey, branch: str) -> None:
-        i, j = self.enc.pair_of(edge)
+        i, j = self.vindex[edge[0]], self.vindex[edge[1]]
         pair = (i, j)
         if edge[2] == RW:
             count = self.dyn_b_count.get(pair, 0)
@@ -300,25 +303,23 @@ class Solver:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("solve time budget exhausted")
 
-    def _preferred_branches(self, ec) -> list[str]:
+    def _preferred_branches(self, k: int) -> list[str]:
         """Try the branch whose write-order edge follows the current order."""
-        first_i = self.enc.vindex[ec.constraint.first]
-        second_i = self.enc.vindex[ec.constraint.second]
-        if self.ord[first_i] < self.ord[second_i]:
+        cons = self.constraints[k]
+        if self.ord[self.vindex[cons.first]] < self.ord[self.vindex[cons.second]]:
             return [EITHER, OR]
         return [OR, EITHER]
 
-    def _try_branch(self, frame: _Frame, ec) -> bool:
+    def _try_branch(self, frame: _Frame, k: int) -> bool:
         """Assign a branch; on conflict, undo and record its culprits."""
         branch = frame.branches_left.pop(0)
         frame.branch = branch
         frame.trail_mark = len(self.trail)
         self.decisions += 1
         self._check_budget()
-        edges = ec.either_edges if branch == EITHER else ec.or_edges
         try:
-            for edge in edges:
-                self._add_edge(edge, ec.constraint.id, branch)
+            for edge in self.branch_edges[k][branch]:
+                self._add_edge(edge, frame.cid, branch)
         except _Conflict as conflict:
             self.conflicts += 1
             self._undo_to(frame.trail_mark)
@@ -332,11 +333,11 @@ class Solver:
         if known_cycle is not None:
             return SolveResult("unsat", cycle=known_cycle, decisions=0, conflicts=0)
 
-        order = {ec.constraint.id: k for k, ec in enumerate(self.enc.constraints)}
+        order = {cons.id: k for k, cons in enumerate(self.constraints)}
         frames: list[_Frame] = []
         next_idx = 0
         while True:
-            if next_idx == len(self.enc.constraints):
+            if next_idx == len(self.constraints):
                 assignment = {f.cid: f.branch for f in frames}
                 return SolveResult(
                     "sat",
@@ -344,11 +345,13 @@ class Solver:
                     decisions=self.decisions,
                     conflicts=self.conflicts,
                 )
-            ec = self.enc.constraints[next_idx]
-            frame = _Frame(cid=ec.constraint.id, branches_left=self._preferred_branches(ec))
+            frame = _Frame(
+                cid=self.constraints[next_idx].id,
+                branches_left=self._preferred_branches(next_idx),
+            )
             frames.append(frame)
             while True:
-                if frame.branches_left and self._try_branch(frame, ec):
+                if frame.branches_left and self._try_branch(frame, next_idx):
                     next_idx += 1
                     break
                 if frame.branches_left:
@@ -380,13 +383,11 @@ class Solver:
                 self._undo_to(frame.trail_mark)
                 frame.branch = None
                 frame.conflict_union |= culprits - {frame.cid}
-                ec = self.enc.constraints[order[frame.cid]]
                 next_idx = order[frame.cid]
 
 
 def solve(
     graph: Polygraph,
-    encoding: Encoding,
     budget_ms: int | None = None,
     max_decisions: int | None = None,
     index: KnownIndex | None = None,
@@ -396,9 +397,7 @@ def solve(
     `index` may pass the pruner's final known-graph index of `graph`, which
     saves building it again; it is not modified.
     """
-    return Solver(
-        graph, encoding, budget_ms=budget_ms, max_decisions=max_decisions, index=index
-    ).solve()
+    return Solver(graph, budget_ms=budget_ms, max_decisions=max_decisions, index=index).solve()
 
 
 def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
@@ -451,7 +450,7 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
     cycle = result.cycle
     if cycle is None or not cycle.deps or not cycle.closed():
         return False
-    if cycle.has_adjacent_rw():
+    if has_adjacent_rw(cycle.edges()):
         return False
     known = set(graph.known_edges)
     used_branches: dict[ConstraintKey, set[str]] = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .histories import txn_label
@@ -17,6 +18,14 @@ Origin = tuple
 
 
 KNOWN_ORIGIN: Origin = ("known",)
+
+
+def has_adjacent_rw(cycle: Sequence[Edge]) -> bool:
+    """Two RW dependencies in cyclically consecutive positions of a cycle."""
+    n = len(cycle)
+    if n < 2:
+        return False
+    return any(cycle[i][2] == RW and cycle[(i + 1) % n][2] == RW for i in range(n))
 
 
 @dataclass(slots=True)
@@ -36,16 +45,6 @@ class WitnessCycle:
 
     def rw_count(self) -> int:
         return sum(1 for e in self.edges() if e[2] == RW)
-
-    def has_adjacent_rw(self) -> bool:
-        """Two RW dependencies in cyclically consecutive positions."""
-        edges = self.edges()
-        if len(edges) < 2:
-            return False
-        return any(
-            edges[i][2] == RW and edges[(i + 1) % len(edges)][2] == RW
-            for i in range(len(edges))
-        )
 
     def has_nonadjacent_rw_pair(self) -> bool:
         edges = self.edges()

@@ -1,8 +1,9 @@
 """Layer micro-benchmarks for the known-graph kernels.
 
-Times `tarjan_scc`, `reach_masks`, the `KnownIndex` build and the prune
-branch tests on the known induced graphs of the benchmark's workload shapes
-(`perfbench/workloads.py`, first history of run seed 1). The file name keeps
+Times `tarjan_scc`, `reach_masks`, the `KnownIndex` build, the prune
+branch tests and the solver's search on the known induced graphs of the
+benchmark's workload shapes (`perfbench/workloads.py`, first history of run
+seed 1). The file name keeps
 it out of the default test run; run it from the repository root with
 
     PYTHONPATH=src:. python -m pytest tests/microbench/bench_kernels.py
@@ -19,19 +20,21 @@ from sicheck.graphs import reach_masks, tarjan_scc
 from sicheck.histories import parse_history
 from sicheck.polygraph import EITHER, OR, build_polygraph
 from sicheck.pruning import KnownIndex, _branch_blocked, prune_constraints
+from sicheck.solving import Solver
 
 SEED = 1
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))
 def graphs(request):
-    """The workload's polygraph, its index before pruning and its final K."""
+    """The workload's polygraph, its index before pruning, its final K and
+    the pruned polygraph that K indexes."""
     history = parse_history(WORKLOADS[request.param].case(SEED).data)
     initial = build_polygraph(history)
     index = KnownIndex(initial)
     pruned = build_polygraph(history)
     final = prune_constraints(pruned).index or KnownIndex(pruned)
-    return initial, index, final
+    return initial, index, final, pruned
 
 
 def test_tarjan_scc(benchmark, graphs):
@@ -50,7 +53,7 @@ def test_known_index_build(benchmark, graphs):
 
 def test_branch_blocked(benchmark, graphs):
     """Both branch tests of every constraint against the pre-prune index."""
-    graph, index, _ = graphs
+    graph, index = graphs[0], graphs[1]
     constraints = list(graph.constraints.values())
 
     def first_iteration():
@@ -59,3 +62,9 @@ def test_branch_blocked(benchmark, graphs):
             _branch_blocked(index, graph, cons, OR)
 
     benchmark(first_iteration)
+
+
+def test_solver_search(benchmark, graphs):
+    """Search over the constraints prune leaves, on the pruner's final index."""
+    final, pruned = graphs[2], graphs[3]
+    benchmark(lambda: Solver(pruned, index=final).solve())

@@ -22,9 +22,8 @@ from sicheck.oracle import oracle_check
 from sicheck.pipeline import check_si, pruning_stats
 from sicheck.polygraph import build_polygraph
 from sicheck.pruning import prune_constraints
-from sicheck.encoding import encode
 from sicheck.solving import SolveResult, solve, verify_witness
-from sicheck.witness import WitnessCycle
+from sicheck.witness import WitnessCycle, has_adjacent_rw
 from sicheck.workload import ANOMALIES, WorkloadParams, generate, inject
 
 DATA = Path(__file__).parent / "data"
@@ -51,7 +50,7 @@ def test_criterion_1_long_fork_reproduction():
         (T4, T1, "RW"),
     ]
     assert cycle.rw_count() == 2
-    assert cycle.has_nonadjacent_rw_pair() and not cycle.has_adjacent_rw()
+    assert cycle.has_nonadjacent_rw_pair() and not has_adjacent_rw(cycle.edges())
     assert elapsed < 1.0
     _ok("1 long-fork", f"exact 4-edge witness cycle in {elapsed*1000:.0f} ms")
 
@@ -183,10 +182,10 @@ def test_criterion_8_witness_verification():
         if outcome.verdict == "immediate-violation":
             # The pruner's branch cycles are witnesses in their own right.
             for cycle in (outcome.violation.either_cycle, outcome.violation.or_cycle):
-                assert cycle.closed() and not cycle.has_adjacent_rw(), seed
+                assert cycle.closed() and not has_adjacent_rw(cycle.edges()), seed
             unsat_checked += 1
             continue
-        result = solve(graph, encode(graph))
+        result = solve(graph)
         assert verify_witness(result, graph), seed
         if result.status == "sat":
             sat_checked += 1
@@ -197,7 +196,7 @@ def test_criterion_8_witness_verification():
     history = parse_history((DATA / "long_fork.json").read_bytes())
     graph = build_polygraph(history)
     prune_constraints(graph)
-    result = solve(graph, encode(graph))
+    result = solve(graph)
     deps = list(result.cycle.deps)
     edge, origin = deps[0]
     deps[0] = ((edge[1], edge[0], edge[2], edge[3]), origin)

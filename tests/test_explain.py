@@ -107,7 +107,7 @@ class TestRestore:
         graph = build_polygraph(lost_update)
         rw = (C, B, RW, "k")
         scenario = {rw: TaggedDependency(rw, ("branch", ("k", B, C), "either"), UNCERTAIN)}
-        restore_rw_context(scenario, graph)
+        restore_rw_context(scenario, EdgeUniverse(graph))
         assert (A, B, WW, "k") in scenario
         assert (A, C, WR, "k") in scenario
         assert scenario[(A, C, WR, "k")].tag == CERTAIN  # known writer-reader edge
@@ -118,7 +118,7 @@ class TestRestore:
         graph = build_polygraph(causality_violation)
         rw = ((1, 0), (0, 0), RW, "x")
         scenario = {rw: TaggedDependency(rw, ("known",), CERTAIN)}
-        restore_rw_context(scenario, graph)
+        restore_rw_context(scenario, EdgeUniverse(graph))
         assert (INIT_TXN, (0, 0), WW, "x") in scenario
         assert (INIT_TXN, (1, 0), WR, "x") in scenario
         assert all(d.tag == CERTAIN for d in scenario.values())
@@ -127,14 +127,14 @@ class TestRestore:
         graph = build_polygraph(lost_update)
         edge = (A, B, WR, "k")
         scenario = {edge: TaggedDependency(edge, ("known",), CERTAIN)}
-        assert restore_rw_context(dict(scenario), graph) == scenario
+        assert restore_rw_context(dict(scenario), EdgeUniverse(graph)) == scenario
 
     def test_missing_support_raises(self, lost_update):
         graph = build_polygraph(lost_update)
         bogus = ((0, 0), (1, 0), RW, "nope")
         scenario = {bogus: TaggedDependency(bogus, ("known",), UNCERTAIN)}
         with pytest.raises(MissingSupportError):
-            restore_rw_context(scenario, graph)
+            restore_rw_context(scenario, EdgeUniverse(graph))
 
 
 class TestResolve:

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,9 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from sicheck import encoding
 from sicheck.cli import main
+from sicheck.encoding import encode, export_encoding
 from sicheck.histories import parse_history, serialize_history
 from sicheck.pipeline import check_si
+from sicheck.polygraph import build_polygraph
+from sicheck.pruning import prune_constraints
 from sicheck.workload import WorkloadParams, generate
 
 DATA = Path(__file__).parent / "data"
@@ -53,10 +58,39 @@ class TestCheckSi:
         assert verdict.stats_before == (0, 0)
         assert "construct" not in verdict.timings_ms
 
-    def test_phase_timings_reported(self, long_fork):
+    def test_phase_timings_reported(self, long_fork, tmp_path):
         verdict = check_si(long_fork)
+        for phase in ("gate", "construct", "prune", "solve", "interpret", "total"):
+            assert phase in verdict.timings_ms
+        assert "encode" not in verdict.timings_ms
+        verdict = check_si(long_fork, emit_encoding_path=str(tmp_path / "enc.txt"))
         for phase in ("gate", "construct", "prune", "encode", "solve", "interpret", "total"):
             assert phase in verdict.timings_ms
+
+    def test_no_encoding_built_without_emit_path(self, long_fork, lost_update, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the check built an encoding")
+
+        monkeypatch.setattr(encoding, "encode", boom)
+        monkeypatch.setattr(encoding, "Encoding", boom)
+        sat = generate(WorkloadParams(sessions=5, txns_per_session=4, ops_per_txn=3, keys=4, seed=35))
+        for history in (long_fork, lost_update, sat):
+            for no_prune in (False, True):
+                check_si(history, no_prune=no_prune)
+
+    def test_emitted_encoding_is_that_of_the_solved_graph(self, long_fork, tmp_path):
+        sat = generate(WorkloadParams(sessions=5, txns_per_session=4, ops_per_txn=3, keys=4, seed=35))
+        for history in (long_fork, sat):
+            for no_prune in (False, True):
+                target = tmp_path / "enc.txt"
+                check_si(history, no_prune=no_prune, emit_encoding_path=str(target))
+                graph = build_polygraph(history)
+                if not no_prune:
+                    graph = graph.clone()
+                    assert prune_constraints(graph).verdict == "ok"
+                expected = io.BytesIO()
+                export_encoding(encode(graph), expected)
+                assert target.read_bytes() == expected.getvalue()
 
     def test_no_prune_same_verdict_more_solving(self, long_fork):
         pruned = check_si(long_fork, explain=False)

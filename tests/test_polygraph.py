@@ -14,8 +14,10 @@ from sicheck.polygraph import (
     create_known_graph,
     generate_constraints,
 )
+from sicheck.explain import EdgeUniverse
 from sicheck.harness import HistoryBounds, random_small_history
 from sicheck.histories import completeness_gate, effective_reads_writes
+from sicheck.witness import KNOWN_ORIGIN
 
 from conftest import T0, T1, T2, T3, T4, T5, committed, mk_history
 
@@ -168,14 +170,15 @@ class TestExpansionEquivalence:
 
 
 class TestConstraintLookup:
-    def test_constraint_for_edge_roundtrip(self, long_fork):
+    def test_branch_edges_owned_by_their_branch(self, long_fork):
         graph = build_polygraph(long_fork)
+        universe = EdgeUniverse(graph)
         for cid, cons in graph.constraints.items():
             for branch in (EITHER, OR):
                 for edge in cons.edges(graph, branch):
-                    assert graph.constraint_for_edge(edge) == (cid, branch)
+                    assert universe.origin_of(edge) == ("branch", cid, branch)
 
     def test_known_edges_have_no_constraint(self, long_fork):
-        graph = build_polygraph(long_fork)
-        assert graph.constraint_for_edge((T0, T5, SO, None)) is None
-        assert graph.constraint_for_edge((T1, T3, WR, "x")) is None
+        universe = EdgeUniverse(build_polygraph(long_fork))
+        assert universe.origin_of((T0, T5, SO, None)) == KNOWN_ORIGIN
+        assert universe.origin_of((T1, T3, WR, "x")) == KNOWN_ORIGIN

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from sicheck.encoding import encode
 from sicheck.errors import LimitExceededError
 from sicheck.harness import (
     HistoryBounds,
@@ -27,6 +26,7 @@ from sicheck.polygraph import SO, build_polygraph
 from sicheck.pruning import prune_constraints
 from sicheck.solving import solve, verify_witness
 from sicheck.explain import EdgeUniverse
+from sicheck.witness import has_adjacent_rw
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -42,7 +42,7 @@ def _check_with_full_session_order(history) -> str:
     outcome = prune_constraints(graph)
     if outcome.verdict == "immediate-violation":
         return "violation"
-    result = solve(graph, encode(graph))
+    result = solve(graph)
     return "violation" if result.status == "unsat" else "si-holds"
 
 
@@ -119,9 +119,9 @@ class TestWitnesses:
                 # Immediate-violation cycles carry their own witness pair.
                 for cycle in (outcome.violation.either_cycle, outcome.violation.or_cycle):
                     assert cycle.closed(), seed
-                    assert not cycle.has_adjacent_rw(), seed
+                    assert not has_adjacent_rw(cycle.edges()), seed
                 continue
-            result = solve(graph, encode(graph))
+            result = solve(graph)
             assert verify_witness(result, graph), seed
 
 
@@ -168,7 +168,7 @@ class TestSolverAgainstBranchEnumeration:
                 )
                 for combo in itertools.product((EITHER, OR), repeat=len(constraints))
             )
-            got = solve(graph, encode(graph)).status == "sat"
+            got = solve(graph).status == "sat"
             if got != expected:
                 record_failure("branch-enumeration", seed, history, CORPUS)
                 pytest.fail(f"seed {seed}: solver {got} vs enumeration {expected}")

@@ -18,6 +18,7 @@ from sicheck.pruning import (
     ww_branch_blocked,
 )
 from sicheck.histories import INIT_TXN, completeness_gate
+from sicheck.witness import has_adjacent_rw
 from sicheck.workload import DISTRIBUTIONS, PROFILES, WorkloadParams, generate, inject
 
 from conftest import T0, T1, T2, T3, T4, T5, committed, mk_history
@@ -168,7 +169,7 @@ class TestImmediateViolation:
         assert violation.constraint.id == ("x", (0, 0), (0, 1))
         for cycle in (violation.either_cycle, violation.or_cycle):
             assert cycle.closed()
-            assert not cycle.has_adjacent_rw()
+            assert not has_adjacent_rw(cycle.edges())
         labels = {e[2] for e in violation.either_cycle.edges()}
         assert WW in labels
         assert len(violation.cycle.deps) == min(

@@ -1,14 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from sicheck.encoding import encode
 from sicheck.errors import BudgetExceededError
-from sicheck.polygraph import RW, WR, build_polygraph
+from sicheck.polygraph import RW, WR, WW, build_polygraph
 from sicheck.pruning import KnownIndex, prune_constraints
 from sicheck.solving import SolveResult, solve, verify_witness
-from sicheck.witness import WitnessCycle
+from sicheck.witness import WitnessCycle, has_adjacent_rw
 from sicheck.workload import WorkloadParams, generate, inject
 
 from conftest import T1, T2, T3, T4, committed, mk_history
+
+DATA = Path(__file__).parent / "data"
 
 
 def pipeline(history, no_prune=False):
@@ -16,7 +22,7 @@ def pipeline(history, no_prune=False):
     if not no_prune:
         outcome = prune_constraints(graph)
         assert outcome.verdict == "ok"
-    return graph, solve(graph, encode(graph))
+    return graph, solve(graph)
 
 
 class TestSolve:
@@ -32,7 +38,7 @@ class TestSolve:
         ]
         assert result.cycle.rw_count() == 2
         assert result.cycle.has_nonadjacent_rw_pair()
-        assert not result.cycle.has_adjacent_rw()
+        assert not has_adjacent_rw(result.cycle.edges())
 
     def test_causality_template_unsat(self, causality_violation):
         graph, result = pipeline(causality_violation)
@@ -59,9 +65,8 @@ class TestSolve:
         for history in (long_fork, lost_update):
             graph = build_polygraph(history)
             prune_constraints(graph)
-            enc = encode(graph)
-            first = solve(graph, enc)
-            second = solve(graph, enc)
+            first = solve(graph)
+            second = solve(graph)
             assert first.status == second.status
             assert first.cycle.deps == second.cycle.deps
             assert (first.decisions, first.conflicts) == (second.decisions, second.conflicts)
@@ -69,9 +74,8 @@ class TestSolve:
     def test_budget_exhaustion_is_not_a_verdict(self, lost_update):
         graph = build_polygraph(lost_update)
         prune_constraints(graph)
-        enc = encode(graph)
         with pytest.raises(BudgetExceededError):
-            solve(graph, enc, max_decisions=0)
+            solve(graph, max_decisions=0)
 
     def test_no_prune_agrees(self, long_fork, lost_update, causality_violation):
         for history in (long_fork, lost_update, causality_violation):
@@ -88,15 +92,65 @@ class TestSolve:
                     index = KnownIndex(graph)
                 else:
                     index = prune_constraints(graph).index
-                enc = encode(graph)
-                own = solve(graph, enc)
+                own = solve(graph)
                 rows = (index.a_adj, index.b_adj, index.a_pred, index.k_adj, index.reach)
                 before = [list(r) for r in rows] + [dict(index.a_label), dict(index.b_label)]
-                assert solve(graph, enc, index=index) == own
+                assert solve(graph, index=index) == own
                 # The solver only reads the index it is given.
                 after = [list(r) for r in rows] + [index.a_label, index.b_label]
                 assert after == before
                 assert own.status == ("sat" if history is sat else "unsat")
+
+
+# (status, decisions, conflicts, witness deps) of searches with conflicts,
+# recorded before the solver stopped reading the Boolean encoding. History
+# key: (generator seed, keys, injected anomaly) over 5 sessions x 4 txns x 3 ops.
+_LOST = "inj0a"  # the injected lost-update key
+_RW = ((1, 4), (2, 4), RW, _LOST)
+_WW = ((2, 4), (1, 4), WW, _LOST)
+SEARCH_PINS = {
+    ((0, 6, "lost-update"), False): ("unsat", 2, 2, [
+        (_RW, ("resolved", (_LOST, (0, 4), (2, 4)), "either")),
+        (_WW, ("branch", (_LOST, (1, 4), (2, 4)), "or")),
+    ]),
+    ((0, 6, "lost-update"), True): ("unsat", 6, 4, [
+        (_RW, ("branch", (_LOST, (0, 4), (2, 4)), "either")),
+        (_WW, ("branch", (_LOST, (1, 4), (2, 4)), "or")),
+    ]),
+    ((35, 4, None), False): ("sat", 38, 9, None),
+    ((35, 4, None), True): ("sat", 68, 9, None),
+    ((88, 3, None), False): ("sat", 31, 8, None),
+    ((88, 3, None), True): ("sat", 44, 10, None),
+    ((123, 4, None), False): ("sat", 28, 5, None),
+    ((123, 4, None), True): ("sat", 62, 14, None),
+}
+
+
+@pytest.mark.parametrize("case, no_prune", sorted(SEARCH_PINS, key=repr))
+def test_search_pinned(case, no_prune):
+    seed, keys, anomaly = case
+    params = WorkloadParams(sessions=5, txns_per_session=4, ops_per_txn=3, keys=keys, seed=seed)
+    history = generate(params)
+    if anomaly is not None:
+        history = inject(history, anomaly, seed)
+    graph, result = pipeline(history, no_prune=no_prune)
+    deps = None if result.cycle is None else result.cycle.deps
+    assert (result.status, result.decisions, result.conflicts, deps) == SEARCH_PINS[case, no_prune]
+    assert verify_witness(result, graph)
+
+
+def test_import_leaves_the_encoder_unloaded():
+    """Neither the solver nor a check that writes no encoding loads the encoder."""
+    code = (
+        "import sys, sicheck.solving\n"
+        "assert 'sicheck.encoding' not in sys.modules, 'import'\n"
+        "from sicheck import check_si, parse_history\n"
+        f"check_si(parse_history(open({str(DATA / 'long_fork.json')!r}, 'rb').read()))\n"
+        "assert 'sicheck.encoding' not in sys.modules, 'check'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestVerifyWitness:
@@ -152,7 +206,7 @@ class TestVerifyWitness:
         params = WorkloadParams(seed=3, sessions=5, txns_per_session=20)
         graph = build_polygraph(inject(generate(params), "lost-update", 3))
         assert graph.constraints
-        assert solve(graph, encode(graph)).status == "unsat"
+        assert solve(graph).status == "unsat"
         assert not verify_witness(SolveResult("sat", assignment={}), graph)
 
     def test_adjacent_rw_cycle_rejected(self, long_fork):
