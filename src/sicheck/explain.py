@@ -118,32 +118,50 @@ class EdgeUniverse:
         max_count: int,
     ) -> list[tuple[Edge, ...]]:
         """Undesired simple cycles starting with `edge`, shortest first."""
-        cycles: list[tuple[Edge, ...]] = []
-        target = edge[0]
-        # Iterative DFS over simple paths edge.dst -> target.
-        stack: list[tuple[TxnId, tuple[Edge, ...], frozenset[TxnId]]] = [
-            (edge[1], (edge,), frozenset((edge[0], edge[1])))
-        ]
-        while stack:
-            vertex, path, visited = stack.pop()
-            if len(cycles) >= max_count:
-                self.cap_hit = True
-                break
-            for nxt in reversed(self.succ.get(vertex, ())):
-                dst = nxt[1]
-                if dst == target:
-                    cycle = path + (nxt,)
-                    if not has_adjacent_rw(cycle):
-                        cycles.append(cycle)
-                    continue
-                if dst in visited:
-                    continue
-                if len(path) + 1 >= max_len:
-                    self.cap_hit = True
-                    continue
-                stack.append((dst, path + (nxt,), visited | {dst}))
+        cycles, capped = undesired_cycles(self.succ, edge, max_len, max_count)
+        if capped:
+            self.cap_hit = True
         cycles.sort(key=lambda c: (len(c), c))
         return cycles
+
+
+def undesired_cycles(
+    succ: dict[TxnId, list[Edge]],
+    edge: Edge,
+    max_len: int,
+    max_count: int,
+) -> tuple[list[tuple[Edge, ...]], bool]:
+    """Undesired simple cycles starting with `edge` over sorted successor lists.
+
+    Iterative DFS over simple paths edge.dst -> edge.src, lowest successor
+    first. Returns (cycles, capped); capped is True when the search stopped
+    at `max_count` cycles or left a path longer than `max_len` unexplored.
+    """
+    cycles: list[tuple[Edge, ...]] = []
+    capped = False
+    target = edge[0]
+    stack: list[tuple[TxnId, tuple[Edge, ...], frozenset[TxnId]]] = [
+        (edge[1], (edge,), frozenset((edge[0], edge[1])))
+    ]
+    while stack:
+        vertex, path, visited = stack.pop()
+        if len(cycles) >= max_count:
+            capped = True
+            break
+        for nxt in reversed(succ.get(vertex, ())):
+            dst = nxt[1]
+            if dst == target:
+                cycle = path + (nxt,)
+                if not has_adjacent_rw(cycle):
+                    cycles.append(cycle)
+                continue
+            if dst in visited:
+                continue
+            if len(path) + 1 >= max_len:
+                capped = True
+                continue
+            stack.append((dst, path + (nxt,), visited | {dst}))
+    return cycles, capped
 
 
 def _branch_coverage(universe: EdgeUniverse, deps: set[Edge]) -> dict[ConstraintKey, set[str]]:
@@ -259,22 +277,8 @@ def _certain_cycle_exists(edge: Edge, scenario: Scenario, max_len: int = 12) -> 
             succ.setdefault(e[0], []).append(e)
     for edges in succ.values():
         edges.sort()
-    target = edge[0]
-    stack: list[tuple[TxnId, tuple[Edge, ...], frozenset[TxnId]]] = [
-        (edge[1], (edge,), frozenset((edge[0], edge[1])))
-    ]
-    while stack:
-        vertex, path, visited = stack.pop()
-        for nxt in succ.get(vertex, ()):
-            dst = nxt[1]
-            if dst == target:
-                if not has_adjacent_rw(path + (nxt,)):
-                    return True
-                continue
-            if dst in visited or len(path) + 1 >= max_len:
-                continue
-            stack.append((dst, path + (nxt,), visited | {dst}))
-    return False
+    cycles, _ = undesired_cycles(succ, edge, max_len, 1)
+    return bool(cycles)
 
 
 def resolve_uncertain(scenario: Scenario, graph: Polygraph) -> Scenario:

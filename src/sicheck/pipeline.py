@@ -131,17 +131,19 @@ def check_si(
         index = outcome.index  # None after an immediate violation
         del outcome
 
-    if cycle is None:
-        if emit_encoding_path:
-            # Imported here: a check that writes no encoding never loads the encoder.
-            from .encoding import encode, export_encoding
+    if emit_encoding_path:
+        # The graph as prune left it, whatever the verdict. Imported here: a
+        # check that writes no encoding never loads the encoder.
+        from .encoding import encode, export_encoding
 
-            t0 = time.monotonic()
-            enc = encode(working)
-            verdict.timings_ms["encode"] = (time.monotonic() - t0) * 1000
-            with open(emit_encoding_path, "wb") as sink:
-                export_encoding(enc, sink)
-            del enc
+        t0 = time.monotonic()
+        enc = encode(working)
+        verdict.timings_ms["encode"] = (time.monotonic() - t0) * 1000
+        with open(emit_encoding_path, "wb") as sink:
+            export_encoding(enc, sink)
+        del enc
+
+    if cycle is None:
         t0 = time.monotonic()
         result: SolveResult = solve(working, budget_ms=remaining_ms(), index=index)
         # Verification and the explainer build their own views of the graph;

@@ -104,13 +104,10 @@ class KnownIndex:
 
     def decompose(self, u: int, v: int) -> list[Edge]:
         """Underlying labeled dependencies of a K edge (direct or composed)."""
-        direct = self.a_label.get((u, v))
-        if direct is not None:
-            return [direct]
-        for m in iter_bits(self.a_adj[u]):
-            if (self.b_adj[m] >> v) & 1:
-                return [self.a_label[(u, m)], self.b_label[(m, v)]]
-        raise AssertionError(f"({u},{v}) is not an edge of the known induced graph")
+        m = k_middle(self.a_adj, self.b_adj, u, v)
+        if m is None:
+            return [self.a_label[(u, v)]]
+        return [self.a_label[(u, m)], self.b_label[(m, v)]]
 
     def path_deps(self, src: int, dst: int) -> list[Edge]:
         path = bfs_path(self.k_adj, src, dst)
@@ -120,6 +117,17 @@ class KnownIndex:
         for a, b in zip(path, path[1:]):
             deps.extend(self.decompose(a, b))
         return deps
+
+
+def k_middle(a_rows: list[int], b_rows: list[int], u: int, v: int) -> int | None:
+    """How the induced graph holds pair (u, v): None when A holds it directly,
+    else the lowest middle vertex m with A(u, m) and B(m, v)."""
+    if (a_rows[u] >> v) & 1:
+        return None
+    for m in iter_bits(a_rows[u]):
+        if (b_rows[m] >> v) & 1:
+            return m
+    raise AssertionError(f"({u},{v}) is not an edge of the induced graph")
 
 
 def ww_branch_blocked(src: int, dst: int, reach: list[int]) -> bool:

@@ -1,10 +1,12 @@
 """Acyclicity-aware search over constraint branches.
 
 Each open constraint is one binary decision: take its either branch or its
-or branch. Assigned branch edges feed an incrementally maintained induced
-graph (direct non-RW edges plus non-RW∘RW compositions, at pair granularity)
-whose topological order is repaired on every insertion; a failed repair is a
-conflict, analyzed into the set of contributing decisions for backjumping.
+or branch. The search state is the known-graph index's rows, which assigned
+branch edges extend and an undo trail restores: an incrementally maintained
+induced graph (direct non-RW edges plus non-RW∘RW compositions, at pair
+granularity) whose topological order is repaired on every insertion; a
+failed repair is a conflict, analyzed into the set of contributing
+decisions for backjumping.
 The search is exhaustive: unsat is only reported once every branch
 combination is covered by recorded conflicts, never on budget exhaustion,
 which raises instead.
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceededError
 from .graphs import find_cycle, iter_bits, tarjan_scc
 from .polygraph import EITHER, OR, RW, ConstraintKey, Edge, Polygraph
-from .pruning import KnownIndex, known_origin
+from .pruning import KnownIndex, k_middle, known_origin
 from .witness import Origin, WitnessCycle, has_adjacent_rw
 
 
@@ -76,48 +78,32 @@ class Solver:
         self.decisions = 0
         self.conflicts = 0
 
-        # Known pair presence is permanent; dynamic presence is counted so that
-        # overlapping contributions undo cleanly.
-        self.known_a_rows = self.known.a_adj
-        self.known_b_rows = self.known.b_adj
-        self.dyn_a_count: dict[tuple[int, int], int] = {}
-        self.dyn_b_count: dict[tuple[int, int], int] = {}
-        self.dyn_ind_count: dict[tuple[int, int], int] = {}
-        self.dyn_a_rows = [0] * self.n
-        self.dyn_b_rows = [0] * self.n
-        self.dyn_a_pred = [0] * self.n
-        # Labeled provenance of dynamic pairs (first writer wins per pair).
-        self.dyn_a_edges: dict[tuple[int, int], list[tuple[Edge, ConstraintKey, str]]] = {}
-        self.dyn_b_edges: dict[tuple[int, int], list[tuple[Edge, ConstraintKey, str]]] = {}
-
-        # Induced graph rows (known ∪ dynamic) and its reverse, plus a
+        # Search state: the index's level-0 rows, extended by the assigned
+        # branch edges. Only the lists are copied; the index is not modified.
+        self.a_rows = list(self.known.a_adj)
+        self.b_rows = list(self.known.b_adj)
+        self.a_pred = list(self.known.a_pred)
+        # Induced graph rows (known ∪ assigned) and its reverse, plus a
         # maintained topological order.
-        self.ind_rows = [0] * self.n
+        self.ind_rows = list(self.known.k_adj)
         self.ind_rev = [0] * self.n
-        self.known_ind_rows = self.known.k_adj
+        # Branch edges on each pair, in assignment order; a pair's stack length
+        # counts its contributions, so overlapping ones undo cleanly.
+        self.a_edges: dict[tuple[int, int], list[tuple[Edge, ConstraintKey, str]]] = {}
+        self.b_edges: dict[tuple[int, int], list[tuple[Edge, ConstraintKey, str]]] = {}
+        # Contributions to each induced pair that K does not already hold.
+        self.ind_count: dict[tuple[int, int], int] = {}
         self.ord = list(range(self.n))
-        # Trail of undoable actions: ("a"|"b", pair) count bumps and
+        # Trail of undoable actions: ("a"|"b", pair) edge pushes and
         # ("ind", pair) insertions.
         self.trail: list[tuple[str, tuple[int, int]]] = []
         self.first_conflict_cycle: WitnessCycle | None = None
 
-    # ----- presence helpers -------------------------------------------------
-
-    def _a_present_row(self, i: int) -> int:
-        return self.known_a_rows[i] | self.dyn_a_rows[i]
-
-    def _b_present_row(self, i: int) -> int:
-        return self.known_b_rows[i] | self.dyn_b_rows[i]
-
-    def _a_pred_row(self, j: int) -> int:
-        return self.known.a_pred[j] | self.dyn_a_pred[j]
-
     # ----- initial known graph ---------------------------------------------
 
     def check_known_acyclic(self) -> WitnessCycle | None:
-        """Seed the induced graph from known edges; report a cycle if one exists."""
-        for i, row in enumerate(self.known_ind_rows):
-            self.ind_rows[i] = row
+        """Seed the reverse induced rows from K; report a cycle if one exists."""
+        for i, row in enumerate(self.ind_rows):
             for j in iter_bits(row):
                 self.ind_rev[j] |= 1 << i
         sccs = tarjan_scc(self.n, self.ind_rows)
@@ -141,47 +127,39 @@ class Solver:
             order -= 1
         return None
 
-    # ----- decomposition and provenance -------------------------------------
+    # ----- provenance -------------------------------------------------------
 
     def _pair_dep(self, i: int, j: int, layer: str) -> tuple[Edge, Origin]:
-        """A labeled edge currently supporting pair (i, j) in the given layer."""
-        known_bit = (
-            (self.known_a_rows[i] if layer == "a" else self.known_b_rows[i]) >> j
-        ) & 1
-        if known_bit:
-            label_map = self.known.a_label if layer == "a" else self.known.b_label
-            edge = label_map[(i, j)]
+        """A labeled edge supporting pair (i, j) in the given layer: its known
+        label, else the first branch edge assigned to it."""
+        a = layer == "a"
+        edge = (self.known.a_label if a else self.known.b_label).get((i, j))
+        if edge is not None:
             return edge, known_origin(self.graph, edge)
-        stack = (self.dyn_a_edges if layer == "a" else self.dyn_b_edges)[(i, j)]
-        edge, cid, branch = stack[0]
+        edge, cid, branch = (self.a_edges if a else self.b_edges)[(i, j)][0]
         return edge, ("branch", cid, branch)
-
-    def _decompose_pair(self, i: int, j: int) -> list[tuple[Edge, Origin]]:
-        """Underlying labeled deps of a present induced pair (i, j)."""
-        if (self._a_present_row(i) >> j) & 1:
-            return [self._pair_dep(i, j, "a")]
-        for m in iter_bits(self._a_present_row(i)):
-            if (self._b_present_row(m) >> j) & 1:
-                return [self._pair_dep(i, m, "a"), self._pair_dep(m, j, "b")]
-        raise AssertionError(f"induced pair ({i},{j}) has no support")
 
     def _cycle_from_vertices(self, vcycle: list[int]) -> WitnessCycle:
         deps: list[tuple[Edge, Origin]] = []
         for k, u in enumerate(vcycle):
             v = vcycle[(k + 1) % len(vcycle)]
-            deps.extend(self._decompose_pair(u, v))
+            m = k_middle(self.a_rows, self.b_rows, u, v)
+            if m is None:
+                deps.append(self._pair_dep(u, v, "a"))
+            else:
+                deps += [self._pair_dep(u, m, "a"), self._pair_dep(m, v, "b")]
         return WitnessCycle(deps).canonical()
 
     # ----- incremental induced-graph maintenance ----------------------------
 
     def _insert_induced(self, i: int, j: int) -> None:
         """Make pair (i, j) present in the induced graph, repairing the order."""
-        if (self.known_ind_rows[i] >> j) & 1:
+        if (self.known.k_adj[i] >> j) & 1:
             return
-        count = self.dyn_ind_count.get((i, j), 0)
-        self.dyn_ind_count[(i, j)] = count + 1
+        count = self.ind_count.get((i, j), 0)
+        self.ind_count[(i, j)] = count + 1
         self.trail.append(("ind", (i, j)))
-        if count > 0 or (self.ind_rows[i] >> j) & 1:
+        if count:
             return
         self.ind_rows[i] |= 1 << j
         self.ind_rev[j] |= 1 << i
@@ -241,59 +219,52 @@ class Solver:
         i, j = self.vindex[edge[0]], self.vindex[edge[1]]
         pair = (i, j)
         if edge[2] == RW:
-            count = self.dyn_b_count.get(pair, 0)
-            self.dyn_b_count[pair] = count + 1
-            self.dyn_b_edges.setdefault(pair, []).append((edge, cid, branch))
+            self.b_edges.setdefault(pair, []).append((edge, cid, branch))
             self.trail.append(("b", pair))
-            if count == 0 and not (self.known_b_rows[i] >> j) & 1:
-                self.dyn_b_rows[i] |= 1 << j
+            if not (self.b_rows[i] >> j) & 1:
+                self.b_rows[i] |= 1 << j
                 # New compositions: every present A-predecessor of i now reaches j.
-                for p in iter_bits(self._a_pred_row(i)):
+                for p in iter_bits(self.a_pred[i]):
                     self._insert_induced(p, j)
         else:
-            count = self.dyn_a_count.get(pair, 0)
-            self.dyn_a_count[pair] = count + 1
-            self.dyn_a_edges.setdefault(pair, []).append((edge, cid, branch))
+            self.a_edges.setdefault(pair, []).append((edge, cid, branch))
             self.trail.append(("a", pair))
-            if count == 0 and not (self.known_a_rows[i] >> j) & 1:
-                self.dyn_a_rows[i] |= 1 << j
-                self.dyn_a_pred[j] |= 1 << i
+            if not (self.a_rows[i] >> j) & 1:
+                self.a_rows[i] |= 1 << j
+                self.a_pred[j] |= 1 << i
                 self._insert_induced(i, j)
-                for w in iter_bits(self._b_present_row(j)):
+                for w in iter_bits(self.b_rows[j]):
                     self._insert_induced(i, w)
 
     def _undo_to(self, mark: int) -> None:
+        """Pop the trail to `mark`; a row bit is cleared only when its pair
+        has no known label and no branch edge left."""
         while len(self.trail) > mark:
             kind, pair = self.trail.pop()
             i, j = pair
             if kind == "ind":
-                left = self.dyn_ind_count[pair] - 1
+                left = self.ind_count[pair] - 1
                 if left:
-                    self.dyn_ind_count[pair] = left
+                    self.ind_count[pair] = left
                 else:
-                    del self.dyn_ind_count[pair]
-                    if not (self.known_ind_rows[i] >> j) & 1:
-                        self.ind_rows[i] &= ~(1 << j)
-                        self.ind_rev[j] &= ~(1 << i)
+                    del self.ind_count[pair]
+                    self.ind_rows[i] &= ~(1 << j)
+                    self.ind_rev[j] &= ~(1 << i)
             elif kind == "a":
-                left = self.dyn_a_count[pair] - 1
-                self.dyn_a_edges[pair].pop()
-                if left:
-                    self.dyn_a_count[pair] = left
-                else:
-                    del self.dyn_a_count[pair]
-                    del self.dyn_a_edges[pair]
-                    self.dyn_a_rows[i] &= ~(1 << j)
-                    self.dyn_a_pred[j] &= ~(1 << i)
+                stack = self.a_edges[pair]
+                stack.pop()
+                if not stack:
+                    del self.a_edges[pair]
+                    if pair not in self.known.a_label:
+                        self.a_rows[i] &= ~(1 << j)
+                        self.a_pred[j] &= ~(1 << i)
             else:
-                left = self.dyn_b_count[pair] - 1
-                self.dyn_b_edges[pair].pop()
-                if left:
-                    self.dyn_b_count[pair] = left
-                else:
-                    del self.dyn_b_count[pair]
-                    del self.dyn_b_edges[pair]
-                    self.dyn_b_rows[i] &= ~(1 << j)
+                stack = self.b_edges[pair]
+                stack.pop()
+                if not stack:
+                    del self.b_edges[pair]
+                    if pair not in self.known.b_label:
+                        self.b_rows[i] &= ~(1 << j)
 
     # ----- search -----------------------------------------------------------
 
@@ -368,17 +339,11 @@ class Solver:
                         conflicts=self.conflicts,
                     )
                 target = max(culprits, key=lambda cid: order[cid])
+                # Every culprit is an assigned frame below the failed one; the
+                # undo to its mark also undoes every frame above it.
                 while frames and frames[-1].cid != target:
-                    victim = frames.pop()
-                    if victim.branch is not None:
-                        self._undo_to(victim.trail_mark)
-                if not frames:
-                    return SolveResult(
-                        "unsat",
-                        cycle=self.first_conflict_cycle,
-                        decisions=self.decisions,
-                        conflicts=self.conflicts,
-                    )
+                    frames.pop()
+                assert frames, f"backjump target {target} has no frame"
                 frame = frames[-1]
                 self._undo_to(frame.trail_mark)
                 frame.branch = None

@@ -51,6 +51,16 @@ def long_fork() -> History:
     )
 
 
+def immediate_violation_history() -> History:
+    """Both branches of one constraint are dead before any search.
+
+    T1 reads y from its session successor T2, and both write x.
+    """
+    return mk_history(
+        [[committed([("w", "x", 1), ("r", "y", 7)]), committed([("w", "x", 2), ("w", "y", 7)])]]
+    )
+
+
 # Transaction ids of the long-fork fixture, paper-style names.
 T0, T5 = (0, 0), (0, 1)
 T1, T2, T3, T4 = (1, 0), (2, 0), (3, 0), (4, 0)

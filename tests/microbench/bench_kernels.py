@@ -1,10 +1,12 @@
-"""Layer micro-benchmarks for the known-graph kernels.
+"""Layer micro-benchmarks for the known-graph kernels and the explainer.
 
 Times `tarjan_scc`, `reach_masks`, the `KnownIndex` build, the prune
 branch tests and the solver's search on the known induced graphs of the
 benchmark's workload shapes (`perfbench/workloads.py`, first history of run
-seed 1). The file name keeps
-it out of the default test run; run it from the repository root with
+seed 1), and the explainer's `EdgeUniverse` build and `find_cluster` on
+the same histories (`find_cluster` only where the check finds a violation).
+The file name keeps it out of the default test run; run it from the
+repository root with
 
     PYTHONPATH=src:. python -m pytest tests/microbench/bench_kernels.py
 
@@ -16,8 +18,12 @@ from __future__ import annotations
 import pytest
 
 from perfbench.workloads import WORKLOADS
+from sicheck.explain import (
+    DEFAULT_MAX_CYCLE_LEN, DEFAULT_MAX_CYCLES_PER_DEP, EdgeUniverse, find_cluster,
+)
 from sicheck.graphs import reach_masks, tarjan_scc
 from sicheck.histories import parse_history
+from sicheck.pipeline import check_si
 from sicheck.polygraph import EITHER, OR, build_polygraph
 from sicheck.pruning import KnownIndex, _branch_blocked, prune_constraints
 from sicheck.solving import Solver
@@ -68,3 +74,25 @@ def test_solver_search(benchmark, graphs):
     """Search over the constraints prune leaves, on the pruner's final index."""
     final, pruned = graphs[2], graphs[3]
     benchmark(lambda: Solver(pruned, index=final).solve())
+
+
+def test_edge_universe_build(benchmark, graphs):
+    benchmark(EdgeUniverse, graphs[0])
+
+
+@pytest.fixture(scope="module", params=sorted(WORKLOADS))
+def violation(request):
+    """The workload's original polygraph and the witness cycle of its check."""
+    history = parse_history(WORKLOADS[request.param].case(SEED).data)
+    cycle = check_si(history, explain=False).cycle
+    if cycle is None:
+        pytest.skip("the check finds no violation")
+    return build_polygraph(history), tuple(cycle.edges())
+
+
+def test_find_cluster(benchmark, violation):
+    """Cluster search from the witness cycle, with `interpret`'s caps."""
+    graph, cycle_edges = violation
+    universe = EdgeUniverse(graph)
+    max_len = max(DEFAULT_MAX_CYCLE_LEN, min(len(graph.vertices), 16))
+    benchmark(find_cluster, universe, cycle_edges, None, max_len, DEFAULT_MAX_CYCLES_PER_DEP)

@@ -6,6 +6,7 @@ from sicheck.explain import (
     UNCERTAIN,
     EdgeUniverse,
     TaggedDependency,
+    _certain_cycle_exists,
     _first_gap,
     classify,
     find_cluster,
@@ -14,6 +15,7 @@ from sicheck.explain import (
     render_dot,
     resolve_uncertain,
     restore_rw_context,
+    undesired_cycles,
 )
 from sicheck.harness import minimal_counterexample_size
 from sicheck.histories import INIT_TXN
@@ -135,6 +137,43 @@ class TestRestore:
         scenario = {bogus: TaggedDependency(bogus, ("known",), UNCERTAIN)}
         with pytest.raises(MissingSupportError):
             restore_rw_context(scenario, EdgeUniverse(graph))
+
+
+D, E = (3, 0), (4, 0)
+RING = [(A, B, WW, "x"), (B, C, WW, "x"), (C, D, WW, "x"), (D, A, WW, "x")]
+
+
+def _succ(edges):
+    succ = {}
+    for edge in sorted(edges):
+        succ.setdefault(edge[0], []).append(edge)
+    return succ
+
+
+class TestUndesiredCycles:
+    def test_length_bound(self):
+        succ = _succ(RING)
+        assert undesired_cycles(succ, RING[0], 4, 10) == ([tuple(RING)], False)
+        assert undesired_cycles(succ, RING[0], 3, 10) == ([], True)
+
+    def test_count_cap(self):
+        chord = (B, A, WR, "y")
+        succ = _succ(RING + [chord])
+        both = [(RING[0], chord), tuple(RING)]
+        assert undesired_cycles(succ, RING[0], 10, 2) == (both, False)
+        assert undesired_cycles(succ, RING[0], 10, 1) == (both[:1], True)
+
+    def test_adjacent_rw_cycle_left_out(self):
+        edge, back = (A, B, RW, "x"), (B, A, RW, "y")
+        assert undesired_cycles(_succ([edge, back]), edge, 10, 10) == ([], False)
+
+    def test_certain_cycle_of_five_edges(self):
+        ring = [(A, B, WW, "x"), (B, C, WW, "x"), (C, D, WW, "x"), (D, E, WW, "x"),
+                (E, A, WW, "x")]
+        scenario = {e: TaggedDependency(e, ("known",), CERTAIN) for e in ring[1:]}
+        assert _certain_cycle_exists(ring[0], scenario)
+        scenario[ring[2]].tag = UNCERTAIN
+        assert not _certain_cycle_exists(ring[0], scenario)
 
 
 class TestResolve:

@@ -15,6 +15,8 @@ from sicheck.polygraph import build_polygraph
 from sicheck.pruning import prune_constraints
 from sicheck.workload import WorkloadParams, generate
 
+from conftest import immediate_violation_history
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,6 +93,16 @@ class TestCheckSi:
                 expected = io.BytesIO()
                 export_encoding(encode(graph), expected)
                 assert target.read_bytes() == expected.getvalue()
+
+    def test_encoding_emitted_after_an_immediate_violation(self, tmp_path):
+        target = tmp_path / "enc.txt"
+        verdict = check_si(immediate_violation_history(), emit_encoding_path=str(target))
+        assert verdict.outcome == "violation" and verdict.decisions == 0
+        graph = build_polygraph(immediate_violation_history())
+        assert prune_constraints(graph).verdict == "immediate-violation"
+        expected = io.BytesIO()
+        export_encoding(encode(graph), expected)
+        assert target.read_bytes() == expected.getvalue()
 
     def test_no_prune_same_verdict_more_solving(self, long_fork):
         pruned = check_si(long_fork, explain=False)

@@ -13,6 +13,7 @@ from sicheck.polygraph import EITHER, OR, RW, SO, WR, WW, Polygraph, build_polyg
 from sicheck.pruning import (
     BlockedEdge,
     KnownIndex,
+    k_middle,
     prune_constraints,
     rw_branch_blocked,
     ww_branch_blocked,
@@ -21,19 +22,26 @@ from sicheck.histories import INIT_TXN, completeness_gate
 from sicheck.witness import has_adjacent_rw
 from sicheck.workload import DISTRIBUTIONS, PROFILES, WorkloadParams, generate, inject
 
-from conftest import T0, T1, T2, T3, T4, T5, committed, mk_history
+from conftest import (
+    T0, T1, T2, T3, T4, T5, committed, immediate_violation_history, mk_history,
+)
 from reference_closures import bfs_reach, floyd_warshall_reach
-
-
-def _immediate_violation():
-    # T1 reads y from its session successor T2, and both write x.
-    return mk_history(
-        [[committed([("w", "x", 1), ("r", "y", 7)]), committed([("w", "x", 2), ("w", "y", 7)])]]
-    )
 
 
 def _sat_history():
     return mk_history([[committed([("w", "x", 1)])], [committed([("r", "x", 1), ("w", "x", 2)])]])
+
+
+def test_k_middle_prefers_the_direct_pair_then_the_lowest_middle():
+    # A: 0->1, 0->2, 0->3; B: 1->3, 2->3.
+    a_rows, b_rows = [0b1110, 0, 0, 0], [0, 0b1000, 0b1000, 0]
+    assert k_middle(a_rows, b_rows, 0, 3) is None
+    a_rows[0] = 0b0110
+    assert k_middle(a_rows, b_rows, 0, 3) == 1
+    b_rows[1] = 0
+    assert k_middle(a_rows, b_rows, 0, 3) == 2
+    with pytest.raises(AssertionError):
+        k_middle(a_rows, b_rows, 1, 3)
 
 
 class TestBranchTests:
@@ -162,7 +170,7 @@ class TestLongForkPruning:
 class TestImmediateViolation:
     def test_both_branches_blocked(self):
         # Either write order closes a cycle with known edges alone.
-        graph = build_polygraph(_immediate_violation())
+        graph = build_polygraph(immediate_violation_history())
         outcome = prune_constraints(graph)
         assert outcome.verdict == "immediate-violation"
         violation = outcome.violation
@@ -421,7 +429,7 @@ class TestBranchTestsMatchReference:
 
     def test_injected_anomalies(self, audited_branch_tests, long_fork, lost_update,
                                 causality_violation):
-        fixtures = [long_fork, lost_update, causality_violation, _immediate_violation()]
+        fixtures = [long_fork, lost_update, causality_violation, immediate_violation_history()]
         for history in fixtures + list(_injected_histories()):
             prune_constraints(build_polygraph(history))
         assert audited_branch_tests["rw_blocked"] > 0
@@ -443,7 +451,7 @@ def index_builds(monkeypatch):
 
 class TestIndexLifetime:
     def test_built_once_per_check(self, index_builds, long_fork, lost_update):
-        for history in (long_fork, lost_update, _immediate_violation(), _sat_history()):
+        for history in (long_fork, lost_update, immediate_violation_history(), _sat_history()):
             index_builds.clear()
             pipeline.check_si(history)
             assert len(index_builds) == 1
@@ -469,6 +477,6 @@ class TestIndexLifetime:
                             no_live_index("verify", pipeline.verify_witness))
         monkeypatch.setattr(pipeline, "interpret", no_live_index("interpret", pipeline.interpret))
         # Solver-unsat, immediate violation and sat, in that order.
-        for history in (lost_update, _immediate_violation(), _sat_history()):
+        for history in (lost_update, immediate_violation_history(), _sat_history()):
             pipeline.check_si(history)
         assert entered == ["verify", "interpret", "interpret", "verify"]

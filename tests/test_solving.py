@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from sicheck.errors import BudgetExceededError
+from sicheck.harness import random_small_history
+from sicheck.histories import completeness_gate
 from sicheck.polygraph import RW, WR, WW, build_polygraph
 from sicheck.pruning import KnownIndex, prune_constraints
-from sicheck.solving import SolveResult, solve, verify_witness
+from sicheck.solving import SolveResult, Solver, solve, verify_witness
 from sicheck.witness import WitnessCycle, has_adjacent_rw
 from sicheck.workload import WorkloadParams, generate, inject
 
@@ -137,6 +139,49 @@ def test_search_pinned(case, no_prune):
     deps = None if result.cycle is None else result.cycle.deps
     assert (result.status, result.decisions, result.conflicts, deps) == SEARCH_PINS[case, no_prune]
     assert verify_witness(result, graph)
+
+
+
+def test_conflict_cycles_name_known_edges_first():
+    """A cycle dep comes from a branch only when its pair has no known edge in its layer."""
+    unsat = 0
+    for seed in range(500):
+        history = random_small_history(seed)
+        if not completeness_gate(history).ok():
+            continue
+        graph = build_polygraph(history)
+        index = KnownIndex(graph)
+        result = solve(graph, index=index)
+        if result.status != "unsat":
+            continue
+        unsat += 1
+        for edge, origin in result.cycle.deps:
+            if origin[0] == "branch":
+                labels = index.b_label if edge[2] == RW else index.a_label
+                assert (index.vindex[edge[0]], index.vindex[edge[1]]) not in labels, seed
+    assert unsat
+@pytest.mark.parametrize(
+    "case, no_prune", [k for k in sorted(SEARCH_PINS, key=repr) if SEARCH_PINS[k][0] == "sat"]
+)
+def test_search_state_is_the_index_rows_plus_the_assignment(case, no_prune):
+    seed, keys, _ = case
+    params = WorkloadParams(sessions=5, txns_per_session=4, ops_per_txn=3, keys=keys, seed=seed)
+    graph = build_polygraph(generate(params))
+    index = KnownIndex(graph) if no_prune else prune_constraints(graph).index
+    solver = Solver(graph, index=index)
+    result = solver.solve()
+    assert result.status == "sat" and result.conflicts
+    a_rows, b_rows = list(index.a_adj), list(index.b_adj)
+    for cid, branch in result.assignment.items():
+        for src, dst, kind, _ in graph.constraints[cid].edges(graph, branch):
+            rows = b_rows if kind == RW else a_rows
+            rows[index.vindex[src]] |= 1 << index.vindex[dst]
+    assert (solver.a_rows, solver.b_rows) == (a_rows, b_rows)
+    # Undoing the whole trail leaves exactly the index's level-0 rows.
+    solver._undo_to(0)
+    assert (solver.a_rows, solver.b_rows) == (index.a_adj, index.b_adj)
+    assert (solver.a_pred, solver.ind_rows) == (index.a_pred, index.k_adj)
+    assert not (solver.a_edges or solver.b_edges or solver.ind_count)
 
 
 def test_import_leaves_the_encoder_unloaded():
