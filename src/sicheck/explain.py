@@ -23,6 +23,7 @@ returned cluster is a smallest complete one containing the cycle.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from .errors import BudgetExceededError, MissingSupportError
@@ -81,52 +82,79 @@ class Counterexample:
 
 
 class EdgeUniverse:
-    """Every labeled edge the original polygraph can realize, with ownership."""
+    """Every labeled edge the polygraph can realize, with ownership.
+
+    Each open constraint's branch edges belong to that branch alone, and no
+    known edge coincides with one, so ownership is computed from the edge.
+    A vertex's sorted successor list is built the first time it is asked
+    for: most of the universe is never read by the cluster search.
+    """
 
     def __init__(self, graph: Polygraph):
         self.graph = graph
-        self.owner: dict[Edge, tuple[ConstraintKey, str]] = {}
-        succ: dict[TxnId, list[Edge]] = {}
-        known: set[Edge] = set()
-        for edge in graph.known_edges:
-            if edge in known:
-                continue
-            known.add(edge)
-            succ.setdefault(edge[0], []).append(edge)
-        for cid in sorted(graph.constraints):
-            cons = graph.constraints[cid]
-            for branch in (EITHER, OR):
-                for edge in cons.edges(graph, branch):
-                    if edge in self.owner or edge in known:
-                        continue
-                    self.owner[edge] = (cid, branch)
-                    succ.setdefault(edge[0], []).append(edge)
-        self.known = known
-        self.succ = {src: sorted(edges) for src, edges in succ.items()}
-        self.cap_hit = False
+        self.known = set(graph.known_edges)
+        self._known_out: dict[TxnId, list[Edge]] = {}
+        for edge in self.known:
+            self._known_out.setdefault(edge[0], []).append(edge)
+        # Per vertex, the (key, source writer, label) of its branch edges:
+        # WW from each key it writes, RW from each key it reads.
+        self._sources: dict[TxnId, list[tuple[str, TxnId, str]]] = {}
+        for key, writers in graph.writers.items():
+            for writer in writers:
+                self._sources.setdefault(writer, []).append((key, writer, WW))
+        for (key, reader), writer in graph.read_from.items():
+            self._sources.setdefault(reader, []).append((key, writer, RW))
+        self._succ: dict[TxnId, list[Edge]] = {}
+
+    def successors(self, vertex: TxnId) -> list[Edge]:
+        """Sorted out-edges of `vertex`, built on first request: its known
+        edges, a WW edge to every other writer of each key it writes and an
+        RW edge to every writer but its source of each key it reads, where
+        the constraint of those two writers is open."""
+        succ = self._succ.get(vertex)
+        if succ is None:
+            graph = self.graph
+            edges = list(self._known_out.get(vertex, ()))
+            for key, source, label in self._sources.get(vertex, ()):
+                for other in graph.writers.get(key, ()):
+                    # No self-loop; other == source fails the membership
+                    # test, as no constraint pairs a writer with itself.
+                    if other != vertex and _constraint_of(key, source, other) in graph.constraints:
+                        edges.append((vertex, other, label, key))
+            succ = self._succ[vertex] = sorted(edges)
+        return succ
 
     def origin_of(self, edge: Edge) -> Origin:
-        owner = self.owner.get(edge)
-        if owner is not None:
-            return ("branch", owner[0], owner[1])
-        return KNOWN_ORIGIN
+        """The owning branch of a branch edge, else the known origin.
 
-    def cycles_through(
-        self,
-        edge: Edge,
-        max_len: int,
-        max_count: int,
-    ) -> list[tuple[Edge, ...]]:
-        """Undesired simple cycles starting with `edge`, shortest first."""
-        cycles, capped = undesired_cycles(self.succ, edge, max_len, max_count)
-        if capped:
-            self.cap_hit = True
-        cycles.sort(key=lambda c: (len(c), c))
-        return cycles
+        The branch ordering writer w before d holds w -WW-> d and r -RW-> d
+        for every reader r of w's value; it is `either` when w sorts first.
+        """
+        src, dst, label, key = edge
+        if label == WW:
+            writer = src
+        elif label == RW:
+            writer = self.graph.read_from.get((key, src))
+        else:
+            return KNOWN_ORIGIN
+        cid = None if writer is None else _constraint_of(key, writer, dst)
+        if cid not in self.graph.constraints:
+            return KNOWN_ORIGIN
+        return ("branch", cid, EITHER if writer < dst else OR)
+
+    def tagged(self, edge: Edge, support: bool = False) -> TaggedDependency:
+        """The edge with its origin, certain exactly when it is known."""
+        origin = self.origin_of(edge)
+        tag = CERTAIN if origin == KNOWN_ORIGIN else UNCERTAIN
+        return TaggedDependency(edge, origin, tag, support)
+
+
+def _constraint_of(key: str, a: TxnId, b: TxnId) -> ConstraintKey:
+    return (key, a, b) if a < b else (key, b, a)
 
 
 def undesired_cycles(
-    succ: dict[TxnId, list[Edge]],
+    successors: Callable[[TxnId], Sequence[Edge]],
     edge: Edge,
     max_len: int,
     max_count: int,
@@ -134,8 +162,10 @@ def undesired_cycles(
     """Undesired simple cycles starting with `edge` over sorted successor lists.
 
     Iterative DFS over simple paths edge.dst -> edge.src, lowest successor
-    first. Returns (cycles, capped); capped is True when the search stopped
-    at `max_count` cycles or left a path longer than `max_len` unexplored.
+    first; cycles are collected until an expansion brings their count to
+    `max_count`. Returns (cycles, capped); capped is True when a further
+    cycle exists or a path longer than `max_len` was left unexplored. Past
+    the count the search goes on, collecting nothing, until either shows.
     """
     cycles: list[tuple[Edge, ...]] = []
     capped = False
@@ -145,14 +175,16 @@ def undesired_cycles(
     ]
     while stack:
         vertex, path, visited = stack.pop()
-        if len(cycles) >= max_count:
-            capped = True
+        full = len(cycles) >= max_count
+        if full and capped:
             break
-        for nxt in reversed(succ.get(vertex, ())):
+        for nxt in reversed(successors(vertex)):
             dst = nxt[1]
             if dst == target:
                 cycle = path + (nxt,)
                 if not has_adjacent_rw(cycle):
+                    if full:
+                        return cycles, True
                     cycles.append(cycle)
                 continue
             if dst in visited:
@@ -164,17 +196,13 @@ def undesired_cycles(
     return cycles, capped
 
 
-def _branch_coverage(universe: EdgeUniverse, deps: set[Edge]) -> dict[ConstraintKey, set[str]]:
+def _first_gap(universe: EdgeUniverse, deps: set[Edge]) -> tuple[ConstraintKey, str] | None:
+    """The lowest constraint covered on one side only, with its missing branch."""
     cover: dict[ConstraintKey, set[str]] = {}
     for edge in deps:
-        owner = universe.owner.get(edge)
-        if owner is not None:
-            cover.setdefault(owner[0], set()).add(owner[1])
-    return cover
-
-
-def _first_gap(universe: EdgeUniverse, deps: set[Edge]) -> tuple[ConstraintKey, str] | None:
-    cover = _branch_coverage(universe, deps)
+        origin = universe.origin_of(edge)
+        if origin[0] == "branch":
+            cover.setdefault(origin[1], set()).add(origin[2])
     for cid in sorted(cover):
         branches = cover[cid]
         if len(branches) == 1:
@@ -200,15 +228,15 @@ def find_cluster(
     complete cluster found; if some complete cluster was found by then, the
     best one so far is returned instead.
     """
-    universe.cap_hit = False
     graph = universe.graph
     best: list[tuple[Edge, ...]] | None = None
     best_count: int | None = None
     seen: set[frozenset[Edge]] = set()
     out_of_time = False
+    capped = False
 
     def search(cycles: list[tuple[Edge, ...]], deps: frozenset[Edge]) -> None:
-        nonlocal best, best_count, out_of_time
+        nonlocal best, best_count, out_of_time, capped
         if out_of_time:
             return
         if deadline is not None and time.monotonic() > deadline:
@@ -221,9 +249,12 @@ def find_cluster(
             best, best_count = list(cycles), len(deps)
             return
         cid, missing = gap
-        cons = graph.constraints[cid]
-        for dep in cons.edges(graph, missing):
-            for cyc in universe.cycles_through(dep, max_len, max_cycles_per_dep):
+        for dep in graph.constraints[cid].edges(graph, missing):
+            through, dep_capped = undesired_cycles(
+                universe.successors, dep, max_len, max_cycles_per_dep
+            )
+            capped |= dep_capped
+            for cyc in sorted(through, key=lambda c: (len(c), c)):
                 new = deps | set(cyc)
                 key = frozenset(new)
                 if key in seen:
@@ -239,7 +270,7 @@ def find_cluster(
             raise BudgetExceededError("cluster search budget exhausted")
         # No completion exists within the caps; fall back to the bare cycle.
         return CycleCluster([cycle_edges], complete=False), False
-    exhaustive = not (universe.cap_hit or out_of_time)
+    exhaustive = not (capped or out_of_time)
     return CycleCluster(best, complete=True), exhaustive
 
 
@@ -263,9 +294,7 @@ def restore_rw_context(scenario: Scenario, universe: EdgeUniverse) -> Scenario:
         wr: Edge = (writer, reader, WR, key)
         for support in (ww, wr):
             if support not in scenario:
-                origin = universe.origin_of(support)
-                tag = CERTAIN if origin[0] == "known" else UNCERTAIN
-                scenario[support] = TaggedDependency(support, origin, tag, support=True)
+                scenario[support] = universe.tagged(support, support=True)
     return scenario
 
 
@@ -277,7 +306,7 @@ def _certain_cycle_exists(edge: Edge, scenario: Scenario, max_len: int = 12) -> 
             succ.setdefault(e[0], []).append(e)
     for edges in succ.values():
         edges.sort()
-    cycles, _ = undesired_cycles(succ, edge, max_len, 1)
+    cycles, _ = undesired_cycles(lambda v: succ.get(v, ()), edge, max_len, 1)
     return bool(cycles)
 
 
@@ -356,11 +385,7 @@ def interpret(
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
 
     cycle_edges = tuple(cycle.edges())
-    original = {
-        e: TaggedDependency(e, universe.origin_of(e)) for e in cycle_edges
-    }
-    for dep in original.values():
-        dep.tag = CERTAIN if dep.origin[0] == "known" else UNCERTAIN
+    original = {e: universe.tagged(e) for e in cycle_edges}
 
     minimal = True
     try:
@@ -376,10 +401,7 @@ def interpret(
     for cyc in cluster.cycles:
         for e in cyc:
             if e not in scenario:
-                origin = universe.origin_of(e)
-                scenario[e] = TaggedDependency(
-                    e, origin, CERTAIN if origin[0] == "known" else UNCERTAIN
-                )
+                scenario[e] = universe.tagged(e)
     restore_rw_context(scenario, universe)
     participants = _snapshot(scenario)
     participant_edges = set(scenario)

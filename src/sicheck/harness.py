@@ -163,13 +163,12 @@ def _all_undesired_cycles(universe: EdgeUniverse, max_cycles: int) -> list[tuple
     edges from both branches of one constraint (the cluster completeness rule
     relies on such two-edge write-order cycles).
     """
-    vertices = sorted({src for src in universe.succ})
     cycles: list[tuple[Edge, ...]] = []
-    for root in vertices:
+    for root in sorted(universe.graph.vertices):
         stack: list[tuple[object, tuple[Edge, ...], frozenset]] = [(root, (), frozenset((root,)))]
         while stack:
             vertex, path, visited = stack.pop()
-            for edge in reversed(universe.succ.get(vertex, ())):
+            for edge in reversed(universe.successors(vertex)):
                 dst = edge[1]
                 if dst == root:
                     cycle = path + (edge,)

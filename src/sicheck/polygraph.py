@@ -179,12 +179,15 @@ def build_polygraph(history: History) -> Polygraph:
 
 
 def constraint_count(graph: Polygraph) -> tuple[int, int]:
-    """(number of constraints, total edges across all constraint branches)."""
+    """(number of constraints, total edges across all constraint branches).
+
+    A branch holds its WW edge plus one RW edge per reader of its source
+    writer, except the other writer when that is one of them.
+    """
     unknown = 0
-    for cons in graph.constraints.values():
-        for writer, other in ((cons.first, cons.second), (cons.second, cons.first)):
-            unknown += 1  # the WW edge
-            for reader in graph.readers.get((cons.key, writer), ()):
-                if reader != other:
-                    unknown += 1
+    for key, first, second in graph.constraints:
+        first_readers = graph.readers.get((key, first), ())
+        second_readers = graph.readers.get((key, second), ())
+        unknown += 2 + len(first_readers) + len(second_readers)
+        unknown -= (second in first_readers) + (first in second_readers)
     return len(graph.constraints), unknown

@@ -51,6 +51,9 @@ class KnownIndex:
         self.b_label: dict[tuple[int, int], Edge] = {}
         self.k_adj = [0] * n
         self.reach = [0] * n
+        # graph.readers in vertex-index space, for the branch tests.
+        self.readers = {kw: tuple(self.vindex[r] for r in rs)
+                        for kw, rs in graph.readers.items()}
         self.add_edges(graph.known_edges)
 
     @staticmethod
@@ -178,21 +181,21 @@ class PruneOutcome:
     index: KnownIndex | None = None
 
 
-def _branch_blocked(
-    index: KnownIndex, graph: Polygraph, cons: Constraint, branch: str
-) -> BlockedEdge | None:
+def _branch_blocked(index: KnownIndex, cons: Constraint, branch: str) -> BlockedEdge | None:
     """First impossible edge of the branch, in WW-then-readers order.
 
-    A blocked RW edge names its lowest blocking A-predecessor.
+    The branch's edges are those of `cons.edges`, tested without building
+    them; a blocked RW edge names its lowest blocking A-predecessor.
     """
-    for edge in cons.edges(graph, branch):
-        src, dst = index.vindex[edge[0]], index.vindex[edge[1]]
-        if edge[2] == WW:
-            if ww_branch_blocked(src, dst, index.reach):
-                return BlockedEdge(edge, None)
-        else:
-            blockers = rw_branch_blocked(src, dst, index.a_pred, index.reach)
+    src, dst = (cons.first, cons.second) if branch == EITHER else (cons.second, cons.first)
+    s, d = index.vindex[src], index.vindex[dst]
+    if ww_branch_blocked(s, d, index.reach):
+        return BlockedEdge((src, dst, WW, cons.key), None)
+    for r in index.readers.get((cons.key, src), ()):
+        if r != d:
+            blockers = rw_branch_blocked(r, d, index.a_pred, index.reach)
             if blockers:
+                edge = (index.vertices[r], dst, RW, cons.key)
                 return BlockedEdge(edge, (blockers & -blockers).bit_length() - 1)
     return None
 
@@ -246,10 +249,10 @@ def prune_constraints(
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExceededError("pruning budget exhausted")
             cons = graph.constraints[cid]
-            if changed is not None and not _inputs_changed(index, graph, cons, changed):
+            if changed is not None and not _inputs_changed(index, cons, changed):
                 continue
-            either_blocked = _branch_blocked(index, graph, cons, EITHER)
-            or_blocked = _branch_blocked(index, graph, cons, OR)
+            either_blocked = _branch_blocked(index, cons, EITHER)
+            or_blocked = _branch_blocked(index, cons, OR)
             if either_blocked is None and or_blocked is None:
                 continue
             if either_blocked is not None and or_blocked is not None:
@@ -279,14 +282,11 @@ def prune_constraints(
     return outcome
 
 
-def _inputs_changed(
-    index: KnownIndex, graph: Polygraph, cons: Constraint, changed: set[int]
-) -> bool:
+def _inputs_changed(index: KnownIndex, cons: Constraint, changed: set[int]) -> bool:
     """True when any reachability or predecessor row a branch test reads changed."""
     if index.vindex[cons.first] in changed or index.vindex[cons.second] in changed:
         return True
-    for writer in (cons.first, cons.second):
-        for reader in graph.readers.get((cons.key, writer), ()):
-            if index.vindex[reader] in changed:
-                return True
-    return False
+    return any(
+        not changed.isdisjoint(index.readers.get((cons.key, writer), ()))
+        for writer in (cons.first, cons.second)
+    )

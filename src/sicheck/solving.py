@@ -83,10 +83,9 @@ class Solver:
         self.a_rows = list(self.known.a_adj)
         self.b_rows = list(self.known.b_adj)
         self.a_pred = list(self.known.a_pred)
-        # Induced graph rows (known ∪ assigned) and its reverse, plus a
-        # maintained topological order.
+        # Induced graph rows (known ∪ assigned), plus a maintained
+        # topological order: ord[v] is v's slot, at[slot] the vertex in it.
         self.ind_rows = list(self.known.k_adj)
-        self.ind_rev = [0] * self.n
         # Branch edges on each pair, in assignment order; a pair's stack length
         # counts its contributions, so overlapping ones undo cleanly.
         self.a_edges: dict[tuple[int, int], list[tuple[Edge, ConstraintKey, str]]] = {}
@@ -94,6 +93,7 @@ class Solver:
         # Contributions to each induced pair that K does not already hold.
         self.ind_count: dict[tuple[int, int], int] = {}
         self.ord = list(range(self.n))
+        self.at = list(range(self.n))
         # Trail of undoable actions: ("a"|"b", pair) edge pushes and
         # ("ind", pair) insertions.
         self.trail: list[tuple[str, tuple[int, int]]] = []
@@ -102,10 +102,7 @@ class Solver:
     # ----- initial known graph ---------------------------------------------
 
     def check_known_acyclic(self) -> WitnessCycle | None:
-        """Seed the reverse induced rows from K; report a cycle if one exists."""
-        for i, row in enumerate(self.ind_rows):
-            for j in iter_bits(row):
-                self.ind_rev[j] |= 1 << i
+        """Order K topologically; report a cycle if one exists."""
         sccs = tarjan_scc(self.n, self.ind_rows)
         cyclic = [
             comp
@@ -124,6 +121,7 @@ class Solver:
         order = len(sccs) - 1
         for comp in sccs:
             self.ord[comp[0]] = order
+            self.at[order] = comp[0]
             order -= 1
         return None
 
@@ -162,7 +160,6 @@ class Solver:
         if count:
             return
         self.ind_rows[i] |= 1 << j
-        self.ind_rev[j] |= 1 << i
         self._pk_check(i, j)
 
     def _pk_check(self, u: int, v: int) -> None:
@@ -191,22 +188,22 @@ class Solver:
                 forward.append(w)
                 stack.append(w)
         # No cycle: shift the affected region to restore topological order.
-        low = self.ord[v]
+        # The vertices that reach u within slots ord[v]..ord[u] are found by
+        # sweeping those slots downward: every edge but u->v runs to a
+        # higher slot, so a vertex's successors on such a path come first.
         back = [u]
-        seen = {u}
-        bstack = [u]
-        while bstack:
-            x = bstack.pop()
-            for w in iter_bits(self.ind_rev[x]):
-                if w in seen or self.ord[w] < low:
-                    continue
-                seen.add(w)
-                back.append(w)
-                bstack.append(w)
-        nodes = sorted(back, key=lambda x: self.ord[x]) + sorted(forward, key=lambda x: self.ord[x])
+        back_mask = 1 << u
+        for slot in range(bound - 1, self.ord[v] - 1, -1):
+            x = self.at[slot]
+            if self.ind_rows[x] & back_mask:
+                back.append(x)
+                back_mask |= 1 << x
+        back.reverse()
+        nodes = back + sorted(forward, key=lambda x: self.ord[x])
         slots = sorted(self.ord[x] for x in nodes)
         for node, slot in zip(nodes, slots):
             self.ord[node] = slot
+            self.at[slot] = node
 
     def _analyze(self, vcycle: list[int]) -> tuple[WitnessCycle, set[ConstraintKey]]:
         cycle = self._cycle_from_vertices(vcycle)
@@ -249,7 +246,6 @@ class Solver:
                 else:
                     del self.ind_count[pair]
                     self.ind_rows[i] &= ~(1 << j)
-                    self.ind_rev[j] &= ~(1 << i)
             elif kind == "a":
                 stack = self.a_edges[pair]
                 stack.pop()

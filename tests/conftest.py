@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from sicheck.histories import ABORTED, COMMITTED, History, Operation, Transaction
+from sicheck.workload import WorkloadParams, generate, inject
 
 
 def mk_history(sessions: list[list[tuple[str, list[tuple[str, str, int]]]]]) -> History:
@@ -59,6 +60,15 @@ def immediate_violation_history() -> History:
     return mk_history(
         [[committed([("w", "x", 1), ("r", "y", 7)]), committed([("w", "x", 2), ("w", "y", 7)])]]
     )
+
+
+def injected_histories():
+    """Small uniform mock-store histories, each with one injected anomaly."""
+    for seed in range(6):
+        params = WorkloadParams(sessions=6, txns_per_session=12, ops_per_txn=4,
+                                keys=6, dist="uniform", seed=seed)
+        for kind in ("long-fork", "lost-update", "causality-violation"):
+            yield inject(generate(params), kind, seed)
 
 
 # Transaction ids of the long-fork fixture, paper-style names.

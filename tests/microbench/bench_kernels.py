@@ -1,10 +1,11 @@
 """Layer micro-benchmarks for the known-graph kernels and the explainer.
 
 Times `tarjan_scc`, `reach_masks`, the `KnownIndex` build, the prune
-branch tests and the solver's search on the known induced graphs of the
-benchmark's workload shapes (`perfbench/workloads.py`, first history of run
-seed 1), and the explainer's `EdgeUniverse` build and `find_cluster` on
-the same histories (`find_cluster` only where the check finds a violation).
+branch tests, the solver's search and its Pearce–Kelly order repair on the
+known induced graphs of the benchmark's workload shapes
+(`perfbench/workloads.py`, first history of run seed 1), and the
+explainer's `EdgeUniverse` build and `find_cluster` on the same histories
+(these two only where the check finds a violation).
 The file name keeps it out of the default test run; run it from the
 repository root with
 
@@ -64,8 +65,8 @@ def test_branch_blocked(benchmark, graphs):
 
     def first_iteration():
         for cons in constraints:
-            _branch_blocked(index, graph, cons, EITHER)
-            _branch_blocked(index, graph, cons, OR)
+            _branch_blocked(index, cons, EITHER)
+            _branch_blocked(index, cons, OR)
 
     benchmark(first_iteration)
 
@@ -76,8 +77,32 @@ def test_solver_search(benchmark, graphs):
     benchmark(lambda: Solver(pruned, index=final).solve())
 
 
-def test_edge_universe_build(benchmark, graphs):
-    benchmark(EdgeUniverse, graphs[0])
+def test_pk_check(benchmark, graphs):
+    """Pearce–Kelly order repair alone: the write-order pair of each assigned
+    branch of the search's sat assignment, inserted in decision order into
+    the level-0 state. The pairs are acyclic together, so no conflict arises."""
+    final, pruned = graphs[2], graphs[3]
+    result = Solver(pruned, index=final).solve()
+    if result.status != "sat" or not result.assignment:
+        pytest.skip("no sat assignment with constraints to insert")
+    pairs = []
+    for cid in sorted(result.assignment):
+        src, dst, _, _ = pruned.constraints[cid].edges(pruned, result.assignment[cid])[0]
+        u, v = final.vindex[src], final.vindex[dst]
+        if not (final.k_adj[u] >> v) & 1:
+            pairs.append((u, v))
+
+    def level_zero():
+        solver = Solver(pruned, index=final)
+        assert solver.check_known_acyclic() is None
+        return (solver,), {}
+
+    def insert_all(solver):
+        for u, v in pairs:
+            solver.ind_rows[u] |= 1 << v
+            solver._pk_check(u, v)
+
+    benchmark.pedantic(insert_all, setup=level_zero, rounds=20)
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))
@@ -88,6 +113,25 @@ def violation(request):
     if cycle is None:
         pytest.skip("the check finds no violation")
     return build_polygraph(history), tuple(cycle.edges())
+
+
+def test_edge_universe_build(benchmark, violation):
+    """The constructor plus the successor lists the cluster search reads."""
+    graph, cycle_edges = violation
+    max_len = max(DEFAULT_MAX_CYCLE_LEN, min(len(graph.vertices), 16))
+    probe = EdgeUniverse(graph)
+    read: list = []
+    successors = probe.successors
+    probe.successors = lambda vertex: read.append(vertex) or successors(vertex)
+    find_cluster(probe, cycle_edges, None, max_len, DEFAULT_MAX_CYCLES_PER_DEP)
+    vertices = sorted(set(read))
+
+    def build():
+        universe = EdgeUniverse(graph)
+        for vertex in vertices:
+            universe.successors(vertex)
+
+    benchmark(build)
 
 
 def test_find_cluster(benchmark, violation):

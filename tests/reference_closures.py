@@ -1,6 +1,7 @@
 """Reference graph kernels over bitmask rows, for cross-checking
 `sicheck.graphs.tarjan_scc`, `sicheck.graphs.reach_masks` and the pruner's
-incrementally kept closure.
+incrementally kept closure, and the eager build of the explainer's edge
+universe, for cross-checking `sicheck.explain.EdgeUniverse`.
 
 The closures are deliberately naive and independent of the SCC-based path;
 the Tarjan reference walks one edge per step, as the row-at-a-time kernel
@@ -12,6 +13,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from sicheck.graphs import iter_bits
+from sicheck.histories import TxnId
+from sicheck.polygraph import EITHER, OR, ConstraintKey, Edge, Polygraph
 
 
 def tarjan_scc_per_edge(n: int, adj: list[int]) -> list[list[int]]:
@@ -89,3 +92,30 @@ def bfs_reach(n: int, adj: list[int]) -> list[int]:
             frontier = nxt & ~seen
         out.append(seen)
     return out
+
+
+def eager_edge_universe(
+    graph: Polygraph,
+) -> tuple[dict[TxnId, list[Edge]], dict[Edge, tuple[ConstraintKey, str]]]:
+    """Every realizable edge up front: sorted successor lists and branch owners.
+
+    Known edges first; then each constraint's branch edges in sorted
+    constraint order, an edge going to the first branch that lists it.
+    """
+    owner: dict[Edge, tuple[ConstraintKey, str]] = {}
+    succ: dict[TxnId, list[Edge]] = {}
+    known: set[Edge] = set()
+    for edge in graph.known_edges:
+        if edge in known:
+            continue
+        known.add(edge)
+        succ.setdefault(edge[0], []).append(edge)
+    for cid in sorted(graph.constraints):
+        cons = graph.constraints[cid]
+        for branch in (EITHER, OR):
+            for edge in cons.edges(graph, branch):
+                if edge in owner or edge in known:
+                    continue
+                owner[edge] = (cid, branch)
+                succ.setdefault(edge[0], []).append(edge)
+    return {src: sorted(edges) for src, edges in succ.items()}, owner

@@ -17,12 +17,18 @@ from sicheck.explain import (
     restore_rw_context,
     undesired_cycles,
 )
-from sicheck.harness import minimal_counterexample_size
-from sicheck.histories import INIT_TXN
+from sicheck.harness import minimal_counterexample_size, random_small_history
+from sicheck.histories import INIT_TXN, completeness_gate
 from sicheck.pipeline import check_si
 from sicheck.polygraph import RW, SO, WR, WW, build_polygraph
+from sicheck.pruning import prune_constraints
+from sicheck.witness import KNOWN_ORIGIN
 
-from conftest import T0, T1, T2, T3, T4, T5, committed, mk_history
+from conftest import (
+    T0, T1, T2, T3, T4, T5, committed, immediate_violation_history, injected_histories,
+    mk_history,
+)
+from reference_closures import eager_edge_universe
 
 A, B, C = (0, 0), (1, 0), (2, 0)
 
@@ -147,7 +153,7 @@ def _succ(edges):
     succ = {}
     for edge in sorted(edges):
         succ.setdefault(edge[0], []).append(edge)
-    return succ
+    return lambda vertex: succ.get(vertex, ())
 
 
 class TestUndesiredCycles:
@@ -162,6 +168,13 @@ class TestUndesiredCycles:
         both = [(RING[0], chord), tuple(RING)]
         assert undesired_cycles(succ, RING[0], 10, 2) == (both, False)
         assert undesired_cycles(succ, RING[0], 10, 1) == (both[:1], True)
+
+    def test_count_cap_needs_a_further_cycle(self):
+        # A->B, B->C, B->D, C->A: the one cycle is all there is.
+        edges = [(A, B, WW, "x"), (B, C, WW, "x"), (B, D, WW, "x"), (C, A, WW, "x")]
+        cycle = (edges[0], edges[1], edges[3])
+        assert undesired_cycles(_succ(edges), edges[0], 10, 1) == ([cycle], False)
+        assert undesired_cycles(_succ(edges), edges[0], 2, 1) == ([], True)
 
     def test_adjacent_rw_cycle_left_out(self):
         edge, back = (A, B, RW, "x"), (B, A, RW, "y")
@@ -259,3 +272,37 @@ class TestRenderDot:
         history, graph, verdict = lost_update_run
         with pytest.raises(ValueError):
             render_dot(verdict.counterexample, "bogus")
+
+
+class TestLazyUniverseMatchesEager:
+    """Per-vertex successor lists and computed owners equal the eager build,
+    on each polygraph and on what prune leaves of it."""
+
+    @staticmethod
+    def check(history):
+        graph = build_polygraph(history)
+        for _ in range(2):
+            succ, owner = eager_edge_universe(graph)
+            universe = EdgeUniverse(graph)
+            assert set(succ) <= set(graph.vertices)
+            for vertex in graph.vertices:
+                assert universe.successors(vertex) == succ.get(vertex, [])
+            for edges in succ.values():
+                for edge in edges:
+                    expected = ("branch", *owner[edge]) if edge in owner else KNOWN_ORIGIN
+                    assert universe.origin_of(edge) == expected
+            prune_constraints(graph)
+
+    def test_random_histories(self):
+        checked = 0
+        for seed in range(1200):
+            history = random_small_history(seed)
+            if completeness_gate(history).ok():
+                self.check(history)
+                checked += 1
+        assert checked > 500
+
+    def test_injected_anomalies(self, long_fork, lost_update, causality_violation):
+        fixtures = [long_fork, lost_update, causality_violation, immediate_violation_history()]
+        for history in fixtures + list(injected_histories()):
+            self.check(history)

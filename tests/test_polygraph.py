@@ -16,6 +16,7 @@ from sicheck.polygraph import (
 )
 from sicheck.explain import EdgeUniverse
 from sicheck.harness import HistoryBounds, random_small_history
+from sicheck.pruning import prune_constraints
 from sicheck.histories import completeness_gate, effective_reads_writes
 from sicheck.witness import KNOWN_ORIGIN
 
@@ -114,6 +115,13 @@ class TestConstraints:
                 len(ws) * (len(ws) - 1) // 2 for ws in graph.writers.values()
             )
             assert len(graph.constraints) == expected
+            # The unknown-dependency count is the branch edge lists' total,
+            # also on what prune leaves.
+            for _ in range(2):
+                total = sum(len(cons.edges(graph, branch))
+                            for cons in graph.constraints.values() for branch in (EITHER, OR))
+                assert constraint_count(graph) == (len(graph.constraints), total)
+                prune_constraints(graph)
 
     def test_initial_writer_resolved_immediately(self):
         history = mk_history(

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from sicheck import pipeline, pruning
 from sicheck.graphs import iter_bits, reach_masks
 from sicheck.harness import random_small_history
-from sicheck.polygraph import EITHER, OR, RW, SO, WR, WW, Polygraph, build_polygraph
+from sicheck.polygraph import (
+    EITHER, OR, RW, SO, WR, WW, Constraint, Polygraph, build_polygraph,
+)
 from sicheck.pruning import (
     BlockedEdge,
     KnownIndex,
@@ -23,7 +25,8 @@ from sicheck.witness import has_adjacent_rw
 from sicheck.workload import DISTRIBUTIONS, PROFILES, WorkloadParams, generate, inject
 
 from conftest import (
-    T0, T1, T2, T3, T4, T5, committed, immediate_violation_history, mk_history,
+    T0, T1, T2, T3, T4, T5, committed, immediate_violation_history, injected_histories,
+    mk_history,
 )
 from reference_closures import bfs_reach, floyd_warshall_reach
 
@@ -339,15 +342,6 @@ def _prune_audited(history, audit) -> None:
         assert _index_fields(outcome.index) == _index_fields(KnownIndex(graph))
 
 
-def _injected_histories():
-    """Small uniform mock-store histories, each with one injected anomaly."""
-    for seed in range(6):
-        params = WorkloadParams(sessions=6, txns_per_session=12, ops_per_txn=4,
-                                keys=6, dist="uniform", seed=seed)
-        for kind in ("long-fork", "lost-update", "causality-violation"):
-            yield inject(generate(params), kind, seed)
-
-
 @st.composite
 def workload_histories(draw):
     """Mock-store histories of small random shapes, some with an injected anomaly."""
@@ -376,7 +370,7 @@ class TestIncrementalIndex:
 
     def test_updates_match_fresh_builds_with_injected_anomalies(self):
         with audited_updates() as audit:
-            for history in _injected_histories():
+            for history in injected_histories():
                 _prune_audited(history, audit)
         # An injected long fork's promotions always close its cycle.
         assert audit["cycle_closing"] >= 6
@@ -408,9 +402,9 @@ def audited_branch_tests(monkeypatch):
     blocked = pruning._branch_blocked
     audit = {"rw_blocked": 0}
 
-    def checked(index, graph, cons, branch):
-        result = blocked(index, graph, cons, branch)
-        assert result == branch_blocked_per_predecessor(index, graph, cons, branch)
+    def checked(index, cons, branch):
+        result = blocked(index, cons, branch)
+        assert result == branch_blocked_per_predecessor(index, index.graph, cons, branch)
         if result is not None and result.predecessor is not None:
             audit["rw_blocked"] += 1
         return result
@@ -430,9 +424,37 @@ class TestBranchTestsMatchReference:
     def test_injected_anomalies(self, audited_branch_tests, long_fork, lost_update,
                                 causality_violation):
         fixtures = [long_fork, lost_update, causality_violation, immediate_violation_history()]
-        for history in fixtures + list(_injected_histories()):
+        for history in fixtures + list(injected_histories()):
             prune_constraints(build_polygraph(history))
         assert audited_branch_tests["rw_blocked"] > 0
+
+
+def test_branch_tests_build_no_edge_lists(monkeypatch):
+    """`Constraint.edges` raises inside `_branch_blocked`; prune runs unchanged."""
+    blocked, edges = pruning._branch_blocked, Constraint.edges
+    inside = [False]
+
+    def guarded(cons, graph, branch):
+        if inside[0]:
+            raise AssertionError("Constraint.edges called by a branch test")
+        return edges(cons, graph, branch)
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return blocked(*args)
+        finally:
+            inside[0] = False
+
+    expected = []
+    histories = [random_small_history(seed) for seed in range(300)] + list(injected_histories())
+    histories = [h for h in histories if completeness_gate(h).ok()]
+    for history in histories:
+        expected.append(prune_constraints(build_polygraph(history)).resolved_per_iteration)
+    monkeypatch.setattr(Constraint, "edges", guarded)
+    monkeypatch.setattr(pruning, "_branch_blocked", flagged)
+    for history, counts in zip(histories, expected):
+        assert prune_constraints(build_polygraph(history)).resolved_per_iteration == counts
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from sicheck.errors import BudgetExceededError
+from sicheck.graphs import iter_bits
 from sicheck.harness import random_small_history
 from sicheck.histories import completeness_gate
-from sicheck.polygraph import RW, WR, WW, build_polygraph
+from sicheck.polygraph import RW, WR, WW, Polygraph, build_polygraph
 from sicheck.pruning import KnownIndex, prune_constraints
 from sicheck.solving import SolveResult, Solver, solve, verify_witness
 from sicheck.witness import WitnessCycle, has_adjacent_rw
@@ -182,6 +184,24 @@ def test_search_state_is_the_index_rows_plus_the_assignment(case, no_prune):
     assert (solver.a_rows, solver.b_rows) == (index.a_adj, index.b_adj)
     assert (solver.a_pred, solver.ind_rows) == (index.a_pred, index.k_adj)
     assert not (solver.a_edges or solver.b_edges or solver.ind_count)
+
+
+def test_pk_order_stays_topological():
+    """Acyclic insertions keep `ord` a topological order of the induced rows
+    and `at` its inverse, however far back each insertion reaches."""
+    n = 40
+    graph = Polygraph(vertices=tuple((i, 0) for i in range(n)))
+    rng = random.Random(7)
+    for _ in range(20):
+        rank = rng.sample(range(n), n)  # every inserted edge follows this order
+        solver = Solver(graph)
+        assert solver.check_known_acyclic() is None
+        for _ in range(120):
+            u, v = sorted(rng.sample(range(n), 2), key=rank.__getitem__)
+            solver._insert_induced(u, v)
+            assert [solver.at[solver.ord[x]] for x in range(n)] == list(range(n))
+            for x in range(n):
+                assert all(solver.ord[x] < solver.ord[y] for y in iter_bits(solver.ind_rows[x]))
 
 
 def test_import_leaves_the_encoder_unloaded():
