@@ -26,11 +26,14 @@ EXIT_BUDGET = 3
 
 
 def _load(path: str):
+    """Read and parse a history file; an error names the file."""
     try:
         with open(path, "rb") as fh:
             return parse_history(fh.read())
     except OSError as exc:
         raise SicheckError(f"{path}: {exc.strerror or exc}") from exc
+    except (SicheckError, ValueError) as exc:
+        raise SicheckError(f"{path}: {exc}") from exc
 
 
 def _print_verdict(path: str, verdict: Verdict, as_json: bool) -> None:
@@ -80,15 +83,23 @@ def _timing_line(path: str, verdict: Verdict, bare: bool = False) -> str:
     return prefix + ", ".join(parts)
 
 
-def _check_one(args_tuple) -> tuple[str, Verdict]:
+def _check_one(args_tuple) -> tuple[str, Verdict | tuple[int, str]]:
+    """Check one file. An input or budget error comes back as (exit code,
+    message naming the file), so that it hides no other file's verdict."""
     path, no_prune, budget_ms, emit_encoding = args_tuple
-    history = _load(path)
-    verdict = check_si(
-        history,
-        no_prune=no_prune,
-        budget_ms=budget_ms,
-        emit_encoding_path=emit_encoding,
-    )
+    try:
+        history = _load(path)
+    except SicheckError as exc:
+        return path, (EXIT_INPUT_ERROR, str(exc))
+    try:
+        verdict = check_si(
+            history,
+            no_prune=no_prune,
+            budget_ms=budget_ms,
+            emit_encoding_path=emit_encoding,
+        )
+    except BudgetExceededError as exc:
+        return path, (EXIT_BUDGET, f"{path}: {exc}")
     return path, verdict
 
 
@@ -101,8 +112,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
         results = [_check_one(job) for job in jobs]
     worst = EXIT_OK
     for path, verdict in results:
-        _print_verdict(path, verdict, args.json)
-        worst = max(worst, verdict.exit_code)
+        if isinstance(verdict, Verdict):
+            _print_verdict(path, verdict, args.json)
+            worst = max(worst, verdict.exit_code)
+            continue
+        code, message = verdict
+        if args.json:
+            print(json.dumps({"file": path, "error": message, "exit_code": code}, sort_keys=True))
+        else:
+            kind = "budget exceeded" if code == EXIT_BUDGET else "error"
+            print(f"sicheck: {kind}: {message}", file=sys.stderr)
+        worst = max(worst, code)
     return worst
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 from .errors import BudgetExceededError, MissingSupportError
 from .histories import INIT_TXN, TxnId, txn_label
-from .polygraph import EITHER, OR, RW, SO, WR, WW, ConstraintKey, Edge, Polygraph
+from .polygraph import EITHER, OR, RW, SO, WR, WW, ConstraintKey, Edge, Polygraph, owning_branch
 from .witness import KNOWN_ORIGIN, Origin, WitnessCycle, has_adjacent_rw
 
 CERTAIN = "certain"
@@ -125,22 +125,11 @@ class EdgeUniverse:
         return succ
 
     def origin_of(self, edge: Edge) -> Origin:
-        """The owning branch of a branch edge, else the known origin.
-
-        The branch ordering writer w before d holds w -WW-> d and r -RW-> d
-        for every reader r of w's value; it is `either` when w sorts first.
-        """
-        src, dst, label, key = edge
-        if label == WW:
-            writer = src
-        elif label == RW:
-            writer = self.graph.read_from.get((key, src))
-        else:
+        """The owning branch of a branch edge, else the known origin."""
+        owner = owning_branch(self.graph, edge)
+        if owner is None or owner[0] not in self.graph.constraints:
             return KNOWN_ORIGIN
-        cid = None if writer is None else _constraint_of(key, writer, dst)
-        if cid not in self.graph.constraints:
-            return KNOWN_ORIGIN
-        return ("branch", cid, EITHER if writer < dst else OR)
+        return ("branch", *owner)
 
     def tagged(self, edge: Edge, support: bool = False) -> TaggedDependency:
         """The edge with its origin, certain exactly when it is known."""

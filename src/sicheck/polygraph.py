@@ -69,6 +69,25 @@ class Constraint:
         return OR if branch == EITHER else EITHER
 
 
+def owning_branch(graph: "Polygraph", edge: Edge) -> tuple[ConstraintKey, str] | None:
+    """The constraint branch an edge belongs to, when it can belong to one.
+
+    The branch ordering writer w before d holds w -WW-> d and r -RW-> d for
+    every reader r of w's value; it is `either` when w sorts first. Edges of
+    other labels, and those of the initial writer, belong to no branch.
+    """
+    src, dst, label, key = edge
+    if label == WW:
+        writer = src
+    elif label == RW:
+        writer = graph.read_from.get((key, src))
+    else:
+        return None
+    if writer in (None, INIT_TXN):
+        return None
+    return ((key, writer, dst), EITHER) if writer < dst else ((key, dst, writer), OR)
+
+
 @dataclass(slots=True)
 class Polygraph:
     """Known labeled graph over committed transactions plus open constraints."""
@@ -82,8 +101,6 @@ class Polygraph:
     read_from: dict[tuple[str, TxnId], TxnId] = field(default_factory=dict)
     # Committed effective writers per key, sorted.
     writers: dict[str, tuple[TxnId, ...]] = field(default_factory=dict)
-    # Edges promoted from pruned constraints: edge -> (constraint id, surviving branch).
-    resolved_origin: dict[Edge, tuple[ConstraintKey, str]] = field(default_factory=dict)
 
     def clone(self) -> "Polygraph":
         return Polygraph(
@@ -93,7 +110,6 @@ class Polygraph:
             readers=self.readers,
             read_from=self.read_from,
             writers=self.writers,
-            resolved_origin=dict(self.resolved_origin),
         )
 
 

@@ -3,9 +3,10 @@
 The pruner keeps one index of the known edges for the whole check: the
 pair-level induced graph K = A ∪ (A ∘ B), where A holds session-order,
 writer-reader, and resolved write-order edges and B holds resolved
-read-overwrite edges, together with K's transitive closure. A constraint
-branch is impossible when adding one of its edges would close a cycle in K;
-the constraint is then dropped and the surviving branch's edges become known.
+read-overwrite edges, together with K's transitive closure, which only the
+pruner computes. A constraint branch is impossible when adding one of its
+edges would close a cycle in K; the constraint is then dropped and the
+surviving branch's edges become known.
 Branch tests within one iteration all read the iteration-start index; the
 edges an iteration promotes are folded into the index in place after its
 constraint loop, so they take effect in the next iteration. The next
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
 from .graphs import bfs_path, iter_bits, reach_masks
-from .polygraph import EITHER, OR, RW, SO, WR, WW, Constraint, Edge, Polygraph
+from .polygraph import EITHER, OR, RW, SO, WR, WW, Constraint, Edge, Polygraph, owning_branch
 from .witness import KNOWN_ORIGIN, Origin, WitnessCycle
 
 _LABEL_RANK = {SO: 0, WR: 1, WW: 2, RW: 3}
@@ -34,7 +35,8 @@ class KnownIndex:
 
     Built once from `graph.known_edges`; `add_edges` folds in edges appended
     since, in place. After every update the index equals a fresh build over
-    the graph's known edges, field by field.
+    the graph's known edges, field by field. The closure `reach` is None
+    until `with_reach` computes it; from then on `add_edges` keeps it.
     """
 
     def __init__(self, graph: Polygraph):
@@ -50,11 +52,16 @@ class KnownIndex:
         self.a_label: dict[tuple[int, int], Edge] = {}
         self.b_label: dict[tuple[int, int], Edge] = {}
         self.k_adj = [0] * n
-        self.reach = [0] * n
+        self.reach: list[int] | None = None
         # graph.readers in vertex-index space, for the branch tests.
         self.readers = {kw: tuple(self.vindex[r] for r in rs)
                         for kw, rs in graph.readers.items()}
         self.add_edges(graph.known_edges)
+
+    def with_reach(self) -> "KnownIndex":
+        """Compute K's transitive closure, for the branch tests; returns self."""
+        self.reach = reach_masks(self.n, self.k_adj)
+        return self
 
     @staticmethod
     def _ranked(edge: Edge) -> tuple[int, str]:
@@ -62,7 +69,7 @@ class KnownIndex:
 
     def add_edges(self, edges: list[Edge]) -> set[int]:
         """Fold known edges into the index; return the vertices whose reach or
-        A-predecessor row changed."""
+        A-predecessor row changed (reach only once it is computed)."""
         vindex = self.vindex
         new_a: list[tuple[int, int]] = []
         new_b: dict[int, int] = {}  # middle vertex -> its new B bits
@@ -100,7 +107,7 @@ class KnownIndex:
 
         # The closure stands unless some new K bit is not already reachable.
         reach = self.reach
-        if any(k_adj[p] & ~reach[p] for p in grown):
+        if reach is not None and any(k_adj[p] & ~reach[p] for p in grown):
             self.reach = reach_masks(self.n, k_adj)
             changed.update(v for v, row in enumerate(self.reach) if row != reach[v])
         return changed
@@ -224,11 +231,12 @@ def _blocked_cycle(index: KnownIndex, graph: Polygraph, cons: Constraint, branch
 
 
 def known_origin(graph: Polygraph, edge: Edge) -> Origin:
-    """Origin of a known edge: promoted by pruning, or known from the start."""
-    resolved = graph.resolved_origin.get(edge)
-    if resolved is not None:
-        return ("resolved", resolved[0], resolved[1])
-    return KNOWN_ORIGIN
+    """Origin of a known edge: promoted by pruning, or known from the start.
+
+    Only promotion makes a known edge that belongs to a constraint branch.
+    """
+    owner = owning_branch(graph, edge)
+    return KNOWN_ORIGIN if owner is None else ("resolved", *owner)
 
 
 def prune_constraints(
@@ -239,7 +247,7 @@ def prune_constraints(
     """Iterate branch elimination to a fixpoint; mutates the given polygraph."""
     outcome = PruneOutcome(graph=graph)
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    index = KnownIndex(graph)
+    index = KnownIndex(graph).with_reach()
     changed: set[int] | None = None  # None: test every constraint
 
     while max_iterations is None or outcome.iterations < max_iterations:
@@ -268,9 +276,7 @@ def prune_constraints(
                 return outcome
             survivor = OR if either_blocked is not None else EITHER
             del graph.constraints[cid]
-            for edge in cons.edges(graph, survivor):
-                graph.known_edges.append(edge)
-                graph.resolved_origin[edge] = (cid, survivor)
+            graph.known_edges.extend(cons.edges(graph, survivor))
             resolved_here += 1
         outcome.resolved_count += resolved_here
         outcome.resolved_per_iteration.append(resolved_here)

@@ -2,11 +2,11 @@
 
 Each open constraint is one binary decision: take its either branch or its
 or branch. The search state is the known-graph index's rows, which assigned
-branch edges extend and an undo trail restores: an incrementally maintained
-induced graph (direct non-RW edges plus non-RW∘RW compositions, at pair
-granularity) whose topological order is repaired on every insertion; a
-failed repair is a conflict, analyzed into the set of contributing
-decisions for backjumping.
+branch edges extend and retraction, in any order, restores: an
+incrementally maintained induced graph (direct non-RW edges plus non-RW∘RW
+compositions, at pair granularity) whose topological order is repaired on
+every insertion; a failed repair is a conflict, analyzed into the set of
+contributing decisions for dynamic backtracking.
 The search is exhaustive: unsat is only reported once every branch
 combination is covered by recorded conflicts, never on budget exhaustion,
 which raises instead.
@@ -14,12 +14,14 @@ which raises instead.
 
 from __future__ import annotations
 
+import heapq
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 from .graphs import find_cycle, iter_bits, tarjan_scc
-from .polygraph import EITHER, OR, RW, ConstraintKey, Edge, Polygraph
+from .polygraph import EITHER, OR, RW, Constraint, ConstraintKey, Edge, Polygraph
 from .pruning import KnownIndex, k_middle, known_origin
 from .witness import Origin, WitnessCycle, has_adjacent_rw
 
@@ -34,18 +36,9 @@ class SolveResult:
 
 
 class _Conflict(Exception):
-    def __init__(self, cycle: WitnessCycle, culprit_decisions: set[ConstraintKey]):
+    def __init__(self, cycle: WitnessCycle, culprits: frozenset[int]):
         self.cycle = cycle
-        self.culprits = culprit_decisions
-
-
-@dataclass(slots=True)
-class _Frame:
-    cid: ConstraintKey
-    branches_left: list[str]
-    branch: str | None = None
-    trail_mark: int = 0
-    conflict_union: set[ConstraintKey] = field(default_factory=set)
+        self.culprits = culprits
 
 
 class Solver:
@@ -69,6 +62,7 @@ class Solver:
         # Decision order is the sorted constraint ids; each branch's edges
         # are built once, not once per decision.
         self.constraints = [graph.constraints[cid] for cid in sorted(graph.constraints)]
+        self.order = {cons.id: k for k, cons in enumerate(self.constraints)}
         self.branch_edges = [
             {EITHER: cons.edges(graph, EITHER), OR: cons.edges(graph, OR)}
             for cons in self.constraints
@@ -86,17 +80,22 @@ class Solver:
         # Induced graph rows (known ∪ assigned), plus a maintained
         # topological order: ord[v] is v's slot, at[slot] the vertex in it.
         self.ind_rows = list(self.known.k_adj)
-        # Branch edges on each pair, in assignment order; a pair's stack length
-        # counts its contributions, so overlapping ones undo cleanly.
+        # Branch edges on each pair, in assignment order; a row bit outside
+        # the index is set exactly while its pair's list is not empty.
         self.a_edges: dict[tuple[int, int], list[tuple[Edge, ConstraintKey, str]]] = {}
         self.b_edges: dict[tuple[int, int], list[tuple[Edge, ConstraintKey, str]]] = {}
-        # Contributions to each induced pair that K does not already hold.
+        # For each induced pair K does not hold: its direct A bit plus the
+        # number of A∘B compositions present, a function of the rows.
         self.ind_count: dict[tuple[int, int], int] = {}
         self.ord = list(range(self.n))
         self.at = list(range(self.n))
-        # Trail of undoable actions: ("a"|"b", pair) edge pushes and
-        # ("ind", pair) insertions.
-        self.trail: list[tuple[str, tuple[int, int]]] = []
+        # Per constraint: its branch while assigned, when it was assigned,
+        # and the pair-list entries it pushed, (is RW, pair, entry).
+        self.assigned: list[str | None] = [None] * len(self.constraints)
+        self.stamp = [0] * len(self.constraints)
+        self.pushed: list[list[tuple[bool, tuple[int, int], tuple]]] = [
+            [] for _ in self.constraints
+        ]
         self.first_conflict_cycle: WitnessCycle | None = None
 
     # ----- initial known graph ---------------------------------------------
@@ -150,23 +149,42 @@ class Solver:
 
     # ----- incremental induced-graph maintenance ----------------------------
 
-    def _insert_induced(self, i: int, j: int) -> None:
-        """Make pair (i, j) present in the induced graph, repairing the order."""
-        if (self.known.k_adj[i] >> j) & 1:
-            return
-        count = self.ind_count.get((i, j), 0)
-        self.ind_count[(i, j)] = count + 1
-        self.trail.append(("ind", (i, j)))
-        if count:
-            return
-        self.ind_rows[i] |= 1 << j
-        self._pk_check(i, j)
+    def _insert_induced(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Count one more contribution to each pair, repairing the order for
+        each pair that appears. After a conflict the rest are counted without
+        the check, so that the branch's retraction restores the counts."""
+        vcycle = None
+        for i, j in pairs:
+            if (self.known.k_adj[i] >> j) & 1:
+                continue
+            count = self.ind_count.get((i, j), 0)
+            self.ind_count[(i, j)] = count + 1
+            if not count:
+                self.ind_rows[i] |= 1 << j
+                if vcycle is None:
+                    vcycle = self._pk_check(i, j)
+        if vcycle is not None:
+            raise _Conflict(*self._analyze(vcycle))
 
-    def _pk_check(self, u: int, v: int) -> None:
+    def _remove_induced(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Count one contribution less to each pair, dropping the pairs that
+        lose their last one; removal never breaks the topological order."""
+        for i, j in pairs:
+            if (self.known.k_adj[i] >> j) & 1:
+                continue
+            left = self.ind_count.pop((i, j)) - 1
+            if left:
+                self.ind_count[(i, j)] = left
+            else:
+                self.ind_rows[i] &= ~(1 << j)
+
+    def _pk_check(self, u: int, v: int) -> list[int] | None:
+        """Repair the order for a new pair u -> v; a cycle it closes is
+        returned as its vertices, and the order is then left as it was."""
         if u == v:
-            raise _Conflict(*self._analyze([u]))
+            return [u]
         if self.ord[u] < self.ord[v]:
-            return
+            return None
         # Forward search from v bounded by ord[u]; reaching u closes a cycle.
         bound = self.ord[u]
         parent = {v: -1}
@@ -184,7 +202,7 @@ class Solver:
                         path.append(x)
                         x = parent[x]
                     path.reverse()  # v .. u
-                    raise _Conflict(*self._analyze([u] + path[:-1]))
+                    return [u] + path[:-1]
                 forward.append(w)
                 stack.append(w)
         # No cycle: shift the affected region to restore topological order.
@@ -204,63 +222,53 @@ class Solver:
         for node, slot in zip(nodes, slots):
             self.ord[node] = slot
             self.at[slot] = node
+        return None
 
-    def _analyze(self, vcycle: list[int]) -> tuple[WitnessCycle, set[ConstraintKey]]:
+    def _analyze(self, vcycle: list[int]) -> tuple[WitnessCycle, frozenset[int]]:
         cycle = self._cycle_from_vertices(vcycle)
-        culprits = {origin[1] for _, origin in cycle.deps if origin[0] == "branch"}
+        culprits = frozenset(self.order[o[1]] for _, o in cycle.deps if o[0] == "branch")
         if self.first_conflict_cycle is None:
             self.first_conflict_cycle = cycle
         return cycle, culprits
 
-    def _add_edge(self, edge: Edge, cid: ConstraintKey, branch: str) -> None:
+    def _add_edge(self, edge: Edge, k: int, branch: str) -> None:
         i, j = self.vindex[edge[0]], self.vindex[edge[1]]
         pair = (i, j)
-        if edge[2] == RW:
-            self.b_edges.setdefault(pair, []).append((edge, cid, branch))
-            self.trail.append(("b", pair))
+        rw = edge[2] == RW
+        entry = (edge, self.constraints[k].id, branch)
+        (self.b_edges if rw else self.a_edges).setdefault(pair, []).append(entry)
+        self.pushed[k].append((rw, pair, entry))
+        if rw:
             if not (self.b_rows[i] >> j) & 1:
                 self.b_rows[i] |= 1 << j
                 # New compositions: every present A-predecessor of i now reaches j.
-                for p in iter_bits(self.a_pred[i]):
-                    self._insert_induced(p, j)
-        else:
-            self.a_edges.setdefault(pair, []).append((edge, cid, branch))
-            self.trail.append(("a", pair))
-            if not (self.a_rows[i] >> j) & 1:
-                self.a_rows[i] |= 1 << j
-                self.a_pred[j] |= 1 << i
-                self._insert_induced(i, j)
-                for w in iter_bits(self.b_rows[j]):
-                    self._insert_induced(i, w)
+                self._insert_induced((p, j) for p in iter_bits(self.a_pred[i]))
+        elif not (self.a_rows[i] >> j) & 1:
+            self.a_rows[i] |= 1 << j
+            self.a_pred[j] |= 1 << i
+            self._insert_induced([(i, j), *((i, w) for w in iter_bits(self.b_rows[j]))])
 
-    def _undo_to(self, mark: int) -> None:
-        """Pop the trail to `mark`; a row bit is cleared only when its pair
+    def _retract(self, k: int) -> None:
+        """Remove constraint k's branch edges, whenever it was assigned: a row
+        bit is cleared, with the compositions it made, only when its pair
         has no known label and no branch edge left."""
-        while len(self.trail) > mark:
-            kind, pair = self.trail.pop()
+        for rw, pair, entry in self.pushed[k]:
+            stacks = self.b_edges if rw else self.a_edges
+            stack = stacks[pair]
+            stack.remove(entry)
+            if stack:
+                continue
+            del stacks[pair]
             i, j = pair
-            if kind == "ind":
-                left = self.ind_count[pair] - 1
-                if left:
-                    self.ind_count[pair] = left
-                else:
-                    del self.ind_count[pair]
-                    self.ind_rows[i] &= ~(1 << j)
-            elif kind == "a":
-                stack = self.a_edges[pair]
-                stack.pop()
-                if not stack:
-                    del self.a_edges[pair]
-                    if pair not in self.known.a_label:
-                        self.a_rows[i] &= ~(1 << j)
-                        self.a_pred[j] &= ~(1 << i)
-            else:
-                stack = self.b_edges[pair]
-                stack.pop()
-                if not stack:
-                    del self.b_edges[pair]
-                    if pair not in self.known.b_label:
-                        self.b_rows[i] &= ~(1 << j)
+            if rw and pair not in self.known.b_label:
+                self.b_rows[i] &= ~(1 << j)
+                self._remove_induced((p, j) for p in iter_bits(self.a_pred[i]))
+            elif not rw and pair not in self.known.a_label:
+                self.a_rows[i] &= ~(1 << j)
+                self.a_pred[j] &= ~(1 << i)
+                self._remove_induced([(i, j), *((i, w) for w in iter_bits(self.b_rows[j]))])
+        self.pushed[k] = []
+        self.assigned[k] = None
 
     # ----- search -----------------------------------------------------------
 
@@ -277,56 +285,54 @@ class Solver:
             return [EITHER, OR]
         return [OR, EITHER]
 
-    def _try_branch(self, frame: _Frame, k: int) -> bool:
-        """Assign a branch; on conflict, undo and record its culprits."""
-        branch = frame.branches_left.pop(0)
-        frame.branch = branch
-        frame.trail_mark = len(self.trail)
+    def _try_branch(self, k: int, branch: str) -> frozenset[int] | None:
+        """Assign a branch; on conflict, retract it and return its culprits."""
         self.decisions += 1
         self._check_budget()
+        self.assigned[k] = branch
         try:
             for edge in self.branch_edges[k][branch]:
-                self._add_edge(edge, frame.cid, branch)
+                self._add_edge(edge, k, branch)
         except _Conflict as conflict:
             self.conflicts += 1
-            self._undo_to(frame.trail_mark)
-            frame.branch = None
-            frame.conflict_union |= conflict.culprits - {frame.cid}
-            return False
-        return True
+            self._retract(k)
+            return conflict.culprits - {k}
+        return None
 
     def solve(self) -> SolveResult:
+        """Dynamic backtracking: decide the lowest unassigned constraint; a
+        branch that fails is eliminated, explained by its culprits. When both
+        branches of a constraint are eliminated, only the latest-assigned
+        culprit is retracted, and its branch eliminated in turn."""
         known_cycle = self.check_known_acyclic()
         if known_cycle is not None:
             return SolveResult("unsat", cycle=known_cycle, decisions=0, conflicts=0)
 
-        order = {cons.id: k for k, cons in enumerate(self.constraints)}
-        frames: list[_Frame] = []
-        next_idx = 0
-        while True:
-            if next_idx == len(self.constraints):
-                assignment = {f.cid: f.branch for f in frames}
-                return SolveResult(
-                    "sat",
-                    assignment=assignment,
-                    decisions=self.decisions,
-                    conflicts=self.conflicts,
-                )
-            frame = _Frame(
-                cid=self.constraints[next_idx].id,
-                branches_left=self._preferred_branches(next_idx),
-            )
-            frames.append(frame)
-            while True:
-                if frame.branches_left and self._try_branch(frame, next_idx):
-                    next_idx += 1
-                    break
-                if frame.branches_left:
+        count = len(self.constraints)
+        eliminated: list[dict[str, frozenset[int]]] = [{} for _ in range(count)]
+        # culprit -> the eliminations whose explanation names it, some stale.
+        naming: dict[int, list[tuple[int, str, frozenset[int]]]] = {}
+
+        def eliminate(k: int, branch: str, why: frozenset[int]) -> None:
+            eliminated[k][branch] = why
+            for c in why:
+                naming.setdefault(c, []).append((k, branch, why))
+
+        unassigned = list(range(count))  # a heap
+        while unassigned:
+            k = unassigned[0]
+            for branch in self._preferred_branches(k):
+                if branch in eliminated[k]:
                     continue
-                # Both branches failed: backjump to the deepest responsible frame.
-                culprits = frame.conflict_union
-                frames.pop()
-                if not culprits:
+                why = self._try_branch(k, branch)
+                if why is None:
+                    self.stamp[k] = self.decisions
+                    heapq.heappop(unassigned)
+                    break
+                eliminate(k, branch, why)
+            else:
+                union = eliminated[k][EITHER] | eliminated[k][OR]
+                if not union:
                     assert self.first_conflict_cycle is not None
                     return SolveResult(
                         "unsat",
@@ -334,17 +340,20 @@ class Solver:
                         decisions=self.decisions,
                         conflicts=self.conflicts,
                     )
-                target = max(culprits, key=lambda cid: order[cid])
-                # Every culprit is an assigned frame below the failed one; the
-                # undo to its mark also undoes every frame above it.
-                while frames and frames[-1].cid != target:
-                    frames.pop()
-                assert frames, f"backjump target {target} has no frame"
-                frame = frames[-1]
-                self._undo_to(frame.trail_mark)
-                frame.branch = None
-                frame.conflict_union |= culprits - {frame.cid}
-                next_idx = order[frame.cid]
+                culprit = max(union, key=self.stamp.__getitem__)
+                branch = self.assigned[culprit]
+                assert branch is not None, f"culprit {culprit} is not assigned"
+                self._retract(culprit)
+                heapq.heappush(unassigned, culprit)
+                # Explanations hold only assigned constraints.
+                for j, dropped, why in naming.pop(culprit, ()):
+                    if eliminated[j].get(dropped) is why:
+                        del eliminated[j][dropped]
+                eliminate(culprit, branch, union - {culprit})
+        assignment = {cons.id: self.assigned[k] for k, cons in enumerate(self.constraints)}
+        return SolveResult(
+            "sat", assignment=assignment, decisions=self.decisions, conflicts=self.conflicts
+        )
 
 
 def solve(
@@ -420,7 +429,15 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
             if edge not in known:
                 return False
         elif origin[0] == "resolved":
-            if edge not in known or graph.resolved_origin.get(edge) != (origin[1], origin[2]):
+            # A promoted edge: prune closed its constraint, a pair of writers
+            # of the key, and the edge is in the branch that survived.
+            key, first, second = origin[1]
+            writers = graph.writers.get(key, ())
+            if edge not in known or origin[1] in graph.constraints:
+                return False
+            if not (first < second and first in writers and second in writers):
+                return False
+            if edge not in Constraint(*origin[1]).edges(graph, origin[2]):
                 return False
         elif origin[0] == "branch":
             cons = graph.constraints.get(origin[1])

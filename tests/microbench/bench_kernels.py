@@ -1,8 +1,9 @@
 """Layer micro-benchmarks for the known-graph kernels and the explainer.
 
 Times `tarjan_scc`, `reach_masks`, the `KnownIndex` build, the prune
-branch tests, the solver's search and its Pearce–Kelly order repair on the
-known induced graphs of the benchmark's workload shapes
+branch tests, the solver's search, its Pearce–Kelly order repair and one
+out-of-order retraction on the known induced graphs of the benchmark's
+workload shapes
 (`perfbench/workloads.py`, first history of run seed 1), and the
 explainer's `EdgeUniverse` build and `find_cluster` on the same histories
 (these two only where the check finds a violation).
@@ -38,7 +39,7 @@ def graphs(request):
     the pruned polygraph that K indexes."""
     history = parse_history(WORKLOADS[request.param].case(SEED).data)
     initial = build_polygraph(history)
-    index = KnownIndex(initial)
+    index = KnownIndex(initial).with_reach()
     pruned = build_polygraph(history)
     final = prune_constraints(pruned).index or KnownIndex(pruned)
     return initial, index, final, pruned
@@ -103,6 +104,22 @@ def test_pk_check(benchmark, graphs):
             solver._pk_check(u, v)
 
     benchmark.pedantic(insert_all, setup=level_zero, rounds=20)
+
+
+def test_retract(benchmark, graphs):
+    """Retraction of the first-assigned constraint from the state of a sat
+    search: its branch edges leave the middle of the pair lists, and every
+    later decision stays."""
+    final, pruned = graphs[2], graphs[3]
+    if Solver(pruned, index=final).solve().status != "sat" or not pruned.constraints:
+        pytest.skip("no sat assignment with constraints to retract")
+
+    def solved():
+        solver = Solver(pruned, index=final)
+        solver.solve()
+        return (solver, min(range(len(solver.stamp)), key=solver.stamp.__getitem__)), {}
+
+    benchmark.pedantic(lambda solver, k: solver._retract(k), setup=solved, rounds=20)
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))

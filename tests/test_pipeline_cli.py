@@ -151,6 +151,40 @@ class TestCli:
         assert "ok (snapshot isolation holds)" in out
         assert "violation (long-fork)" in out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_file_hides_no_verdict(self, long_fork_file, tmp_path, capsys, jobs):
+        good = str(DATA / "valid_small.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        files = [good, str(bad), long_fork_file]
+        assert main(["check", *files, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert f"{good}: ok (snapshot isolation holds)" in captured.out
+        assert f"{long_fork_file}: violation (long-fork)" in captured.out
+        assert f"sicheck: error: {bad}: history is not valid JSON" in captured.err
+        assert main(["check", *files, "--json", "--jobs", jobs]) == 2
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["file"] for r in records] == files
+        assert [r.get("verdict") for r in records] == ["si-holds", None, "violation"]
+        assert records[1]["exit_code"] == 2 and records[1]["error"].startswith(f"{bad}: ")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_budget_overrun_is_the_worst_code(self, tmp_path, capsys, jobs):
+        slow = tmp_path / "w.json"
+        main(["generate", "--sessions", "10", "--txns", "40", "--ops", "8",
+              "--keys", "12", "--dist", "zipfian", "--profile", "write-heavy",
+              "--seed", "2", "-o", str(slow)])
+        missing = str(tmp_path / "missing.json")
+        capsys.readouterr()
+        args = ["check", missing, str(slow), "--budget-ms", "0", "--jobs", jobs]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert f"sicheck: error: {missing}: " in err
+        assert f"sicheck: budget exceeded: {slow}: " in err
+        assert main([*args, "--json"]) == 3
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["file"], r["exit_code"]) for r in records] == [(missing, 2), (str(slow), 3)]
+
     def test_emit_encoding(self, long_fork_file, tmp_path, capsys):
         target = tmp_path / "encoding.txt"
         main(["check", long_fork_file, "--emit-encoding", str(target)])

@@ -16,6 +16,7 @@ from sicheck.pruning import (
     BlockedEdge,
     KnownIndex,
     k_middle,
+    known_origin,
     prune_constraints,
     rw_branch_blocked,
     ww_branch_blocked,
@@ -51,7 +52,7 @@ class TestBranchTests:
     def test_ww_blocked_by_session_order(self, long_fork):
         # Ordering T5 before T0 closes a cycle with T0 -SO-> T5.
         graph = build_polygraph(long_fork)
-        index = KnownIndex(graph)
+        index = KnownIndex(graph).with_reach()
         t0, t5 = index.vindex[T0], index.vindex[T5]
         assert ww_branch_blocked(t5, t0, index.reach)
         assert not ww_branch_blocked(t0, t5, index.reach)
@@ -59,7 +60,7 @@ class TestBranchTests:
     def test_ww_isolated_pair_not_blocked(self):
         history = mk_history([[committed([("w", "x", 1)])], [committed([("w", "x", 2)])]])
         graph = build_polygraph(history)
-        index = KnownIndex(graph)
+        index = KnownIndex(graph).with_reach()
         a, b = index.vindex[(0, 0)], index.vindex[(1, 0)]
         assert not ww_branch_blocked(a, b, index.reach)
         assert not ww_branch_blocked(b, a, index.reach)
@@ -67,7 +68,7 @@ class TestBranchTests:
     def test_rw_blocked_via_predecessor_self(self, long_fork):
         # T3 -RW(x)-> T0 composes with T0 -WR(y)-> T3 into a self-loop.
         graph = build_polygraph(long_fork)
-        index = KnownIndex(graph)
+        index = KnownIndex(graph).with_reach()
         t3, t0 = index.vindex[T3], index.vindex[T0]
         assert rw_branch_blocked(t3, t0, index.a_pred, index.reach)
 
@@ -83,7 +84,7 @@ class TestBranchTests:
             ]
         )
         graph = build_polygraph(history)
-        index = KnownIndex(graph)
+        index = KnownIndex(graph).with_reach()
         p, f, t = index.vindex[(0, 0)], index.vindex[(1, 0)], index.vindex[(2, 0)]
         # No path t ~> p here, so not blocked.
         assert not rw_branch_blocked(f, t, index.a_pred, index.reach)
@@ -97,7 +98,7 @@ class TestBranchTests:
             ]
         )
         graph2 = build_polygraph(history2)
-        index2 = KnownIndex(graph2)
+        index2 = KnownIndex(graph2).with_reach()
         f2, t2 = index2.vindex[(1, 0)], index2.vindex[(2, 0)]
         # t -WR(c)-> m -SO-> p -WR(a)-> f: predecessor p of f is reachable from t.
         assert rw_branch_blocked(f2, t2, index2.a_pred, index2.reach)
@@ -118,7 +119,7 @@ class TestBranchTests:
         )
         f, t = (2, 0), (3, 0)
         graph = build_polygraph(history)
-        index = KnownIndex(graph)
+        index = KnownIndex(graph).with_reach()
         fi, ti = index.vindex[f], index.vindex[t]
         # T reaches F: T -WR(c)-> m composed with m -RW(d)-> F.
         assert (index.reach[ti] >> fi) & 1
@@ -166,8 +167,8 @@ class TestLongForkPruning:
     def test_resolved_origin_recorded(self, long_fork):
         graph = build_polygraph(long_fork)
         prune_constraints(graph)
-        assert graph.resolved_origin[(T0, T5, WW, "x")] == (("x", T0, T5), EITHER)
-        assert graph.resolved_origin[(T0, T1, WW, "x")] == (("x", T0, T1), EITHER)
+        assert known_origin(graph, (T0, T5, WW, "x")) == ("resolved", ("x", T0, T5), EITHER)
+        assert known_origin(graph, (T0, T1, WW, "x")) == ("resolved", ("x", T0, T1), EITHER)
 
 
 class TestImmediateViolation:
@@ -228,7 +229,7 @@ class TestPruneProperties:
 
     def test_reachability_on_known_graphs(self, long_fork):
         graph = build_polygraph(long_fork)
-        index = KnownIndex(graph)
+        index = KnownIndex(graph).with_reach()
         assert index.reach == floyd_warshall_reach(index.n, index.k_adj)
         assert index.reach == bfs_reach(index.n, index.k_adj)
 
@@ -293,12 +294,13 @@ def _reference_fields(graph) -> tuple:
 
 @contextmanager
 def audited_updates():
-    """Check every KnownIndex.add_edges call while active.
+    """Check every KnownIndex.add_edges call on an index with its closure
+    (prune's updates) while active.
 
     After each call the index must equal a fresh build over the graph's known
     edges and the directly computed reference, and the returned set must name exactly the vertices whose reach or
-    A-predecessor row changed. Counts prune updates (calls on a built index)
-    and those that close a cycle, i.e. give some vertex its own reach bit.
+    A-predecessor row changed. Counts the updates and those that close a
+    cycle, i.e. give some vertex its own reach bit.
     """
     update = KnownIndex.add_edges
     audit = {"updates": 0, "cycle_closing": 0}
@@ -306,24 +308,22 @@ def audited_updates():
 
     def checked(self, edges):
         nonlocal building_reference
-        if building_reference:
+        if building_reference or self.reach is None:
             return update(self, edges)
-        built = bool(self.a_label or self.b_label)
         reach, a_pred = list(self.reach), list(self.a_pred)
         changed = update(self, edges)
         building_reference = True
         try:
-            fresh = KnownIndex(self.graph)
+            fresh = KnownIndex(self.graph).with_reach()
         finally:
             building_reference = False
         assert _index_fields(self) == _index_fields(fresh) == _reference_fields(self.graph)
         assert changed == {
             v for v in range(self.n) if self.reach[v] != reach[v] or self.a_pred[v] != a_pred[v]
         }
-        if built:
-            audit["updates"] += 1
-            if any((self.reach[v] >> v) & 1 and not (reach[v] >> v) & 1 for v in range(self.n)):
-                audit["cycle_closing"] += 1
+        audit["updates"] += 1
+        if any((self.reach[v] >> v) & 1 and not (reach[v] >> v) & 1 for v in range(self.n)):
+            audit["cycle_closing"] += 1
         return changed
 
     KnownIndex.add_edges = checked
@@ -339,7 +339,7 @@ def _prune_audited(history, audit) -> None:
     graph = build_polygraph(history)
     outcome = prune_constraints(graph)
     if outcome.verdict == "ok":
-        assert _index_fields(outcome.index) == _index_fields(KnownIndex(graph))
+        assert _index_fields(outcome.index) == _index_fields(KnownIndex(graph).with_reach())
 
 
 @st.composite
@@ -481,6 +481,15 @@ class TestIndexLifetime:
         index_builds.clear()
         assert pipeline.check_si(lost_update, no_prune=True).outcome == "violation"
         assert len(index_builds) == 1
+
+    def test_closure_computed_only_for_pruning(self, monkeypatch, lost_update):
+        calls = []
+        closure = pruning.reach_masks
+        monkeypatch.setattr(pruning, "reach_masks", lambda *a: calls.append(1) or closure(*a))
+        assert pipeline.check_si(lost_update, no_prune=True).outcome == "violation"
+        assert not calls
+        assert pipeline.check_si(lost_update).outcome == "violation"
+        assert calls
 
     def test_released_before_verification_and_explainer(
         self, monkeypatch, index_builds, long_fork, lost_update

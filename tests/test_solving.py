@@ -8,8 +8,9 @@ import pytest
 
 from sicheck.errors import BudgetExceededError
 from sicheck.graphs import iter_bits
-from sicheck.harness import random_small_history
-from sicheck.histories import completeness_gate
+from sicheck.harness import HistoryBounds, random_small_history
+from sicheck.histories import INIT_TXN, completeness_gate
+from sicheck.oracle import oracle_check
 from sicheck.polygraph import RW, WR, WW, Polygraph, build_polygraph
 from sicheck.pruning import KnownIndex, prune_constraints
 from sicheck.solving import SolveResult, Solver, solve, verify_witness
@@ -97,18 +98,20 @@ class TestSolve:
                 else:
                     index = prune_constraints(graph).index
                 own = solve(graph)
-                rows = (index.a_adj, index.b_adj, index.a_pred, index.k_adj, index.reach)
+                rows = (index.a_adj, index.b_adj, index.a_pred, index.k_adj)
                 before = [list(r) for r in rows] + [dict(index.a_label), dict(index.b_label)]
+                reach = index.reach and list(index.reach)
                 assert solve(graph, index=index) == own
                 # The solver only reads the index it is given.
                 after = [list(r) for r in rows] + [index.a_label, index.b_label]
-                assert after == before
+                assert after == before and index.reach == reach
                 assert own.status == ("sat" if history is sat else "unsat")
 
 
-# (status, decisions, conflicts, witness deps) of searches with conflicts,
-# recorded before the solver stopped reading the Boolean encoding. History
-# key: (generator seed, keys, injected anomaly) over 5 sessions x 4 txns x 3 ops.
+# (status, decisions, conflicts, witness deps) of searches with conflicts.
+# Status and deps were recorded before the solver stopped reading the Boolean
+# encoding; the counts are those of dynamic backtracking. History key:
+# (generator seed, keys, injected anomaly) over 5 sessions x 4 txns x 3 ops.
 _LOST = "inj0a"  # the injected lost-update key
 _RW = ((1, 4), (2, 4), RW, _LOST)
 _WW = ((2, 4), (1, 4), WW, _LOST)
@@ -121,12 +124,12 @@ SEARCH_PINS = {
         (_RW, ("branch", (_LOST, (0, 4), (2, 4)), "either")),
         (_WW, ("branch", (_LOST, (1, 4), (2, 4)), "or")),
     ]),
-    ((35, 4, None), False): ("sat", 38, 9, None),
-    ((35, 4, None), True): ("sat", 68, 9, None),
-    ((88, 3, None), False): ("sat", 31, 8, None),
-    ((88, 3, None), True): ("sat", 44, 10, None),
-    ((123, 4, None), False): ("sat", 28, 5, None),
-    ((123, 4, None), True): ("sat", 62, 14, None),
+    ((35, 4, None), False): ("sat", 36, 12, None),
+    ((35, 4, None), True): ("sat", 56, 13, None),
+    ((88, 3, None), False): ("sat", 24, 7, None),
+    ((88, 3, None), True): ("sat", 36, 11, None),
+    ((123, 4, None), False): ("sat", 18, 5, None),
+    ((123, 4, None), True): ("sat", 42, 12, None),
 }
 
 
@@ -162,10 +165,19 @@ def test_conflict_cycles_name_known_edges_first():
                 labels = index.b_label if edge[2] == RW else index.a_label
                 assert (index.vindex[edge[0]], index.vindex[edge[1]]) not in labels, seed
     assert unsat
+
+
+def _search_state(solver: Solver) -> tuple:
+    return (solver.a_rows, solver.b_rows, solver.a_pred, solver.ind_rows,
+            solver.a_edges, solver.b_edges, solver.ind_count)
+
+
 @pytest.mark.parametrize(
     "case, no_prune", [k for k in sorted(SEARCH_PINS, key=repr) if SEARCH_PINS[k][0] == "sat"]
 )
 def test_search_state_is_the_index_rows_plus_the_assignment(case, no_prune):
+    """Retracting assigned constraints in any order leaves the state a fresh
+    assignment of the rest would build; retracting all leaves the index."""
     seed, keys, _ = case
     params = WorkloadParams(sessions=5, txns_per_session=4, ops_per_txn=3, keys=keys, seed=seed)
     graph = build_polygraph(generate(params))
@@ -179,16 +191,27 @@ def test_search_state_is_the_index_rows_plus_the_assignment(case, no_prune):
             rows = b_rows if kind == RW else a_rows
             rows[index.vindex[src]] |= 1 << index.vindex[dst]
     assert (solver.a_rows, solver.b_rows) == (a_rows, b_rows)
-    # Undoing the whole trail leaves exactly the index's level-0 rows.
-    solver._undo_to(0)
+    stamp_order = sorted(range(len(solver.constraints)), key=solver.stamp.__getitem__)
+    assigned = set(range(len(solver.constraints)))
+    rng = random.Random(seed)
+    for k in rng.sample(sorted(assigned), len(assigned)):
+        solver._retract(k)
+        assigned.remove(k)
+        fresh = Solver(graph, index=index)
+        assert fresh.check_known_acyclic() is None
+        for j in stamp_order:
+            if j in assigned:
+                assert fresh._try_branch(j, result.assignment[solver.constraints[j].id]) is None
+        assert _search_state(solver) == _search_state(fresh)
     assert (solver.a_rows, solver.b_rows) == (index.a_adj, index.b_adj)
     assert (solver.a_pred, solver.ind_rows) == (index.a_pred, index.k_adj)
     assert not (solver.a_edges or solver.b_edges or solver.ind_count)
 
 
 def test_pk_order_stays_topological():
-    """Acyclic insertions keep `ord` a topological order of the induced rows
-    and `at` its inverse, however far back each insertion reaches."""
+    """Acyclic insertions mixed with removals in any order keep `ord` a
+    topological order of the induced rows and `at` its inverse, however far
+    back each insertion reaches."""
     n = 40
     graph = Polygraph(vertices=tuple((i, 0) for i in range(n)))
     rng = random.Random(7)
@@ -196,12 +219,61 @@ def test_pk_order_stays_topological():
         rank = rng.sample(range(n), n)  # every inserted edge follows this order
         solver = Solver(graph)
         assert solver.check_known_acyclic() is None
-        for _ in range(120):
-            u, v = sorted(rng.sample(range(n), 2), key=rank.__getitem__)
-            solver._insert_induced(u, v)
+        present: list[tuple[int, int]] = []
+        for _ in range(200):
+            if present and rng.random() < 0.4:
+                solver._remove_induced([present.pop(rng.randrange(len(present)))])
+            else:
+                pair = tuple(sorted(rng.sample(range(n), 2), key=rank.__getitem__))
+                solver._insert_induced([pair])
+                present.append(pair)
             assert [solver.at[solver.ord[x]] for x in range(n)] == list(range(n))
             for x in range(n):
                 assert all(solver.ord[x] < solver.ord[y] for y in iter_bits(solver.ind_rows[x]))
+            assert solver.ind_rows == [
+                sum(1 << v for u, v in set(present) if u == x) for x in range(n)
+            ]
+
+
+# Six sessions over at most two keys with up to four writers each: without
+# pruning, 15 of seeds 0-399 retract a culprit out of order.
+_CONTENDED = HistoryBounds(max_sessions=6, max_txns=10, max_keys=2, max_writers_per_key=4,
+                           max_ops_per_txn=3, abort_pct=0, corruption_pct=0)
+
+
+@pytest.mark.parametrize("bounds", [None, _CONTENDED], ids=["default", "contended"])
+def test_search_matches_the_oracle(bounds):
+    """The search's verdict is the brute-force oracle's on small random
+    histories, pruned and not, and every witness verifies."""
+    searched = 0
+    for seed in range(400):
+        history = random_small_history(seed, bounds)
+        if not completeness_gate(history).ok():
+            continue
+        expected = "sat" if oracle_check(history).satisfiable else "unsat"
+        for no_prune in (False, True):
+            graph = build_polygraph(history)
+            if not no_prune and prune_constraints(graph).verdict != "ok":
+                assert expected == "unsat", seed
+                continue
+            result = solve(graph)
+            assert result.status == expected, (seed, no_prune)
+            assert verify_witness(result, graph), (seed, no_prune)
+            searched += result.conflicts > 0
+    assert searched
+
+
+def test_hotspot_decisions_stay_near_the_constraints_left():
+    """On write-heavy hotspot histories a backjump keeps unrelated
+    decisions, so the search decides about once per constraint."""
+    for seed in range(6):
+        params = WorkloadParams(sessions=20, txns_per_session=25, ops_per_txn=10, keys=1_000,
+                                dist="hotspot", profile="write-heavy", seed=seed)
+        graph = build_polygraph(generate(params))
+        index = prune_constraints(graph).index
+        result = solve(graph, index=index)
+        assert result.status == "sat" and verify_witness(result, graph)
+        assert result.decisions <= 2 * len(graph.constraints), seed
 
 
 def test_import_leaves_the_encoder_unloaded():
@@ -243,6 +315,27 @@ class TestVerifyWitness:
         deps[0] = ((edge[1], edge[0], edge[2], edge[3]), origin)  # flip one edge
         corrupted = SolveResult("unsat", cycle=WitnessCycle(deps))
         assert not verify_witness(corrupted, graph)
+
+    def test_resolved_dep_needs_a_closed_constraint_and_its_branch(self, causality_violation):
+        params = WorkloadParams(sessions=5, txns_per_session=4, ops_per_txn=3, keys=6, seed=0)
+        graph, result = pipeline(inject(generate(params), "lost-update", 0))
+        assert verify_witness(result, graph)
+        (rw, resolved), (ww, branch) = result.cycle.deps
+        assert resolved[0] == "resolved" and branch[0] == "branch"
+        for forged in (
+            [(rw, ("resolved", resolved[1], "or")), (ww, branch)],  # the dead branch
+            [(rw, resolved), (ww, ("resolved",) + branch[1:])],  # an open constraint
+        ):
+            assert not verify_witness(SolveResult("unsat", cycle=WitnessCycle(forged)), graph)
+        # A known edge from a read of the initial value, claimed as promoted
+        # from a constraint with the initial writer, which is never generated.
+        graph, result = pipeline(causality_violation)
+        assert verify_witness(result, graph)
+        deps = list(result.cycle.deps)
+        k = next(k for k, (edge, _) in enumerate(deps) if edge[2] == RW)
+        edge = deps[k][0]
+        deps[k] = (edge, ("resolved", (edge[3], INIT_TXN, edge[1]), "either"))
+        assert not verify_witness(SolveResult("unsat", cycle=WitnessCycle(deps)), graph)
 
     def test_corrupted_sat_assignment_rejected(self, lost_update):
         graph = build_polygraph(lost_update)
