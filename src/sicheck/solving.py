@@ -62,7 +62,6 @@ class Solver:
         # Decision order is the sorted constraint ids; each branch's edges
         # are built once, not once per decision.
         self.constraints = [graph.constraints[cid] for cid in sorted(graph.constraints)]
-        self.order = {cons.id: k for k, cons in enumerate(self.constraints)}
         self.branch_edges = [
             {EITHER: cons.edges(graph, EITHER), OR: cons.edges(graph, OR)}
             for cons in self.constraints
@@ -82,8 +81,9 @@ class Solver:
         self.ind_rows = list(self.known.k_adj)
         # Branch edges on each pair, in assignment order; a row bit outside
         # the index is set exactly while its pair's list is not empty.
-        self.a_edges: dict[tuple[int, int], list[tuple[Edge, ConstraintKey, str]]] = {}
-        self.b_edges: dict[tuple[int, int], list[tuple[Edge, ConstraintKey, str]]] = {}
+        # Each entry is (edge, constraint index, branch).
+        self.a_edges: dict[tuple[int, int], list[tuple[Edge, int, str]]] = {}
+        self.b_edges: dict[tuple[int, int], list[tuple[Edge, int, str]]] = {}
         # For each induced pair K does not hold: its direct A bit plus the
         # number of A∘B compositions present, a function of the rows.
         self.ind_count: dict[tuple[int, int], int] = {}
@@ -116,7 +116,7 @@ class Solver:
             restricted = [self.ind_rows[v] & mask if v in comp else 0 for v in range(self.n)]
             vcycle = find_cycle(self.n, restricted)
             assert vcycle is not None
-            return self._cycle_from_vertices(vcycle)
+            return self._cycle_from_vertices(vcycle)[0]
         order = len(sccs) - 1
         for comp in sccs:
             self.ord[comp[0]] = order
@@ -126,26 +126,31 @@ class Solver:
 
     # ----- provenance -------------------------------------------------------
 
-    def _pair_dep(self, i: int, j: int, layer: str) -> tuple[Edge, Origin]:
+    def _pair_dep(self, i: int, j: int, layer: str, culprits: set[int]) -> tuple[Edge, Origin]:
         """A labeled edge supporting pair (i, j) in the given layer: its known
-        label, else the first branch edge assigned to it."""
+        label, else the first branch edge assigned to it, whose constraint
+        joins `culprits`."""
         a = layer == "a"
         edge = (self.known.a_label if a else self.known.b_label).get((i, j))
         if edge is not None:
             return edge, known_origin(self.graph, edge)
-        edge, cid, branch = (self.a_edges if a else self.b_edges)[(i, j)][0]
-        return edge, ("branch", cid, branch)
+        edge, k, branch = (self.a_edges if a else self.b_edges)[(i, j)][0]
+        culprits.add(k)
+        return edge, ("branch", self.constraints[k].id, branch)
 
-    def _cycle_from_vertices(self, vcycle: list[int]) -> WitnessCycle:
+    def _cycle_from_vertices(self, vcycle: list[int]) -> tuple[WitnessCycle, frozenset[int]]:
+        """The cycle's witness, and the constraints whose branch edges it uses."""
         deps: list[tuple[Edge, Origin]] = []
+        culprits: set[int] = set()
         for k, u in enumerate(vcycle):
             v = vcycle[(k + 1) % len(vcycle)]
             m = k_middle(self.a_rows, self.b_rows, u, v)
             if m is None:
-                deps.append(self._pair_dep(u, v, "a"))
+                deps.append(self._pair_dep(u, v, "a", culprits))
             else:
-                deps += [self._pair_dep(u, m, "a"), self._pair_dep(m, v, "b")]
-        return WitnessCycle(deps).canonical()
+                deps += [self._pair_dep(u, m, "a", culprits),
+                         self._pair_dep(m, v, "b", culprits)]
+        return WitnessCycle(deps).canonical(), frozenset(culprits)
 
     # ----- incremental induced-graph maintenance ----------------------------
 
@@ -225,8 +230,7 @@ class Solver:
         return None
 
     def _analyze(self, vcycle: list[int]) -> tuple[WitnessCycle, frozenset[int]]:
-        cycle = self._cycle_from_vertices(vcycle)
-        culprits = frozenset(self.order[o[1]] for _, o in cycle.deps if o[0] == "branch")
+        cycle, culprits = self._cycle_from_vertices(vcycle)
         if self.first_conflict_cycle is None:
             self.first_conflict_cycle = cycle
         return cycle, culprits
@@ -235,7 +239,7 @@ class Solver:
         i, j = self.vindex[edge[0]], self.vindex[edge[1]]
         pair = (i, j)
         rw = edge[2] == RW
-        entry = (edge, self.constraints[k].id, branch)
+        entry = (edge, k, branch)
         (self.b_edges if rw else self.a_edges).setdefault(pair, []).append(entry)
         self.pushed[k].append((rw, pair, entry))
         if rw:

@@ -294,30 +294,42 @@ def _reference_fields(graph) -> tuple:
 
 @contextmanager
 def audited_updates():
-    """Check every KnownIndex.add_edges call on an index with its closure
-    (prune's updates) while active.
+    """Check every KnownIndex.add_edges and with_reach call while active.
 
     After each call the index must equal a fresh build over the graph's known
-    edges and the directly computed reference, and the returned set must name exactly the vertices whose reach or
-    A-predecessor row changed. Counts the updates and those that close a
-    cycle, i.e. give some vertex its own reach bit.
+    edges and the directly computed reference; before its closure is computed
+    the closure field is left out of both. The set add_edges returns must name
+    exactly the vertices whose reach or A-predecessor row changed. Counts prune
+    updates (calls on an index with its closure) and those that close a cycle,
+    i.e. give some vertex its own reach bit.
     """
-    update = KnownIndex.add_edges
+    update, close = KnownIndex.add_edges, KnownIndex.with_reach
     audit = {"updates": 0, "cycle_closing": 0}
     building_reference = False
 
-    def checked(self, edges):
+    def assert_matches_reference(index):
         nonlocal building_reference
-        if building_reference or self.reach is None:
-            return update(self, edges)
-        reach, a_pred = list(self.reach), list(self.a_pred)
-        changed = update(self, edges)
         building_reference = True
         try:
-            fresh = KnownIndex(self.graph).with_reach()
+            fresh = KnownIndex(index.graph)
+            if index.reach is not None:
+                fresh.with_reach()
         finally:
             building_reference = False
-        assert _index_fields(self) == _index_fields(fresh) == _reference_fields(self.graph)
+        fields = len(_index_fields(index)) - (index.reach is None)
+        assert (_index_fields(index)[:fields] == _index_fields(fresh)[:fields]
+                == _reference_fields(index.graph)[:fields])
+
+    def checked(self, edges):
+        if building_reference:
+            return update(self, edges)
+        reach = None if self.reach is None else list(self.reach)
+        a_pred = list(self.a_pred)
+        changed = update(self, edges)
+        assert_matches_reference(self)
+        if reach is None:
+            assert changed == {v for v in range(self.n) if self.a_pred[v] != a_pred[v]}
+            return changed
         assert changed == {
             v for v in range(self.n) if self.reach[v] != reach[v] or self.a_pred[v] != a_pred[v]
         }
@@ -326,11 +338,17 @@ def audited_updates():
             audit["cycle_closing"] += 1
         return changed
 
-    KnownIndex.add_edges = checked
+    def checked_close(self):
+        result = close(self)
+        if not building_reference:
+            assert_matches_reference(self)
+        return result
+
+    KnownIndex.add_edges, KnownIndex.with_reach = checked, checked_close
     try:
         yield audit
     finally:
-        KnownIndex.add_edges = update
+        KnownIndex.add_edges, KnownIndex.with_reach = update, close
 
 
 def _prune_audited(history, audit) -> None:
@@ -339,7 +357,8 @@ def _prune_audited(history, audit) -> None:
     graph = build_polygraph(history)
     outcome = prune_constraints(graph)
     if outcome.verdict == "ok":
-        assert _index_fields(outcome.index) == _index_fields(KnownIndex(graph).with_reach())
+        assert (_index_fields(outcome.index) == _index_fields(KnownIndex(graph).with_reach())
+                == _reference_fields(graph))
 
 
 @st.composite
