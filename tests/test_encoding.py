@@ -1,5 +1,8 @@
+import hashlib
 import io
 import random
+
+import pytest
 
 from sicheck.encoding import branch_clause_text, encode, export_encoding
 from sicheck.harness import HistoryBounds, random_small_history
@@ -166,3 +169,50 @@ class TestExport:
         assert induced == sorted(induced)
         assert len(poly) == enc.pair_count
         assert len(induced) == enc.induced_count
+
+
+def _export(history, iterations):
+    """Export bytes and variable counts; iterations 0 skips pruning, None prunes to the fixpoint."""
+    graph = build_polygraph(history)
+    if iterations != 0:
+        prune_constraints(graph, max_iterations=iterations)
+    enc = encode(graph)
+    sink = io.BytesIO()
+    export_encoding(enc, sink)
+    return sink.getvalue(), enc.pair_count, enc.induced_count
+
+
+# SHA-256 of the export, pair_count and induced_count, recorded from the
+# encoder that built its own A/B and induced rows; prune iterations as in `_export`.
+LONG_FORK_EXPORT_PINS = {
+    0: ("cb7bce8b58ae870a111b80d03af9652d90d56f63b91562b177b7d57b3e882b5e", 22, 20),
+    1: ("d9ea8e52d54648676f01f68913334ac296fae3647fb4a0918afc1eb3af6df276", 17, 16),
+    None: ("7b279a803a6355f0a3fc141e9742ddc0e2d6aaab2d3998274ce56223e048ea8a", 16, 15),
+}
+# no_prune -> (histories of seeds 0-199 that pass the gate, SHA-256 over each
+# one's "seed pair_count induced_count length" line and export bytes).
+RANDOM_EXPORT_PINS = {
+    False: (159, "31021b9c5613b1f9be1d7c60337379e2c8d2253c6438c9e026958a755fd949a1"),
+    True: (159, "ffee8d1c96c203191c14e3d95f4a8a37b1828689f7ea6ec086290b16ad48e6f4"),
+}
+
+
+@pytest.mark.parametrize("iterations", [0, 1, None])
+def test_long_fork_export_pinned(long_fork, iterations):
+    data, pairs, induced = _export(long_fork, iterations)
+    assert (hashlib.sha256(data).hexdigest(), pairs, induced) == LONG_FORK_EXPORT_PINS[iterations]
+
+
+@pytest.mark.parametrize("no_prune", [False, True])
+def test_random_export_pinned(no_prune):
+    digest = hashlib.sha256()
+    exported = 0
+    for seed in range(200):
+        history = random_small_history(seed)
+        if not completeness_gate(history).ok():
+            continue
+        data, pairs, induced = _export(history, 0 if no_prune else None)
+        digest.update(f"{seed} {pairs} {induced} {len(data)}\n".encode())
+        digest.update(data)
+        exported += 1
+    assert (exported, digest.hexdigest()) == RANDOM_EXPORT_PINS[no_prune]
