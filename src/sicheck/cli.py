@@ -104,6 +104,8 @@ def _check_one(args_tuple) -> tuple[str, Verdict | tuple[int, str]]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.emit_encoding and len(args.history) > 1:
+        raise SicheckError(f"--emit-encoding takes one history file, not {len(args.history)}")
     jobs = [(path, args.no_prune, args.budget_ms, args.emit_encoding) for path in args.history]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -220,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--no-prune", action="store_true", help="skip constraint pruning")
     p_check.add_argument("--budget-ms", type=int, default=None, help="time budget for the check")
     p_check.add_argument("--emit-encoding", metavar="PATH", default=None,
-                         help="dump the Boolean encoding to PATH")
+                         help="dump the Boolean encoding to PATH (one history file only)")
     p_check.add_argument("--jobs", type=int, default=1, help="check files concurrently")
     p_check.set_defaults(func=_cmd_check)
 

@@ -2,10 +2,13 @@
 
 Edge variables live at pair granularity in two layers: the polygraph layer
 (an edge of any label between two transactions) and the induced layer (an
-edge of the composed graph whose acyclicity decides the verdict). Known
-edges contribute unit clauses; every surviving constraint contributes one
-exactly-one-branch clause; each supported induced pair gets a definitional
-clause tying it to a direct A-layer edge or an A-then-RW composition.
+edge of the composed graph whose acyclicity decides the verdict). Both are
+read off one known-graph index, that of the polygraph with every open branch
+edge taken as known: its A and B rows together are the polygraph layer, its
+K rows the induced layer. Known edges contribute unit clauses; every
+surviving constraint contributes one exactly-one-branch clause; each
+supported induced pair gets a definitional clause tying it to a direct
+A-layer edge or an A-then-RW composition.
 
 Variables are created only for pairs that can carry an edge. Unsupported
 induced variables would be identically false, so they are never created;
@@ -15,126 +18,62 @@ million variables, almost all of them dead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import IO, Iterator, NamedTuple
+import dataclasses
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from typing import IO
 
 from .graphs import iter_bits
-from .histories import TxnId
-from .polygraph import EITHER, OR, RW, Edge, Polygraph
+from .polygraph import EITHER, OR, Constraint, Edge, Polygraph
+from .pruning import KnownIndex
 
-
-class EdgeVar(NamedTuple):
-    layer: str  # "polygraph" | "induced"
-    i: int
-    j: int
-
-
-@dataclass(slots=True)
-class EncodedConstraint:
-    either_edges: list[Edge]
-    or_edges: list[Edge]
-    either_pairs: list[tuple[int, int]]
-    or_pairs: list[tuple[int, int]]
+Pair = tuple[int, int]
 
 
 @dataclass(slots=True)
 class Encoding:
-    vindex: dict[TxnId, int]
-    n: int
-    # Known plus potential (constraint-branch) edges per layer, as bitmask rows.
-    a_adj: list[int]
-    b_adj: list[int]
-    # Known pairs are unit-true.
-    known_a_pairs: set[tuple[int, int]]
+    # The polygraph's index with every open branch edge taken as known.
+    index: KnownIndex
+    # The polygraph's own known edges, unit-true, in creation order.
     known_edges: list[Edge]
-    constraints: list[EncodedConstraint]
-    pair_count: int = 0
-    induced_count: int = 0
-    _induced_rows: list[int] = field(default_factory=list)
-
-    def pair_of(self, edge: Edge) -> tuple[int, int]:
-        return (self.vindex[edge[0]], self.vindex[edge[1]])
-
-    def polygraph_pairs(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.n):
-            for j in iter_bits(self.a_adj[i] | self.b_adj[i]):
-                yield (i, j)
-
-    def induced_pairs(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.n):
-            for j in iter_bits(self._induced_rows[i]):
-                yield (i, j)
+    # Per open constraint, in id order: the pairs of its either and its or branch.
+    clauses: list[tuple[list[Pair], list[Pair]]]
+    pair_count: int
+    induced_count: int
 
     def induced_definition(self, i: int, j: int) -> tuple[bool, list[int]]:
         """(has direct A-layer support, middle vertices of A∘RW compositions)."""
-        direct = bool((self.a_adj[i] >> j) & 1)
-        comps = [m for m in iter_bits(self.a_adj[i]) if (self.b_adj[m] >> j) & 1]
+        a_adj, b_adj = self.index.a_adj, self.index.b_adj
+        direct = bool((a_adj[i] >> j) & 1)
+        comps = [m for m in iter_bits(a_adj[i]) if (b_adj[m] >> j) & 1]
         return direct, comps
 
-    def edge_vars(self) -> Iterator[EdgeVar]:
-        """All variables, ordered by (layer, i, j) with the polygraph layer first."""
-        for i, j in self.polygraph_pairs():
-            yield EdgeVar("polygraph", i, j)
-        for i, j in self.induced_pairs():
-            yield EdgeVar("induced", i, j)
+
+def _branch_pairs(index: KnownIndex, cons: Constraint, branch: str) -> list[Pair]:
+    s, d, readers = index.branch(cons, branch)
+    return [(s, d), *((r, d) for r in readers if r != d)]
 
 
 def encode(graph: Polygraph) -> Encoding:
     """Build the Boolean views of a (typically pruned) polygraph."""
-    vertices = graph.vertices
-    vindex = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    enc = Encoding(
-        vindex=vindex,
-        n=n,
-        a_adj=[0] * n,
-        b_adj=[0] * n,
-        known_a_pairs=set(),
+    constraints = [graph.constraints[cid] for cid in sorted(graph.constraints)]
+    potential = [edge for cons in constraints for branch in (EITHER, OR)
+                 for edge in cons.edges(graph, branch)]
+    index = KnownIndex(dataclasses.replace(graph, known_edges=[*graph.known_edges, *potential]))
+    return Encoding(
+        index=index,
         known_edges=list(graph.known_edges),
-        constraints=[],
+        clauses=[(_branch_pairs(index, cons, EITHER), _branch_pairs(index, cons, OR))
+                 for cons in constraints],
+        pair_count=sum((a | b).bit_count() for a, b in zip(index.a_adj, index.b_adj)),
+        induced_count=sum(row.bit_count() for row in index.k_adj),
     )
 
-    def add(edge: Edge, known: bool) -> None:
-        i, j = vindex[edge[0]], vindex[edge[1]]
-        if edge[2] == RW:
-            enc.b_adj[i] |= 1 << j
-        else:
-            enc.a_adj[i] |= 1 << j
-            if known:
-                enc.known_a_pairs.add((i, j))
 
-    for edge in graph.known_edges:
-        add(edge, known=True)
-
-    for cid in sorted(graph.constraints):
-        cons = graph.constraints[cid]
-        either_edges = cons.edges(graph, EITHER)
-        or_edges = cons.edges(graph, OR)
-        for edge in either_edges + or_edges:
-            add(edge, known=False)
-        enc.constraints.append(
-            EncodedConstraint(
-                either_edges=either_edges,
-                or_edges=or_edges,
-                either_pairs=[(vindex[e[0]], vindex[e[1]]) for e in either_edges],
-                or_pairs=[(vindex[e[0]], vindex[e[1]]) for e in or_edges],
-            )
-        )
-
-    rows = []
-    pair_count = 0
-    induced_count = 0
-    for i in range(n):
-        row = enc.a_adj[i]
-        for m in iter_bits(enc.a_adj[i]):
-            row |= enc.b_adj[m]
-        rows.append(row)
-        pair_count += (enc.a_adj[i] | enc.b_adj[i]).bit_count()
-        induced_count += row.bit_count()
-    enc._induced_rows = rows
-    enc.pair_count = pair_count
-    enc.induced_count = induced_count
-    return enc
+def _pairs(rows: Iterable[int]) -> Iterator[Pair]:
+    for i, row in enumerate(rows):
+        for j in iter_bits(row):
+            yield i, j
 
 
 def _atom(layer: str, i: int, j: int) -> str:
@@ -142,15 +81,16 @@ def _atom(layer: str, i: int, j: int) -> str:
     return f"({name} {i} {j})"
 
 
-def branch_clause_text(ec: EncodedConstraint) -> str:
+def branch_clause_text(clause: tuple[list[Pair], list[Pair]]) -> str:
     """(⋀ either ∧ ⋀ ¬or) ∨ (⋀ or ∧ ⋀ ¬either) in prefix notation."""
 
-    def side(pos: list[tuple[int, int]], neg: list[tuple[int, int]]) -> str:
+    def side(pos: list[Pair], neg: list[Pair]) -> str:
         terms = [_atom("polygraph", i, j) for i, j in pos]
         terms += [f"(not {_atom('polygraph', i, j)})" for i, j in neg]
         return "(and " + " ".join(terms) + ")"
 
-    return f"(or {side(ec.either_pairs, ec.or_pairs)} {side(ec.or_pairs, ec.either_pairs)})"
+    either, or_ = clause
+    return f"(or {side(either, or_)} {side(or_, either)})"
 
 
 def induced_definition_text(enc: Encoding, i: int, j: int) -> str:
@@ -176,14 +116,16 @@ def export_encoding(enc: Encoding, sink: IO[bytes]) -> None:
     def out(line: str) -> None:
         sink.write((line + "\n").encode("utf-8"))
 
+    index = enc.index
     out("si-encoding 1")
-    for var in enc.edge_vars():
-        out(f"v {var.layer} {var.i} {var.j}")
-    for edge in enc.known_edges:
-        i, j = enc.pair_of(edge)
-        out(f"e {i} {j} {edge[2]} {edge[3] if edge[3] is not None else '-'}")
-    for ec in enc.constraints:
-        out(f"c {branch_clause_text(ec)}")
-    for i, j in enc.induced_pairs():
+    for i, j in _pairs(a | b for a, b in zip(index.a_adj, index.b_adj)):
+        out(f"v polygraph {i} {j}")
+    for i, j in _pairs(index.k_adj):
+        out(f"v induced {i} {j}")
+    for src, dst, label, key in enc.known_edges:
+        out(f"e {index.vindex[src]} {index.vindex[dst]} {label} {key if key is not None else '-'}")
+    for clause in enc.clauses:
+        out(f"c {branch_clause_text(clause)}")
+    for i, j in _pairs(index.k_adj):
         out(f"d {induced_definition_text(enc, i, j)}")
     out("a induced")

@@ -53,7 +53,7 @@ class KnownIndex:
         self.b_label: dict[tuple[int, int], Edge] = {}
         self.k_adj = [0] * n
         self.reach: list[int] | None = None
-        # graph.readers in vertex-index space, for the branch tests.
+        # graph.readers in vertex-index space, for `branch`.
         self.readers = {kw: tuple(self.vindex[r] for r in rs)
                         for kw, rs in graph.readers.items()}
         self.add_edges(graph.known_edges)
@@ -111,6 +111,13 @@ class KnownIndex:
             self.reach = reach_masks(self.n, k_adj)
             changed.update(v for v, row in enumerate(self.reach) if row != reach[v])
         return changed
+
+    def branch(self, cons: Constraint, branch: str) -> tuple[int, int, tuple[int, ...]]:
+        """A constraint branch in vertex-index space: its write-order pair
+        (s, d) and the reader row of its source writer s. The branch's edges
+        are s -WW-> d and r -RW-> d for every reader r but d, in that order."""
+        src, dst = (cons.first, cons.second) if branch == EITHER else (cons.second, cons.first)
+        return self.vindex[src], self.vindex[dst], self.readers.get((cons.key, src), ())
 
     def decompose(self, u: int, v: int) -> list[Edge]:
         """Underlying labeled dependencies of a K edge (direct or composed)."""
@@ -194,15 +201,15 @@ def _branch_blocked(index: KnownIndex, cons: Constraint, branch: str) -> Blocked
     The branch's edges are those of `cons.edges`, tested without building
     them; a blocked RW edge names its lowest blocking A-predecessor.
     """
-    src, dst = (cons.first, cons.second) if branch == EITHER else (cons.second, cons.first)
-    s, d = index.vindex[src], index.vindex[dst]
+    s, d, readers = index.branch(cons, branch)
+    vertices = index.vertices
     if ww_branch_blocked(s, d, index.reach):
-        return BlockedEdge((src, dst, WW, cons.key), None)
-    for r in index.readers.get((cons.key, src), ()):
+        return BlockedEdge((vertices[s], vertices[d], WW, cons.key), None)
+    for r in readers:
         if r != d:
             blockers = rw_branch_blocked(r, d, index.a_pred, index.reach)
             if blockers:
-                edge = (index.vertices[r], dst, RW, cons.key)
+                edge = (vertices[r], vertices[d], RW, cons.key)
                 return BlockedEdge(edge, (blockers & -blockers).bit_length() - 1)
     return None
 
@@ -290,9 +297,8 @@ def prune_constraints(
 
 def _inputs_changed(index: KnownIndex, cons: Constraint, changed: set[int]) -> bool:
     """True when any reachability or predecessor row a branch test reads changed."""
-    if index.vindex[cons.first] in changed or index.vindex[cons.second] in changed:
-        return True
-    return any(
-        not changed.isdisjoint(index.readers.get((cons.key, writer), ()))
-        for writer in (cons.first, cons.second)
-    )
+    for branch in (EITHER, OR):
+        s, _, readers = index.branch(cons, branch)
+        if s in changed or not changed.isdisjoint(readers):
+            return True
+    return False

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 from .graphs import find_cycle, iter_bits, tarjan_scc
-from .polygraph import EITHER, OR, RW, Constraint, ConstraintKey, Edge, Polygraph
+from .histories import TxnId
+from .polygraph import EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph
 from .pruning import KnownIndex, k_middle, known_origin
 from .witness import Origin, WitnessCycle, has_adjacent_rw
 
@@ -30,6 +31,8 @@ from .witness import Origin, WitnessCycle, has_adjacent_rw
 class SolveResult:
     status: str  # "sat" | "unsat"
     assignment: dict[ConstraintKey, str] | None = None
+    # Sat only: every vertex, in a topological order of the assignment's induced graph.
+    order: list[TxnId] | None = None
     cycle: WitnessCycle | None = None
     decisions: int = 0
     conflicts: int = 0
@@ -58,14 +61,8 @@ class Solver:
         # pruner's final index of this graph) is used as it is.
         self.known = KnownIndex(graph) if index is None else index
         self.n = self.known.n
-        self.vindex = self.known.vindex
-        # Decision order is the sorted constraint ids; each branch's edges
-        # are built once, not once per decision.
+        # Decision order is the sorted constraint ids.
         self.constraints = [graph.constraints[cid] for cid in sorted(graph.constraints)]
-        self.branch_edges = [
-            {EITHER: cons.edges(graph, EITHER), OR: cons.edges(graph, OR)}
-            for cons in self.constraints
-        ]
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.max_decisions = max_decisions
         self.decisions = 0
@@ -79,23 +76,21 @@ class Solver:
         # Induced graph rows (known ∪ assigned), plus a maintained
         # topological order: ord[v] is v's slot, at[slot] the vertex in it.
         self.ind_rows = list(self.known.k_adj)
-        # Branch edges on each pair, in assignment order; a row bit outside
-        # the index is set exactly while its pair's list is not empty.
-        # Each entry is (edge, constraint index, branch).
-        self.a_edges: dict[tuple[int, int], list[tuple[Edge, int, str]]] = {}
-        self.b_edges: dict[tuple[int, int], list[tuple[Edge, int, str]]] = {}
+        # The constraints with a branch edge on each pair, in assignment
+        # order; a row bit outside the index is set exactly while its pair's
+        # list is not empty. A branch puts at most one entry on a pair.
+        self.a_edges: dict[tuple[int, int], list[int]] = {}
+        self.b_edges: dict[tuple[int, int], list[int]] = {}
         # For each induced pair K does not hold: its direct A bit plus the
         # number of A∘B compositions present, a function of the rows.
         self.ind_count: dict[tuple[int, int], int] = {}
         self.ord = list(range(self.n))
         self.at = list(range(self.n))
         # Per constraint: its branch while assigned, when it was assigned,
-        # and the pair-list entries it pushed, (is RW, pair, entry).
+        # and the pairs it put an entry on, (is RW, pair).
         self.assigned: list[str | None] = [None] * len(self.constraints)
         self.stamp = [0] * len(self.constraints)
-        self.pushed: list[list[tuple[bool, tuple[int, int], tuple]]] = [
-            [] for _ in self.constraints
-        ]
+        self.pushed: list[list[tuple[bool, tuple[int, int]]]] = [[] for _ in self.constraints]
         self.first_conflict_cycle: WitnessCycle | None = None
 
     # ----- initial known graph ---------------------------------------------
@@ -128,15 +123,18 @@ class Solver:
 
     def _pair_dep(self, i: int, j: int, layer: str, culprits: set[int]) -> tuple[Edge, Origin]:
         """A labeled edge supporting pair (i, j) in the given layer: its known
-        label, else the first branch edge assigned to it, whose constraint
-        joins `culprits`."""
+        label, else the branch edge of the first constraint assigned to it,
+        which joins `culprits`."""
         a = layer == "a"
         edge = (self.known.a_label if a else self.known.b_label).get((i, j))
         if edge is not None:
             return edge, known_origin(self.graph, edge)
-        edge, k, branch = (self.a_edges if a else self.b_edges)[(i, j)][0]
+        k = (self.a_edges if a else self.b_edges)[(i, j)][0]
         culprits.add(k)
-        return edge, ("branch", self.constraints[k].id, branch)
+        cons = self.constraints[k]
+        vertices = self.known.vertices
+        edge = (vertices[i], vertices[j], WW if a else RW, cons.key)
+        return edge, ("branch", cons.id, self.assigned[k])
 
     def _cycle_from_vertices(self, vcycle: list[int]) -> tuple[WitnessCycle, frozenset[int]]:
         """The cycle's witness, and the constraints whose branch edges it uses."""
@@ -235,13 +233,12 @@ class Solver:
             self.first_conflict_cycle = cycle
         return cycle, culprits
 
-    def _add_edge(self, edge: Edge, k: int, branch: str) -> None:
-        i, j = self.vindex[edge[0]], self.vindex[edge[1]]
+    def _add_pair(self, i: int, j: int, rw: bool, k: int) -> None:
+        """Put constraint k's branch edge on pair (i, j) of the B layer when
+        `rw`, else of the A layer."""
         pair = (i, j)
-        rw = edge[2] == RW
-        entry = (edge, k, branch)
-        (self.b_edges if rw else self.a_edges).setdefault(pair, []).append(entry)
-        self.pushed[k].append((rw, pair, entry))
+        (self.b_edges if rw else self.a_edges).setdefault(pair, []).append(k)
+        self.pushed[k].append((rw, pair))
         if rw:
             if not (self.b_rows[i] >> j) & 1:
                 self.b_rows[i] |= 1 << j
@@ -256,10 +253,10 @@ class Solver:
         """Remove constraint k's branch edges, whenever it was assigned: a row
         bit is cleared, with the compositions it made, only when its pair
         has no known label and no branch edge left."""
-        for rw, pair, entry in self.pushed[k]:
+        for rw, pair in self.pushed[k]:
             stacks = self.b_edges if rw else self.a_edges
             stack = stacks[pair]
-            stack.remove(entry)
+            stack.remove(k)
             if stack:
                 continue
             del stacks[pair]
@@ -284,8 +281,8 @@ class Solver:
 
     def _preferred_branches(self, k: int) -> list[str]:
         """Try the branch whose write-order edge follows the current order."""
-        cons = self.constraints[k]
-        if self.ord[self.vindex[cons.first]] < self.ord[self.vindex[cons.second]]:
+        s, d, _ = self.known.branch(self.constraints[k], EITHER)
+        if self.ord[s] < self.ord[d]:
             return [EITHER, OR]
         return [OR, EITHER]
 
@@ -294,9 +291,12 @@ class Solver:
         self.decisions += 1
         self._check_budget()
         self.assigned[k] = branch
+        s, d, readers = self.known.branch(self.constraints[k], branch)
         try:
-            for edge in self.branch_edges[k][branch]:
-                self._add_edge(edge, k, branch)
+            self._add_pair(s, d, False, k)
+            for r in readers:
+                if r != d:
+                    self._add_pair(r, d, True, k)
         except _Conflict as conflict:
             self.conflicts += 1
             self._retract(k)
@@ -355,9 +355,9 @@ class Solver:
                         del eliminated[j][dropped]
                 eliminate(culprit, branch, union - {culprit})
         assignment = {cons.id: self.assigned[k] for k, cons in enumerate(self.constraints)}
-        return SolveResult(
-            "sat", assignment=assignment, decisions=self.decisions, conflicts=self.conflicts
-        )
+        order = [self.known.vertices[v] for v in self.at]
+        return SolveResult("sat", assignment=assignment, order=order,
+                           decisions=self.decisions, conflicts=self.conflicts)
 
 
 def solve(
@@ -378,48 +378,32 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
     """Independent certificate check for either outcome.
 
     A sat witness must assign a branch to every constraint, and no other
-    constraint, and re-derive to an acyclic induced graph; an unsat cycle must
-    be closed, undesired, and justified edge by edge by its claimed
-    provenance without drawing on both branches of any constraint.
+    constraint, and order the vertices so that every edge of the induced
+    graph it re-derives runs forward; an unsat cycle must be closed,
+    undesired, and justified edge by edge by its claimed provenance without
+    drawing on both branches of any constraint.
     """
     if result.status == "sat":
-        assignment = result.assignment
+        assignment, order = result.assignment, result.order or []
         if assignment is None or assignment.keys() != graph.constraints.keys():
+            return False
+        position = {v: p for p, v in enumerate(order)}
+        if len(order) != len(graph.vertices) or position.keys() != set(graph.vertices):
             return False
         edges = list(graph.known_edges)
         for cid, branch in assignment.items():
             if branch not in (EITHER, OR):
                 return False
             edges.extend(graph.constraints[cid].edges(graph, branch))
-        # Induced graph over vertex indices: non-RW edges and non-RW∘RW
-        # compositions. Kahn's algorithm orders every vertex only if it is
-        # acyclic; a self-loop keeps its vertex from ever becoming ready.
-        vindex = {v: i for i, v in enumerate(graph.vertices)}
-        n = len(vindex)
-        rw_succ: list[set[int]] = [set() for _ in range(n)]
+        # The induced graph holds each non-RW edge src -> dst and its
+        # composition with every RW edge dst -> w, so src must come before
+        # the lowest position among dst and its RW successors. A self-loop
+        # cannot come before itself.
+        lowest = dict(position)
         for src, dst, kind, _ in edges:
-            if kind == RW:
-                rw_succ[vindex[src]].add(vindex[dst])
-        induced: list[set[int]] = [set() for _ in range(n)]
-        for src, dst, kind, _ in edges:
-            if kind != RW:
-                row = induced[vindex[src]]
-                row.add(vindex[dst])
-                row |= rw_succ[vindex[dst]]
-        indegree = [0] * n
-        for row in induced:
-            for j in row:
-                indegree[j] += 1
-        ready = [i for i in range(n) if not indegree[i]]
-        ordered = 0
-        while ready:
-            i = ready.pop()
-            ordered += 1
-            for j in induced[i]:
-                indegree[j] -= 1
-                if not indegree[j]:
-                    ready.append(j)
-        return ordered == n
+            if kind == RW and position[dst] < lowest[src]:
+                lowest[src] = position[dst]
+        return all(position[src] < lowest[dst] for src, dst, kind, _ in edges if kind != RW)
 
     cycle = result.cycle
     if cycle is None or not cycle.deps or not cycle.closed():

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from sicheck.encoding import branch_clause_text, encode, export_encoding
+from sicheck.graphs import iter_bits
 from sicheck.harness import HistoryBounds, random_small_history
 from sicheck.histories import completeness_gate
 from sicheck.oracle import induced_graph
 from sicheck.polygraph import EITHER, OR, RW, build_polygraph
-from sicheck.pruning import prune_constraints
+from sicheck.pruning import KnownIndex, prune_constraints
 
 from conftest import T0, T1, T2, T3, T4, T5, committed, mk_history
 
@@ -22,17 +23,32 @@ def paper_stage_encoding(long_fork):
     return graph, encode(graph)
 
 
+def row_pairs(rows):
+    return {(i, j) for i, row in enumerate(rows) for j in iter_bits(row)}
+
+
+def polygraph_pairs(enc):
+    return row_pairs(a | b for a, b in zip(enc.index.a_adj, enc.index.b_adj))
+
+
+def induced_pairs(enc):
+    return row_pairs(enc.index.k_adj)
+
+
 class TestBranchClauses:
     def test_long_fork_residual_clause(self, long_fork):
         graph, enc = paper_stage_encoding(long_fork)
-        assert len(enc.constraints) == 1
-        ec = enc.constraints[0]
-        pair = enc.pair_of
+        assert len(enc.clauses) == 1
+        either_pairs, or_pairs = enc.clauses[0]
+
+        def pair(edge):
+            return (enc.index.vindex[edge[0]], enc.index.vindex[edge[1]])
+
         # One branch orders T5 before T1 (T5 has no readers); the other
         # orders T1 before T5 and forces T3, T1's reader, before T5.
-        assert set(ec.either_pairs) == {pair((T5, T1, "WW", "x"))}
-        assert set(ec.or_pairs) == {pair((T1, T5, "WW", "x")), pair((T3, T5, "RW", "x"))}
-        text = branch_clause_text(ec)
+        assert set(either_pairs) == {pair((T5, T1, "WW", "x"))}
+        assert set(or_pairs) == {pair((T1, T5, "WW", "x")), pair((T3, T5, "RW", "x"))}
+        text = branch_clause_text(enc.clauses[0])
         i15 = pair((T1, T5, "WW", "x"))
         i35 = pair((T3, T5, "RW", "x"))
         i51 = pair((T5, T1, "WW", "x"))
@@ -43,15 +59,16 @@ class TestBranchClauses:
         history = mk_history([[committed([("w", "x", 1)])], [committed([("r", "x", 1)])]])
         graph = build_polygraph(history)
         enc = encode(graph)
-        assert enc.constraints == []
-        assert enc.known_a_pairs  # WR edge plus initial-writer axioms
-        assert all((i, j) in enc.known_a_pairs for i, j in enc.polygraph_pairs())
+        assert enc.clauses == []
+        known_a_pairs = row_pairs(KnownIndex(graph).a_adj)
+        assert known_a_pairs  # WR edge plus initial-writer axioms
+        assert all((i, j) in known_a_pairs for i, j in polygraph_pairs(enc))
 
 
 class TestInducedDefinitions:
     def test_long_fork_compositions(self, long_fork):
         graph, enc = paper_stage_encoding(long_fork)
-        idx = enc.vindex
+        idx = enc.index.vindex
         # T2 -WR(y)-> T4 -RW(x)-> T5 is the only support of the T2 -> T5 pair.
         assert enc.induced_definition(idx[T2], idx[T5]) == (False, [idx[T4]])
         # T1 -WR(x)-> T3 -RW(y)-> T2, and T2 -WR(y)-> T4 -RW(x)-> T1.
@@ -66,21 +83,21 @@ class TestInducedDefinitions:
         graph, enc = paper_stage_encoding(long_fork)
         # Induced variables exist exactly for supported pairs.
         supported = set()
-        pg_pairs = set(enc.polygraph_pairs())
+        pg_pairs = polygraph_pairs(enc)
         a_pairs = {
-            (i, j) for (i, j) in pg_pairs if (enc.a_adj[i] >> j) & 1
+            (i, j) for (i, j) in pg_pairs if (enc.index.a_adj[i] >> j) & 1
         }
         b_pairs = {
-            (i, j) for (i, j) in pg_pairs if (enc.b_adj[i] >> j) & 1
+            (i, j) for (i, j) in pg_pairs if (enc.index.b_adj[i] >> j) & 1
         }
         for i, j in a_pairs:
             supported.add((i, j))
             for k, l in b_pairs:
                 if k == j:
                     supported.add((i, l))
-        assert set(enc.induced_pairs()) == supported
+        assert induced_pairs(enc) == supported
         assert enc.induced_count == len(supported)
-        assert enc.induced_count <= enc.n * enc.n
+        assert enc.induced_count <= enc.index.n * enc.index.n
 
 
 class TestModelCorrespondence:
@@ -93,27 +110,28 @@ class TestModelCorrespondence:
                 continue
             graph = build_polygraph(history)
             enc = encode(graph)
-            if not enc.constraints:
+            if not enc.clauses:
                 continue
+            vindex = enc.index.vindex
             for _ in range(4):
                 chosen = list(graph.known_edges)
-                for ec in enc.constraints:
+                for cid in sorted(graph.constraints):
                     branch = EITHER if rng.random() < 0.5 else OR
-                    chosen.extend(ec.either_edges if branch == EITHER else ec.or_edges)
+                    chosen.extend(graph.constraints[cid].edges(graph, branch))
                 # Pair projection of the chosen compatible graph.
-                pairs = {(enc.vindex[e[0]], enc.vindex[e[1]]) for e in chosen}
-                assert pairs <= set(enc.polygraph_pairs())
+                pairs = {(vindex[e[0]], vindex[e[1]]) for e in chosen}
+                assert pairs <= polygraph_pairs(enc)
                 # Reference induced graph from the oracle module.
                 ref = {
-                    (enc.vindex[a], enc.vindex[b])
+                    (vindex[a], vindex[b])
                     for a, b, _ in induced_graph(chosen)
                 }
                 derived = set()
                 a_pairs = {
-                    (enc.vindex[e[0]], enc.vindex[e[1]]) for e in chosen if e[2] != RW
+                    (vindex[e[0]], vindex[e[1]]) for e in chosen if e[2] != RW
                 }
                 b_pairs = {
-                    (enc.vindex[e[0]], enc.vindex[e[1]]) for e in chosen if e[2] == RW
+                    (vindex[e[0]], vindex[e[1]]) for e in chosen if e[2] == RW
                 }
                 for i, j in a_pairs:
                     derived.add((i, j))
@@ -122,7 +140,7 @@ class TestModelCorrespondence:
                             derived.add((i, l))
                 assert derived == ref
                 # Every induced pair the assignment realizes has a variable.
-                assert derived <= set(enc.induced_pairs())
+                assert derived <= induced_pairs(enc)
                 checked += 1
         assert checked >= 20
 

@@ -193,6 +193,16 @@ class TestCli:
         assert lines[0] == "si-encoding 1"
         assert lines[-1] == "a induced"
 
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["sequential", "jobs"])
+    def test_emit_encoding_refuses_several_files(self, long_fork_file, tmp_path, capsys, jobs):
+        target = tmp_path / "encoding.txt"
+        args = ["check", long_fork_file, str(DATA / "valid_small.json"), "--emit-encoding",
+                str(target), *jobs]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--emit-encoding takes one history file" in err
+        assert not target.exists()
+
     def test_generate_and_check_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "w.json"
         assert main([

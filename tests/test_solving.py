@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,8 @@ from sicheck.errors import BudgetExceededError
 from sicheck.graphs import iter_bits
 from sicheck.harness import HistoryBounds, random_small_history
 from sicheck.histories import INIT_TXN, completeness_gate
-from sicheck.oracle import oracle_check
-from sicheck.polygraph import RW, WR, WW, Polygraph, build_polygraph
+from sicheck.oracle import induced_graph, oracle_check
+from sicheck.polygraph import EITHER, OR, RW, WR, WW, Constraint, Polygraph, build_polygraph
 from sicheck.pruning import KnownIndex, prune_constraints
 from sicheck.solving import SolveResult, Solver, solve, verify_witness
 from sicheck.witness import WitnessCycle, has_adjacent_rw
@@ -133,14 +134,34 @@ SEARCH_PINS = {
 }
 
 
-@pytest.mark.parametrize("case, no_prune", sorted(SEARCH_PINS, key=repr))
-def test_search_pinned(case, no_prune):
+def pinned_history(case):
     seed, keys, anomaly = case
     params = WorkloadParams(sessions=5, txns_per_session=4, ops_per_txn=3, keys=keys, seed=seed)
     history = generate(params)
-    if anomaly is not None:
-        history = inject(history, anomaly, seed)
-    graph, result = pipeline(history, no_prune=no_prune)
+    return history if anomaly is None else inject(history, anomaly, seed)
+
+
+@pytest.mark.parametrize("case, no_prune", sorted(SEARCH_PINS, key=repr))
+def test_search_pinned(case, no_prune):
+    graph, result = pipeline(pinned_history(case), no_prune=no_prune)
+    deps = None if result.cycle is None else result.cycle.deps
+    assert (result.status, result.decisions, result.conflicts, deps) == SEARCH_PINS[case, no_prune]
+    assert verify_witness(result, graph)
+
+
+@pytest.mark.parametrize("case, no_prune", sorted(SEARCH_PINS, key=repr))
+def test_search_builds_no_edge_lists(monkeypatch, case, no_prune):
+    """`Constraint.edges` raises while the solver is built and searches; the
+    results are the pinned ones."""
+    graph = build_polygraph(pinned_history(case))
+    index = KnownIndex(graph) if no_prune else prune_constraints(graph).index
+
+    def guarded(*args):
+        raise AssertionError("Constraint.edges called by the search")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Constraint, "edges", guarded)
+        result = Solver(graph, index=index).solve()
     deps = None if result.cycle is None else result.cycle.deps
     assert (result.status, result.decisions, result.conflicts, deps) == SEARCH_PINS[case, no_prune]
     assert verify_witness(result, graph)
@@ -303,6 +324,60 @@ class TestVerifyWitness:
         assert result.status == "sat"
         assert verify_witness(result, graph)
 
+    def test_sat_order_must_follow_the_induced_graph(self):
+        graph, result = pipeline(pinned_history((35, 4, None)))
+        assert result.status == "sat" and verify_witness(result, graph)
+        assert sorted(result.order) == sorted(graph.vertices)
+        wrong = SolveResult("sat", assignment=result.assignment, order=result.order[::-1])
+        assert not verify_witness(wrong, graph)
+        # One swapped pair of neighbours joined by a known edge is enough.
+        position = {v: p for p, v in enumerate(result.order)}
+        src, dst = next((e[0], e[1]) for e in graph.known_edges
+                        if e[2] != RW and position[e[1]] == position[e[0]] + 1)
+        swapped = list(result.order)
+        swapped[position[src]], swapped[position[dst]] = dst, src
+        assert not verify_witness(SolveResult("sat", assignment=result.assignment,
+                                              order=swapped), graph)
+
+    def test_sat_order_must_hold_every_vertex_once(self):
+        graph, result = pipeline(pinned_history((35, 4, None)))
+        order = result.order
+        for broken in (None, [], order[:-1], order[1:], order[:-1] + order[:1],
+                       order + order[-1:], order + [(99, 99)]):
+            forged = SolveResult("sat", assignment=result.assignment, order=broken)
+            assert not verify_witness(forged, graph), broken
+
+    def test_sat_check_accepts_exactly_the_acyclic_assignments(self):
+        """A random full assignment verifies with a topological order of the
+        oracle's induced graph when that graph is acyclic, and with no order
+        tried when it is not."""
+        rng = random.Random(3)
+        outcomes = set()
+        for seed in range(150):
+            history = random_small_history(seed)
+            if not completeness_gate(history).ok():
+                continue
+            graph = build_polygraph(history)
+            for _ in range(3):
+                assignment = {cid: rng.choice((EITHER, OR)) for cid in sorted(graph.constraints)}
+                edges = list(graph.known_edges)
+                for cid, branch in assignment.items():
+                    edges += graph.constraints[cid].edges(graph, branch)
+                sorter = TopologicalSorter({v: set() for v in graph.vertices})
+                for src, dst, _ in induced_graph(edges):
+                    sorter.add(dst, src)
+                try:
+                    orders = [list(sorter.static_order())]
+                    acyclic = True
+                except CycleError:
+                    orders = [list(graph.vertices), rng.sample(graph.vertices, len(graph.vertices))]
+                    acyclic = False
+                for order in orders:
+                    forged = SolveResult("sat", assignment=assignment, order=order)
+                    assert verify_witness(forged, graph) == acyclic, seed
+                outcomes.add(acyclic)
+        assert outcomes == {True, False}
+
     def test_unsat_cycle_verifies(self, long_fork):
         graph, result = pipeline(long_fork)
         assert result.status == "unsat"
@@ -342,7 +417,7 @@ class TestVerifyWitness:
         # Claim sat with an arbitrary branch per constraint: the lost-update
         # polygraph has no acyclic resolution, so any full assignment fails.
         assignment = {cid: "either" for cid in graph.constraints}
-        fake = SolveResult("sat", assignment=assignment)
+        fake = SolveResult("sat", assignment=assignment, order=list(graph.vertices))
         assert not verify_witness(fake, graph)
 
     def test_sat_assignment_missing_a_constraint_rejected(self):
@@ -358,14 +433,16 @@ class TestVerifyWitness:
         assert verify_witness(result, graph)
         for cid in result.assignment:
             partial = {k: b for k, b in result.assignment.items() if k != cid}
-            assert not verify_witness(SolveResult("sat", assignment=partial), graph)
+            forged = SolveResult("sat", assignment=partial, order=result.order)
+            assert not verify_witness(forged, graph)
 
     def test_empty_sat_assignment_rejected_on_violating_history(self):
         params = WorkloadParams(seed=3, sessions=5, txns_per_session=20)
         graph = build_polygraph(inject(generate(params), "lost-update", 3))
         assert graph.constraints
         assert solve(graph).status == "unsat"
-        assert not verify_witness(SolveResult("sat", assignment={}), graph)
+        forged = SolveResult("sat", assignment={}, order=list(graph.vertices))
+        assert not verify_witness(forged, graph)
 
     def test_adjacent_rw_cycle_rejected(self, long_fork):
         graph, result = pipeline(long_fork)
