@@ -253,7 +253,13 @@ def find_cluster(
                 search(cycles, frozenset(new))
                 cycles.pop()
 
-    search([cycle_edges], frozenset(cycle_edges))
+    try:
+        search([cycle_edges], frozenset(cycle_edges))
+    finally:
+        # `search` reaches itself through its closure cell; emptying the cell
+        # leaves no reference cycle, so the universe and graph it holds are
+        # freed by reference counting when the call returns.
+        del search
     if best is None:
         if out_of_time:
             raise BudgetExceededError("cluster search budget exhausted")

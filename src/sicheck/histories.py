@@ -20,6 +20,7 @@ from .errors import (
     ReservedValueError,
     UniqueValueError,
 )
+from .gcpause import collector_paused
 
 # Transaction id: (session id, index within session).
 TxnId = tuple[int, int]
@@ -111,7 +112,20 @@ class CompletenessReport:
         return None
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+_TXN_FIELDS = frozenset({"index", "status", "ops"})
+_OP_FIELDS = frozenset({"t", "k", "v"})
+
+
+# Locations for error messages, formatted only when one is raised.
+def _txn_at(sid: int, ti: int) -> str:
+    return f"session {sid} transaction #{ti}"
+
+
+def _op_at(sid: int, ti: int, oi: int) -> str:
+    return f"{_txn_at(sid, ti)} op #{oi}"
+
+
+def _require_keys(obj: dict, allowed: set[str] | frozenset[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise FormatError(f"unknown fields {sorted(unknown)} in {where}")
@@ -120,24 +134,26 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise FormatError(f"missing fields {sorted(missing)} in {where}")
 
 
-def _parse_op(raw: object, where: str) -> Operation:
+def _parse_op(raw: object, sid: int, ti: int, oi: int) -> Operation:
     if not isinstance(raw, dict):
-        raise FormatError(f"operation must be an object in {where}")
-    _require_keys(raw, {"t", "k", "v"}, where)
+        raise FormatError(f"operation must be an object in {_op_at(sid, ti, oi)}")
+    if raw.keys() != _OP_FIELDS:
+        _require_keys(raw, _OP_FIELDS, _op_at(sid, ti, oi))
     kind, key, value = raw["t"], raw["k"], raw["v"]
     if kind not in ("r", "w"):
-        raise FormatError(f"operation type must be 'r' or 'w' in {where}")
+        raise FormatError(f"operation type must be 'r' or 'w' in {_op_at(sid, ti, oi)}")
     if not isinstance(key, str):
-        raise FormatError(f"key must be a string in {where}")
+        raise FormatError(f"key must be a string in {_op_at(sid, ti, oi)}")
     if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"value must be an integer in {where}")
+        raise FormatError(f"value must be an integer in {_op_at(sid, ti, oi)}")
     if not INT64_MIN <= value <= INT64_MAX:
-        raise FormatError(f"value out of int64 range in {where}")
+        raise FormatError(f"value out of int64 range in {_op_at(sid, ti, oi)}")
     if kind == "w" and value == 0:
-        raise ReservedValueError(f"write of reserved value 0 in {where}")
+        raise ReservedValueError(f"write of reserved value 0 in {_op_at(sid, ti, oi)}")
     return Operation(kind, key, value)
 
 
+@collector_paused
 def parse_history(data: bytes | str) -> History:
     """Parse the canonical JSON history format.
 
@@ -184,25 +200,26 @@ def parse_history(data: bytes | str) -> History:
         txns: list[Transaction] = []
         last_index: int | None = None
         for ti, raw_txn in enumerate(raw_session["transactions"]):
-            where = f"session {sid} transaction #{ti}"
             if not isinstance(raw_txn, dict):
-                raise FormatError(f"{where} must be an object")
-            _require_keys(raw_txn, {"index", "status", "ops"}, where)
+                raise FormatError(f"{_txn_at(sid, ti)} must be an object")
+            if raw_txn.keys() != _TXN_FIELDS:
+                _require_keys(raw_txn, _TXN_FIELDS, _txn_at(sid, ti))
             index = raw_txn["index"]
             if not isinstance(index, int) or isinstance(index, bool):
-                raise FormatError(f"{where} index must be an integer")
+                raise FormatError(f"{_txn_at(sid, ti)} index must be an integer")
             if index < 0:
-                raise FormatError(f"{where} index must be non-negative")
+                raise FormatError(f"{_txn_at(sid, ti)} index must be non-negative")
             if last_index is not None and index <= last_index:
-                raise FormatError(f"{where} index must increase within the session")
+                raise FormatError(f"{_txn_at(sid, ti)} index must increase within the session")
             last_index = index
             status = raw_txn["status"]
             if status not in (COMMITTED, ABORTED):
-                raise FormatError(f"{where} status must be committed or aborted")
-            if not isinstance(raw_txn["ops"], list) or not raw_txn["ops"]:
-                raise FormatError(f"{where} ops must be a non-empty array")
+                raise FormatError(f"{_txn_at(sid, ti)} status must be committed or aborted")
+            raw_ops = raw_txn["ops"]
+            if not isinstance(raw_ops, list) or not raw_ops:
+                raise FormatError(f"{_txn_at(sid, ti)} ops must be a non-empty array")
             tid: TxnId = (sid, index)
-            ops = tuple(_parse_op(op, f"{where} op #{oi}") for oi, op in enumerate(raw_txn["ops"]))
+            ops = tuple([_parse_op(op, sid, ti, oi) for oi, op in enumerate(raw_ops)])
             for op in ops:
                 if op.kind != "w":
                     continue

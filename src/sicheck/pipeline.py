@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import SicheckError
 from .explain import Counterexample, interpret
+from .gcpause import collector_paused
 from .histories import History, completeness_gate, CompletenessReport
 from .polygraph import build_polygraph, constraint_count
 from .pruning import KnownIndex, PruneOutcome, prune_constraints
@@ -80,6 +81,7 @@ class Verdict:
         return record
 
 
+@collector_paused
 def check_si(
     history: History,
     no_prune: bool = False,

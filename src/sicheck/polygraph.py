@@ -135,7 +135,8 @@ def create_known_graph(history: History) -> Polygraph:
         for key, value in writes.items():
             value_writer[(key, value)] = tid
             writers_by_key.setdefault(key, []).append(tid)
-    graph.writers = {k: tuple(sorted(v)) for k, v in sorted(writers_by_key.items())}
+    # Appended in ascending id order, so each list is already sorted.
+    graph.writers = {k: tuple(v) for k, v in sorted(writers_by_key.items())}
 
     readers: dict[tuple[str, TxnId], list[TxnId]] = {}
     for session in history.sessions:
@@ -164,7 +165,7 @@ def create_known_graph(history: History) -> Polygraph:
             readers.setdefault((key, writer), []).append(tid)
             graph.read_from[(key, tid)] = writer
 
-    graph.readers = {k: tuple(sorted(v)) for k, v in sorted(readers.items())}
+    graph.readers = {k: tuple(v) for k, v in sorted(readers.items())}
     return graph
 
 

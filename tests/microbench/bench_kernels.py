@@ -1,6 +1,8 @@
-"""Layer micro-benchmarks for the known-graph kernels and the explainer.
+"""Layer micro-benchmarks for the front end, the known-graph kernels and the explainer.
 
-Times `tarjan_scc`, `reach_masks`, the `KnownIndex` build, the prune
+Times `parse_history` and `build_polygraph` on the first `uniform-10k`
+history of run seed 1, where the two are a large share of a check;
+`tarjan_scc`, `reach_masks`, the `KnownIndex` build, the prune
 branch tests, the solver's search, its Pearce–Kelly order repair and one
 out-of-order retraction on the known induced graphs of the benchmark's
 workload shapes
@@ -23,6 +25,7 @@ from perfbench.workloads import WORKLOADS
 from sicheck.explain import (
     DEFAULT_MAX_CYCLE_LEN, DEFAULT_MAX_CYCLES_PER_DEP, EdgeUniverse, find_cluster,
 )
+from sicheck.gcpause import collector_paused
 from sicheck.graphs import reach_masks, tarjan_scc
 from sicheck.histories import parse_history
 from sicheck.pipeline import check_si
@@ -31,6 +34,22 @@ from sicheck.pruning import KnownIndex, _branch_blocked, prune_constraints
 from sicheck.solving import Solver
 
 SEED = 1
+
+
+@pytest.fixture(scope="module")
+def front_end():
+    """Bytes and parsed history of the first `uniform-10k` history."""
+    data = WORKLOADS["uniform-10k"].case(SEED).data
+    return data, parse_history(data)
+
+
+def test_parse_history(benchmark, front_end):
+    benchmark(parse_history, front_end[0])
+
+
+def test_build_polygraph(benchmark, front_end):
+    """Known graph, then constraints, with the collector paused as `check_si` runs it."""
+    benchmark(collector_paused(build_polygraph), front_end[1])
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))

@@ -110,6 +110,68 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_history(payload)
 
+    @pytest.mark.parametrize(
+        "payload, error, message",
+        [
+            (b"\xff", FormatError,
+             "history is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"
+             " in position 0: invalid start byte"),
+            ("[", FormatError,
+             "history is not valid JSON: Expecting value: line 1 column 2 (char 1)"),
+            (json.dumps([1]), FormatError, "top level must be an object"),
+            (json.dumps({"sessions": [], "x": 1}), FormatError,
+             "unknown fields ['x'] in top level"),
+            (json.dumps({}), FormatError, "missing fields ['sessions'] in top level"),
+            (json.dumps({"sessions": 1}), FormatError, "sessions must be an array"),
+            (doc([1]), FormatError, "session #0 must be an object"),
+            (doc([{"id": 0}]), FormatError, "missing fields ['transactions'] in session #0"),
+            (doc([session(True, [])]), FormatError, "session #0 id must be an integer"),
+            (doc([session(-1, [])]), FormatError, "session #0 id must be non-negative"),
+            (doc([session(4, []), session(4, [])]), FormatError, "duplicate session id 4"),
+            (doc([session(4, {})]), FormatError, "session 4 transactions must be an array"),
+            (doc([session(3, [txn(0, [op("r", "x", 0)]), 5])]), FormatError,
+             "session 3 transaction #1 must be an object"),
+            (doc([session(3, [{"index": 0, "ops": [], "y": 1}])]), FormatError,
+             "unknown fields ['y'] in session 3 transaction #0"),
+            (doc([session(3, [{"index": 0, "ops": []}])]), FormatError,
+             "missing fields ['status'] in session 3 transaction #0"),
+            (doc([session(3, [txn("0", [op("r", "x", 0)])])]), FormatError,
+             "session 3 transaction #0 index must be an integer"),
+            (doc([session(3, [txn(-2, [op("r", "x", 0)])])]), FormatError,
+             "session 3 transaction #0 index must be non-negative"),
+            (doc([session(3, [txn(2, [op("r", "x", 0)]), txn(2, [op("r", "x", 0)])])]),
+             FormatError, "session 3 transaction #1 index must increase within the session"),
+            (doc([session(3, [txn(0, [op("r", "x", 0)], status="maybe")])]), FormatError,
+             "session 3 transaction #0 status must be committed or aborted"),
+            (doc([session(3, [txn(0, [])])]), FormatError,
+             "session 3 transaction #0 ops must be a non-empty array"),
+            (doc([session(3, [txn(0, [op("r", "x", 0)]), txn(1, [op("r", "x", 0), 7])])]),
+             FormatError, "operation must be an object in session 3 transaction #1 op #1"),
+            (doc([session(3, [txn(0, [op("r", "x", 0)]), txn(1, [op("r", "x", 0), {"t": "r"}])])]),
+             FormatError, "missing fields ['k', 'v'] in session 3 transaction #1 op #1"),
+            (doc([session(3, [txn(0, [op("r", "x", 0), {"t": "r", "k": "x", "v": 0, "z": 1}])])]),
+             FormatError, "unknown fields ['z'] in session 3 transaction #0 op #1"),
+            (doc([session(3, [txn(0, [op("r", "x", 0)]), txn(2, [op("r", "x", 0), op("q", "x", 1)])])]),
+             FormatError, "operation type must be 'r' or 'w' in session 3 transaction #1 op #1"),
+            (doc([session(3, [txn(0, [op("r", 5, 1)])])]), FormatError,
+             "key must be a string in session 3 transaction #0 op #0"),
+            (doc([session(3, [txn(0, [op("r", "x", True)])])]), FormatError,
+             "value must be an integer in session 3 transaction #0 op #0"),
+            (doc([session(3, [txn(0, [op("r", "x", -(2**63) - 1)])])]), FormatError,
+             "value out of int64 range in session 3 transaction #0 op #0"),
+            (doc([session(3, [txn(0, [op("r", "x", 0)]), txn(1, [op("r", "x", 0), op("w", "x", 0)])])]),
+             ReservedValueError,
+             "write of reserved value 0 in session 3 transaction #1 op #1"),
+            (doc([session(3, [txn(0, [op("w", "x", 7)])]), session(5, [txn(4, [op("w", "x", 7)])])]),
+             UniqueValueError, "writes in T(3,0) and T(5,4) both assign 7 to key 'x'"),
+        ],
+    )
+    def test_error_messages(self, payload, error, message):
+        """Every rejection names what is wrong and where, down to the op."""
+        with pytest.raises(error) as caught:
+            parse_history(payload)
+        assert str(caught.value) == message
+
     def test_round_trip_identity(self, long_fork):
         data = serialize_history(long_fork)
         again = parse_history(data)

@@ -1,6 +1,6 @@
 import pytest
 
-from sicheck.histories import INIT_TXN
+from sicheck.histories import COMMITTED, INIT_TXN, History, Operation, Transaction
 from sicheck.polygraph import (
     EITHER,
     OR,
@@ -19,6 +19,7 @@ from sicheck.harness import HistoryBounds, random_small_history
 from sicheck.pruning import prune_constraints
 from sicheck.histories import completeness_gate, effective_reads_writes
 from sicheck.witness import KNOWN_ORIGIN
+from sicheck.workload import WorkloadParams, generate
 
 from conftest import T0, T1, T2, T3, T4, T5, committed, mk_history
 
@@ -56,6 +57,29 @@ class TestKnownGraph:
                 assert src == INIT_TXN
             elif label == RW:
                 assert graph.read_from[(key, src)] == INIT_TXN
+
+    def test_reader_and_writer_tuples_sorted(self, long_fork, lost_update):
+        # Session 5 is listed before session 2, so file order is not id order.
+        listed_out_of_order = History.build([
+            (5, [Transaction((5, 0), COMMITTED, (Operation("w", "x", 1), Operation("r", "y", 0))),
+                 Transaction((5, 3), COMMITTED, (Operation("r", "x", 2), Operation("w", "y", 4)))]),
+            (2, [Transaction((2, 1), COMMITTED, (Operation("r", "x", 0), Operation("w", "x", 2))),
+                 Transaction((2, 2), COMMITTED, (Operation("r", "x", 2), Operation("r", "y", 0)))]),
+        ])
+        histories = [long_fork, lost_update, listed_out_of_order]
+        histories += [random_small_history(seed) for seed in range(60)]
+        histories += [generate(WorkloadParams(sessions=5, txns_per_session=30, ops_per_txn=4,
+                                              keys=4, dist="zipfian", seed=seed))
+                      for seed in range(3)]
+        checked = 0
+        for history in histories:
+            if not completeness_gate(history).ok():
+                continue
+            graph = create_known_graph(history)
+            for tids in (*graph.readers.values(), *graph.writers.values()):
+                assert list(tids) == sorted(tids)
+            checked += 1
+        assert checked > 30
 
     def test_wr_source_effectively_writes_value(self, long_fork):
         graph = create_known_graph(long_fork)
