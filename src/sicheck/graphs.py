@@ -107,6 +107,67 @@ def reach_masks(n: int, adj: list[int]) -> list[int]:
     return reach
 
 
+def chain_starts(n: int, adj: list[int]) -> list[int]:
+    """First vertex of every chain, ascending.
+
+    A chain is a maximal run i, i+1, …, j whose every vertex but the last
+    has an edge to the next. Edges are only ever added to a graph whose
+    closure is kept, so a chain never splits; it can only merge with the
+    next one.
+    """
+    return [i for i in range(n) if i == 0 or not (adj[i - 1] >> i) & 1]
+
+
+def extend_reach(reach: list[int], adj: list[int], sources: list[int],
+                 starts: list[int]) -> set[int]:
+    """Fold new edges into a closure in place; return the rows that changed.
+
+    `reach` is R+ of `adj` without its new edges, all of which leave
+    `sources`; `starts` are the chains of that older graph, not of `adj`,
+    since a new edge i -> i+1 is not in `reach` until its source is
+    folded in. Each source p adds delta = the union of {q} and reach[q]
+    over its new successors q to p and to every vertex that reaches p,
+    one source after the other. Along an old chain the rows are nested (a
+    vertex reaches all its chain successors and whatever they reach), and
+    stay so as each source is folded in, so the vertices of a chain that
+    reach p, or are p, form a prefix of it: a binary search finds the
+    prefix's last vertex, and the walk down from there stops at the first
+    row that already holds delta, as all rows before it do.
+    """
+    ends = [*starts[1:], len(reach)]
+    changed: set[int] = set()
+    for p in sources:
+        new = adj[p] & ~reach[p]
+        # Folding the lowest pending successor's row covers every vertex in it.
+        delta = pending = new
+        while pending:
+            low = pending & -pending
+            row = reach[low.bit_length() - 1]
+            delta |= row
+            pending &= ~(row | low)
+        if not delta:
+            continue
+        bit = 1 << p
+        for first, end in zip(starts, ends):
+            if first != p and not reach[first] & bit:
+                continue
+            last = first
+            while end - last > 1:
+                mid = (last + end) // 2
+                if mid == p or reach[mid] & bit:
+                    last = mid
+                else:
+                    end = mid
+            for v in range(last, first - 1, -1):
+                row = reach[v]
+                grown = row | delta
+                if grown == row:
+                    break
+                reach[v] = grown
+                changed.add(v)
+    return changed
+
+
 def bfs_path(adj: list[int], src: int, dst: int) -> list[int] | None:
     """Shortest vertex path src..dst, expanding neighbors in ascending order."""
     if src == dst:

@@ -173,6 +173,7 @@ def check_si(
     return verdict
 
 
+@collector_paused
 def pruning_stats(history: History) -> tuple[tuple[int, int], tuple[int, int]]:
     """(constraints, unknown deps) before and after pruning, for reporting."""
     gate = completeness_gate(history)

@@ -95,11 +95,13 @@ class Polygraph:
     vertices: tuple[TxnId, ...] = ()
     known_edges: list[Edge] = field(default_factory=list)
     constraints: dict[ConstraintKey, Constraint] = field(default_factory=dict)
-    # Committed effective readers of each writer's final value, per key.
+    # Committed effective readers of each writer's final value, per key, sorted;
+    # only looked up, so its keys are in no particular order.
     readers: dict[tuple[str, TxnId], tuple[TxnId, ...]] = field(default_factory=dict)
     # Reverse of readers: (key, reader) -> writer whose value the reader saw.
     read_from: dict[tuple[str, TxnId], TxnId] = field(default_factory=dict)
-    # Committed effective writers per key, sorted.
+    # Committed effective writers per key, sorted; the keys iterate in sorted
+    # order, which constraint generation and the explainer's edge universe follow.
     writers: dict[str, tuple[TxnId, ...]] = field(default_factory=dict)
 
     def clone(self) -> "Polygraph":
@@ -135,8 +137,8 @@ def create_known_graph(history: History) -> Polygraph:
         for key, value in writes.items():
             value_writer[(key, value)] = tid
             writers_by_key.setdefault(key, []).append(tid)
-    # Appended in ascending id order, so each list is already sorted.
-    graph.writers = {k: tuple(v) for k, v in sorted(writers_by_key.items())}
+    # Keys in sorted order, each list already sorted: appended in ascending id order.
+    graph.writers = {k: tuple(writers_by_key[k]) for k in sorted(writers_by_key)}
 
     readers: dict[tuple[str, TxnId], list[TxnId]] = {}
     for session in history.sessions:
@@ -165,7 +167,7 @@ def create_known_graph(history: History) -> Polygraph:
             readers.setdefault((key, writer), []).append(tid)
             graph.read_from[(key, tid)] = writer
 
-    graph.readers = {k: tuple(v) for k, v in sorted(readers.items())}
+    graph.readers = {k: tuple(v) for k, v in readers.items()}
     return graph
 
 

@@ -13,6 +13,13 @@ constraint loop, so they take effect in the next iteration. The next
 iteration re-tests only constraints whose reachability or predecessor rows
 that update changed, and the final index is handed on to the solver.
 
+The closure is computed whole (`graphs.reach_masks`) once, before the first
+iteration. An update then walks K's chains, the runs of vertices i, i+1, …
+that K links one to the next (`graphs.extend_reach`); a session's committed
+transactions are consecutive vertices linked by session order, so there are
+about as many chains as sessions. The closure is rebuilt instead only when
+the batch's source rows times the chains exceed twice the vertices.
+
 If both branches of some constraint are impossible the history is violating
 and the outcome carries a witness cycle for each dead branch.
 """
@@ -23,11 +30,25 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
-from .graphs import bfs_path, iter_bits, reach_masks
+from .graphs import bfs_path, chain_starts, extend_reach, iter_bits, reach_masks
+from .histories import TxnId
 from .polygraph import EITHER, OR, RW, SO, WR, WW, Constraint, Edge, Polygraph, owning_branch
 from .witness import KNOWN_ORIGIN, Origin, WitnessCycle
 
 _LABEL_RANK = {SO: 0, WR: 1, WW: 2, RW: 3}
+# A closure rebuild costs a few steps per vertex; a walk, a binary search per
+# (source row, chain) pair plus the rows it changes. On the benchmark's shapes
+# the two cost the same near 3.5 such pairs per vertex. The bound sits below
+# that as a margin: the rows a walk changes are not known before it runs, and
+# a batch that changes many of them costs more per pair than those measured.
+# Both values send the measured batches the same way: uniform-10k's 379-row
+# batch (0.75 pairs per vertex) walks, hotspot-write's 210-row one (7.7) rebuilds.
+_WALKS_PER_VERTEX = 2
+
+
+def _walk_pays(sources: int, chains: int, n: int) -> bool:
+    """Should a closure update walk the chains rather than rebuild the closure?"""
+    return sources * chains <= _WALKS_PER_VERTEX * n
 
 
 class KnownIndex:
@@ -36,7 +57,10 @@ class KnownIndex:
     Built once from `graph.known_edges`; `add_edges` folds in edges appended
     since, in place. After every update the index equals a fresh build over
     the graph's known edges, field by field. The closure `reach` is None
-    until `with_reach` computes it; from then on `add_edges` keeps it.
+    until `with_reach` computes it; from then on `add_edges` keeps it, and
+    the chain starts `starts` with it, by walking the chains for a small
+    batch and by a rebuild for a large one. `readers` holds the reader rows
+    `branch` has asked for, of writers that have readers.
     """
 
     def __init__(self, graph: Polygraph):
@@ -53,14 +77,16 @@ class KnownIndex:
         self.b_label: dict[tuple[int, int], Edge] = {}
         self.k_adj = [0] * n
         self.reach: list[int] | None = None
-        # graph.readers in vertex-index space, for `branch`.
-        self.readers = {kw: tuple(self.vindex[r] for r in rs)
-                        for kw, rs in graph.readers.items()}
+        # First vertex of each chain of K (see `graphs.chain_starts`), kept with `reach`.
+        self.starts: list[int] = []
+        # Rows of graph.readers in vertex-index space, filled as `branch` asks for them.
+        self.readers: dict[tuple[str, TxnId], tuple[int, ...]] = {}
         self.add_edges(graph.known_edges)
 
     def with_reach(self) -> "KnownIndex":
         """Compute K's transitive closure, for the branch tests; returns self."""
         self.reach = reach_masks(self.n, self.k_adj)
+        self.starts = chain_starts(self.n, self.k_adj)
         return self
 
     @staticmethod
@@ -105,11 +131,23 @@ class KnownIndex:
             grown.add(i)
             changed.add(j)
 
-        # The closure stands unless some new K bit is not already reachable.
         reach = self.reach
-        if reach is not None and any(k_adj[p] & ~reach[p] for p in grown):
+        if reach is None:
+            return changed
+        # The closure stands unless some new K bit is not already reachable.
+        # The walk takes the chains of before the batch, whose rows `reach`
+        # nests; a link the batch adds is not in `reach` yet.
+        starts = self.starts
+        sources = [p for p in grown if k_adj[p] & ~reach[p]]
+        if sources and _walk_pays(len(sources), len(starts), self.n):
+            changed |= extend_reach(reach, k_adj, sources, starts)
+        elif sources:
             self.reach = reach_masks(self.n, k_adj)
             changed.update(v for v, row in enumerate(self.reach) if row != reach[v])
+        # A new K pair p -> p+1 joins the chain of p to the next one.
+        links = {p + 1 for p in grown if (k_adj[p] >> (p + 1)) & 1}
+        if links:
+            self.starts = [v for v in starts if v not in links]
         return changed
 
     def branch(self, cons: Constraint, branch: str) -> tuple[int, int, tuple[int, ...]]:
@@ -117,7 +155,18 @@ class KnownIndex:
         (s, d) and the reader row of its source writer s. The branch's edges
         are s -WW-> d and r -RW-> d for every reader r but d, in that order."""
         src, dst = (cons.first, cons.second) if branch == EITHER else (cons.second, cons.first)
-        return self.vindex[src], self.vindex[dst], self.readers.get((cons.key, src), ())
+        row = self.readers.get((cons.key, src))
+        if row is None:
+            row = self._reader_row(cons.key, src)
+        return self.vindex[src], self.vindex[dst], row
+
+    def _reader_row(self, key: str, writer: TxnId) -> tuple[int, ...]:
+        """Convert and keep a reader row; a writer no one read keeps no entry."""
+        readers = self.graph.readers.get((key, writer))
+        if readers is None:
+            return ()
+        row = self.readers[(key, writer)] = tuple(map(self.vindex.__getitem__, readers))
+        return row
 
     def decompose(self, u: int, v: int) -> list[Edge]:
         """Underlying labeled dependencies of a K edge (direct or composed)."""

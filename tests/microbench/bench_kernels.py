@@ -2,8 +2,8 @@
 
 Times `parse_history` and `build_polygraph` on the first `uniform-10k`
 history of run seed 1, where the two are a large share of a check;
-`tarjan_scc`, `reach_masks`, the `KnownIndex` build, the prune
-branch tests, the solver's search, its Pearce–Kelly order repair and one
+`tarjan_scc`, `reach_masks`, the `KnownIndex` build, each closure
+update of prune (`KnownIndex.add_edges`), the prune branch tests, the solver's search, its Pearce–Kelly order repair and one
 out-of-order retraction on the known induced graphs of the benchmark's
 workload shapes
 (`perfbench/workloads.py`, first history of run seed 1), and the
@@ -18,6 +18,8 @@ repository root with
 """
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 
@@ -72,6 +74,48 @@ def test_tarjan_scc(benchmark, graphs):
 def test_reach_masks(benchmark, graphs):
     final = graphs[2]
     benchmark(reach_masks, final.n, final.k_adj)
+
+
+def _copy_index(index: KnownIndex) -> KnownIndex:
+    """An index that `add_edges` can update without touching the original."""
+    fresh = copy.copy(index)
+    for name in ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "starts"):
+        setattr(fresh, name, list(getattr(index, name)))
+    for name in ("a_label", "b_label", "readers"):
+        setattr(fresh, name, dict(getattr(index, name)))
+    return fresh
+
+
+@pytest.fixture(scope="module", params=sorted(WORKLOADS))
+def closure_updates(request):
+    """Every closure update of the workload's prune: the index as it stood
+    before the update, and the edges the update folds in."""
+    history = parse_history(WORKLOADS[request.param].case(SEED).data)
+    updates = []
+    update = KnownIndex.add_edges
+
+    def recorded(index, edges):
+        if index.reach is not None:
+            updates.append((_copy_index(index), edges))
+        return update(index, edges)
+
+    KnownIndex.add_edges = recorded
+    try:
+        prune_constraints(build_polygraph(history))
+    finally:
+        KnownIndex.add_edges = update
+    return updates
+
+
+@pytest.mark.parametrize("number", range(5))
+def test_closure_update(benchmark, closure_updates, number):
+    """One `add_edges` of prune, by its number in the run: the chain walk,
+    or the closure rebuild where the batch is too large to walk."""
+    if number >= len(closure_updates):
+        pytest.skip("prune makes fewer updates")
+    before, edges = closure_updates[number]
+    benchmark.pedantic(KnownIndex.add_edges, setup=lambda: ((_copy_index(before), edges), {}),
+                       rounds=10)
 
 
 def test_known_index_build(benchmark, graphs):

@@ -15,14 +15,15 @@ from pathlib import Path
 import pytest
 
 from sicheck import histories, pipeline, pruning
-from sicheck.errors import BudgetExceededError, FormatError
+from sicheck.cli import main
+from sicheck.errors import BudgetExceededError, FormatError, SicheckError
 from sicheck.gcpause import collector_paused
 from sicheck.harness import random_small_history
 from sicheck.histories import parse_history, serialize_history
 from sicheck.pipeline import check_si
 from sicheck.workload import WorkloadParams, generate
 
-from conftest import immediate_violation_history
+from conftest import aborted, committed, immediate_violation_history, mk_history
 
 TESTS = Path(__file__).parent
 FILES = sorted((TESTS / "data").glob("*.json")) + sorted((TESTS / "corpus").rglob("*.json"))
@@ -104,6 +105,32 @@ class TestRestored:
         with pytest.raises(BudgetExceededError):
             check_si(history, budget_ms=0)
         assert not gc.isenabled()
+
+    def test_stats_paused_while_running_and_enabled_after(self, monkeypatch, tmp_path, capsys):
+        seen = []
+        gate = pipeline.completeness_gate
+
+        def probed(history):
+            seen.append(gc.isenabled())
+            return gate(history)
+
+        monkeypatch.setattr(pipeline, "completeness_gate", probed)
+        path = tmp_path / "sat.json"
+        path.write_bytes(_sat_data())
+        # An aborted write read by a committed transaction fails the gate.
+        failing = mk_history([[aborted([("w", "x", 9)])], [committed([("r", "x", 9)])]])
+        failing_path = tmp_path / "gate.json"
+        failing_path.write_bytes(serialize_history(failing))
+        assert gc.isenabled()
+        assert main(["stats", str(path)]) == 0
+        assert gc.isenabled()
+        assert main(["stats", str(failing_path)]) == 2
+        assert gc.isenabled()
+        with pytest.raises(SicheckError):
+            pipeline.pruning_stats(failing)
+        assert gc.isenabled()
+        assert seen == [False, False, False]
+        capsys.readouterr()
 
     def test_nested_calls_restore_once(self):
         states = []

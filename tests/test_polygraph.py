@@ -58,7 +58,8 @@ class TestKnownGraph:
             elif label == RW:
                 assert graph.read_from[(key, src)] == INIT_TXN
 
-    def test_reader_and_writer_tuples_sorted(self, long_fork, lost_update):
+    @staticmethod
+    def gated_histories(long_fork, lost_update):
         # Session 5 is listed before session 2, so file order is not id order.
         listed_out_of_order = History.build([
             (5, [Transaction((5, 0), COMMITTED, (Operation("w", "x", 1), Operation("r", "y", 0))),
@@ -71,15 +72,21 @@ class TestKnownGraph:
         histories += [generate(WorkloadParams(sessions=5, txns_per_session=30, ops_per_txn=4,
                                               keys=4, dist="zipfian", seed=seed))
                       for seed in range(3)]
-        checked = 0
+        return [history for history in histories if completeness_gate(history).ok()]
+
+    def test_reader_and_writer_tuples_sorted(self, long_fork, lost_update):
+        histories = self.gated_histories(long_fork, lost_update)
         for history in histories:
-            if not completeness_gate(history).ok():
-                continue
             graph = create_known_graph(history)
             for tids in (*graph.readers.values(), *graph.writers.values()):
                 assert list(tids) == sorted(tids)
-            checked += 1
-        assert checked > 30
+        assert len(histories) > 30
+
+    def test_writer_keys_iterate_sorted(self, long_fork, lost_update):
+        # Constraint generation and the explainer's edge universe follow this order.
+        for history in self.gated_histories(long_fork, lost_update):
+            graph = create_known_graph(history)
+            assert list(graph.writers) == sorted(graph.writers)
 
     def test_wr_source_effectively_writes_value(self, long_fork):
         graph = create_known_graph(long_fork)

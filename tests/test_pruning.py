@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sicheck import pipeline, pruning
-from sicheck.graphs import iter_bits, reach_masks
+from sicheck.graphs import chain_starts, extend_reach, iter_bits, reach_masks
 from sicheck.harness import random_small_history
 from sicheck.polygraph import (
     EITHER, OR, RW, SO, WR, WW, Constraint, Polygraph, build_polygraph,
@@ -261,6 +261,31 @@ class TestKnownIndexDecomposition:
         assert index.a_label[(0, 1)] == (a, b, SO, None)
 
 
+def test_reader_rows_filled_on_demand_equal_the_eager_conversion(long_fork, lost_update):
+    histories = [long_fork, lost_update, *injected_histories()]
+    histories += [random_small_history(seed) for seed in range(300)]
+    rows = 0
+    for history in histories:
+        if not completeness_gate(history).ok():
+            continue
+        graph = build_polygraph(history)
+        index = KnownIndex(graph)
+        assert index.readers == {}
+        eager = {kw: tuple(index.vindex[r] for r in rs) for kw, rs in graph.readers.items()}
+        for cons in graph.constraints.values():
+            for branch, (src, dst) in ((EITHER, (cons.first, cons.second)),
+                                       (OR, (cons.second, cons.first))):
+                expected = (index.vindex[src], index.vindex[dst], eager.get((cons.key, src), ()))
+                assert index.branch(cons, branch) == expected
+                if (cons.key, src) in graph.readers:  # filled once, then reused
+                    assert index.branch(cons, branch)[2] is index.readers[(cons.key, src)]
+        asked = {(cons.key, w) for cons in graph.constraints.values()
+                 for w in (cons.first, cons.second)}
+        assert index.readers.keys() == asked & graph.readers.keys()
+        rows += len(asked)
+    assert rows > 1000
+
+
 def _index_fields(index: KnownIndex) -> tuple:
     return (index.a_adj, index.b_adj, index.a_pred, index.a_label, index.b_label,
             index.k_adj, index.reach)
@@ -298,10 +323,11 @@ def audited_updates():
 
     After each call the index must equal a fresh build over the graph's known
     edges and the directly computed reference; before its closure is computed
-    the closure field is left out of both. The set add_edges returns must name
-    exactly the vertices whose reach or A-predecessor row changed. Counts prune
-    updates (calls on an index with its closure) and those that close a cycle,
-    i.e. give some vertex its own reach bit.
+    the closure field is left out of both. Its chains must equal the fresh
+    build's. The set add_edges returns must name exactly the vertices whose
+    reach or A-predecessor row changed. Counts prune updates (calls on an
+    index with its closure) and those that close a cycle, i.e. give some
+    vertex its own reach bit.
     """
     update, close = KnownIndex.add_edges, KnownIndex.with_reach
     audit = {"updates": 0, "cycle_closing": 0}
@@ -319,6 +345,7 @@ def audited_updates():
         fields = len(_index_fields(index)) - (index.reach is None)
         assert (_index_fields(index)[:fields] == _index_fields(fresh)[:fields]
                 == _reference_fields(index.graph)[:fields])
+        assert index.starts == fresh.starts
 
     def checked(self, edges):
         if building_reference:
@@ -399,6 +426,122 @@ class TestIncrementalIndex:
     def test_updates_match_fresh_builds_on_generated_histories(self, history):
         with audited_updates() as audit:
             _prune_audited(history, audit)
+
+
+@pytest.fixture
+def every_update_walks(monkeypatch):
+    """The walk-or-rebuild rule always walks, so no update rebuilds the closure.
+
+    Counts the updates that walk.
+    """
+    walks = []
+    monkeypatch.setattr(pruning, "_walk_pays", lambda *args: walks.append(args) or True)
+    return walks
+
+
+def _interleaved_updates(seed: int) -> None:
+    """Random batches of labeled edges on a polygraph whose vertex order
+    interleaves three sessions, so that every chain of K is one vertex long.
+
+    An edge that would give K a pair i -> i+1 is left out.
+    """
+    rng = random.Random(seed)
+    vertices = tuple((s, t) for t in range(4) for s in range(3))
+    n = len(vertices)
+    so = [((s, t), (s, t + 1), SO, None) for s in range(3) for t in range(3)]
+    graph = Polygraph(vertices=vertices, known_edges=so)
+    index = KnownIndex(graph).with_reach()
+    for _ in range(6):
+        batch = []
+        for _ in range(rng.randint(1, 4)):
+            u, v = rng.sample(vertices, 2)
+            edge = (u, v, rng.choice((WR, WW, RW)), rng.choice("xy"))
+            trial = Polygraph(vertices=vertices, known_edges=graph.known_edges + batch + [edge])
+            k_adj = _reference_fields(trial)[5]
+            if not any((k_adj[i] >> (i + 1)) & 1 for i in range(n - 1)):
+                batch.append(edge)
+        graph.known_edges += batch
+        index.add_edges(batch)
+        assert index.starts == list(range(n))
+
+
+class TestChainWalk:
+    """Closure updates by the chain walk alone equal `reach_masks` and name
+    exactly the rows that changed (the audit of `audited_updates`)."""
+
+    def test_random_histories(self, every_update_walks):
+        with audited_updates() as audit:
+            for seed in range(1200):
+                _prune_audited(random_small_history(seed), audit)
+        assert audit["cycle_closing"] >= 3
+        assert len(every_update_walks) >= audit["cycle_closing"]
+
+    def test_injected_anomalies(self, every_update_walks):
+        with audited_updates() as audit:
+            for history in injected_histories():
+                _prune_audited(history, audit)
+        assert audit["cycle_closing"] >= 6
+        assert len(every_update_walks) >= audit["cycle_closing"]
+
+    def test_interleaved_sessions_leave_no_chain_links(self, every_update_walks):
+        with audited_updates() as audit:
+            for seed in range(150):
+                _interleaved_updates(seed)
+        assert audit["cycle_closing"] > 0
+        assert len(every_update_walks) >= audit["cycle_closing"]
+
+    def test_batch_that_links_two_chains(self, every_update_walks):
+        # Chains [0..7], [8, 9] and [10]; one batch adds 7 -> 8 and 8 -> 10,
+        # so source 8 lies in the second half of the chain that 7 -> 8 makes.
+        vertices = (*((0, t) for t in range(8)), (1, 0), (1, 1), (2, 0))
+        so = [(u, v, SO, None) for u, v in zip(vertices, vertices[1:]) if u[0] == v[0]]
+        graph = Polygraph(vertices=vertices, known_edges=so)
+        with audited_updates() as audit:
+            index = KnownIndex(graph).with_reach()
+            assert index.starts == [0, 8, 10]
+            batch = [((0, 7), (1, 0), WR, "x"), ((1, 0), (2, 0), WR, "y")]
+            graph.known_edges += batch
+            index.add_edges(batch)
+        assert audit["updates"] == len(every_update_walks) == 1
+        assert index.reach == reach_masks(index.n, index.k_adj)
+        assert index.starts == [0, 10]
+
+    def test_extend_reach_on_random_batches(self):
+        # Graphs of up to 40 vertices in random chains; each batch may link
+        # chains, close cycles, and names its sources in random order.
+        rng = random.Random(10)
+        linking = 0
+        for _ in range(400):
+            n = rng.randint(2, 40)
+            adj = [0] * n
+            for v in range(n - 1):
+                if rng.random() < 0.7:
+                    adj[v] |= 1 << (v + 1)
+            for _ in range(rng.randint(0, n // 2)):
+                u, v = rng.sample(range(n), 2)
+                adj[u] |= 1 << v
+            for _ in range(3):
+                before, starts = reach_masks(n, adj), chain_starts(n, adj)
+                batch = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 4))]
+                batch += [(v, v + 1) for v in rng.sample(range(n - 1), min(2, n - 1))]
+                for u, v in batch:
+                    adj[u] |= 1 << v
+                sources = list({u for u, _ in batch})
+                rng.shuffle(sources)
+                reach = list(before)
+                changed = extend_reach(reach, adj, sources, starts)
+                assert reach == reach_masks(n, adj)
+                assert changed == {v for v in range(n) if reach[v] != before[v]}
+                linking += chain_starts(n, adj) != starts
+        assert linking > 500
+
+    def test_rule_rebuilds_for_large_batches(self):
+        # 542 vertices in 20 chains, as on hotspot-write: its first batches
+        # have 467 and 210 source rows, its later ones 36 and fewer.
+        assert not pruning._walk_pays(467, 20, 542)
+        assert not pruning._walk_pays(210, 20, 542)
+        assert pruning._walk_pays(36, 20, 542)
+        assert pruning._walk_pays(379, 20, 10174)
 
 
 def branch_blocked_per_predecessor(index, graph, cons, branch):
