@@ -73,7 +73,7 @@ def _print_verdict(path: str, verdict: Verdict, as_json: bool) -> None:
 
 
 def _timing_line(path: str, verdict: Verdict, bare: bool = False) -> str:
-    phases = ("gate", "construct", "prune", "encode", "solve", "interpret", "total")
+    phases = ("gate", "construct", "prune", "encode", "solve", "verify", "interpret", "total")
     parts = [
         f"{name} {verdict.timings_ms[name]:.1f}ms"
         for name in phases

@@ -6,13 +6,18 @@ starts at 0, written by a virtual initial transaction that precedes all real
 writers of every key. Writes of 0 are therefore rejected, and for each key no
 two writes anywhere in the history may carry the same value (the unique-value
 assumption that makes writer-reader edges inferable from reads).
+
+Parsing checks each op on a fast path; only an op that fails it goes through
+the field-by-field checks, so a malformed op gets their error. `walk_ops`
+walks each transaction's ops once, for the completeness gate and for graph
+construction alike.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     DanglingReadError,
@@ -43,8 +48,7 @@ def txn_label(tid: TxnId) -> str:
     return f"T({tid[0]},{tid[1]})"
 
 
-@dataclass(frozen=True, slots=True)
-class Operation:
+class Operation(NamedTuple):
     kind: str  # "r" or "w"
     key: str
     value: int
@@ -179,7 +183,7 @@ def parse_history(data: bytes | str) -> History:
     sessions: list[tuple[Transaction, ...]] = []
     session_ids: list[int] = []
     seen_session_ids: set[int] = set()
-    seen_writes: dict[str, dict[int, TxnId]] = {}
+    seen_writes: dict[tuple[str, int], TxnId] = {}
 
     for si, raw_session in enumerate(doc["sessions"]):
         if not isinstance(raw_session, dict):
@@ -219,18 +223,27 @@ def parse_history(data: bytes | str) -> History:
             if not isinstance(raw_ops, list) or not raw_ops:
                 raise FormatError(f"{_txn_at(sid, ti)} ops must be a non-empty array")
             tid: TxnId = (sid, index)
-            ops = tuple([_parse_op(op, sid, ti, oi) for oi, op in enumerate(raw_ops)])
-            for op in ops:
-                if op.kind != "w":
-                    continue
-                writers = seen_writes.setdefault(op.key, {})
-                if op.value in writers:
-                    raise UniqueValueError(
-                        f"writes in {txn_label(writers[op.value])} and {txn_label(tid)} "
-                        f"both assign {op.value} to key {op.key!r}"
-                    )
-                writers[op.value] = tid
-            txns.append(Transaction(tid, status, ops))
+            ops = []
+            for oi, raw in enumerate(raw_ops):
+                # Fast path for a well-formed op; any other goes through
+                # `_parse_op`, which raises the error its checks find first.
+                # `tuple.__new__` builds the Operation without a Python frame.
+                if type(raw) is dict and raw.keys() == _OP_FIELDS:
+                    kind, key, value = raw["t"], raw["k"], raw["v"]
+                    if (type(key) is str and type(value) is int and INT64_MIN <= value <= INT64_MAX
+                            and (kind == "r" or kind == "w" and value != 0)):
+                        ops.append(tuple.__new__(Operation, (kind, key, value)))
+                        continue
+                ops.append(_parse_op(raw, sid, ti, oi))
+            for kind, key, value in ops:
+                if kind == "w":
+                    if (key, value) in seen_writes:
+                        raise UniqueValueError(
+                            f"writes in {txn_label(seen_writes[key, value])} and {txn_label(tid)} "
+                            f"both assign {value} to key {key!r}"
+                        )
+                    seen_writes[key, value] = tid
+            txns.append(Transaction(tid, status, tuple(ops)))
         sessions.append(tuple(txns))
 
     return History(tuple(sessions), tuple(session_ids))
@@ -274,70 +287,69 @@ def effective_reads_writes(txn: Transaction) -> tuple[dict[str, int], dict[str, 
     return reads, writes
 
 
-def check_internal_consistency(history: History) -> CompletenessReport:
-    """Flag reads that disagree with the latest preceding access of the same key.
+class OpsWalk(NamedTuple):
+    """What `walk_ops` finds: the INT violations; each committed transaction's
+    effective reads and writes (as `effective_reads_writes` gives them), in
+    history order; the writer of every written (key, value), committed or
+    not; and the committed reads of nonzero values, as (reader, op index, key, value)."""
 
-    Within a committed transaction, a read must return the value of the most
-    recent earlier write to or read from that key, if any.
-    """
-    report = CompletenessReport()
-    for txn in history.committed():
-        last_seen: dict[str, int] = {}
-        for oi, op in enumerate(txn.ops):
-            if op.kind == "r":
-                if op.key in last_seen and last_seen[op.key] != op.value:
-                    report.int_violations.append((txn.id, oi, None))
-            last_seen[op.key] = op.value
-    return report
+    int_violations: list[tuple[TxnId, int, TxnId | None]]
+    effective: dict[TxnId, tuple[dict[str, int], dict[str, int]]]
+    writer: dict[tuple[str, int], TxnId]
+    reads: list[tuple[TxnId, int, str, int]]
 
 
-def _write_index(history: History) -> dict[tuple[str, int], tuple[TxnId, bool, bool]]:
-    """Map (key, value) -> (writer id, writer committed, value is writer's final write)."""
-    index: dict[tuple[str, int], tuple[TxnId, bool, bool]] = {}
+def walk_ops(history: History) -> OpsWalk:
+    """Walk each transaction's ops once. A committed read that disagrees with
+    the latest preceding access of its key in the transaction is an INT violation."""
+    walk = OpsWalk([], {}, {}, [])
+    violations, effective, writer, reads = walk
     for txn in history.transactions():
-        last_value: dict[str, int] = {}
-        for op in txn.ops:
-            if op.kind == "w":
-                last_value[op.key] = op.value
-        for op in txn.ops:
-            if op.kind == "w":
-                final = last_value[op.key] == op.value
-                index[(op.key, op.value)] = (txn.id, txn.committed, final)
-    return index
+        tid = txn.id
+        if txn.status != COMMITTED:
+            for kind, key, value in txn.ops:
+                if kind == "w":
+                    writer[key, value] = tid
+            continue
+        last: dict[str, int] = {}
+        txn_reads: dict[str, int] = {}
+        txn_writes: dict[str, int] = {}
+        for oi, (kind, key, value) in enumerate(txn.ops):
+            if kind == "w":
+                writer[key, value] = tid
+                txn_writes[key] = value
+            else:
+                if key not in last:
+                    txn_reads[key] = value
+                elif last[key] != value:
+                    violations.append((tid, oi, None))
+                if value:
+                    reads.append((tid, oi, key, value))
+            last[key] = value
+        effective[tid] = (txn_reads, txn_writes)
+    return walk
 
 
-def check_aborted_and_intermediate_reads(history: History) -> CompletenessReport:
-    """Flag committed reads of aborted writes and of non-final (overwritten) writes.
+def completeness_gate(history: History, walk: OpsWalk | None = None) -> CompletenessReport:
+    """Run all non-cycle checks; the history may proceed to graph construction iff ok().
 
-    Raises DanglingReadError when a committed read returns a nonzero value
-    that matches no write in the history.
+    Besides the INT violations, flags committed reads of aborted and of
+    overwritten writes; a nonzero read that no write matches raises
+    DanglingReadError. `walk` is the history's `walk_ops`, if the caller has it.
     """
-    report = CompletenessReport()
-    index = _write_index(history)
-    for txn in history.committed():
-        for oi, op in enumerate(txn.ops):
-            if op.kind != "r" or op.value == 0:
-                continue
-            entry = index.get((op.key, op.value))
-            if entry is None:
-                raise DanglingReadError(
-                    f"{txn_label(txn.id)} reads {op.value} from key {op.key!r}, "
-                    "which no transaction wrote"
-                )
-            writer, committed, final = entry
-            if writer == txn.id:
-                continue  # own write, internal consistency covers it
-            if not committed:
-                report.aborted_reads.append((txn.id, oi, writer))
-            elif not final:
-                report.intermediate_reads.append((txn.id, oi, writer))
-    return report
-
-
-def completeness_gate(history: History) -> CompletenessReport:
-    """Run all non-cycle checks; the history may proceed to graph construction iff ok()."""
-    report = check_internal_consistency(history)
-    rest = check_aborted_and_intermediate_reads(history)
-    report.aborted_reads = rest.aborted_reads
-    report.intermediate_reads = rest.intermediate_reads
+    walk = walk_ops(history) if walk is None else walk
+    report = CompletenessReport(int_violations=walk.int_violations)
+    for reader, oi, key, value in walk.reads:
+        writer = walk.writer.get((key, value))
+        if writer is None:
+            raise DanglingReadError(
+                f"{txn_label(reader)} reads {value} from key {key!r}, which no transaction wrote"
+            )
+        if writer == reader:
+            continue  # own write, internal consistency covers it
+        effective = walk.effective.get(writer)
+        if effective is None:
+            report.aborted_reads.append((reader, oi, writer))
+        elif effective[1][key] != value:
+            report.intermediate_reads.append((reader, oi, writer))
     return report

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .errors import SicheckError
 from .explain import Counterexample, interpret
 from .gcpause import collector_paused
-from .histories import History, completeness_gate, CompletenessReport
+from .histories import History, completeness_gate, CompletenessReport, walk_ops
 from .polygraph import build_polygraph, constraint_count
 from .pruning import KnownIndex, PruneOutcome, prune_constraints
 from .solving import SolveResult, solve, verify_witness
@@ -100,7 +100,8 @@ def check_si(
         return max(1, int((deadline - time.monotonic()) * 1000))
 
     t0 = time.monotonic()
-    gate = completeness_gate(history)
+    walk = walk_ops(history)  # one walk of the ops, for the gate and construction
+    gate = completeness_gate(history, walk)
     verdict.gate = gate
     if not gate.ok():
         verdict.outcome = VIOLATION
@@ -111,7 +112,8 @@ def check_si(
     verdict.timings_ms["gate"] = (time.monotonic() - t0) * 1000
 
     t0 = time.monotonic()
-    original = build_polygraph(history)
+    original = build_polygraph(history, walk)
+    del walk  # not held through prune and solve
     verdict.stats_before = constraint_count(original)
     verdict.timings_ms["construct"] = (time.monotonic() - t0) * 1000
 
@@ -154,8 +156,10 @@ def check_si(
         verdict.decisions = result.decisions
         verdict.conflicts = result.conflicts
         verdict.timings_ms["solve"] = (time.monotonic() - t0) * 1000
+        t0 = time.monotonic()
         if not verify_witness(result, working):
             raise SicheckError("solver produced a witness that fails verification")
+        verdict.timings_ms["verify"] = (time.monotonic() - t0) * 1000
         if result.status == "sat":
             verdict.timings_ms["total"] = (time.monotonic() - started) * 1000
             return verdict

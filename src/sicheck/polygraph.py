@@ -10,6 +10,10 @@ each constraint must hold in any explanation of the history.
 The virtual initial writer is first in every version order by construction,
 so its constraints are resolved immediately into known edges instead of being
 generated and pruned.
+
+Construction reads each transaction's effective reads and writes and the
+(key, value) -> writer index from the history's `walk_ops`, which the
+completeness gate reads too.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SicheckError
-from .histories import INIT_TXN, History, TxnId, effective_reads_writes, txn_label
+from .histories import INIT_TXN, History, OpsWalk, TxnId, txn_label, walk_ops
 
 SO = "SO"
 WR = "WR"
@@ -115,27 +119,22 @@ class Polygraph:
         )
 
 
-def create_known_graph(history: History) -> Polygraph:
+def create_known_graph(history: History, walk: OpsWalk | None = None) -> Polygraph:
     """Build vertices, session-order edges, and writer-to-reader edges.
 
     The history must have passed the completeness gate: every committed read
     of a nonzero value then maps to exactly one committed writer whose final
-    write on that key produced the value.
+    write on that key produced the value. `walk` is as for the gate.
     """
+    walk = walk_ops(history) if walk is None else walk
+    effective = walk.effective
     graph = Polygraph()
-    committed = sorted(t.id for t in history.committed())
+    committed = sorted(effective)
     graph.vertices = (INIT_TXN, *committed)
 
-    effective: dict[TxnId, tuple[dict[str, int], dict[str, int]]] = {}
-    for txn in history.committed():
-        effective[txn.id] = effective_reads_writes(txn)
-
-    value_writer: dict[tuple[str, int], TxnId] = {}
     writers_by_key: dict[str, list[TxnId]] = {}
     for tid in committed:
-        _, writes = effective[tid]
-        for key, value in writes.items():
-            value_writer[(key, value)] = tid
+        for key in effective[tid][1]:
             writers_by_key.setdefault(key, []).append(tid)
     # Keys in sorted order, each list already sorted: appended in ascending id order.
     graph.writers = {k: tuple(writers_by_key[k]) for k in sorted(writers_by_key)}
@@ -151,18 +150,16 @@ def create_known_graph(history: History) -> Polygraph:
             prev = txn.id
 
     for tid in committed:
-        reads, _ = effective[tid]
+        reads = effective[tid][0]
         for key in sorted(reads):
             value = reads[key]
-            if value == 0:
-                writer = INIT_TXN
-            else:
-                writer = value_writer.get((key, value))
-                if writer is None:
-                    raise SicheckError(
-                        f"{txn_label(tid)} reads unmatched value {value} on {key!r}; "
-                        "run the completeness gate first"
-                    )
+            writer = walk.writer.get((key, value)) if value else INIT_TXN
+            # Only a committed writer's final write on the key counts.
+            if value and (writer not in effective or effective[writer][1][key] != value):
+                raise SicheckError(
+                    f"{txn_label(tid)} reads unmatched value {value} on {key!r}; "
+                    "run the completeness gate first"
+                )
             graph.known_edges.append((writer, tid, WR, key))
             readers.setdefault((key, writer), []).append(tid)
             graph.read_from[(key, tid)] = writer
@@ -178,23 +175,22 @@ def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
     it precedes every real writer, so the corresponding write-order and
     read-overwrite edges go straight into the known graph.
     """
+    known, constraints = graph.known_edges, graph.constraints
     for key, writers in graph.writers.items():
         init_readers = graph.readers.get((key, INIT_TXN), ())
         for writer in writers:
-            edge: Edge = (INIT_TXN, writer, WW, key)
-            graph.known_edges.append(edge)
+            known.append((INIT_TXN, writer, WW, key))
             for reader in init_readers:
                 if reader != writer:
-                    graph.known_edges.append((reader, writer, RW, key))
-        for i, first in enumerate(writers):
+                    known.append((reader, writer, RW, key))
+        for i, first in enumerate(writers[:-1]):
             for second in writers[i + 1 :]:
-                cons = Constraint(key, first, second)
-                graph.constraints[cons.id] = cons
+                constraints[key, first, second] = Constraint(key, first, second)
     return graph
 
 
-def build_polygraph(history: History) -> Polygraph:
-    return generate_constraints(history, create_known_graph(history))
+def build_polygraph(history: History, walk: OpsWalk | None = None) -> Polygraph:
+    return generate_constraints(history, create_known_graph(history, walk))
 
 
 def constraint_count(graph: Polygraph) -> tuple[int, int]:

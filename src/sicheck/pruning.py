@@ -20,6 +20,12 @@ transactions are consecutive vertices linked by session order, so there are
 about as many chains as sessions. The closure is rebuilt instead only when
 the batch's source rows times the chains exceed twice the vertices.
 
+The virtual initial writer has no incoming edge, so it lies on no cycle and
+no `reach` row holds its bit. The index does not fold its edges: its A and K
+rows are the one row they would build, every committed writer plus every
+reader of an initial value, and it is no vertex's A-predecessor and labels
+no pair.
+
 If both branches of some constraint are impossible the history is violating
 and the outcome carries a witness cycle for each dead branch.
 """
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
 from .graphs import bfs_path, chain_starts, extend_reach, iter_bits, reach_masks
-from .histories import TxnId
+from .histories import INIT_TXN, TxnId
 from .polygraph import EITHER, OR, RW, SO, WR, WW, Constraint, Edge, Polygraph, owning_branch
 from .witness import KNOWN_ORIGIN, Origin, WitnessCycle
 
@@ -81,6 +87,13 @@ class KnownIndex:
         self.starts: list[int] = []
         # Rows of graph.readers in vertex-index space, filled as `branch` asks for them.
         self.readers: dict[tuple[str, TxnId], tuple[int, ...]] = {}
+        # The initial writer's row (see the module docstring); its edges are skipped.
+        self.init = self.vindex.get(INIT_TXN)
+        if self.init is not None:
+            init_readers = (rs for (_, writer), rs in graph.readers.items() if writer == INIT_TXN)
+            targets = set().union(*graph.writers.values(), *init_readers)
+            row = sum(1 << self.vindex[v] for v in targets)
+            self.a_adj[self.init] = self.k_adj[self.init] = row
         self.add_edges(graph.known_edges)
 
     def with_reach(self) -> "KnownIndex":
@@ -88,10 +101,6 @@ class KnownIndex:
         self.reach = reach_masks(self.n, self.k_adj)
         self.starts = chain_starts(self.n, self.k_adj)
         return self
-
-    @staticmethod
-    def _ranked(edge: Edge) -> tuple[int, str]:
-        return (_LABEL_RANK[edge[2]], edge[3] or "")
 
     def add_edges(self, edges: list[Edge]) -> set[int]:
         """Fold known edges into the index; return the vertices whose reach or
@@ -101,6 +110,8 @@ class KnownIndex:
         new_b: dict[int, int] = {}  # middle vertex -> its new B bits
         for edge in edges:
             i, j = vindex[edge[0]], vindex[edge[1]]
+            if i == self.init:
+                continue
             pair = (i, j)
             labels = self.b_label if edge[2] == RW else self.a_label
             old = labels.get(pair)
@@ -110,8 +121,11 @@ class KnownIndex:
                     new_b[i] = new_b.get(i, 0) | 1 << j
                 else:
                     new_a.append(pair)
-            elif self._ranked(edge) >= self._ranked(old):
-                continue
+            else:
+                # The lowest (rank, key) labels the pair; the key only breaks a tie.
+                rank, old_rank = _LABEL_RANK[edge[2]], _LABEL_RANK[old[2]]
+                if rank > old_rank or rank == old_rank and (edge[3] or "") >= (old[3] or ""):
+                    continue
             labels[pair] = edge
 
         # New compositions through an A pair older than this batch: one row OR

@@ -1,7 +1,9 @@
 """Layer micro-benchmarks for the front end, the known-graph kernels and the explainer.
 
-Times `parse_history` and `build_polygraph` on the first `uniform-10k`
-history of run seed 1, where the two are a large share of a check;
+Times `parse_history`, `completeness_gate` and `build_polygraph` on the
+first `uniform-10k` history of run seed 1, where the three are a large
+share of a check (the gate and the build each walk the ops, as they do
+when called alone);
 `tarjan_scc`, `reach_masks`, the `KnownIndex` build, each closure
 update of prune (`KnownIndex.add_edges`), the prune branch tests, the solver's search, its Pearce–Kelly order repair and one
 out-of-order retraction on the known induced graphs of the benchmark's
@@ -29,7 +31,7 @@ from sicheck.explain import (
 )
 from sicheck.gcpause import collector_paused
 from sicheck.graphs import reach_masks, tarjan_scc
-from sicheck.histories import parse_history
+from sicheck.histories import completeness_gate, parse_history
 from sicheck.pipeline import check_si
 from sicheck.polygraph import EITHER, OR, build_polygraph
 from sicheck.pruning import KnownIndex, _branch_blocked, prune_constraints
@@ -47,6 +49,11 @@ def front_end():
 
 def test_parse_history(benchmark, front_end):
     benchmark(parse_history, front_end[0])
+
+
+def test_completeness_gate(benchmark, front_end):
+    """The gate with its own walk of the ops, the collector paused as `check_si` runs it."""
+    benchmark(collector_paused(completeness_gate), front_end[1])
 
 
 def test_build_polygraph(benchmark, front_end):

@@ -9,8 +9,6 @@ from sicheck.errors import (
     UniqueValueError,
 )
 from sicheck.histories import (
-    check_aborted_and_intermediate_reads,
-    check_internal_consistency,
     completeness_gate,
     effective_reads_writes,
     parse_history,
@@ -195,21 +193,21 @@ class TestParse:
 class TestInternalConsistency:
     def test_read_own_write_ok(self):
         history = mk_history([[committed([("w", "x", 1), ("r", "x", 1)])]])
-        assert check_internal_consistency(history).int_violations == []
+        assert completeness_gate(history).int_violations == []
 
     def test_two_reads_disagree(self):
         history = mk_history([[committed([("r", "x", 1), ("r", "x", 2)])], [committed([("w", "x", 1), ("w", "x", 2)])]])
-        report = check_internal_consistency(history)
+        report = completeness_gate(history)
         assert report.int_violations == [((0, 0), 1, None)]
 
     def test_read_after_two_writes(self):
         history = mk_history([[committed([("w", "x", 1), ("w", "x", 2), ("r", "x", 1)])]])
-        report = check_internal_consistency(history)
+        report = completeness_gate(history)
         assert report.int_violations == [((0, 0), 2, None)]
 
     def test_aborted_transactions_not_gated(self):
         history = mk_history([[aborted([("r", "x", 1), ("r", "x", 2)])], [committed([("w", "x", 1), ("w", "x", 2)])]])
-        assert check_internal_consistency(history).int_violations == []
+        assert completeness_gate(history).int_violations == []
 
 
 class TestAbortedAndIntermediateReads:
@@ -217,7 +215,7 @@ class TestAbortedAndIntermediateReads:
         history = mk_history(
             [[aborted([("w", "x", 9)])], [committed([("r", "x", 9)])]]
         )
-        report = check_aborted_and_intermediate_reads(history)
+        report = completeness_gate(history)
         assert report.aborted_reads == [((1, 0), 0, (0, 0))]
         assert report.intermediate_reads == []
 
@@ -225,7 +223,7 @@ class TestAbortedAndIntermediateReads:
         history = mk_history(
             [[committed([("w", "x", 1), ("w", "x", 2)])], [committed([("r", "x", 1)])]]
         )
-        report = check_aborted_and_intermediate_reads(history)
+        report = completeness_gate(history)
         assert report.intermediate_reads == [((1, 0), 0, (0, 0))]
         assert report.aborted_reads == []
 
@@ -236,7 +234,7 @@ class TestAbortedAndIntermediateReads:
     def test_dangling_read(self):
         history = mk_history([[committed([("r", "x", 42)])]])
         with pytest.raises(DanglingReadError):
-            check_aborted_and_intermediate_reads(history)
+            completeness_gate(history)
 
     def test_gate_matches_empty_lists(self, lost_update):
         # The gate passes exactly when all three lists are empty; a violating

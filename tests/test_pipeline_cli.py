@@ -68,6 +68,15 @@ class TestCheckSi:
         verdict = check_si(long_fork, emit_encoding_path=str(tmp_path / "enc.txt"))
         for phase in ("gate", "construct", "prune", "encode", "solve", "interpret", "total"):
             assert phase in verdict.timings_ms
+        # The witness check is timed on its own whenever the solver ran.
+        sat = generate(WorkloadParams(sessions=5, txns_per_session=4, ops_per_txn=3, keys=4, seed=35))
+        solved = 0
+        for history in (long_fork, sat, immediate_violation_history()):
+            for no_prune in (False, True):
+                timings = check_si(history, no_prune=no_prune).timings_ms
+                assert ("verify" in timings) == ("solve" in timings)
+                solved += "solve" in timings
+        assert solved == 5
 
     def test_no_encoding_built_without_emit_path(self, long_fork, lost_update, monkeypatch):
         def boom(*args, **kwargs):

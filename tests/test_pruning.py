@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 from contextlib import contextmanager
@@ -295,14 +296,24 @@ _RANK = {SO: 0, WR: 1, WW: 2, RW: 3}
 
 
 def _reference_fields(graph) -> tuple:
-    """The index fields computed directly from the known edges, sharing no code with it."""
+    """The index fields computed directly from the known edges, sharing no code with it.
+
+    The initial writer's edges are the exception: its A row and its K row
+    are both the set of their targets, it is no vertex's A-predecessor and
+    it labels no pair. Every other edge sets its layer's bit and label, and
+    an A edge its predecessor bit; K is A plus A∘B.
+    """
     vindex = {v: i for i, v in enumerate(graph.vertices)}
     n = len(vindex)
     a_adj, b_adj, a_pred = [0] * n, [0] * n, [0] * n
     a_label: dict = {}
     b_label: dict = {}
+    init = vindex.get(INIT_TXN)
     for edge in graph.known_edges:
         i, j = vindex[edge[0]], vindex[edge[1]]
+        if i == init:
+            a_adj[i] |= 1 << j
+            continue
         adj, labels = (b_adj, b_label) if edge[2] == RW else (a_adj, a_label)
         adj[i] |= 1 << j
         if edge[2] != RW:
@@ -312,7 +323,7 @@ def _reference_fields(graph) -> tuple:
     k_adj = list(a_adj)
     for i in range(n):
         for m in range(n):
-            if (a_adj[i] >> m) & 1:
+            if i != init and (a_adj[i] >> m) & 1:
                 k_adj[i] |= b_adj[m]
     return (a_adj, b_adj, a_pred, a_label, b_label, k_adj, floyd_warshall_reach(n, k_adj))
 
@@ -322,7 +333,8 @@ def audited_updates():
     """Check every KnownIndex.add_edges and with_reach call while active.
 
     After each call the index must equal a fresh build over the graph's known
-    edges and the directly computed reference; before its closure is computed
+    edges and the directly computed reference, which states how the initial
+    writer's edges are left out of it; before its closure is computed
     the closure field is left out of both. Its chains must equal the fresh
     build's. The set add_edges returns must name exactly the vertices whose
     reach or A-predecessor row changed. Counts prune updates (calls on an
@@ -403,6 +415,65 @@ def workload_histories(draw):
     history = generate(params)
     kind = draw(st.sampled_from((None, "long-fork", "lost-update", "causality-violation")))
     return history if kind is None else inject(history, kind, params.seed)
+
+
+def _initial_writer_row(graph) -> int:
+    """Every committed writer plus every reader of an initial value, as a row."""
+    vindex = {v: i for i, v in enumerate(graph.vertices)}
+    targets = {w for writers in graph.writers.values() for w in writers}
+    targets |= {reader for (_, reader), writer in graph.read_from.items() if writer == INIT_TXN}
+    return sum(1 << vindex[v] for v in targets)
+
+
+def _gated_graphs(seeds: int):
+    """Built polygraphs of the random and injected histories that pass the gate."""
+    histories = [random_small_history(seed) for seed in range(seeds)]
+    for history in histories + list(injected_histories()):
+        if completeness_gate(history).ok():
+            yield history, build_polygraph(history)
+
+
+class TestInitialWriterRow:
+    """The initial writer lies on no cycle: the index sets its A and K rows
+    to one mask instead of folding its edges."""
+
+    def test_nothing_reaches_it(self):
+        for _, graph in _gated_graphs(600):
+            assert INIT_TXN == graph.vertices[0]
+            index = KnownIndex(graph).with_reach()
+            outcome = prune_constraints(graph)
+            for reach in (index.reach, outcome.index.reach if outcome.index else []):
+                assert not any(row & 1 for row in reach)
+
+    def test_row_is_the_writer_and_initial_reader_mask(self):
+        for _, graph in _gated_graphs(600):
+            index = KnownIndex(graph)
+            mask = _initial_writer_row(graph)
+            folded = sum({1 << index.vindex[e[1]] for e in graph.known_edges if e[0] == INIT_TXN})
+            assert index.a_adj[0] == index.k_adj[0] == mask == folded
+            assert not any(row & 1 for row in index.a_pred)
+            assert not any(i == 0 for i, _ in index.a_label)
+
+    def test_prune_and_check_as_when_folded(self, monkeypatch):
+        def outcomes(history, graph):
+            outcome = prune_constraints(graph.clone())
+            violation = outcome.violation
+            cycles = violation and (violation.either_cycle, violation.or_cycle)
+            return (outcome.resolved_per_iteration, sorted(outcome.graph.constraints), cycles,
+                    outcome.index and outcome.index.reach,
+                    json.dumps(pipeline.check_si(history).to_json_dict(), sort_keys=True),
+                    json.dumps(pipeline.check_si(history, no_prune=True).to_json_dict(),
+                               sort_keys=True))
+
+        cases = list(_gated_graphs(600))
+        expected = [outcomes(history, graph) for history, graph in cases]
+        # With no vertex taken for the initial writer, the index folds its
+        # edges like any other edge.
+        monkeypatch.setattr(pruning, "INIT_TXN", object())
+        assert sum(any(row & 1 for row in KnownIndex(graph).a_pred) for _, graph in cases) > 500
+        folded = [outcomes(history, graph) for history, graph in cases]
+        assert folded == expected
+        assert sum(1 for e in expected if e[2]) > 10
 
 
 class TestIncrementalIndex:
