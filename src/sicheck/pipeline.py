@@ -180,10 +180,11 @@ def check_si(
 @collector_paused
 def pruning_stats(history: History) -> tuple[tuple[int, int], tuple[int, int]]:
     """(constraints, unknown deps) before and after pruning, for reporting."""
-    gate = completeness_gate(history)
-    if not gate.ok():
+    walk = walk_ops(history)
+    if not completeness_gate(history, walk).ok():
         raise SicheckError("history fails the completeness gate; no constraint stats")
-    graph = build_polygraph(history)
+    graph = build_polygraph(history, walk)
+    del walk
     before = constraint_count(graph)
     prune_constraints(graph)
     after = constraint_count(graph)

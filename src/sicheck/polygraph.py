@@ -7,9 +7,8 @@ pair of writers of a key contributes one constraint with two branches: the
 that ordering forces, the "or" branch is symmetric. Exactly one branch of
 each constraint must hold in any explanation of the history.
 
-The virtual initial writer is first in every version order by construction,
-so its constraints are resolved immediately into known edges instead of being
-generated and pruned.
+The virtual initial writer's pairs and those inside one read-modify-write
+run are ordered at construction, not generated (see `generate_constraints`).
 
 Construction reads each transaction's effective reads and writes and the
 (key, value) -> writer index from the history's `walk_ops`, which the
@@ -168,24 +167,60 @@ def create_known_graph(history: History, walk: OpsWalk | None = None) -> Polygra
     return graph
 
 
-def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
-    """Add one constraint per unordered pair of distinct writers of each key.
+def rmw_runs(graph: Polygraph, key: str) -> dict[TxnId, tuple[TxnId, int]]:
+    """(head, position) of each writer of `key` in an RMW run of two or more.
 
-    Constraints involving the virtual initial writer are resolved on the spot:
-    it precedes every real writer, so the corresponding write-order and
-    read-overwrite edges go straight into the known graph.
+    Writer w is the RMW successor of writer s when w read the key from s and
+    no other writer of the key did. A run is a maximal path of successors
+    from a head, a writer that is no one's successor: a fork ends the run,
+    and writers on a cycle of successors join none.
     """
-    known, constraints = graph.known_edges, graph.constraints
+    following: dict[TxnId, TxnId | None] = {}  # writer -> successor; None after a fork
+    for writer in graph.writers[key]:
+        source = graph.read_from.get((key, writer), INIT_TXN)
+        if source != INIT_TXN:
+            following[source] = None if source in following else writer
+    if not following:
+        return {}
+    successors = set(following.values())
+    runs: dict[TxnId, tuple[TxnId, int]] = {}
+    for head in [s for s, w in following.items() if w is not None and s not in successors]:
+        writer, at = head, 0
+        while writer is not None:
+            runs[writer] = (head, at)
+            writer, at = following.get(writer), at + 1
+    return runs
+
+
+def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
+    """Add one constraint per unordered pair of distinct writers of each key,
+    but for the pairs of the virtual initial writer, which precedes every
+    real writer, and those inside one RMW run (`rmw_runs`), which come in
+    run order: s precedes its successor w, else WR s->w and WW w->s close a
+    cycle, and no x sits between them, as WW x->w and the RW w->x of
+    s-before-x compose to a self-loop at x. Such a pair's branch goes
+    straight into the known graph; prune would promote it in its first
+    iteration.
+    """
+    known, constraints, readers = graph.known_edges, graph.constraints, graph.readers
     for key, writers in graph.writers.items():
-        init_readers = graph.readers.get((key, INIT_TXN), ())
+        init_readers = readers.get((key, INIT_TXN), ())
         for writer in writers:
             known.append((INIT_TXN, writer, WW, key))
             for reader in init_readers:
                 if reader != writer:
                     known.append((reader, writer, RW, key))
+        runs = rmw_runs(graph, key) if len(writers) > 1 else {}
         for i, first in enumerate(writers[:-1]):
+            at = runs.get(first)
             for second in writers[i + 1 :]:
-                constraints[key, first, second] = Constraint(key, first, second)
+                to = at and runs.get(second)
+                if not to or at[0] != to[0]:
+                    constraints[key, first, second] = Constraint(key, first, second)
+                    continue
+                src, dst = (first, second) if at[1] < to[1] else (second, first)
+                known.append((src, dst, WW, key))
+                known.extend([(r, dst, RW, key) for r in readers.get((key, src), ()) if r != dst])
     return graph
 
 

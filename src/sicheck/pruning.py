@@ -301,10 +301,8 @@ def _blocked_cycle(index: KnownIndex, graph: Polygraph, cons: Constraint, branch
 
 
 def known_origin(graph: Polygraph, edge: Edge) -> Origin:
-    """Origin of a known edge: promoted by pruning, or known from the start.
-
-    Only promotion makes a known edge that belongs to a constraint branch.
-    """
+    """Origin of a known edge: resolved from a writer pair's branch (by
+    prune, or by construct's RMW-run order), or known from the start."""
     owner = owning_branch(graph, edge)
     return KNOWN_ORIGIN if owner is None else ("resolved", *owner)
 

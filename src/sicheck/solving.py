@@ -417,8 +417,8 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
             if edge not in known:
                 return False
         elif origin[0] == "resolved":
-            # A promoted edge: prune closed its constraint, a pair of writers
-            # of the key, and the edge is in the branch that survived.
+            # A resolved edge: prune or construct closed its constraint, a
+            # pair of writers of the key, and the edge is in the branch kept.
             key, first, second = origin[1]
             writers = graph.writers.get(key, ())
             if edge not in known or origin[1] in graph.constraints:

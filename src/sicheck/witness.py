@@ -11,8 +11,9 @@ from .polygraph import RW, Edge
 # Where a dependency edge comes from:
 #   ("known",)                    original session-order / writer-reader edge,
 #                                 or an initial-writer axiom edge
-#   ("resolved", cid, branch)     promoted to known when pruning killed the
-#                                 opposite branch of constraint cid
+#   ("resolved", cid, branch)     known from the branch of writer pair cid that
+#                                 prune kept, or that construct ordered in an
+#                                 RMW run
 #   ("branch", cid, branch)       taken from a still-open constraint branch
 Origin = tuple
 

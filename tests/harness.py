@@ -17,11 +17,11 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import LimitExceededError
-from .histories import ABORTED, COMMITTED, History, Operation, Transaction, serialize_history
-from .polygraph import Edge, Polygraph
-from .explain import EdgeUniverse, _first_gap
-from .witness import has_adjacent_rw
+from sicheck.errors import LimitExceededError
+from sicheck.histories import ABORTED, COMMITTED, History, Operation, Transaction, serialize_history
+from sicheck.polygraph import Edge, Polygraph
+from sicheck.explain import EdgeUniverse, _first_gap
+from sicheck.witness import has_adjacent_rw
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +184,8 @@ def _all_undesired_cycles(universe: EdgeUniverse, max_cycles: int) -> list[tuple
     return cycles
 
 
-def record_failure(suite: str, seed: int, history: History, base: Path | str = "tests/corpus") -> Path:
+def record_failure(suite: str, seed: int, history: History,
+                   base: Path | str = Path(__file__).parent / "corpus") -> Path:
     """Persist a failing seed's history for regression under tests/corpus/<suite>/."""
     directory = Path(base) / suite
     directory.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,8 @@
 Times `parse_history`, `completeness_gate` and `build_polygraph` on the
 first `uniform-10k` history of run seed 1, where the three are a large
 share of a check (the gate and the build each walk the ops, as they do
-when called alone);
+when called alone), and `build_polygraph` again on the first `rmw-chains`
+history, where construct orders every writer pair of the RMW runs;
 `tarjan_scc`, `reach_masks`, the `KnownIndex` build, each closure
 update of prune (`KnownIndex.add_edges`), the prune branch tests, the solver's search, its Pearce–Kelly order repair and one
 out-of-order retraction on the known induced graphs of the benchmark's
@@ -59,6 +60,12 @@ def test_completeness_gate(benchmark, front_end):
 def test_build_polygraph(benchmark, front_end):
     """Known graph, then constraints, with the collector paused as `check_si` runs it."""
     benchmark(collector_paused(build_polygraph), front_end[1])
+
+
+def test_build_polygraph_rmw_chains(benchmark):
+    """Construct where RMW runs cover every writer: known edges, no constraints."""
+    history = parse_history(WORKLOADS["rmw-chains"].case(SEED).data)
+    benchmark(collector_paused(build_polygraph), history)
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))

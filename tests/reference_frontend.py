@@ -6,6 +6,10 @@ Each op is validated on its own by `_parse_op`; the gate walks the history
 once for the INT check and again for the aborted and intermediate reads,
 over a write index of its own; construction derives each transaction's
 effective reads and writes and a committed writer index once more.
+Construction orders the writer pairs inside read-modify-write runs by a
+rule written apart from `polygraph.rmw_runs` (`rmw_run_pairs`);
+`rmw_runs=False` leaves them to constraints, the construction without runs
+that `test_polygraph.py`'s differential test compares with.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from sicheck.histories import (
     TxnId,
     txn_label,
 )
-from sicheck.polygraph import RW, SO, WR, WW, Constraint, Edge, Polygraph
+from sicheck.polygraph import EITHER, OR, RW, SO, WR, WW, Constraint, Edge, Polygraph
 
 _TXN_FIELDS = frozenset({"index", "status", "ops"})
 _OP_FIELDS = frozenset({"t", "k", "v"})
@@ -299,12 +303,45 @@ def create_known_graph(history: History) -> Polygraph:
     return graph
 
 
-def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
+def rmw_run_pairs(graph: Polygraph, key: str) -> dict[tuple[TxnId, TxnId], TxnId]:
+    """The writer pairs of `key` inside one read-modify-write run, each
+    (lower id, higher id) mapped to the writer the run puts first.
+
+    A writer's run predecessor is the writer it read the key from, when that
+    is a real writer whose value no other writer of the key read. Walking
+    predecessors back from a writer lists the writers before it in its run;
+    a walk that comes back to its start is a cycle, and such writers are in
+    no run.
+    """
+    writers = graph.writers[key]
+
+    def predecessor(writer: TxnId) -> TxnId | None:
+        source = graph.read_from.get((key, writer))
+        if source is None or source == INIT_TXN:
+            return None
+        overwriting = [r for r in graph.readers[(key, source)] if r in writers]
+        return source if overwriting == [writer] else None
+
+    pairs: dict[tuple[TxnId, TxnId], TxnId] = {}
+    for later in writers:
+        earlier: list[TxnId] = []
+        walk = predecessor(later)
+        while walk is not None and walk != later and walk not in earlier:
+            earlier.append(walk)
+            walk = predecessor(walk)
+        if walk is None:
+            for writer in earlier:
+                pairs[min(writer, later), max(writer, later)] = writer
+    return pairs
+
+
+def generate_constraints(history: History, graph: Polygraph, rmw_runs: bool = True) -> Polygraph:
     """Add one constraint per unordered pair of distinct writers of each key.
 
     Constraints involving the virtual initial writer are resolved on the spot:
     it precedes every real writer, so the corresponding write-order and
-    read-overwrite edges go straight into the known graph.
+    read-overwrite edges go straight into the known graph. With `rmw_runs`,
+    so are the pairs inside one read-modify-write run, in run order.
     """
     for key, writers in graph.writers.items():
         init_readers = graph.readers.get((key, INIT_TXN), ())
@@ -314,12 +351,18 @@ def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
             for reader in init_readers:
                 if reader != writer:
                     graph.known_edges.append((reader, writer, RW, key))
+        forced = rmw_run_pairs(graph, key) if rmw_runs else {}
         for i, first in enumerate(writers):
             for second in writers[i + 1 :]:
                 cons = Constraint(key, first, second)
-                graph.constraints[cons.id] = cons
+                earlier = forced.get(cons.id[1:])
+                if earlier is None:
+                    graph.constraints[cons.id] = cons
+                else:
+                    branch = EITHER if earlier == first else OR
+                    graph.known_edges.extend(cons.edges(graph, branch))
     return graph
 
 
-def build_polygraph(history: History) -> Polygraph:
-    return generate_constraints(history, create_known_graph(history))
+def build_polygraph(history: History, rmw_runs: bool = True) -> Polygraph:
+    return generate_constraints(history, create_known_graph(history), rmw_runs)

@@ -16,7 +16,7 @@ import pytest
 
 from sicheck.cli import main
 from sicheck.explain import EdgeUniverse
-from sicheck.harness import minimal_counterexample_size, random_small_history, record_failure
+from harness import minimal_counterexample_size, random_small_history, record_failure
 from sicheck.histories import parse_history, serialize_history
 from sicheck.oracle import oracle_check
 from sicheck.pipeline import check_si, pruning_stats

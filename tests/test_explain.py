@@ -17,7 +17,7 @@ from sicheck.explain import (
     restore_rw_context,
     undesired_cycles,
 )
-from sicheck.harness import minimal_counterexample_size, random_small_history
+from harness import minimal_counterexample_size, random_small_history
 from sicheck.histories import INIT_TXN, completeness_gate
 from sicheck.pipeline import check_si
 from sicheck.polygraph import RW, SO, WR, WW, build_polygraph

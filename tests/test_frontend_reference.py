@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_frontend as ref
 from sicheck.errors import SicheckError
-from sicheck.harness import random_small_history
+from harness import random_small_history
 from sicheck.histories import (
     INT64_MAX,
     INT64_MIN,

@@ -18,7 +18,7 @@ from sicheck import histories, pipeline, pruning
 from sicheck.cli import main
 from sicheck.errors import BudgetExceededError, FormatError, SicheckError
 from sicheck.gcpause import collector_paused
-from sicheck.harness import random_small_history
+from harness import random_small_history
 from sicheck.histories import parse_history, serialize_history
 from sicheck.pipeline import check_si
 from sicheck.workload import WorkloadParams, generate
@@ -107,12 +107,13 @@ class TestRestored:
         assert not gc.isenabled()
 
     def test_stats_paused_while_running_and_enabled_after(self, monkeypatch, tmp_path, capsys):
-        seen = []
+        seen, walked = [], []
         gate = pipeline.completeness_gate
 
-        def probed(history):
+        def probed(history, walk=None):
             seen.append(gc.isenabled())
-            return gate(history)
+            walked.append(walk is not None)
+            return gate(history, walk)
 
         monkeypatch.setattr(pipeline, "completeness_gate", probed)
         path = tmp_path / "sat.json"
@@ -130,6 +131,8 @@ class TestRestored:
             pipeline.pruning_stats(failing)
         assert gc.isenabled()
         assert seen == [False, False, False]
+        # The gate reads the walk that construction reads too.
+        assert walked == [True, True, True]
         capsys.readouterr()
 
     def test_nested_calls_restore_once(self):

@@ -1,7 +1,7 @@
 import pytest
 
 from sicheck.errors import DanglingReadError
-from sicheck.harness import (
+from harness import (
     HistoryBounds,
     minimal_counterexample_size,
     random_small_history,

@@ -1,6 +1,10 @@
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from sicheck.histories import COMMITTED, INIT_TXN, History, Operation, Transaction
+import reference_frontend as ref
+from sicheck.histories import COMMITTED, INIT_TXN, History, Operation, Transaction, parse_history
 from sicheck.polygraph import (
     EITHER,
     OR,
@@ -13,10 +17,14 @@ from sicheck.polygraph import (
     constraint_count,
     create_known_graph,
     generate_constraints,
+    owning_branch,
+    rmw_runs,
 )
 from sicheck.explain import EdgeUniverse
-from sicheck.harness import HistoryBounds, random_small_history
+from harness import HistoryBounds, random_small_history
+from sicheck.pipeline import check_si
 from sicheck.pruning import prune_constraints
+from sicheck.solving import solve, verify_witness
 from sicheck.histories import completeness_gate, effective_reads_writes
 from sicheck.witness import KNOWN_ORIGIN
 from sicheck.workload import WorkloadParams, generate
@@ -49,8 +57,9 @@ class TestKnownGraph:
         assert (INIT_TXN, (1, 0), WR, "y") in graph.known_edges
 
     def test_only_initial_writer_order_edges_before_pruning(self, long_fork):
-        # Before pruning, the only WW edges are the initial writer's axioms
-        # and the only RW edges come from reads of the initial value.
+        # The long fork has no RMW run, so before pruning the only WW edges
+        # are the initial writer's axioms and the only RW edges come from
+        # reads of the initial value.
         graph = build_polygraph(long_fork)
         for src, dst, label, key in graph.known_edges:
             if label == WW:
@@ -142,9 +151,11 @@ class TestConstraints:
             if not completeness_gate(history).ok():
                 continue
             graph = build_polygraph(history)
+            # Every writer pair but those inside one RMW run, which construct orders.
+            in_runs = sum(len(ref.rmw_run_pairs(graph, key)) for key in graph.writers)
             expected = sum(
                 len(ws) * (len(ws) - 1) // 2 for ws in graph.writers.values()
-            )
+            ) - in_runs
             assert len(graph.constraints) == expected
             # The unknown-dependency count is the branch edge lists' total,
             # also on what prune leaves.
@@ -196,16 +207,30 @@ class TestExpansionEquivalence:
         return out
 
     def test_matches_plain_construction(self):
-        checked = 0
+        """Open constraints expand to the plain ones of every writer pair
+        outside the RMW runs; each plain constraint of a pair inside one has
+        one of its two edges known."""
+        checked = in_runs = 0
         bounds = HistoryBounds(max_writers_per_key=6, max_txns=8, max_ops_per_txn=4)
         for seed in range(120):
             history = random_small_history(seed, bounds)
             if not completeness_gate(history).ok():
                 continue
             graph = build_polygraph(history)
-            assert self.expanded(graph) == self.plain_constraints(history)
+            runs = {(key, *pair) for key in graph.writers for pair in ref.rmw_run_pairs(graph, key)}
+
+            def in_run(plain):
+                other, writer, _, key = plain[0]
+                return (key, min(other, writer), max(other, writer)) in runs
+
+            plain = self.plain_constraints(history)
+            assert self.expanded(graph) == {c for c in plain if not in_run(c)}
+            known = set(graph.known_edges)
+            for ww, rw in filter(in_run, plain):
+                assert ww in known or rw in known
+                in_runs += 1
             checked += 1
-        assert checked > 50
+        assert checked > 50 and in_runs > 20
 
 
 class TestConstraintLookup:
@@ -221,3 +246,140 @@ class TestConstraintLookup:
         universe = EdgeUniverse(build_polygraph(long_fork))
         assert universe.origin_of((T0, T5, SO, None)) == KNOWN_ORIGIN
         assert universe.origin_of((T1, T3, WR, "x")) == KNOWN_ORIGIN
+
+
+RMW_RUNS = Path(__file__).parent / "corpus" / "rmw-runs"
+
+
+class TestRmwRuns:
+    """The histories of `tests/corpus/rmw-runs/`: the RMW runs, constraints
+    and ordered pair edges construct gives each, and the check's verdict,
+    pruned and not. Transactions: A = T(0,0), B = T(1,0), C = T(2,0),
+    D = T(3,0); key x."""
+
+    A, B, C, D = (0, 0), (1, 0), (2, 0), (3, 0)
+
+    @staticmethod
+    def case(name, verdict):
+        history = parse_history((RMW_RUNS / f"{name}.json").read_bytes())
+        for no_prune in (False, True):
+            checked = check_si(history, no_prune=no_prune)
+            assert (checked.outcome, checked.classification) == verdict
+        graph = build_polygraph(history)
+        # Before pruning, only construct's run order puts branch edges in the known graph.
+        ordered = [edge for edge in graph.known_edges if owning_branch(graph, edge) is not None]
+        return graph, sorted(graph.constraints), ordered
+
+    def test_head_read_initial_value(self):
+        # A read x from the initial writer, B from A, C from B; D only reads A's x.
+        A, B, C, D = self.A, self.B, self.C, self.D
+        graph, constraints, ordered = self.case("head-read-init", ("si-holds", None))
+        assert rmw_runs(graph, "x") == {A: (A, 0), B: (A, 1), C: (A, 2)}
+        assert constraints == []
+        assert ordered == [
+            (A, B, WW, "x"), (D, B, RW, "x"),
+            (A, C, WW, "x"), (B, C, RW, "x"), (D, C, RW, "x"),
+            (B, C, WW, "x"),
+        ]
+
+    def test_fork_at_committed_writer(self):
+        # B overwrites A's x; C and D both overwrite B's: the run A, B ends
+        # there, and C and D each head a run of one.
+        A, B, C, D = self.A, self.B, self.C, self.D
+        graph, constraints, ordered = self.case("fork-at-committed-writer",
+                                                ("violation", "lost-update"))
+        assert rmw_runs(graph, "x") == {A: (A, 0), B: (A, 1)}
+        assert constraints == [("x", A, C), ("x", A, D), ("x", B, C), ("x", B, D), ("x", C, D)]
+        assert ordered == [(A, B, WW, "x")]
+
+    def test_two_writer_read_cycle(self):
+        # A and B each overwrite the other's x: no head, so no run.
+        A, B = self.A, self.B
+        graph, constraints, ordered = self.case("two-writer-read-cycle",
+                                                ("violation", "unclassified"))
+        assert rmw_runs(graph, "x") == {}
+        assert constraints == [("x", A, B)]
+        assert ordered == []
+
+    def test_run_broken_by_aborted_writer(self):
+        # The aborted T(0,1) overwrote A's x; B writes blind and C overwrites
+        # B's x. Only committed transactions link a run: A is alone.
+        A, B, C = self.A, self.B, self.C
+        graph, constraints, ordered = self.case("broken-by-aborted-writer", ("si-holds", None))
+        assert rmw_runs(graph, "x") == {B: (B, 0), C: (B, 1)}
+        assert constraints == [("x", A, B), ("x", A, C)]
+        assert ordered == [(B, C, WW, "x")]
+
+    def test_run_against_session_order(self):
+        # The run T(0,1), B, A puts A last, but A precedes T(0,1) in session 0.
+        A, A2, B = self.A, (0, 1), self.B
+        graph, constraints, ordered = self.case("contradicts-session-order",
+                                                ("violation", "causality-violation"))
+        assert rmw_runs(graph, "x") == {A2: (A2, 0), B: (A2, 1), A: (A2, 2)}
+        assert constraints == []
+        assert ordered == [(A2, A, WW, "x"), (B, A, RW, "x"), (B, A, WW, "x"), (A2, B, WW, "x")]
+
+
+class TestRmwRunDifferential:
+    """Construct with RMW runs against the reference construction without
+    them (`reference_frontend.build_polygraph(history, rmw_runs=False)`)."""
+
+    INDEX_FIELDS = ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "a_label", "b_label")
+
+    @staticmethod
+    def outcome(graph, no_prune):
+        """sat or unsat; every solver witness must pass verification."""
+        index = None
+        if not no_prune:
+            pruned = prune_constraints(graph)
+            if pruned.verdict != "ok":
+                return "unsat", None
+            index = pruned.index
+        result = solve(graph, index=index)
+        assert verify_witness(result, graph)
+        return result.status, index
+
+    def test_random_histories(self):
+        counts = Counter()
+        for seed in range(3000):
+            history = random_small_history(seed)
+            if not completeness_gate(history).ok():
+                continue
+            graph = build_polygraph(history)
+            plain = ref.build_polygraph(history, rmw_runs=False)
+            # Each pair inside a run: no constraint, its forced branch's
+            # edges known once each, and nothing else differs.
+            known = Counter(graph.known_edges)
+            ordered, in_runs = Counter(), set()
+            for key in graph.writers:
+                runs = rmw_runs(graph, key)
+                for writer, (head, at) in runs.items():
+                    for other, (other_head, other_at) in runs.items():
+                        if head == other_head and at < other_at:
+                            cons = Constraint(key, min(writer, other), max(writer, other))
+                            in_runs.add(cons.id)
+                            ordered.update(cons.edges(graph, EITHER if writer < other else OR))
+            assert all(known[edge] == 1 for edge in ordered)
+            assert known == Counter(plain.known_edges) + ordered
+            assert in_runs <= plain.constraints.keys()
+            assert graph.constraints == {cid: cons for cid, cons in plain.constraints.items()
+                                         if cid not in in_runs}
+            counts["pairs"] += len(in_runs)
+
+            for no_prune in (False, True):
+                status, index = self.outcome(graph.clone(), no_prune)
+                plain_status, plain_index = self.outcome(plain.clone(), no_prune)
+                assert status == plain_status, (seed, no_prune)
+                counts[status, bool(ordered)] += 1
+            if status == "sat":
+                # A clean history reaches prune's fixpoint of the reference.
+                pruned, plain_pruned = graph.clone(), plain.clone()
+                index = prune_constraints(pruned).index
+                plain_index = prune_constraints(plain_pruned).index
+                for name in self.INDEX_FIELDS:
+                    assert getattr(index, name) == getattr(plain_index, name), (seed, name)
+                assert constraint_count(pruned) == constraint_count(plain_pruned)
+                assert pruned.constraints == plain_pruned.constraints
+        assert counts["pairs"] > 1000
+        assert min(counts[status, runs] for status in ("sat", "unsat")
+                   for runs in (False, True)) > 200, counts

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from sicheck.errors import LimitExceededError
-from sicheck.harness import (
+from harness import (
     HistoryBounds,
     minimal_counterexample_size,
     random_small_history,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sicheck import pipeline, pruning
 from sicheck.graphs import chain_starts, extend_reach, iter_bits, reach_masks
-from sicheck.harness import random_small_history
+from harness import random_small_history
 from sicheck.polygraph import (
     EITHER, OR, RW, SO, WR, WW, Constraint, Polygraph, build_polygraph,
 )
@@ -202,7 +202,7 @@ class TestImmediateViolation:
 
 class TestPruneProperties:
     def test_iteration_bound_and_monotonicity(self):
-        from sicheck.harness import random_small_history
+        from harness import random_small_history
 
         for seed in range(60):
             history = random_small_history(seed)
