@@ -21,10 +21,12 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from typing import IO
 
 from .graphs import iter_bits
-from .polygraph import EITHER, OR, Constraint, Edge, Polygraph
+from .histories import INIT_TXN
+from .polygraph import EITHER, OR, SO, Constraint, Edge, Polygraph, initial_edges, rmw_runs
 from .pruning import KnownIndex
 
 Pair = tuple[int, int]
@@ -34,7 +36,8 @@ Pair = tuple[int, int]
 class Encoding:
     # The polygraph's index with every open branch edge taken as known.
     index: KnownIndex
-    # The polygraph's own known edges, unit-true, in creation order.
+    # The polygraph's known edges, the initial writer's derived ones too,
+    # unit-true, in creation order (`creation_order`).
     known_edges: list[Edge]
     # Per open constraint, in id order: the pairs of its either and its or branch.
     clauses: list[tuple[list[Pair], list[Pair]]]
@@ -54,6 +57,42 @@ def _branch_pairs(index: KnownIndex, cons: Constraint, branch: str) -> list[Pair
     return [(s, d), *((r, d) for r in readers if r != d)]
 
 
+def _run_edge_count(graph: Polygraph, key: str) -> int:
+    """How many edges construct listed for the RMW-run pairs of `key`: per
+    pair, s -WW-> d and r -RW-> d for every reader r of s but d."""
+    runs = rmw_runs(graph, key)
+    count = 0
+    for src, (head, at) in runs.items():
+        readers = graph.readers.get((key, src), ())
+        count += sum(1 + len(readers) - (dst in readers)
+                     for dst, (other, to) in runs.items() if other == head and to > at)
+    return count
+
+
+def creation_order(graph: Polygraph) -> Iterator[Edge]:
+    """The known edges with the initial writer's merged back in where
+    construct once listed them: the session-order edges; the WR edges in
+    `read_from` order; per key, each writer's init -WW-> edge just before
+    the RW edges from the key's initial readers to it, then the key's run
+    edges; then the edges prune promoted. A key's run edges are counted,
+    not told apart by key: prune may promote an edge of any key.
+    """
+    listed, derived = iter(graph.known_edges), initial_edges(graph)
+    sessions = next((i for i, e in enumerate(graph.known_edges) if e[2] != SO),
+                    len(graph.known_edges))
+    yield from islice(listed, sessions)
+    for writer in graph.read_from.values():
+        yield next(derived if writer == INIT_TXN else listed)
+    for key, writers in graph.writers.items():
+        init_readers = graph.readers.get((key, INIT_TXN), ())
+        for writer in writers:
+            yield next(derived)
+            yield from islice(listed, len(init_readers) - (writer in init_readers))
+        if key in graph.rmw_keys:
+            yield from islice(listed, _run_edge_count(graph, key))
+    yield from listed
+
+
 def encode(graph: Polygraph) -> Encoding:
     """Build the Boolean views of a (typically pruned) polygraph."""
     constraints = [graph.constraints[cid] for cid in sorted(graph.constraints)]
@@ -62,7 +101,7 @@ def encode(graph: Polygraph) -> Encoding:
     index = KnownIndex(dataclasses.replace(graph, known_edges=[*graph.known_edges, *potential]))
     return Encoding(
         index=index,
-        known_edges=list(graph.known_edges),
+        known_edges=list(creation_order(graph)),
         clauses=[(_branch_pairs(index, cons, EITHER), _branch_pairs(index, cons, OR))
                  for cons in constraints],
         pair_count=sum((a | b).bit_count() for a, b in zip(index.a_adj, index.b_adj)),
@@ -108,7 +147,8 @@ def export_encoding(enc: Encoding, sink: IO[bytes]) -> None:
     """Deterministic text dump of the variables, clauses, and the acyclicity goal.
 
     Layout: header; variables sorted by (layer, i, j); one `e` line per known
-    labeled edge in creation order (unit truth of its pair); one `c` line per
+    labeled edge in creation order (unit truth of its pair), the initial
+    writer's derived edges included (`creation_order`); one `c` line per
     constraint; one `d` line per supported induced pair; a trailer declaring
     the acyclicity obligation over the induced layer.
     """

@@ -1,14 +1,22 @@
 """Dependency polygraph construction: known edges plus write-order constraints.
 
 The known graph holds session-order and writer-to-reader edges between
-committed transactions (plus the virtual initial writer). Every unordered
-pair of writers of a key contributes one constraint with two branches: the
-"either" branch orders the pair one way and carries the read-overwrite edges
-that ordering forces, the "or" branch is symmetric. Exactly one branch of
-each constraint must hold in any explanation of the history.
+committed transactions. Every unordered pair of writers of a key contributes
+one constraint with two branches: the "either" branch orders the pair one
+way and carries the read-overwrite edges that ordering forces, the "or"
+branch is symmetric. Exactly one branch of each constraint must hold in any
+explanation of the history.
 
-The virtual initial writer's pairs and those inside one read-modify-write
-run are ordered at construction, not generated (see `generate_constraints`).
+The virtual initial writer writes every key and precedes every real writer.
+Its own edges, init -WR-> each reader of an initial value and init -WW->
+each committed writer, are derived from `read_from` and `writers` by
+`initial_edges` and never listed in `known_edges`: it has no incoming edge,
+so it lies on no cycle, and only the sat witness check and the encoding
+export ask for them. The read-overwrite edges its pairs force, from each
+reader of an initial value to each other writer of the key, are listed.
+
+The initial writer's pairs and those inside one read-modify-write run are
+ordered at construction, not generated (see `generate_constraints`).
 
 Construction reads each transaction's effective reads and writes and the
 (key, value) -> writer index from the history's `walk_ops`, which the
@@ -17,6 +25,7 @@ completeness gate reads too.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import SicheckError
@@ -106,6 +115,9 @@ class Polygraph:
     # Committed effective writers per key, sorted; the keys iterate in sorted
     # order, which constraint generation and the explainer's edge universe follow.
     writers: dict[str, tuple[TxnId, ...]] = field(default_factory=dict)
+    # Keys some writer read from a real writer: the only keys `rmw_runs` can
+    # find a run on.
+    rmw_keys: set[str] = field(default_factory=set)
 
     def clone(self) -> "Polygraph":
         return Polygraph(
@@ -115,11 +127,13 @@ class Polygraph:
             readers=self.readers,
             read_from=self.read_from,
             writers=self.writers,
+            rmw_keys=self.rmw_keys,
         )
 
 
 def create_known_graph(history: History, walk: OpsWalk | None = None) -> Polygraph:
-    """Build vertices, session-order edges, and writer-to-reader edges.
+    """Build vertices, session-order edges, and writer-to-reader edges, but
+    for the initial writer's (see `initial_edges`).
 
     The history must have passed the completeness gate: every committed read
     of a nonzero value then maps to exactly one committed writer whose final
@@ -153,18 +167,33 @@ def create_known_graph(history: History, walk: OpsWalk | None = None) -> Polygra
         for key in sorted(reads):
             value = reads[key]
             writer = walk.writer.get((key, value)) if value else INIT_TXN
-            # Only a committed writer's final write on the key counts.
-            if value and (writer not in effective or effective[writer][1][key] != value):
-                raise SicheckError(
-                    f"{txn_label(tid)} reads unmatched value {value} on {key!r}; "
-                    "run the completeness gate first"
-                )
-            graph.known_edges.append((writer, tid, WR, key))
+            if value:
+                # Only a committed writer's final write on the key counts.
+                if writer not in effective or effective[writer][1][key] != value:
+                    raise SicheckError(
+                        f"{txn_label(tid)} reads unmatched value {value} on {key!r}; "
+                        "run the completeness gate first"
+                    )
+                graph.known_edges.append((writer, tid, WR, key))
+                if key in effective[tid][1]:
+                    graph.rmw_keys.add(key)
             readers.setdefault((key, writer), []).append(tid)
             graph.read_from[(key, tid)] = writer
 
     graph.readers = {k: tuple(v) for k, v in readers.items()}
     return graph
+
+
+def initial_edges(graph: Polygraph) -> Iterator[Edge]:
+    """The initial writer's edges, which no list holds: init -WR-> each
+    reader of an initial value, in read order, then init -WW-> each
+    committed writer, key by key."""
+    for (key, reader), writer in graph.read_from.items():
+        if writer == INIT_TXN:
+            yield (INIT_TXN, reader, WR, key)
+    for key, writers in graph.writers.items():
+        for writer in writers:
+            yield (INIT_TXN, writer, WW, key)
 
 
 def rmw_runs(graph: Polygraph, key: str) -> dict[TxnId, tuple[TxnId, int]]:
@@ -199,18 +228,19 @@ def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
     run order: s precedes its successor w, else WR s->w and WW w->s close a
     cycle, and no x sits between them, as WW x->w and the RW w->x of
     s-before-x compose to a self-loop at x. Such a pair's branch goes
-    straight into the known graph; prune would promote it in its first
-    iteration.
+    straight into the known graph, but for the initial writer's WW edge
+    (`initial_edges`); prune would promote it in its first iteration.
+
+    Per key the listed edges come in this order: for each writer, the RW
+    edges from the readers of the initial value; then the run pairs' edges.
     """
     known, constraints, readers = graph.known_edges, graph.constraints, graph.readers
     for key, writers in graph.writers.items():
-        init_readers = readers.get((key, INIT_TXN), ())
-        for writer in writers:
-            known.append((INIT_TXN, writer, WW, key))
-            for reader in init_readers:
-                if reader != writer:
-                    known.append((reader, writer, RW, key))
-        runs = rmw_runs(graph, key) if len(writers) > 1 else {}
+        init_readers = readers.get((key, INIT_TXN))
+        if init_readers:
+            for writer in writers:
+                known.extend([(r, writer, RW, key) for r in init_readers if r != writer])
+        runs = rmw_runs(graph, key) if key in graph.rmw_keys else {}
         for i, first in enumerate(writers[:-1]):
             at = runs.get(first)
             for second in writers[i + 1 :]:

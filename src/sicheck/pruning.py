@@ -21,10 +21,10 @@ about as many chains as sessions. The closure is rebuilt instead only when
 the batch's source rows times the chains exceed twice the vertices.
 
 The virtual initial writer has no incoming edge, so it lies on no cycle and
-no `reach` row holds its bit. The index does not fold its edges: its A and K
-rows are the one row they would build, every committed writer plus every
-reader of an initial value, and it is no vertex's A-predecessor and labels
-no pair.
+no `reach` row holds its bit. Its edges are derived, never listed (see
+`polygraph`): the index gives its A and K rows the one row they would
+build, every committed writer plus every reader of an initial value, and
+it is no vertex's A-predecessor and labels no pair.
 
 If both branches of some constraint are impossible the history is violating
 and the outcome carries a witness cycle for each dead branch.
@@ -87,13 +87,12 @@ class KnownIndex:
         self.starts: list[int] = []
         # Rows of graph.readers in vertex-index space, filled as `branch` asks for them.
         self.readers: dict[tuple[str, TxnId], tuple[int, ...]] = {}
-        # The initial writer's row (see the module docstring); its edges are skipped.
-        self.init = self.vindex.get(INIT_TXN)
-        if self.init is not None:
+        # The initial writer's row (see the module docstring).
+        init = self.vindex.get(INIT_TXN)
+        if init is not None:
             init_readers = (rs for (_, writer), rs in graph.readers.items() if writer == INIT_TXN)
             targets = set().union(*graph.writers.values(), *init_readers)
-            row = sum(1 << self.vindex[v] for v in targets)
-            self.a_adj[self.init] = self.k_adj[self.init] = row
+            self.a_adj[init] = self.k_adj[init] = sum(1 << self.vindex[v] for v in targets)
         self.add_edges(graph.known_edges)
 
     def with_reach(self) -> "KnownIndex":
@@ -110,8 +109,6 @@ class KnownIndex:
         new_b: dict[int, int] = {}  # middle vertex -> its new B bits
         for edge in edges:
             i, j = vindex[edge[0]], vindex[edge[1]]
-            if i == self.init:
-                continue
             pair = (i, j)
             labels = self.b_label if edge[2] == RW else self.a_label
             old = labels.get(pair)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError
 from .graphs import find_cycle, iter_bits, tarjan_scc
 from .histories import TxnId
-from .polygraph import EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph
+from .polygraph import EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, initial_edges
 from .pruning import KnownIndex, k_middle, known_origin
 from .witness import Origin, WitnessCycle, has_adjacent_rw
 
@@ -379,7 +379,8 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
 
     A sat witness must assign a branch to every constraint, and no other
     constraint, and order the vertices so that every edge of the induced
-    graph it re-derives runs forward; an unsat cycle must be closed,
+    graph it re-derives runs forward, the initial writer's derived edges
+    (`initial_edges`) included; an unsat cycle must be closed,
     undesired, and justified edge by edge by its claimed provenance without
     drawing on both branches of any constraint.
     """
@@ -403,7 +404,8 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
         for src, dst, kind, _ in edges:
             if kind == RW and position[dst] < lowest[src]:
                 lowest[src] = position[dst]
-        return all(position[src] < lowest[dst] for src, dst, kind, _ in edges if kind != RW)
+        return (all(position[src] < lowest[dst] for src, dst, kind, _ in edges if kind != RW)
+                and all(position[src] < lowest[dst] for src, dst, _, _ in initial_edges(graph)))
 
     cycle = result.cycle
     if cycle is None or not cycle.deps or not cycle.closed():

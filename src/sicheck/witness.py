@@ -10,7 +10,7 @@ from .polygraph import RW, Edge
 
 # Where a dependency edge comes from:
 #   ("known",)                    original session-order / writer-reader edge,
-#                                 or an initial-writer axiom edge
+#                                 or a read-overwrite edge of an initial read
 #   ("resolved", cid, branch)     known from the branch of writer pair cid that
 #                                 prune kept, or that construct ordered in an
 #                                 RMW run

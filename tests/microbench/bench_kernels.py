@@ -11,7 +11,10 @@ out-of-order retraction on the known induced graphs of the benchmark's
 workload shapes
 (`perfbench/workloads.py`, first history of run seed 1), and the
 explainer's `EdgeUniverse` build and `find_cluster` on the same histories
-(these two only where the check finds a violation).
+(these two only where the check finds a violation). One probe measures
+memory, not time: the tracemalloc peak of `build_polygraph` plus
+`prune_constraints` on the first `uniform-10k` history, reported in
+`extra_info` and printed (run with `-s` to see it).
 The file name keeps it out of the default test run; run it from the
 repository root with
 
@@ -23,6 +26,7 @@ repository root with
 from __future__ import annotations
 
 import copy
+import tracemalloc
 
 import pytest
 
@@ -66,6 +70,23 @@ def test_build_polygraph_rmw_chains(benchmark):
     """Construct where RMW runs cover every writer: known edges, no constraints."""
     history = parse_history(WORKLOADS["rmw-chains"].case(SEED).data)
     benchmark(collector_paused(build_polygraph), history)
+
+
+def test_construct_and_prune_peak_memory(benchmark, front_end):
+    """tracemalloc peak, in MB, of construct plus prune, the collector paused."""
+
+    @collector_paused
+    def probe():
+        tracemalloc.start()
+        try:
+            prune_constraints(build_polygraph(front_end[1]))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_mb = round(benchmark.pedantic(probe, rounds=1, iterations=1) / 2**20, 1)
+    benchmark.extra_info["peak_mb"] = peak_mb
+    print(f"construct + prune tracemalloc peak: {peak_mb} MB")
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))

@@ -10,10 +10,16 @@ Construction orders the writer pairs inside read-modify-write runs by a
 rule written apart from `polygraph.rmw_runs` (`rmw_run_pairs`);
 `rmw_runs=False` leaves them to constraints, the construction without runs
 that `test_polygraph.py`'s differential test compares with.
+
+Construction here still lists the initial writer's edges among the known
+edges, as it did before they were derived; `split_initial_edges` takes them
+out, so the current construction can be compared with this one and tests
+can take those edges from here rather than from the code under test.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from sicheck.errors import (
@@ -366,3 +372,17 @@ def generate_constraints(history: History, graph: Polygraph, rmw_runs: bool = Tr
 
 def build_polygraph(history: History, rmw_runs: bool = True) -> Polygraph:
     return generate_constraints(history, create_known_graph(history), rmw_runs)
+
+
+def split_initial_edges(graph: Polygraph) -> tuple[Polygraph, list[Edge]]:
+    """A graph built here in the current layout, and the edges it dropped.
+
+    The layout lists no edge of the initial writer and names in `rmw_keys`
+    the keys some writer read from another real writer; the dropped edges
+    keep the order they were listed in.
+    """
+    initial = [edge for edge in graph.known_edges if edge[0] == INIT_TXN]
+    rest = [edge for edge in graph.known_edges if edge[0] != INIT_TXN]
+    rmw_keys = {key for (key, reader), writer in graph.read_from.items()
+                if writer != INIT_TXN and reader in graph.writers.get(key, ())}
+    return dataclasses.replace(graph, known_edges=rest, rmw_keys=rmw_keys), initial

@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from sicheck.encoding import branch_clause_text, encode, export_encoding
+import reference_frontend as ref
+from sicheck.encoding import branch_clause_text, creation_order, encode, export_encoding
 from sicheck.graphs import iter_bits
 from harness import HistoryBounds, random_small_history
-from sicheck.histories import completeness_gate
+from sicheck.histories import INIT_TXN, completeness_gate
 from sicheck.oracle import induced_graph
 from sicheck.polygraph import EITHER, OR, RW, build_polygraph
 from sicheck.pruning import KnownIndex, prune_constraints
 
-from conftest import T0, T1, T2, T3, T4, T5, committed, mk_history
+from conftest import T0, T1, T2, T3, T4, T5, committed, injected_histories, mk_history
 
 
 def paper_stage_encoding(long_fork):
@@ -187,6 +188,38 @@ class TestExport:
         assert induced == sorted(induced)
         assert len(poly) == enc.pair_count
         assert len(induced) == enc.induced_count
+
+
+class TestCreationOrder:
+    """The listed edges merged with the initial writer's derived ones, after
+    construct and after prune, are the reference construction's known edges
+    followed by the edges prune promoted."""
+
+    @staticmethod
+    def check(history, counts):
+        if not completeness_gate(history).ok():
+            return
+        graph = build_polygraph(history)
+        constructed = ref.build_polygraph(history).known_edges
+        assert list(creation_order(graph)) == constructed
+        listed = len(graph.known_edges)
+        prune_constraints(graph)
+        assert not any(edge[0] == INIT_TXN for edge in graph.known_edges)
+        assert list(creation_order(graph)) == constructed + graph.known_edges[listed:]
+        counts["promoted"] += len(graph.known_edges) > listed
+        counts["runs"] += bool(graph.rmw_keys)
+
+    def test_random_histories(self):
+        counts = {"promoted": 0, "runs": 0}
+        for seed in range(3000):
+            self.check(random_small_history(seed), counts)
+        assert min(counts.values()) > 500, counts
+
+    def test_injected_histories(self, long_fork, lost_update, causality_violation):
+        counts = {"promoted": 0, "runs": 0}
+        for history in [long_fork, lost_update, causality_violation, *injected_histories()]:
+            self.check(history, counts)
+        assert counts["promoted"] > 0
 
 
 def _export(history, iterations):

@@ -17,6 +17,7 @@ from sicheck.polygraph import (
     constraint_count,
     create_known_graph,
     generate_constraints,
+    initial_edges,
     owning_branch,
     rmw_runs,
 )
@@ -54,17 +55,20 @@ class TestKnownGraph:
     def test_initial_read_edge(self):
         history = mk_history([[committed([("w", "x", 1)])], [committed([("r", "y", 0)])]])
         graph = create_known_graph(history)
-        assert (INIT_TXN, (1, 0), WR, "y") in graph.known_edges
+        # Derived, never listed.
+        assert list(initial_edges(graph)) == [
+            (INIT_TXN, (1, 0), WR, "y"), (INIT_TXN, (0, 0), WW, "x")]
+        assert graph.known_edges == []
 
     def test_only_initial_writer_order_edges_before_pruning(self, long_fork):
         # The long fork has no RMW run, so before pruning the only WW edges
-        # are the initial writer's axioms and the only RW edges come from
-        # reads of the initial value.
+        # are the initial writer's, which are derived, not listed, and the
+        # only RW edges come from reads of the initial value.
         graph = build_polygraph(long_fork)
+        assert any(label == WW for _, _, label, _ in initial_edges(graph))
         for src, dst, label, key in graph.known_edges:
-            if label == WW:
-                assert src == INIT_TXN
-            elif label == RW:
+            assert label != WW
+            if label == RW:
                 assert graph.read_from[(key, src)] == INIT_TXN
 
     @staticmethod
@@ -170,10 +174,12 @@ class TestConstraints:
             [[committed([("w", "x", 1)])], [committed([("r", "x", 0), ("w", "y", 2)])]]
         )
         graph = build_polygraph(history)
-        # The initial writer precedes the real writer of x, and the reader of
-        # the initial value is overwritten by that writer.
-        assert (INIT_TXN, (0, 0), WW, "x") in graph.known_edges
-        assert ((1, 0), (0, 0), RW, "x") in graph.known_edges
+        # The initial writer precedes the real writers of x and y, which its
+        # derived edges say, and the reader of the initial value is
+        # overwritten by the writer of x.
+        assert list(initial_edges(graph)) == [
+            (INIT_TXN, (1, 0), WR, "x"), (INIT_TXN, (0, 0), WW, "x"), (INIT_TXN, (1, 0), WW, "y")]
+        assert graph.known_edges == [((1, 0), (0, 0), RW, "x")]
         # No constraint mentions the initial writer.
         assert all(INIT_TXN not in (a, b) for _, a, b in graph.constraints)
 
@@ -346,7 +352,9 @@ class TestRmwRunDifferential:
             if not completeness_gate(history).ok():
                 continue
             graph = build_polygraph(history)
-            plain = ref.build_polygraph(history, rmw_runs=False)
+            # The initial writer's edges are those the reference lists.
+            plain, initial = ref.split_initial_edges(ref.build_polygraph(history, rmw_runs=False))
+            assert list(initial_edges(graph)) == sorted(initial, key=lambda e: e[2] == WW)
             # Each pair inside a run: no constraint, its forced branch's
             # edges known once each, and nothing else differs.
             known = Counter(graph.known_edges)

@@ -31,6 +31,7 @@ from conftest import (
     mk_history,
 )
 from reference_closures import bfs_reach, floyd_warshall_reach
+import reference_frontend as ref
 
 
 def _sat_history():
@@ -295,13 +296,15 @@ def _index_fields(index: KnownIndex) -> tuple:
 _RANK = {SO: 0, WR: 1, WW: 2, RW: 3}
 
 
-def _reference_fields(graph) -> tuple:
+def _reference_fields(graph, initial_edges=()) -> tuple:
     """The index fields computed directly from the known edges, sharing no code with it.
 
-    The initial writer's edges are the exception: its A row and its K row
-    are both the set of their targets, it is no vertex's A-predecessor and
-    it labels no pair. Every other edge sets its layer's bit and label, and
-    an A edge its predecessor bit; K is A plus A∘B.
+    `initial_edges` are the initial writer's edges, which the graph does not
+    list; the caller takes them from the reference construction. They are
+    the exception: its A row and its K row are both the set of their
+    targets, it is no vertex's A-predecessor and it labels no pair. Every
+    other edge sets its layer's bit and label, and an A edge its
+    predecessor bit; K is A plus A∘B.
     """
     vindex = {v: i for i, v in enumerate(graph.vertices)}
     n = len(vindex)
@@ -309,7 +312,7 @@ def _reference_fields(graph) -> tuple:
     a_label: dict = {}
     b_label: dict = {}
     init = vindex.get(INIT_TXN)
-    for edge in graph.known_edges:
+    for edge in [*initial_edges, *graph.known_edges]:
         i, j = vindex[edge[0]], vindex[edge[1]]
         if i == init:
             a_adj[i] |= 1 << j
@@ -334,7 +337,8 @@ def audited_updates():
 
     After each call the index must equal a fresh build over the graph's known
     edges and the directly computed reference, which states how the initial
-    writer's edges are left out of it; before its closure is computed
+    writer's edges, `audit["initial_edges"]` of the graph being pruned, are
+    left out of it; before its closure is computed
     the closure field is left out of both. Its chains must equal the fresh
     build's. The set add_edges returns must name exactly the vertices whose
     reach or A-predecessor row changed. Counts prune updates (calls on an
@@ -342,7 +346,7 @@ def audited_updates():
     vertex its own reach bit.
     """
     update, close = KnownIndex.add_edges, KnownIndex.with_reach
-    audit = {"updates": 0, "cycle_closing": 0}
+    audit = {"updates": 0, "cycle_closing": 0, "initial_edges": []}
     building_reference = False
 
     def assert_matches_reference(index):
@@ -356,7 +360,7 @@ def audited_updates():
             building_reference = False
         fields = len(_index_fields(index)) - (index.reach is None)
         assert (_index_fields(index)[:fields] == _index_fields(fresh)[:fields]
-                == _reference_fields(index.graph)[:fields])
+                == _reference_fields(index.graph, audit["initial_edges"])[:fields])
         assert index.starts == fresh.starts
 
     def checked(self, edges):
@@ -390,14 +394,21 @@ def audited_updates():
         KnownIndex.add_edges, KnownIndex.with_reach = update, close
 
 
+def _reference_initial_edges(history) -> list:
+    """The initial writer's edges as the reference construction lists them."""
+    return ref.split_initial_edges(ref.build_polygraph(history))[1]
+
+
 def _prune_audited(history, audit) -> None:
     if not completeness_gate(history).ok():
         return
     graph = build_polygraph(history)
+    audit["initial_edges"] = _reference_initial_edges(history)
     outcome = prune_constraints(graph)
+    assert not any(edge[0] == INIT_TXN for edge in graph.known_edges)
     if outcome.verdict == "ok":
         assert (_index_fields(outcome.index) == _index_fields(KnownIndex(graph).with_reach())
-                == _reference_fields(graph))
+                == _reference_fields(graph, audit["initial_edges"]))
 
 
 @st.composite
@@ -435,7 +446,8 @@ def _gated_graphs(seeds: int):
 
 class TestInitialWriterRow:
     """The initial writer lies on no cycle: the index sets its A and K rows
-    to one mask instead of folding its edges."""
+    to one mask, where folding its edges, which the reference construction
+    lists, would give the same check."""
 
     def test_nothing_reaches_it(self):
         for _, graph in _gated_graphs(600):
@@ -446,10 +458,10 @@ class TestInitialWriterRow:
                 assert not any(row & 1 for row in reach)
 
     def test_row_is_the_writer_and_initial_reader_mask(self):
-        for _, graph in _gated_graphs(600):
+        for history, graph in _gated_graphs(600):
             index = KnownIndex(graph)
             mask = _initial_writer_row(graph)
-            folded = sum({1 << index.vindex[e[1]] for e in graph.known_edges if e[0] == INIT_TXN})
+            folded = sum({1 << index.vindex[e[1]] for e in _reference_initial_edges(history)})
             assert index.a_adj[0] == index.k_adj[0] == mask == folded
             assert not any(row & 1 for row in index.a_pred)
             assert not any(i == 0 for i, _ in index.a_label)
@@ -467,9 +479,13 @@ class TestInitialWriterRow:
 
         cases = list(_gated_graphs(600))
         expected = [outcomes(history, graph) for history, graph in cases]
-        # With no vertex taken for the initial writer, the index folds its
-        # edges like any other edge.
+        # The reference construction lists the initial writer's edges; with
+        # no vertex taken for the initial writer, the index folds them like
+        # any other edge.
         monkeypatch.setattr(pruning, "INIT_TXN", object())
+        monkeypatch.setattr(pipeline, "build_polygraph",
+                            lambda history, walk: ref.build_polygraph(history))
+        cases = [(history, ref.build_polygraph(history)) for history, _ in cases]
         assert sum(any(row & 1 for row in KnownIndex(graph).a_pred) for _, graph in cases) > 500
         folded = [outcomes(history, graph) for history, graph in cases]
         assert folded == expected

@@ -19,6 +19,7 @@ from sicheck.witness import WitnessCycle, has_adjacent_rw
 from sicheck.workload import WorkloadParams, generate, inject
 
 from conftest import T1, T2, T3, T4, committed, mk_history
+import reference_frontend as ref
 
 DATA = Path(__file__).parent / "data"
 
@@ -359,9 +360,11 @@ class TestVerifyWitness:
             if not completeness_gate(history).ok():
                 continue
             graph = build_polygraph(history)
+            # The reference construction lists the initial writer's edges too.
+            constructed = ref.build_polygraph(history).known_edges
             for _ in range(3):
                 assignment = {cid: rng.choice((EITHER, OR)) for cid in sorted(graph.constraints)}
-                edges = list(graph.known_edges)
+                edges = list(constructed)
                 for cid, branch in assignment.items():
                     edges += graph.constraints[cid].edges(graph, branch)
                 sorter = TopologicalSorter({v: set() for v in graph.vertices})
@@ -378,6 +381,35 @@ class TestVerifyWitness:
                     assert verify_witness(forged, graph) == acyclic, seed
                 outcomes.add(acyclic)
         assert outcomes == {True, False}
+
+    def test_sat_order_must_put_init_before_its_targets(self):
+        """The initial writer's edges are derived, not listed, yet a sat order
+        that puts init after one committed writer, or after one reader of an
+        initial value, fails; one that puts init first verifies."""
+        moved = {"writer": 0, "reader": 0}
+        for seed in range(300):
+            history = random_small_history(seed)
+            if not completeness_gate(history).ok():
+                continue
+            graph = build_polygraph(history)
+            if prune_constraints(graph).verdict != "ok":
+                continue
+            result = solve(graph)
+            if result.status != "sat":
+                continue
+            rest = [v for v in result.order if v != INIT_TXN]
+            first = SolveResult("sat", assignment=result.assignment, order=[INIT_TXN, *rest])
+            assert verify_witness(first, graph), seed
+            writers = {w for ws in graph.writers.values() for w in ws}
+            readers = {r for (_, r), w in graph.read_from.items() if w == INIT_TXN}
+            for kind, targets in (("writer", writers - readers), ("reader", readers - writers)):
+                for target in sorted(targets)[:2]:
+                    order = list(rest)
+                    order.insert(order.index(target) + 1, INIT_TXN)
+                    forged = SolveResult("sat", assignment=result.assignment, order=order)
+                    assert not verify_witness(forged, graph), (seed, kind, target)
+                    moved[kind] += 1
+        assert min(moved.values()) > 40, moved
 
     def test_unsat_cycle_verifies(self, long_fork):
         graph, result = pipeline(long_fork)
