@@ -8,7 +8,7 @@ edge taken as known: its A and B rows together are the polygraph layer, its
 K rows the induced layer. Known edges contribute unit clauses; every
 surviving constraint contributes one exactly-one-branch clause; each
 supported induced pair gets a definitional clause tying it to a direct
-A-layer edge or an A-then-RW composition.
+A-layer edge or to the A-then-RW compositions via `a_adj[i] & b_pred[j]`.
 
 Variables are created only for pairs that can carry an edge. Unsupported
 induced variables would be identically false, so they are never created;
@@ -43,13 +43,14 @@ class Encoding:
     clauses: list[tuple[list[Pair], list[Pair]]]
     pair_count: int
     induced_count: int
+    b_pred: list[int] | None = None  # the index's, built by the first `induced_definition`
 
     def induced_definition(self, i: int, j: int) -> tuple[bool, list[int]]:
         """(has direct A-layer support, middle vertices of A∘RW compositions)."""
-        a_adj, b_adj = self.index.a_adj, self.index.b_adj
-        direct = bool((a_adj[i] >> j) & 1)
-        comps = [m for m in iter_bits(a_adj[i]) if (b_adj[m] >> j) & 1]
-        return direct, comps
+        if self.b_pred is None:
+            self.b_pred = self.index.b_pred_rows()
+        a_row = self.index.a_adj[i]
+        return bool((a_row >> j) & 1), list(iter_bits(a_row & self.b_pred[j]))
 
 
 def _branch_pairs(index: KnownIndex, cons: Constraint, branch: str) -> list[Pair]:

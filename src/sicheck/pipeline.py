@@ -134,6 +134,8 @@ def check_si(
             cycle = outcome.violation.cycle
         index = outcome.index  # None after an immediate violation
         del outcome
+        if index is not None:  # only prune reads the closure
+            index.reach, index.starts = None, []
 
     if emit_encoding_path:
         # The graph as prune left it, whatever the verdict. Imported here: a

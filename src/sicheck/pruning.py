@@ -161,6 +161,13 @@ class KnownIndex:
             self.starts = [v for v in starts if v not in links]
         return changed
 
+    def b_pred_rows(self) -> list[int]:
+        """A new list of B-predecessor rows: bit i of row j is set when B holds (i, j)."""
+        b_pred = [0] * self.n
+        for i, j in self.b_label:
+            b_pred[j] |= 1 << i
+        return b_pred
+
     def branch(self, cons: Constraint, branch: str) -> tuple[int, int, tuple[int, ...]]:
         """A constraint branch in vertex-index space: its write-order pair
         (s, d) and the reader row of its source writer s. The branch's edges

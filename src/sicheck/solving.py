@@ -6,7 +6,8 @@ branch edges extend and retraction, in any order, restores: an
 incrementally maintained induced graph (direct non-RW edges plus non-RW∘RW
 compositions, at pair granularity) whose topological order is repaired on
 every insertion; a failed repair is a conflict, analyzed into the set of
-contributing decisions for dynamic backtracking.
+contributing decisions for dynamic backtracking. Retraction keeps a pair
+(i, j) while A holds it or `a_rows[i] & b_pred[j]` (B-predecessors) is not 0.
 The search is exhaustive: unsat is only reported once every branch
 combination is covered by recorded conflicts, never on budget exhaustion,
 which raises instead.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -73,6 +73,8 @@ class Solver:
         self.a_rows = list(self.known.a_adj)
         self.b_rows = list(self.known.b_adj)
         self.a_pred = list(self.known.a_pred)
+        # Built only when there is something to search.
+        self.b_pred = self.known.b_pred_rows() if self.constraints else []
         # Induced graph rows (known ∪ assigned), plus a maintained
         # topological order: ord[v] is v's slot, at[slot] the vertex in it.
         self.ind_rows = list(self.known.k_adj)
@@ -81,9 +83,6 @@ class Solver:
         # list is not empty. A branch puts at most one entry on a pair.
         self.a_edges: dict[tuple[int, int], list[int]] = {}
         self.b_edges: dict[tuple[int, int], list[int]] = {}
-        # For each induced pair K does not hold: its direct A bit plus the
-        # number of A∘B compositions present, a function of the rows.
-        self.ind_count: dict[tuple[int, int], int] = {}
         self.ord = list(range(self.n))
         self.at = list(range(self.n))
         # Per constraint: its branch while assigned, when it was assigned,
@@ -152,35 +151,6 @@ class Solver:
 
     # ----- incremental induced-graph maintenance ----------------------------
 
-    def _insert_induced(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """Count one more contribution to each pair, repairing the order for
-        each pair that appears. After a conflict the rest are counted without
-        the check, so that the branch's retraction restores the counts."""
-        vcycle = None
-        for i, j in pairs:
-            if (self.known.k_adj[i] >> j) & 1:
-                continue
-            count = self.ind_count.get((i, j), 0)
-            self.ind_count[(i, j)] = count + 1
-            if not count:
-                self.ind_rows[i] |= 1 << j
-                if vcycle is None:
-                    vcycle = self._pk_check(i, j)
-        if vcycle is not None:
-            raise _Conflict(*self._analyze(vcycle))
-
-    def _remove_induced(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """Count one contribution less to each pair, dropping the pairs that
-        lose their last one; removal never breaks the topological order."""
-        for i, j in pairs:
-            if (self.known.k_adj[i] >> j) & 1:
-                continue
-            left = self.ind_count.pop((i, j)) - 1
-            if left:
-                self.ind_count[(i, j)] = left
-            else:
-                self.ind_rows[i] &= ~(1 << j)
-
     def _pk_check(self, u: int, v: int) -> list[int] | None:
         """Repair the order for a new pair u -> v; a cycle it closes is
         returned as its vertices, and the order is then left as it was."""
@@ -233,26 +203,35 @@ class Solver:
             self.first_conflict_cycle = cycle
         return cycle, culprits
 
+    def _supported_by(self, i: int, j: int, rw: bool) -> list[tuple[int, int]]:
+        """The induced pairs (i, j) can support, in visit order; `rw` as in `_add_pair`."""
+        if rw:
+            return [(p, j) for p in iter_bits(self.a_pred[i])]
+        return [(i, j), *((i, w) for w in iter_bits(self.b_rows[j]))]
+
     def _add_pair(self, i: int, j: int, rw: bool, k: int) -> None:
         """Put constraint k's branch edge on pair (i, j) of the B layer when
-        `rw`, else of the A layer."""
+        `rw`, else of the A layer; each induced pair it newly supports is set
+        and its order repaired, and the first that closes a cycle is a conflict."""
         pair = (i, j)
         (self.b_edges if rw else self.a_edges).setdefault(pair, []).append(k)
         self.pushed[k].append((rw, pair))
-        if rw:
-            if not (self.b_rows[i] >> j) & 1:
-                self.b_rows[i] |= 1 << j
-                # New compositions: every present A-predecessor of i now reaches j.
-                self._insert_induced((p, j) for p in iter_bits(self.a_pred[i]))
-        elif not (self.a_rows[i] >> j) & 1:
-            self.a_rows[i] |= 1 << j
-            self.a_pred[j] |= 1 << i
-            self._insert_induced([(i, j), *((i, w) for w in iter_bits(self.b_rows[j]))])
+        rows, preds = (self.b_rows, self.b_pred) if rw else (self.a_rows, self.a_pred)
+        if (rows[i] >> j) & 1:
+            return
+        rows[i] |= 1 << j
+        preds[j] |= 1 << i
+        for u, v in self._supported_by(i, j, rw):
+            if not (self.ind_rows[u] >> v) & 1:
+                self.ind_rows[u] |= 1 << v
+                vcycle = self._pk_check(u, v)
+                if vcycle is not None:
+                    raise _Conflict(*self._analyze(vcycle))
 
     def _retract(self, k: int) -> None:
         """Remove constraint k's branch edges, whenever it was assigned: a row
-        bit is cleared, with the compositions it made, only when its pair
-        has no known label and no branch edge left."""
+        bit is cleared when its pair has no known label and no branch edge left,
+        then each induced pair it supported that no A or A∘B pair still holds."""
         for rw, pair in self.pushed[k]:
             stacks = self.b_edges if rw else self.a_edges
             stack = stacks[pair]
@@ -260,14 +239,15 @@ class Solver:
             if stack:
                 continue
             del stacks[pair]
+            if pair in (self.known.b_label if rw else self.known.a_label):
+                continue
             i, j = pair
-            if rw and pair not in self.known.b_label:
-                self.b_rows[i] &= ~(1 << j)
-                self._remove_induced((p, j) for p in iter_bits(self.a_pred[i]))
-            elif not rw and pair not in self.known.a_label:
-                self.a_rows[i] &= ~(1 << j)
-                self.a_pred[j] &= ~(1 << i)
-                self._remove_induced([(i, j), *((i, w) for w in iter_bits(self.b_rows[j]))])
+            rows, preds = (self.b_rows, self.b_pred) if rw else (self.a_rows, self.a_pred)
+            rows[i] &= ~(1 << j)
+            preds[j] &= ~(1 << i)
+            for u, v in self._supported_by(i, j, rw):
+                if not ((self.a_rows[u] >> v) & 1 or self.a_rows[u] & self.b_pred[v]):
+                    self.ind_rows[u] &= ~(1 << v)
         self.pushed[k] = []
         self.assigned[k] = None
 

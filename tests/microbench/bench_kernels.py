@@ -3,7 +3,8 @@
 Times `parse_history`, `completeness_gate` and `build_polygraph` on the
 first `uniform-10k` history of run seed 1, where the three are a large
 share of a check (the gate and the build each walk the ops, as they do
-when called alone), and `build_polygraph` again on the first `rmw-chains`
+when called alone), `encode` plus `export_encoding` of its pruned
+polygraph, and `build_polygraph` again on the first `rmw-chains`
 history, where construct orders every writer pair of the RMW runs;
 `tarjan_scc`, `reach_masks`, the `KnownIndex` build, each closure
 update of prune (`KnownIndex.add_edges`), the prune branch tests, the solver's search, its Pearce–Kelly order repair and one
@@ -26,11 +27,13 @@ repository root with
 from __future__ import annotations
 
 import copy
+import io
 import tracemalloc
 
 import pytest
 
 from perfbench.workloads import WORKLOADS
+from sicheck.encoding import encode, export_encoding
 from sicheck.explain import (
     DEFAULT_MAX_CYCLE_LEN, DEFAULT_MAX_CYCLES_PER_DEP, EdgeUniverse, find_cluster,
 )
@@ -87,6 +90,14 @@ def test_construct_and_prune_peak_memory(benchmark, front_end):
     peak_mb = round(benchmark.pedantic(probe, rounds=1, iterations=1) / 2**20, 1)
     benchmark.extra_info["peak_mb"] = peak_mb
     print(f"construct + prune tracemalloc peak: {peak_mb} MB")
+
+
+def test_export_encoding(benchmark, front_end):
+    """`encode` plus `export_encoding` into memory of the pruned polygraph,
+    where most `d` lines are the initial writer's induced pairs."""
+    graph = build_polygraph(front_end[1])
+    prune_constraints(graph)
+    benchmark.pedantic(lambda: export_encoding(encode(graph), io.BytesIO()), rounds=3)
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))

@@ -80,6 +80,28 @@ class TestInducedDefinitions:
         direct, comps = enc.induced_definition(idx[T1], idx[T5])
         assert direct and comps == [idx[T3]]
 
+    @pytest.mark.parametrize("no_prune", [False, True])
+    def test_definitions_match_the_middle_scan(self, no_prune):
+        """Every induced pair's definition is the one a scan of all of i's
+        A-successors for a B edge to j gives, and is not empty."""
+        pairs = 0
+        for seed in range(300):
+            history = random_small_history(seed)
+            if not completeness_gate(history).ok():
+                continue
+            graph = build_polygraph(history)
+            if not no_prune:
+                prune_constraints(graph)
+            enc = encode(graph)
+            a_adj, b_adj = enc.index.a_adj, enc.index.b_adj
+            for i, j in induced_pairs(enc):
+                scanned = [m for m in iter_bits(a_adj[i]) if (b_adj[m] >> j) & 1]
+                direct, comps = enc.induced_definition(i, j)
+                assert (direct, comps) == (bool((a_adj[i] >> j) & 1), scanned), (seed, i, j)
+                assert direct or comps
+                pairs += 1
+        assert pairs > 2000, pairs
+
     def test_variable_economy(self, long_fork):
         graph, enc = paper_stage_encoding(long_fork)
         # Induced variables exist exactly for supported pairs.

@@ -60,11 +60,18 @@ class TestCheckSi:
         assert verdict.stats_before == (0, 0)
         assert "construct" not in verdict.timings_ms
 
-    def test_phase_timings_reported(self, long_fork, tmp_path):
+    def test_phase_timings_reported(self, long_fork, tmp_path, capsys):
         verdict = check_si(long_fork)
         for phase in ("gate", "construct", "prune", "solve", "interpret", "total"):
             assert phase in verdict.timings_ms
         assert "encode" not in verdict.timings_ms
+        # The CLI times the parse on its own; the JSON record stays without timings.
+        assert "parse" not in verdict.timings_ms
+        path = str(DATA / "long_fork.json")
+        assert main(["check", path, "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"{path}: phases: parse ") and ", total " in err
+        assert "phases" not in out and json.loads(out)["verdict"] == "violation"
         verdict = check_si(long_fork, emit_encoding_path=str(tmp_path / "enc.txt"))
         for phase in ("gate", "construct", "prune", "encode", "solve", "interpret", "total"):
             assert phase in verdict.timings_ms
@@ -193,6 +200,20 @@ class TestCli:
         assert main([*args, "--json"]) == 3
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [(r["file"], r["exit_code"]) for r in records] == [(missing, 2), (str(slow), 3)]
+
+    @pytest.mark.parametrize("args", [
+        ["check", "--budget-ms", "-5"],
+        ["check", "--jobs", "0"],
+        ["check", "--jobs", "-3"],
+        ["explain", "--budget-ms", "-1"],
+    ], ids=" ".join)
+    def test_negative_budget_and_too_few_jobs_are_usage_errors(self, capsys, args):
+        command, option, value = args
+        with pytest.raises(SystemExit) as exit_:
+            main([command, str(DATA / "valid_small.json"), option, value])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {option}: must be at least" in err
 
     def test_emit_encoding(self, long_fork_file, tmp_path, capsys):
         target = tmp_path / "encoding.txt"

@@ -191,8 +191,8 @@ def test_conflict_cycles_name_known_edges_first():
 
 
 def _search_state(solver: Solver) -> tuple:
-    return (solver.a_rows, solver.b_rows, solver.a_pred, solver.ind_rows,
-            solver.a_edges, solver.b_edges, solver.ind_count)
+    return (solver.a_rows, solver.b_rows, solver.a_pred, solver.b_pred, solver.ind_rows,
+            solver.a_edges, solver.b_edges)
 
 
 @pytest.mark.parametrize(
@@ -228,13 +228,15 @@ def test_search_state_is_the_index_rows_plus_the_assignment(case, no_prune):
         assert _search_state(solver) == _search_state(fresh)
     assert (solver.a_rows, solver.b_rows) == (index.a_adj, index.b_adj)
     assert (solver.a_pred, solver.ind_rows) == (index.a_pred, index.k_adj)
-    assert not (solver.a_edges or solver.b_edges or solver.ind_count)
+    assert solver.b_pred == index.b_pred_rows()
+    assert not (solver.a_edges or solver.b_edges)
 
 
 def test_pk_order_stays_topological():
     """Acyclic insertions mixed with removals in any order keep `ord` a
     topological order of the induced rows and `at` its inverse, however far
-    back each insertion reaches."""
+    back each insertion reaches. Bits are set and cleared directly, and each
+    new one is repaired with `_pk_check`, as `_add_pair` does."""
     n = 40
     graph = Polygraph(vertices=tuple((i, 0) for i in range(n)))
     rng = random.Random(7)
@@ -245,11 +247,15 @@ def test_pk_order_stays_topological():
         present: list[tuple[int, int]] = []
         for _ in range(200):
             if present and rng.random() < 0.4:
-                solver._remove_induced([present.pop(rng.randrange(len(present)))])
+                u, v = present.pop(rng.randrange(len(present)))
+                if (u, v) not in present:
+                    solver.ind_rows[u] &= ~(1 << v)
             else:
-                pair = tuple(sorted(rng.sample(range(n), 2), key=rank.__getitem__))
-                solver._insert_induced([pair])
-                present.append(pair)
+                u, v = sorted(rng.sample(range(n), 2), key=rank.__getitem__)
+                if not (solver.ind_rows[u] >> v) & 1:
+                    solver.ind_rows[u] |= 1 << v
+                    assert solver._pk_check(u, v) is None
+                present.append((u, v))
             assert [solver.at[solver.ord[x]] for x in range(n)] == list(range(n))
             for x in range(n):
                 assert all(solver.ord[x] < solver.ord[y] for y in iter_bits(solver.ind_rows[x]))
@@ -259,7 +265,8 @@ def test_pk_order_stays_topological():
 
 
 # Six sessions over at most two keys with up to four writers each: without
-# pruning, 15 of seeds 0-399 retract a culprit out of order.
+# pruning, 6 of seeds 0-399 retract a culprit that a later-stamped
+# assignment outlives (`test_induced_rows_follow_the_support_rule` counts them).
 _CONTENDED = HistoryBounds(max_sessions=6, max_txns=10, max_keys=2, max_writers_per_key=4,
                            max_ops_per_txn=3, abort_pct=0, corruption_pct=0)
 
@@ -284,6 +291,67 @@ def test_search_matches_the_oracle(bounds):
             assert verify_witness(result, graph), (seed, no_prune)
             searched += result.conflicts > 0
     assert searched
+
+
+class _AuditedSolver(Solver):
+    """A solver that recomputes its induced rows from scratch after every
+    branch it tries and every retraction, and counts the retractions of a
+    culprit that some later-stamped assignment outlives."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.trying: int | None = None
+        self.audits = self.out_of_order = 0
+
+    def _try_branch(self, k, branch):
+        self.trying = k
+        why = super()._try_branch(k, branch)
+        self.trying = None
+        self.audit()
+        return why
+
+    def _retract(self, k):
+        if k != self.trying and any(
+            self.assigned[j] is not None and self.stamp[j] > self.stamp[k]
+            for j in range(len(self.constraints))
+        ):
+            self.out_of_order += 1
+        super()._retract(k)
+        self.audit()
+
+    def audit(self):
+        for i, a_row in enumerate(self.a_rows):
+            expected = a_row
+            for m in iter_bits(a_row):
+                expected |= self.b_rows[m]
+            assert self.ind_rows[i] == expected, i
+        transpose = [0] * self.n
+        for i, row in enumerate(self.b_rows):
+            for j in iter_bits(row):
+                transpose[j] |= 1 << i
+        assert self.b_pred == transpose
+        self.audits += 1
+
+
+@pytest.mark.parametrize("no_prune", [False, True], ids=["pruned", "no-prune"])
+def test_induced_rows_follow_the_support_rule(no_prune):
+    """After every branch tried and every retraction, each induced row is
+    its A row plus the B rows of its A successors, and `b_pred` is the
+    transpose of the B rows, also across out-of-order retractions."""
+    audits = out_of_order = 0
+    for seed in range(400):
+        history = random_small_history(seed, _CONTENDED)
+        if not completeness_gate(history).ok():
+            continue
+        graph = build_polygraph(history)
+        if not no_prune and prune_constraints(graph).verdict != "ok":
+            continue
+        solver = _AuditedSolver(graph)
+        result = solver.solve()
+        assert verify_witness(result, graph), seed
+        audits += solver.audits
+        out_of_order += solver.out_of_order
+    assert audits > 200 and (out_of_order > 0 or not no_prune), (audits, out_of_order)
 
 
 def test_hotspot_decisions_stay_near_the_constraints_left():
