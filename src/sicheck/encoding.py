@@ -3,9 +3,11 @@
 Edge variables live at pair granularity in two layers: the polygraph layer
 (an edge of any label between two transactions) and the induced layer (an
 edge of the composed graph whose acyclicity decides the verdict). Both are
-read off one known-graph index, that of the polygraph with every open branch
-edge taken as known: its A and B rows together are the polygraph layer, its
-K rows the induced layer. Known edges contribute unit clauses; every
+read off one known-graph index, that of the polygraph with both branches of
+every open constraint folded in as branch records, as prune folds a resolved
+one: its A and B rows together are the polygraph layer, its K rows the
+induced layer. Known edges, listed and derived (`creation_order`),
+contribute unit clauses; every
 surviving constraint contributes one exactly-one-branch clause; each
 supported induced pair gets a definitional clause tying it to a direct
 A-layer edge or to the A-then-RW compositions via `a_adj[i] & b_pred[j]`.
@@ -18,7 +20,6 @@ million variables, almost all of them dead.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -26,7 +27,10 @@ from typing import IO
 
 from .graphs import iter_bits
 from .histories import INIT_TXN
-from .polygraph import EITHER, OR, SO, Constraint, Edge, Polygraph, initial_edges, rmw_runs
+from .polygraph import (
+    EITHER, OR, SO, Constraint, Edge, Polygraph, branch_ends, initial_edges, resolved_edges,
+    rmw_runs,
+)
 from .pruning import KnownIndex
 
 Pair = tuple[int, int]
@@ -34,10 +38,10 @@ Pair = tuple[int, int]
 
 @dataclass(slots=True)
 class Encoding:
-    # The polygraph's index with every open branch edge taken as known.
+    # The polygraph's index with both branches of every open constraint folded in.
     index: KnownIndex
-    # The polygraph's known edges, the initial writer's derived ones too,
-    # unit-true, in creation order (`creation_order`).
+    # The polygraph's known edges, the derived ones of the initial writer and
+    # of the resolved branches too, unit-true, in creation order (`creation_order`).
     known_edges: list[Edge]
     # Per open constraint, in id order: the pairs of its either and its or branch.
     clauses: list[tuple[list[Pair], list[Pair]]]
@@ -70,39 +74,39 @@ def _run_edge_count(graph: Polygraph, key: str) -> int:
     return count
 
 
-def creation_order(graph: Polygraph) -> Iterator[Edge]:
-    """The known edges with the initial writer's merged back in where
-    construct once listed them: the session-order edges; the WR edges in
+def creation_order(graph: Polygraph) -> list[Edge]:
+    """The known edges with the derived ones merged back in where construct
+    and prune once listed them: the session-order edges; the WR edges in
     `read_from` order; per key, each writer's init -WW-> edge just before
     the RW edges from the key's initial readers to it, then the key's run
-    edges; then the edges prune promoted. A key's run edges are counted,
-    not told apart by key: prune may promote an edge of any key.
+    edges; then the edges of the branches prune resolved, in resolution
+    order (`resolved_edges`).
     """
     listed, derived = iter(graph.known_edges), initial_edges(graph)
     sessions = next((i for i, e in enumerate(graph.known_edges) if e[2] != SO),
                     len(graph.known_edges))
-    yield from islice(listed, sessions)
+    edges = list(islice(listed, sessions))
     for writer in graph.read_from.values():
-        yield next(derived if writer == INIT_TXN else listed)
+        edges.append(next(derived if writer == INIT_TXN else listed))
     for key, writers in graph.writers.items():
         init_readers = graph.readers.get((key, INIT_TXN), ())
         for writer in writers:
-            yield next(derived)
-            yield from islice(listed, len(init_readers) - (writer in init_readers))
+            edges.append(next(derived))
+            edges += islice(listed, len(init_readers) - (writer in init_readers))
         if key in graph.rmw_keys:
-            yield from islice(listed, _run_edge_count(graph, key))
-    yield from listed
+            edges += islice(listed, _run_edge_count(graph, key))
+    return edges + resolved_edges(graph)
 
 
 def encode(graph: Polygraph) -> Encoding:
     """Build the Boolean views of a (typically pruned) polygraph."""
     constraints = [graph.constraints[cid] for cid in sorted(graph.constraints)]
-    potential = [edge for cons in constraints for branch in (EITHER, OR)
-                 for edge in cons.edges(graph, branch)]
-    index = KnownIndex(dataclasses.replace(graph, known_edges=[*graph.known_edges, *potential]))
+    index = KnownIndex(graph)
+    index.add_branches([index.record(*branch_ends(cons.id, branch))
+                        for cons in constraints for branch in (EITHER, OR)])
     return Encoding(
         index=index,
-        known_edges=list(creation_order(graph)),
+        known_edges=creation_order(graph),
         clauses=[(_branch_pairs(index, cons, EITHER), _branch_pairs(index, cons, OR))
                  for cons in constraints],
         pair_count=sum((a | b).bit_count() for a, b in zip(index.a_adj, index.b_adj)),

@@ -11,12 +11,19 @@ The virtual initial writer writes every key and precedes every real writer.
 Its own edges, init -WR-> each reader of an initial value and init -WW->
 each committed writer, are derived from `read_from` and `writers` by
 `initial_edges` and never listed in `known_edges`: it has no incoming edge,
-so it lies on no cycle, and only the sat witness check and the encoding
-export ask for them. The read-overwrite edges its pairs force, from each
-reader of an initial value to each other writer of the key, are listed.
+so it lies on no cycle, and only the encoding export asks for them. The
+read-overwrite edges its pairs force, from each reader of an initial value
+to each other writer of the key, are listed.
 
 The initial writer's pairs and those inside one read-modify-write run are
 ordered at construction, not generated (see `generate_constraints`).
+
+Prune does not list the edges of the branches it keeps either: it records
+each writer pair it resolves, with its surviving branch, in `resolved`. The
+known-graph index folds those branches from their writers and reader rows,
+the witness check reads their edges off the same rows, and `resolved_edges`
+derives them in resolution order for the encoding export, the one consumer
+that needs a list.
 
 Construction reads each transaction's effective reads and writes and the
 (key, value) -> writer index from the history's `walk_ops`, which the
@@ -65,20 +72,27 @@ class Constraint:
         return (self.key, self.first, self.second)
 
     def edges(self, graph: "Polygraph", branch: str) -> list[Edge]:
-        if branch == EITHER:
-            src, dst = self.first, self.second
-        elif branch == OR:
-            src, dst = self.second, self.first
-        else:
+        if branch not in (EITHER, OR):
             raise ValueError(f"unknown branch {branch!r}")
-        out: list[Edge] = [(src, dst, WW, self.key)]
-        for reader in graph.readers.get((self.key, src), ()):
-            if reader != dst:
-                out.append((reader, dst, RW, self.key))
-        return out
+        return branch_edges(graph, *branch_ends(self.id, branch))
 
     def opposite(self, branch: str) -> str:
         return OR if branch == EITHER else EITHER
+
+
+def branch_ends(cid: ConstraintKey, branch: str) -> tuple[str, TxnId, TxnId]:
+    """(key, source writer, target writer) of a branch: the either branch
+    orders the pair's first writer before its second."""
+    key, first, second = cid
+    return (key, first, second) if branch == EITHER else (key, second, first)
+
+
+def branch_edges(graph: "Polygraph", key: str, src: TxnId, dst: TxnId) -> list[Edge]:
+    """The edges of the branch ordering src before dst on key: src -WW-> dst,
+    then r -RW-> dst for every reader r of src's value but dst."""
+    out: list[Edge] = [(src, dst, WW, key)]
+    out.extend([(r, dst, RW, key) for r in graph.readers.get((key, src), ()) if r != dst])
+    return out
 
 
 def owning_branch(graph: "Polygraph", edge: Edge) -> tuple[ConstraintKey, str] | None:
@@ -118,6 +132,8 @@ class Polygraph:
     # Keys some writer read from a real writer: the only keys `rmw_runs` can
     # find a run on.
     rmw_keys: set[str] = field(default_factory=set)
+    # Writer pairs prune resolved, in resolution order, with their surviving branch.
+    resolved: dict[ConstraintKey, str] = field(default_factory=dict)
 
     def clone(self) -> "Polygraph":
         return Polygraph(
@@ -128,6 +144,7 @@ class Polygraph:
             read_from=self.read_from,
             writers=self.writers,
             rmw_keys=self.rmw_keys,
+            resolved=dict(self.resolved),
         )
 
 
@@ -196,6 +213,16 @@ def initial_edges(graph: Polygraph) -> Iterator[Edge]:
             yield (INIT_TXN, writer, WW, key)
 
 
+def resolved_edges(graph: Polygraph) -> list[Edge]:
+    """The edges of each resolved writer pair's surviving branch, which no
+    list holds: pair by pair in resolution order, each as `branch_edges`
+    gives them."""
+    edges: list[Edge] = []
+    for cid, branch in graph.resolved.items():
+        edges += branch_edges(graph, *branch_ends(cid, branch))
+    return edges
+
+
 def rmw_runs(graph: Polygraph, key: str) -> dict[TxnId, tuple[TxnId, int]]:
     """(head, position) of each writer of `key` in an RMW run of two or more.
 
@@ -262,12 +289,54 @@ def constraint_count(graph: Polygraph) -> tuple[int, int]:
     """(number of constraints, total edges across all constraint branches).
 
     A branch holds its WW edge plus one RW edge per reader of its source
-    writer, except the other writer when that is one of them.
+    writer, except the other writer when that is one of them. While most of
+    the pairs construct generated are open they are counted per key, from
+    the key's writers, their reader rows and its RMW runs, less the pairs
+    prune resolved; once most are resolved, pair by pair.
     """
-    unknown = 0
-    for key, first, second in graph.constraints:
-        first_readers = graph.readers.get((key, first), ())
-        second_readers = graph.readers.get((key, second), ())
-        unknown += 2 + len(first_readers) + len(second_readers)
-        unknown -= (second in first_readers) + (first in second_readers)
-    return len(graph.constraints), unknown
+    if len(graph.constraints) <= len(graph.resolved):
+        return len(graph.constraints), sum(_pair_edges(graph, *cid) for cid in graph.constraints)
+    readers, read_from, rmw_keys = graph.readers, graph.read_from, graph.rmw_keys
+    count = unknown = 0
+    for key, writers in graph.writers.items():
+        w = len(writers)
+        if w < 2:
+            continue
+        # Each pair counts 2 plus the readers of both writers; a writer's
+        # readers count once per other writer it is paired with.
+        read = 0
+        for writer in writers:
+            row = readers.get((key, writer))
+            if row:
+                read += len(row)
+        pairs, unknown_here = w * (w - 1) // 2, (w - 1) * read
+        if key in rmw_keys:
+            # Pairs inside one run are not generated: a run member is paired
+            # with no other member of its run.
+            runs = rmw_runs(graph, key)
+            sizes: dict[TxnId, list[int]] = {}
+            for writer, (head, _) in runs.items():
+                size = sizes.setdefault(head, [0, 0])
+                size[0] += 1
+                size[1] += len(readers.get((key, writer), ()))
+            for size, read_in_run in sizes.values():
+                pairs -= size * (size - 1) // 2
+                unknown_here -= (size - 1) * read_in_run
+            # A writer that read the key from a writer outside its run is the
+            # RW edge its pair's branch leaves out; a writer in no run heads its own.
+            for writer in writers:
+                source = read_from.get((key, writer), INIT_TXN)
+                if source not in (INIT_TXN, writer) and (
+                        runs.get(source, (source,))[0] != runs.get(writer, (writer,))[0]):
+                    unknown_here -= 1
+        count += pairs
+        unknown += 2 * pairs + unknown_here
+    resolved = graph.resolved
+    return count - len(resolved), unknown - sum(_pair_edges(graph, *cid) for cid in resolved)
+
+
+def _pair_edges(graph: Polygraph, key: str, first: TxnId, second: TxnId) -> int:
+    """How many edges the two branches of one writer pair hold."""
+    readers, read_from = graph.readers, graph.read_from
+    return (2 + len(readers.get((key, first), ())) + len(readers.get((key, second), ()))
+            - (read_from.get((key, second)) == first) - (read_from.get((key, first)) == second))

@@ -18,11 +18,14 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import BudgetExceededError
 from .graphs import find_cycle, iter_bits, tarjan_scc
-from .histories import TxnId
-from .polygraph import EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, initial_edges
+from .histories import INIT_TXN, TxnId
+from .polygraph import (
+    EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends, owning_branch,
+)
 from .pruning import KnownIndex, k_middle, known_origin
 from .witness import Origin, WitnessCycle, has_adjacent_rw
 
@@ -125,7 +128,7 @@ class Solver:
         label, else the branch edge of the first constraint assigned to it,
         which joins `culprits`."""
         a = layer == "a"
-        edge = (self.known.a_label if a else self.known.b_label).get((i, j))
+        edge = self.known.label(i, j, not a)
         if edge is not None:
             return edge, known_origin(self.graph, edge)
         k = (self.a_edges if a else self.b_edges)[(i, j)][0]
@@ -230,8 +233,8 @@ class Solver:
 
     def _retract(self, k: int) -> None:
         """Remove constraint k's branch edges, whenever it was assigned: a row
-        bit is cleared when its pair has no known label and no branch edge left,
-        then each induced pair it supported that no A or A∘B pair still holds."""
+        bit is cleared when its pair is not in the index and has no branch edge
+        left, then each induced pair it supported that no A or A∘B pair still holds."""
         for rw, pair in self.pushed[k]:
             stacks = self.b_edges if rw else self.a_edges
             stack = stacks[pair]
@@ -239,9 +242,9 @@ class Solver:
             if stack:
                 continue
             del stacks[pair]
-            if pair in (self.known.b_label if rw else self.known.a_label):
-                continue
             i, j = pair
+            if ((self.known.b_adj if rw else self.known.a_adj)[i] >> j) & 1:
+                continue
             rows, preds = (self.b_rows, self.b_pred) if rw else (self.a_rows, self.a_pred)
             rows[i] &= ~(1 << j)
             preds[j] &= ~(1 << i)
@@ -359,10 +362,14 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
 
     A sat witness must assign a branch to every constraint, and no other
     constraint, and order the vertices so that every edge of the induced
-    graph it re-derives runs forward, the initial writer's derived edges
-    (`initial_edges`) included; an unsat cycle must be closed,
-    undesired, and justified edge by edge by its claimed provenance without
-    drawing on both branches of any constraint.
+    graph it re-derives runs forward: the listed edges, the initial
+    writer's derived ones, checked once per target (every committed writer
+    and every reader of an initial value), and the edges of every resolved
+    and every assigned branch s -> d, s -WW-> d and r -RW-> d for each
+    reader r of s but d, read off the reader rows without building them.
+    An unsat cycle must be closed, undesired, and justified edge by edge by
+    its claimed provenance without drawing on both branches of any
+    constraint; a known edge is a listed one or one of a resolved branch.
     """
     if result.status == "sat":
         assignment, order = result.assignment, result.order or []
@@ -371,39 +378,60 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
         position = {v: p for p, v in enumerate(order)}
         if len(order) != len(graph.vertices) or position.keys() != set(graph.vertices):
             return False
-        edges = list(graph.known_edges)
-        for cid, branch in assignment.items():
+        branches = []  # (key, s, d) of each resolved and each assigned branch
+        for cid, branch in chain(graph.resolved.items(), assignment.items()):
             if branch not in (EITHER, OR):
                 return False
-            edges.extend(graph.constraints[cid].edges(graph, branch))
+            branches.append(branch_ends(cid, branch))
         # The induced graph holds each non-RW edge src -> dst and its
         # composition with every RW edge dst -> w, so src must come before
         # the lowest position among dst and its RW successors. A self-loop
         # cannot come before itself.
         lowest = dict(position)
-        for src, dst, kind, _ in edges:
+        for src, dst, kind, _ in graph.known_edges:
             if kind == RW and position[dst] < lowest[src]:
                 lowest[src] = position[dst]
-        return (all(position[src] < lowest[dst] for src, dst, kind, _ in edges if kind != RW)
-                and all(position[src] < lowest[dst] for src, dst, _, _ in initial_edges(graph)))
+        readers = graph.readers
+        for key, s, d in branches:
+            row = readers.get((key, s))
+            if row:
+                at = position[d]
+                for r in row:
+                    if r != d and at < lowest[r]:
+                        lowest[r] = at
+        targets = set().union(*graph.writers.values())
+        targets.update(reader for (_, reader), writer in graph.read_from.items()
+                       if writer == INIT_TXN)
+        return (all(position[src] < lowest[dst]
+                    for src, dst, kind, _ in graph.known_edges if kind != RW)
+                and all(position[s] < lowest[d] for _, s, d in branches)
+                and all(position[INIT_TXN] < lowest[dst] for dst in targets))
 
     cycle = result.cycle
     if cycle is None or not cycle.deps or not cycle.closed():
         return False
     if has_adjacent_rw(cycle.edges()):
         return False
-    known = set(graph.known_edges)
+    listed = set(graph.known_edges)
+
+    def known(edge: Edge) -> bool:
+        if edge in listed:
+            return True
+        owner = owning_branch(graph, edge)
+        return (owner is not None and graph.resolved.get(owner[0]) == owner[1]
+                and edge in Constraint(*owner[0]).edges(graph, owner[1]))
+
     used_branches: dict[ConstraintKey, set[str]] = {}
     for edge, origin in cycle.deps:
         if origin[0] == "known":
-            if edge not in known:
+            if not known(edge):
                 return False
         elif origin[0] == "resolved":
             # A resolved edge: prune or construct closed its constraint, a
             # pair of writers of the key, and the edge is in the branch kept.
             key, first, second = origin[1]
             writers = graph.writers.get(key, ())
-            if edge not in known or origin[1] in graph.constraints:
+            if not known(edge) or origin[1] in graph.constraints:
                 return False
             if not (first < second and first in writers and second in writers):
                 return False

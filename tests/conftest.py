@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from sicheck.histories import ABORTED, COMMITTED, History, Operation, Transaction
+from sicheck.graphs import iter_bits
+from sicheck.histories import ABORTED, COMMITTED, INIT_TXN, History, Operation, Transaction
 from sicheck.workload import WorkloadParams, generate, inject
 
 
@@ -97,3 +98,16 @@ def causality_violation() -> History:
             [committed([("r", "y", 2), ("r", "x", 0)])],
         ]
     )
+
+
+def index_labels(index) -> dict:
+    """`KnownIndex.label` of every A and every B pair of an index, keyed
+    (i, j, is RW), but the initial writer's, which labels no pair."""
+    init = index.vindex.get(INIT_TXN)
+    labels = {}
+    for rw, rows in ((False, index.a_adj), (True, index.b_adj)):
+        for i, row in enumerate(rows):
+            if i != init:
+                for j in iter_bits(row):
+                    labels[i, j, rw] = index.label(i, j, rw)
+    return labels

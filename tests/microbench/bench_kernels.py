@@ -6,8 +6,11 @@ share of a check (the gate and the build each walk the ops, as they do
 when called alone), `encode` plus `export_encoding` of its pruned
 polygraph, and `build_polygraph` again on the first `rmw-chains`
 history, where construct orders every writer pair of the RMW runs;
-`tarjan_scc`, `reach_masks`, the `KnownIndex` build, each closure
-update of prune (`KnownIndex.add_edges`), the prune branch tests, the solver's search, its Pearce–Kelly order repair and one
+`prune_constraints` on the first `zipf-anomaly` history, where prune
+resolves most writer pairs; `tarjan_scc`, `reach_masks`, the `KnownIndex`
+build, each fold of the branches a prune iteration resolves
+(`KnownIndex.add_branches`, with its closure update), the per-pair branch
+tests, the solver's search, its Pearce–Kelly order repair and one
 out-of-order retraction on the known induced graphs of the benchmark's
 workload shapes
 (`perfbench/workloads.py`, first history of run seed 1), and the
@@ -41,8 +44,8 @@ from sicheck.gcpause import collector_paused
 from sicheck.graphs import reach_masks, tarjan_scc
 from sicheck.histories import completeness_gate, parse_history
 from sicheck.pipeline import check_si
-from sicheck.polygraph import EITHER, OR, build_polygraph
-from sicheck.pruning import KnownIndex, _branch_blocked, prune_constraints
+from sicheck.polygraph import build_polygraph
+from sicheck.pruning import KnownIndex, _pair_blocked, prune_constraints
 from sicheck.solving import Solver
 
 SEED = 1
@@ -92,6 +95,14 @@ def test_construct_and_prune_peak_memory(benchmark, front_end):
     print(f"construct + prune tracemalloc peak: {peak_mb} MB")
 
 
+def test_prune_zipf_anomaly(benchmark):
+    """Prune to its fixpoint on the first `zipf-anomaly` history, from a fresh
+    polygraph each round, the collector paused as `check_si` runs it."""
+    history = parse_history(WORKLOADS["zipf-anomaly"].case(SEED).data)
+    benchmark.pedantic(collector_paused(prune_constraints),
+                       setup=lambda: ((build_polygraph(history),), {}), rounds=7)
+
+
 def test_export_encoding(benchmark, front_end):
     """`encode` plus `export_encoding` into memory of the pruned polygraph,
     where most `d` lines are the initial writer's induced pairs."""
@@ -123,60 +134,61 @@ def test_reach_masks(benchmark, graphs):
 
 
 def _copy_index(index: KnownIndex) -> KnownIndex:
-    """An index that `add_edges` can update without touching the original."""
+    """An index that a fold can update without touching the original."""
     fresh = copy.copy(index)
     for name in ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "starts"):
         setattr(fresh, name, list(getattr(index, name)))
-    for name in ("a_label", "b_label", "readers"):
+    for name in ("a_label", "b_label", "readers", "sources"):
         setattr(fresh, name, dict(getattr(index, name)))
+    fresh.folded = {d: list(records) for d, records in index.folded.items()}
     return fresh
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))
 def closure_updates(request):
-    """Every closure update of the workload's prune: the index as it stood
-    before the update, and the edges the update folds in."""
+    """Every fold of the workload's prune: the index as it stood before the
+    fold, and the branch records it folds in."""
     history = parse_history(WORKLOADS[request.param].case(SEED).data)
     updates = []
-    update = KnownIndex.add_edges
+    fold = KnownIndex.add_branches
 
-    def recorded(index, edges):
+    def recorded(index, records):
         if index.reach is not None:
-            updates.append((_copy_index(index), edges))
-        return update(index, edges)
+            updates.append((_copy_index(index), records))
+        return fold(index, records)
 
-    KnownIndex.add_edges = recorded
+    KnownIndex.add_branches = recorded
     try:
         prune_constraints(build_polygraph(history))
     finally:
-        KnownIndex.add_edges = update
+        KnownIndex.add_branches = fold
     return updates
 
 
 @pytest.mark.parametrize("number", range(5))
 def test_closure_update(benchmark, closure_updates, number):
-    """One `add_edges` of prune, by its number in the run: the chain walk,
-    or the closure rebuild where the batch is too large to walk."""
+    """One `add_branches` of prune, by its number in the run: the fold and
+    the chain walk, or the closure rebuild where the batch is too large to walk."""
     if number >= len(closure_updates):
         pytest.skip("prune makes fewer updates")
-    before, edges = closure_updates[number]
-    benchmark.pedantic(KnownIndex.add_edges, setup=lambda: ((_copy_index(before), edges), {}),
-                       rounds=10)
+    before, records = closure_updates[number]
+    benchmark.pedantic(KnownIndex.add_branches,
+                       setup=lambda: ((_copy_index(before), records), {}), rounds=10)
 
 
 def test_known_index_build(benchmark, graphs):
     benchmark(KnownIndex, graphs[0])
 
 
-def test_branch_blocked(benchmark, graphs):
-    """Both branch tests of every constraint against the pre-prune index."""
+def test_pair_blocked(benchmark, graphs):
+    """The per-pair test of every constraint against the pre-prune index."""
     graph, index = graphs[0], graphs[1]
     constraints = list(graph.constraints.values())
 
     def first_iteration():
+        index.sources.clear()
         for cons in constraints:
-            _branch_blocked(index, cons, EITHER)
-            _branch_blocked(index, cons, OR)
+            _pair_blocked(index, cons)
 
     benchmark(first_iteration)
 

@@ -10,7 +10,7 @@ from sicheck.graphs import iter_bits
 from harness import HistoryBounds, random_small_history
 from sicheck.histories import INIT_TXN, completeness_gate
 from sicheck.oracle import induced_graph
-from sicheck.polygraph import EITHER, OR, RW, build_polygraph
+from sicheck.polygraph import EITHER, OR, RW, build_polygraph, resolved_edges
 from sicheck.pruning import KnownIndex, prune_constraints
 
 from conftest import T0, T1, T2, T3, T4, T5, committed, injected_histories, mk_history
@@ -215,7 +215,8 @@ class TestExport:
 class TestCreationOrder:
     """The listed edges merged with the initial writer's derived ones, after
     construct and after prune, are the reference construction's known edges
-    followed by the edges prune promoted."""
+    followed by the edges of the branches prune resolved, which it lists
+    nowhere (`resolved_edges`)."""
 
     @staticmethod
     def check(history, counts):
@@ -224,11 +225,12 @@ class TestCreationOrder:
         graph = build_polygraph(history)
         constructed = ref.build_polygraph(history).known_edges
         assert list(creation_order(graph)) == constructed
-        listed = len(graph.known_edges)
+        listed = list(graph.known_edges)
         prune_constraints(graph)
+        assert graph.known_edges == listed
         assert not any(edge[0] == INIT_TXN for edge in graph.known_edges)
-        assert list(creation_order(graph)) == constructed + graph.known_edges[listed:]
-        counts["promoted"] += len(graph.known_edges) > listed
+        assert list(creation_order(graph)) == constructed + list(resolved_edges(graph))
+        counts["promoted"] += bool(graph.resolved)
         counts["runs"] += bool(graph.rmw_keys)
 
     def test_random_histories(self):

@@ -101,11 +101,12 @@ class TestSolve:
                     index = prune_constraints(graph).index
                 own = solve(graph)
                 rows = (index.a_adj, index.b_adj, index.a_pred, index.k_adj)
-                before = [list(r) for r in rows] + [dict(index.a_label), dict(index.b_label)]
+                before = ([list(r) for r in rows], dict(index.a_label), dict(index.b_label),
+                          {d: list(records) for d, records in index.folded.items()})
                 reach = index.reach and list(index.reach)
                 assert solve(graph, index=index) == own
                 # The solver only reads the index it is given.
-                after = [list(r) for r in rows] + [index.a_label, index.b_label]
+                after = ([list(r) for r in rows], index.a_label, index.b_label, index.folded)
                 assert after == before and index.reach == reach
                 assert own.status == ("sat" if history is sat else "unsat")
 
