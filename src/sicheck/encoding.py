@@ -102,8 +102,8 @@ def encode(graph: Polygraph) -> Encoding:
     """Build the Boolean views of a (typically pruned) polygraph."""
     constraints = [graph.constraints[cid] for cid in sorted(graph.constraints)]
     index = KnownIndex(graph)
-    index.add_branches([index.record(*branch_ends(cons.id, branch))
-                        for cons in constraints for branch in (EITHER, OR)])
+    index.fold_branches(branch_ends(cons.id, branch)
+                        for cons in constraints for branch in (EITHER, OR))
     return Encoding(
         index=index,
         known_edges=creation_order(graph),

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import SicheckError
 from .histories import INIT_TXN, History, OpsWalk, TxnId, txn_label, walk_ops
@@ -53,14 +54,14 @@ Edge = tuple[TxnId, TxnId, str, str | None]
 ConstraintKey = tuple[str, TxnId, TxnId]
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
+class Constraint(NamedTuple):
     """Unordered writer pair on one key; branches are derived on demand.
 
     The either branch orders first before second; readers of the earlier
     writer's value must then precede the later writer (RW edges). Branch edge
     lists are not materialized because reader sets are shared across all
-    constraints of the same writer.
+    constraints of the same writer. A named tuple, as construct makes one
+    per writer pair; `id` is the same triple as a plain tuple.
     """
 
     key: str

@@ -9,18 +9,17 @@ edges would close a cycle in K; the constraint is then resolved: prune
 records it with its surviving branch in `graph.resolved` and lists none of
 its edges.
 Branch tests within one iteration all read the iteration-start index, in
-vertex-index space: a branch s -> d with reader row R is impossible when d
-reaches s, or when d is or reaches an A-predecessor of a reader in R but d,
-so each test is one bit test plus one AND against the OR of the readers'
-A-predecessor rows, which the index keeps per writer while the pairs of one
-key are tested (`KnownIndex.source`). Only a constraint whose two branches
-are both impossible has its blocked edges found one by one, to build the
-witness cycles.
-The branches an iteration resolves are folded into the index in place after
-its constraint loop, straight from their (s, d, reader row), so they take
-effect in the next iteration. The next iteration re-tests only constraints
-whose reachability or predecessor rows that update changed, and the final
-index is handed on to the solver.
+vertex-index space, key by key (`_resolve_pass`): a branch s -> d with
+reader row R is impossible when d reaches s, or when d is or reaches an
+A-predecessor of a reader in R but d. Each writer of the key has its row
+and the OR of its readers' A-predecessor rows looked up once, so a pair
+costs a few bit tests and ANDs. Only a constraint whose two branches are
+both impossible has its blocked edges found one by one, for its witnesses.
+The resolved pairs are recorded per source writer and key, with the targets
+of their surviving branches, and folded into the index after the loop, one
+A/K row update per source (`KnownIndex.add_branches`), to take effect in
+the next iteration. That re-tests only constraints whose reachability or
+predecessor rows changed, and the final index is handed on to the solver.
 
 The closure is computed whole (`graphs.reach_masks`) once, before the first
 iteration. An update then walks K's chains, the runs of vertices i, i+1, …
@@ -42,13 +41,15 @@ and the outcome carries a witness cycle for each dead branch.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
 from .graphs import bfs_path, chain_starts, extend_reach, iter_bits, reach_masks
 from .histories import INIT_TXN, TxnId
 from .polygraph import (
-    EITHER, OR, RW, SO, WR, WW, Constraint, Edge, Polygraph, branch_ends, owning_branch,
+    EITHER, OR, RW, SO, WR, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends,
+    owning_branch,
 )
 from .witness import KNOWN_ORIGIN, Origin, WitnessCycle
 
@@ -73,12 +74,14 @@ class KnownIndex:
 
     Built once from `graph.known_edges` and the branches of `graph.resolved`;
     `add_edges` folds in listed edges, `add_branches` branch records, in
-    place. After every update the index equals a fresh build over the
-    graph's known edges and resolved branches, field by field. The closure
-    `reach` is None until `with_reach` computes it; from then on a fold
-    keeps it, and the chain starts `starts` with it, by walking the chains
-    for a small batch and by a rebuild for a large one. `readers` holds the
-    reader rows `reader_row` has been asked for, of writers that have readers.
+    place; `folded` keeps one branch record per source writer and key, for
+    `label` and `b_pred_rows`. After every update the index equals a fresh
+    build over the graph's known edges and resolved branches, field by
+    field. The closure `reach` is None until `with_reach` computes it; from
+    then on a fold keeps it, and the chain starts `starts` with it, by
+    walking the chains for a small batch and by a rebuild for a large one.
+    `readers` holds the reader rows `reader_row` was asked for, of writers
+    that have readers.
     """
 
     def __init__(self, graph: Polygraph):
@@ -94,17 +97,15 @@ class KnownIndex:
         # `label` also weighs the folded branches.
         self.a_label: dict[tuple[int, int], Edge] = {}
         self.b_label: dict[tuple[int, int], Edge] = {}
-        # The branch records folded without listing their edges, by target vertex.
-        self.folded: dict[int, list[tuple[str, int, int, tuple[int, ...]]]] = {}
+        # The branches folded without listing their edges: per source vertex,
+        # one (key, reader row, targets in fold order) record per key.
+        self.folded: dict[int, list[tuple[str, tuple[int, ...], list[int]]]] = {}
         self.k_adj = [0] * n
         self.reach: list[int] | None = None
         # First vertex of each chain of K (see `graphs.chain_starts`), kept with `reach`.
         self.starts: list[int] = []
         # Rows of graph.readers in vertex-index space, filled by `reader_row`.
         self.readers: dict[tuple[str, TxnId], tuple[int, ...]] = {}
-        # `source` of the writers of one key asked for since A last changed.
-        self.sources: dict[TxnId, tuple[int, tuple[int, ...], int]] = {}
-        self._sources_key: str | None = None
         # The initial writer's row (see the module docstring).
         init = self.vindex.get(INIT_TXN)
         if init is not None:
@@ -113,8 +114,7 @@ class KnownIndex:
             self.a_adj[init] = self.k_adj[init] = sum(1 << self.vindex[v] for v in targets)
         self.add_edges(graph.known_edges)
         if graph.resolved:
-            self.add_branches([self.record(*branch_ends(cid, branch))
-                               for cid, branch in graph.resolved.items()])
+            self.fold_branches(branch_ends(cid, branch) for cid, branch in graph.resolved.items())
 
     def with_reach(self) -> "KnownIndex":
         """Compute K's transitive closure, for the branch tests; returns self."""
@@ -125,7 +125,8 @@ class KnownIndex:
     def add_edges(self, edges: list[Edge]) -> set[int]:
         """Fold listed edges into the index; return the vertices whose reach or
         A-predecessor row changed (reach only once it is computed)."""
-        vindex, a_adj, b_adj = self.vindex, self.a_adj, self.b_adj
+        vindex, a_adj, b_adj, a_pred, k_adj = (
+            self.vindex, self.a_adj, self.b_adj, self.a_pred, self.k_adj)
         new_a: list[int] = []  # i, j of each new A pair (i, j), flat
         middles: set[int] = set()  # the middle vertex i of each new B pair (i, j)
         for edge in edges:
@@ -148,51 +149,7 @@ class KnownIndex:
             elif not (a_adj[i] >> j) & 1:
                 new_a.append(i)
                 new_a.append(j)
-        return self._fold(new_a, middles)
-
-    def add_branches(self, records: list[tuple[str, int, int, tuple[int, ...]]]) -> set[int]:
-        """Fold branch records (key, s, d, reader row of s) into the index, as
-        `add_edges` folds a branch's edges s -WW-> d and r -RW-> d for every
-        reader r but d, but with no edge tuple and no label; returns as it does."""
-        a_adj, b_adj, folded = self.a_adj, self.b_adj, self.folded
-        new_a: list[int] = []
-        # Per source (key, s) with readers: its row, the mask of its branches'
-        # targets, and whether a target is one of the readers.
-        spread: dict[tuple[str, int], list] = {}
-        for record in records:
-            key, s, d, row = record
-            folded.setdefault(d, []).append(record)
-            if not (a_adj[s] >> d) & 1:
-                new_a.append(s)
-                new_a.append(d)
-            if row:
-                entry = spread.get((key, s))
-                if entry is None:
-                    spread[(key, s)] = [row, 1 << d, d in row]
-                else:
-                    entry[1] |= 1 << d
-                    entry[2] = entry[2] or d in row
-        middles: set[int] = set()
-        for row, targets, reads in spread.values():
-            for r in row:
-                b_adj[r] |= targets & ~(1 << r) if reads else targets
-                middles.add(r)
-        return self._fold(new_a, middles)
-
-    def _fold(self, new_a: list[int], middles: set[int]) -> set[int]:
-        """Set K's new pairs and keep the closure, once the new B bits are set.
-
-        The B row of a middle vertex m that gained a pair composes with m's
-        A-predecessors of before the batch (old pairs again, which K holds);
-        a new A pair composes with every B pair, old or new.
-        """
-        a_adj, b_adj, a_pred, k_adj = self.a_adj, self.b_adj, self.a_pred, self.k_adj
-        grown: set[int] = set()  # the K rows that may have grown
-        for m in middles:
-            row = b_adj[m]
-            for p in iter_bits(a_pred[m]):
-                k_adj[p] |= row
-                grown.add(p)
+        grown = self._compose(middles)
         changed: set[int] = set()
         pairs = iter(new_a)
         for i, j in zip(pairs, pairs):
@@ -201,9 +158,84 @@ class KnownIndex:
             k_adj[i] |= 1 << j | b_adj[j]
             grown.add(i)
             changed.add(j)
-        if new_a:
-            self.sources.clear()
+        return self._fold(grown, changed)
 
+    def fold_branches(self, branches: Iterable[tuple[str, TxnId, TxnId]]) -> set[int]:
+        """Fold branches given as (key, source writer, target writer), one
+        record per source and key (`add_branches`); returns as it does."""
+        vindex = self.vindex
+        groups: dict[tuple[str, TxnId], list[int]] = {}
+        for key, src, dst in branches:
+            groups.setdefault((key, src), []).append(vindex[dst])
+        return self.add_branches([(key, vindex[src], self.reader_row(key, src), targets)
+                                  for (key, src), targets in groups.items()])
+
+    def add_branches(self, records: list[tuple[str, int, tuple[int, ...], list[int]]]) -> set[int]:
+        """Fold branch records (key, s, reader row of s, targets), at most one
+        per source s and key, as `add_edges` folds the edges s -WW-> d and
+        r -RW-> d of each target d, for every reader r but d, but with no
+        edge tuple and no label; returns as it does. `folded` takes a
+        record's target list over, or extends its source's on that key."""
+        a_adj, b_adj, a_pred, k_adj, folded = (
+            self.a_adj, self.b_adj, self.a_pred, self.k_adj, self.folded)
+        new_a: list[tuple[int, list[int]]] = []  # per source, its new A targets
+        middles: set[int] = set()
+        for key, s, row, targets in records:
+            mine = folded.get(s)
+            if mine is None:
+                folded[s] = [(key, row, targets)]
+            else:
+                for other, _, merged in mine:
+                    if other == key:
+                        merged.extend(targets)
+                        break
+                else:
+                    mine.append((key, row, targets))
+            mask = 1 << targets[0]
+            for d in targets[1:]:
+                mask |= 1 << d
+            for r in row:
+                b_adj[r] |= mask ^ (1 << r) if r in targets else mask
+            middles.update(row)
+            # One A and one K row update per source; the A-predecessor bits
+            # follow the B rows' composition, which takes those of before.
+            known = mask & a_adj[s]
+            fresh = mask ^ known if known else mask
+            if fresh:
+                a_adj[s] |= fresh
+                k_adj[s] |= fresh
+                new_a.append((s, list(iter_bits(fresh)) if known else targets))
+        grown = self._compose(middles)
+        changed: set[int] = set()
+        for s, targets in new_a:
+            bit, k_row = 1 << s, k_adj[s]
+            for d in targets:
+                a_pred[d] |= bit
+                k_row |= b_adj[d]
+            k_adj[s] = k_row
+            grown.add(s)
+            changed.update(targets)
+        return self._fold(grown, changed)
+
+    def _compose(self, middles: set[int]) -> set[int]:
+        """Compose the B row of each middle vertex m that gained a pair with
+        m's A-predecessors of before the batch (old pairs again, which K
+        holds); a new A pair then composes with every B pair, old or new.
+        Returns the K rows that may have grown."""
+        b_adj, a_pred, k_adj = self.b_adj, self.a_pred, self.k_adj
+        grown: set[int] = set()
+        for m in middles:
+            row = b_adj[m]
+            for p in iter_bits(a_pred[m]):
+                k_adj[p] |= row
+                grown.add(p)
+        return grown
+
+    def _fold(self, grown: set[int], changed: set[int]) -> set[int]:
+        """Keep the closure once a batch is in A, B and K; `grown` holds the
+        K rows that may have grown, `changed` the vertices whose A-predecessor
+        row changed. Returns `changed` with the vertices whose reach changed."""
+        k_adj = self.k_adj
         reach = self.reach
         if reach is None:
             return changed
@@ -223,64 +255,41 @@ class KnownIndex:
             self.starts = [v for v in starts if v not in links]
         return changed
 
-    def source(self, key: str, writer: TxnId) -> tuple[int, tuple[int, ...], int]:
-        """A writer of key as the source of a branch, in vertex-index space: its
-        vertex, its reader row and the OR of its readers' A-predecessor rows,
-        the vertices that an RW edge r -> d of the branch composes with into
-        p -> d. Kept in `sources` until a fold changes A or another key is asked for."""
-        if key != self._sources_key:
-            self.sources.clear()
-            self._sources_key = key
-        info = self.sources.get(writer)
-        if info is None:
-            row = self.reader_row(key, writer)
-            preds = self.a_pred[row[0]] if len(row) == 1 else self.preds_of(row, None)
-            info = self.sources[writer] = (self.vindex[writer], row, preds)
-        return info
-
-    def preds_of(self, row: tuple[int, ...], but: int | None) -> int:
-        """The OR of the A-predecessor rows of the readers in `row` but `but`."""
-        preds = 0
-        for r in row:
-            if r != but:
-                preds |= self.a_pred[r]
-        return preds
-
     def label(self, i: int, j: int, rw: bool) -> Edge | None:
         """The lowest (rank, key) known edge on pair (i, j) of the B layer when
-        `rw`, else of the A layer: the listed label, or an edge of a branch
-        folded into j. None when neither holds the pair."""
+        `rw`, else of the A layer: the listed label, or an edge of a folded
+        branch. None when neither holds the pair. A folded WW edge i -> j is
+        a branch of source i; a folded RW edge i -> j one of a source s that
+        reader i read from, so an A-predecessor of i and, by the branch's
+        WW edge, of j."""
         best = (self.b_label if rw else self.a_label).get((i, j))
         kind = RW if rw else WW
-        for key, s, _, row in self.folded.get(j, ()):
-            if not (i in row if rw else s == i):
-                continue
-            if best is None or (_LABEL_RANK[kind], key) < (_LABEL_RANK[best[2]], best[3] or ""):
-                best = (self.vertices[i], self.vertices[j], kind, key)
+        for s in iter_bits(self.a_pred[i] & self.a_pred[j]) if rw else (i,):
+            for key, row, targets in self.folded.get(s, ()):
+                if (not rw or i in row) and j in targets and (
+                        best is None
+                        or (_LABEL_RANK[kind], key) < (_LABEL_RANK[best[2]], best[3] or "")):
+                    best = (self.vertices[i], self.vertices[j], kind, key)
         return best
 
     def b_pred_rows(self) -> list[int]:
         """A new list of B-predecessor rows: bit i of row j is set when B holds (i, j).
 
-        A folded branch into d adds its reader row, but d, as a mask; the
-        mask of a row several readers share is built once.
+        A folded record adds its source's reader row, as a mask built once,
+        to the row of each of its targets d, but d's own bit.
         """
         b_pred = [0] * self.n
         for i, j in self.b_label:
             b_pred[j] |= 1 << i
-        masks: dict[int, int] = {}  # id of a shared reader row -> its mask
-        for d, records in self.folded.items():
-            col = b_pred[d]
-            for _, _, _, row in records:
-                if len(row) == 1:
-                    if row[0] != d:
-                        col |= 1 << row[0]
-                elif row:
-                    mask = masks.get(id(row))
-                    if mask is None:
-                        mask = masks[id(row)] = sum(1 << r for r in row)
-                    col |= mask & ~(1 << d) if d in row else mask
-            b_pred[d] = col
+        for records in self.folded.values():
+            for _, row, targets in records:
+                if not row:
+                    continue
+                mask = 0
+                for r in row:
+                    mask |= 1 << r
+                for d in targets:
+                    b_pred[d] |= mask ^ (1 << d) if d in row else mask
         return b_pred
 
     def branch(self, cons: Constraint, branch: str) -> tuple[int, int, tuple[int, ...]]:
@@ -289,11 +298,6 @@ class KnownIndex:
         are s -WW-> d and r -RW-> d for every reader r but d, in that order."""
         src, dst = (cons.first, cons.second) if branch == EITHER else (cons.second, cons.first)
         return self.vindex[src], self.vindex[dst], self.reader_row(cons.key, src)
-
-    def record(self, key: str, src: TxnId, dst: TxnId) -> tuple[str, int, int, tuple[int, ...]]:
-        """The branch record (key, s, d, reader row of s) of the branch
-        ordering src before dst on key, as `add_branches` folds it."""
-        return key, self.vindex[src], self.vindex[dst], self.reader_row(key, src)
 
     def reader_row(self, key: str, writer: TxnId) -> tuple[int, ...]:
         """A writer's reader row on key in vertex-index space, converted on the
@@ -383,21 +387,82 @@ class PruneOutcome:
     index: KnownIndex | None = None
 
 
-def _pair_blocked(index: KnownIndex, cons: Constraint) -> tuple[bool, bool]:
-    """Are the either and the or branch of a writer pair impossible?
+def _writer(index: KnownIndex, key: str, writer: TxnId,
+            changed: set[int] | None) -> tuple[int, tuple[int, ...], int, bool, list[int]]:
+    """A writer of key in a branch test: its vertex s, its reader row, the OR
+    of its readers' A-predecessor rows, whether s or a reader is in `changed`
+    (always, when that is None), and its branch record's empty target list."""
+    s = index.vindex[writer]
+    row = index.reader_row(key, writer)
+    preds = index.a_pred[row[0]] if len(row) == 1 else _preds(index.a_pred, row, None)
+    return s, row, preds, changed is None or s in changed or not changed.isdisjoint(row), []
+
+
+def _preds(a_pred: list[int], row: tuple[int, ...], but: int | None) -> int:
+    """The OR of the A-predecessor rows of the readers in `row` but `but`."""
+    preds = 0
+    for r in row:
+        if r != but:
+            preds |= a_pred[r]
+    return preds
+
+
+def _resolve_pass(index: KnownIndex, changed: set[int] | None, deadline: float | None,
+                  records: list[tuple[str, int, tuple[int, ...], list[int]]]) -> ConstraintKey | None:
+    """One iteration's tests: the open writer pairs in sorted order, so key
+    by key, against the index; resolve each pair with one impossible branch
+    and append its target to the branch record of its source writer and
+    key in `records`. Returns the first pair whose two branches are both
+    impossible, and stops there.
 
     A branch s -> d is impossible when d reaches s, or when d is or reaches
-    an A-predecessor of a reader of s but d (`KnownIndex.source`).
+    an A-predecessor of a reader of s but d. With `changed`, a pair is
+    tested only when a row its test reads changed. The clock is read per
+    pair when there is a deadline.
     """
-    reach = index.reach
-    a, row_a, preds_a = index.source(cons.key, cons.first)
-    b, row_b, preds_b = index.source(cons.key, cons.second)
-    if b in row_a:
-        preds_a = index.preds_of(row_a, b)
-    if a in row_b:
-        preds_b = index.preds_of(row_b, a)
-    return (bool((reach[b] >> a) & 1 or (preds_a >> b) & 1 or preds_a & reach[b]),
-            bool((reach[a] >> b) & 1 or (preds_b >> a) & 1 or preds_b & reach[a]))
+    graph = index.graph
+    constraints, resolved, reach = graph.constraints, graph.resolved, index.reach
+    key = first = None
+    writers: dict[TxnId, tuple] = {}  # `_writer` of each writer of `key` asked for
+    for cid in sorted(constraints):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceededError("pruning budget exhausted")
+        if cid[0] != key:
+            key, writers, first = cid[0], {}, None
+        # Sorted ids put the pairs of one first writer in a run; unpack it once.
+        if cid[1] is not first:
+            first = cid[1]
+            info = writers.get(first)
+            if info is None:
+                info = writers[first] = _writer(index, key, first, changed)
+            a, row_a, preds_first, dirty_a, found_a = info
+        second = cid[2]
+        info = writers.get(second)
+        if info is None:
+            info = writers[second] = _writer(index, key, second, changed)
+        b, row_b, preds_b, dirty_b, found_b = info
+        if not (dirty_a or dirty_b):
+            continue
+        # A writer that read key from the other is no reader of its branch.
+        preds_a = _preds(index.a_pred, row_a, b) if b in row_a else preds_first
+        if a in row_b:
+            preds_b = _preds(index.a_pred, row_b, a)
+        reach_a, reach_b = reach[a], reach[b]
+        either_blocked = (reach_b >> a) & 1 or (preds_a >> b) & 1 or preds_a & reach_b
+        or_blocked = (reach_a >> b) & 1 or (preds_b >> a) & 1 or preds_b & reach_a
+        if not (either_blocked or or_blocked):
+            continue
+        if either_blocked and or_blocked:
+            return cid
+        del constraints[cid]
+        if either_blocked:
+            resolved[cid], s, row, found, d = OR, b, row_b, found_b, a
+        else:
+            resolved[cid], s, row, found, d = EITHER, a, row_a, found_a, b
+        if not found:
+            records.append((key, s, row, found))
+        found.append(d)
+    return None
 
 
 def _branch_blocked(index: KnownIndex, cons: Constraint, branch: str) -> BlockedEdge | None:
@@ -464,46 +529,24 @@ def prune_constraints(
     changed: set[int] | None = None  # None: test every constraint
 
     while max_iterations is None or outcome.iterations < max_iterations:
-        resolved: list[tuple[str, int, int, tuple[int, ...]]] = []
-        for cid in sorted(graph.constraints):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceededError("pruning budget exhausted")
-            cons = graph.constraints[cid]
-            if changed is not None and not _inputs_changed(index, cons, changed):
-                continue
-            either_blocked, or_blocked = _pair_blocked(index, cons)
-            if either_blocked and or_blocked:
-                outcome.verdict = "immediate-violation"
-                outcome.violation = ImmediateViolation(
-                    constraint=cons,
-                    either_cycle=_blocked_cycle(index, graph, cons, EITHER),
-                    or_cycle=_blocked_cycle(index, graph, cons, OR),
-                )
-                outcome.resolved_count += len(resolved)
-                outcome.resolved_per_iteration.append(len(resolved))
-                outcome.iterations += 1
-                return outcome
-            if either_blocked or or_blocked:
-                survivor = OR if either_blocked else EITHER
-                del graph.constraints[cid]
-                graph.resolved[cid] = survivor
-                key, src, dst = branch_ends(cid, survivor)
-                s, row, _ = index.source(key, src)
-                resolved.append((key, s, index.vindex[dst], row))
-        outcome.resolved_count += len(resolved)
-        outcome.resolved_per_iteration.append(len(resolved))
+        records: list[tuple[str, int, tuple[int, ...], list[int]]] = []
+        before = len(graph.resolved)
+        violating = _resolve_pass(index, changed, deadline, records)
+        count = len(graph.resolved) - before
+        outcome.resolved_count += count
+        outcome.resolved_per_iteration.append(count)
         outcome.iterations += 1
-        if not resolved:
+        if violating is not None:
+            cons = graph.constraints[violating]
+            outcome.verdict = "immediate-violation"
+            outcome.violation = ImmediateViolation(
+                constraint=cons,
+                either_cycle=_blocked_cycle(index, graph, cons, EITHER),
+                or_cycle=_blocked_cycle(index, graph, cons, OR),
+            )
+            return outcome
+        if not count:
             break
-        changed = index.add_branches(resolved)
+        changed = index.add_branches(records)
     outcome.index = index
     return outcome
-
-
-def _inputs_changed(index: KnownIndex, cons: Constraint, changed: set[int]) -> bool:
-    """True when any reachability or predecessor row a branch test reads changed."""
-    for writer in (cons.first, cons.second):
-        s, readers, _ = index.source(cons.key, writer)
-        if s in changed or not changed.isdisjoint(readers):
-            return True
-    return False

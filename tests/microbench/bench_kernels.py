@@ -8,9 +8,11 @@ polygraph, and `build_polygraph` again on the first `rmw-chains`
 history, where construct orders every writer pair of the RMW runs;
 `prune_constraints` on the first `zipf-anomaly` history, where prune
 resolves most writer pairs; `tarjan_scc`, `reach_masks`, the `KnownIndex`
-build, each fold of the branches a prune iteration resolves
-(`KnownIndex.add_branches`, with its closure update), the per-pair branch
-tests, the solver's search, its Pearce–Kelly order repair and one
+build, each fold of the branch records a prune iteration makes
+(`KnownIndex.add_branches`, one record per source writer and key, with its
+closure update), the first iteration's key-by-key branch tests, the
+`KnownIndex` build of the pruned polygraph, `b_pred_rows` of the pruner's
+final index, the solver's search, its Pearce–Kelly order repair and one
 out-of-order retraction on the known induced graphs of the benchmark's
 workload shapes
 (`perfbench/workloads.py`, first history of run seed 1), and the
@@ -45,7 +47,7 @@ from sicheck.graphs import reach_masks, tarjan_scc
 from sicheck.histories import completeness_gate, parse_history
 from sicheck.pipeline import check_si
 from sicheck.polygraph import build_polygraph
-from sicheck.pruning import KnownIndex, _pair_blocked, prune_constraints
+from sicheck.pruning import KnownIndex, _resolve_pass, prune_constraints
 from sicheck.solving import Solver
 
 SEED = 1
@@ -138,16 +140,18 @@ def _copy_index(index: KnownIndex) -> KnownIndex:
     fresh = copy.copy(index)
     for name in ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "starts"):
         setattr(fresh, name, list(getattr(index, name)))
-    for name in ("a_label", "b_label", "readers", "sources"):
+    for name in ("a_label", "b_label", "readers"):
         setattr(fresh, name, dict(getattr(index, name)))
-    fresh.folded = {d: list(records) for d, records in index.folded.items()}
+    fresh.folded = {s: [(key, row, list(targets)) for key, row, targets in records]
+                    for s, records in index.folded.items()}
     return fresh
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))
 def closure_updates(request):
     """Every fold of the workload's prune: the index as it stood before the
-    fold, and the branch records it folds in."""
+    fold, and the branch records it folds in. The fold takes the records'
+    target lists over, so each round folds copies of them."""
     history = parse_history(WORKLOADS[request.param].case(SEED).data)
     updates = []
     fold = KnownIndex.add_branches
@@ -172,25 +176,40 @@ def test_closure_update(benchmark, closure_updates, number):
     if number >= len(closure_updates):
         pytest.skip("prune makes fewer updates")
     before, records = closure_updates[number]
-    benchmark.pedantic(KnownIndex.add_branches,
-                       setup=lambda: ((_copy_index(before), records), {}), rounds=10)
+
+    def setup():
+        copies = [(key, s, row, list(targets)) for key, s, row, targets in records]
+        return (_copy_index(before), copies), {}
+
+    benchmark.pedantic(KnownIndex.add_branches, setup=setup, rounds=10)
 
 
 def test_known_index_build(benchmark, graphs):
     benchmark(KnownIndex, graphs[0])
 
 
-def test_pair_blocked(benchmark, graphs):
-    """The per-pair test of every constraint against the pre-prune index."""
+def test_resolve_pass(benchmark, graphs):
+    """Prune's first iteration of branch tests, key by key, against the
+    pre-prune index, on a fresh copy of the polygraph each round (the pass
+    resolves pairs in it); the fold of its records is not timed."""
     graph, index = graphs[0], graphs[1]
-    constraints = list(graph.constraints.values())
 
-    def first_iteration():
-        index.sources.clear()
-        for cons in constraints:
-            _pair_blocked(index, cons)
+    def setup():
+        fresh = copy.copy(index)
+        fresh.graph = graph.clone()
+        return (fresh, None, None, []), {}
 
-    benchmark(first_iteration)
+    benchmark.pedantic(_resolve_pass, setup=setup, rounds=10)
+
+
+def test_pruned_index_build(benchmark, graphs):
+    """The index of a pruned polygraph, folding its resolved pairs per source."""
+    benchmark(KnownIndex, graphs[3])
+
+
+def test_b_pred_rows(benchmark, graphs):
+    """B-predecessor rows of the pruner's final index, from its per-source records."""
+    benchmark(graphs[2].b_pred_rows)
 
 
 def test_solver_search(benchmark, graphs):

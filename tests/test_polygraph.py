@@ -130,6 +130,25 @@ class TestConstraints:
         assert set(cons.edges(graph, EITHER)) == {(t, s, WW, "x"), (t_reader, s, RW, "x")}
         assert set(cons.edges(graph, OR)) == {(s, t, WW, "x"), (s_reader, t, RW, "x")}
 
+    def test_constraint_is_a_named_triple(self, long_fork):
+        cons = Constraint("x", T0, T1)
+        assert repr(cons) == "Constraint(key='x', first=(0, 0), second=(1, 0))"
+        assert (cons.key, cons.first, cons.second) == ("x", T0, T1)
+        assert cons == Constraint("x", T0, T1) and hash(cons) == hash(Constraint("x", T0, T1))
+        assert type(cons.id) is tuple and cons.id == ("x", T0, T1)
+        assert {cons.opposite(EITHER), cons.opposite(OR)} == {OR, EITHER}
+        assert cons.opposite(EITHER) == OR
+        graph = build_polygraph(long_fork)
+        assert graph.constraints[cons.id] == cons
+        # T4 read T0's x and T3 read T1's.
+        assert cons.edges(graph, EITHER) == [(T0, T1, WW, "x"), (T4, T1, RW, "x")]
+        assert cons.edges(graph, OR) == [(T1, T0, WW, "x"), (T3, T0, RW, "x")]
+        with pytest.raises(ValueError):
+            cons.edges(graph, "neither")
+        prune_constraints(graph)
+        assert graph.resolved
+        assert all(type(cid) is tuple for cid in (*graph.resolved, *graph.constraints))
+
     def test_long_fork_constraint_counts(self, long_fork):
         graph = build_polygraph(long_fork)
         by_key = {}

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import random
+import types
 import weakref
 from collections import Counter
 from contextlib import contextmanager
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sicheck import pipeline, pruning
+from sicheck.errors import BudgetExceededError
 from sicheck.graphs import chain_starts, extend_reach, iter_bits, reach_masks
 from harness import random_small_history
 from sicheck.polygraph import (
@@ -806,26 +808,41 @@ def branch_blocked_per_predecessor(index, graph, cons, branch):
 
 @pytest.fixture
 def audited_branch_tests(monkeypatch):
-    """Check every branch test prune makes against the reference: the per-pair
-    test of both branches, and the first blocked edge a witness is built
-    from; count the branches whose first blocked edge is an RW edge."""
-    pair_blocked, blocked = pruning._pair_blocked, pruning._branch_blocked
+    """Check every branch test prune makes against the reference: the tests
+    of both branches of each pair, key by key, and the first blocked edge a
+    witness is built from; count the branches whose first blocked edge is an
+    RW edge.
+
+    An iteration's tests show in what `_resolve_pass` leaves: a pair with
+    one impossible branch is resolved to the other, the pair it returns has
+    two, and a pair before that which stays open has none. A pair it skips,
+    as no row its test reads changed, must have none either.
+    """
+    resolve_pass, blocked = pruning._resolve_pass, pruning._branch_blocked
     audit = {"rw_blocked": 0}
 
-    def checked_pair(index, cons):
-        result = pair_blocked(index, cons)
-        expected = [branch_blocked_per_predecessor(index, index.graph, cons, branch)
-                    for branch in (EITHER, OR)]
-        assert result == tuple(e is not None for e in expected)
-        audit["rw_blocked"] += sum(e is not None and e.predecessor is not None for e in expected)
-        return result
+    def checked_pair(index, changed, deadline, records):
+        graph = index.graph
+        cids = sorted(graph.constraints)
+        pairs = dict(graph.constraints)
+        violating = resolve_pass(index, changed, deadline, records)
+        tested = cids if violating is None else cids[:cids.index(violating) + 1]
+        for cid in tested:
+            expected = [branch_blocked_per_predecessor(index, graph, pairs[cid], branch)
+                        for branch in (EITHER, OR)]
+            survivor = graph.resolved.get(cid)
+            result = (cid == violating or survivor == OR, cid == violating or survivor == EITHER)
+            assert result == tuple(e is not None for e in expected)
+            audit["rw_blocked"] += sum(e is not None and e.predecessor is not None
+                                       for e in expected)
+        return violating
 
     def checked(index, cons, branch):
         result = blocked(index, cons, branch)
         assert result == branch_blocked_per_predecessor(index, index.graph, cons, branch)
         return result
 
-    monkeypatch.setattr(pruning, "_pair_blocked", checked_pair)
+    monkeypatch.setattr(pruning, "_resolve_pass", checked_pair)
     monkeypatch.setattr(pruning, "_branch_blocked", checked)
     return audit
 
@@ -853,6 +870,30 @@ class TestBranchTestsMatchReference:
             prune_constraints(build_polygraph(random_small_history(seed)))
 
 
+def test_budget_runs_out_inside_a_key(monkeypatch):
+    """With a budget, prune reads the clock before each pair it tests, so a
+    clock that runs out after N readings stops it inside a key with more
+    than N pairs."""
+    # One session writes x ten times: 45 pairs, each resolved by session order.
+    history = mk_history([[committed([("w", "x", v)]) for v in range(1, 11)]])
+    graph = build_polygraph(history)
+    assert len(graph.constraints) == 45 and list(graph.writers) == ["x"]
+    readings = 10
+    read = []
+
+    def monotonic():
+        read.append(None)
+        return 0.0 if len(read) <= readings else 1e9
+
+    monkeypatch.setattr(pruning, "time", types.SimpleNamespace(monotonic=monotonic))
+    with pytest.raises(BudgetExceededError):
+        prune_constraints(graph, budget_ms=1)
+    # The deadline takes the first reading; each pair resolved took one more.
+    assert len(read) == readings + 1
+    assert len(graph.resolved) == readings - 1
+    assert len(graph.constraints) == 45 - (readings - 1)
+
+
 def _pruned(history) -> tuple:
     graph = build_polygraph(history)
     outcome = prune_constraints(graph)
@@ -867,8 +908,8 @@ def _guarded_histories() -> list:
 
 
 def test_branch_tests_build_no_edge_lists(monkeypatch):
-    """`Constraint.edges` raises inside `_pair_blocked`; prune runs unchanged."""
-    pair_blocked, edges = pruning._pair_blocked, Constraint.edges
+    """`Constraint.edges` raises inside `_resolve_pass`; prune runs unchanged."""
+    resolve_pass, edges = pruning._resolve_pass, Constraint.edges
     inside = [False]
 
     def guarded(cons, graph, branch):
@@ -879,14 +920,14 @@ def test_branch_tests_build_no_edge_lists(monkeypatch):
     def flagged(*args):
         inside[0] = True
         try:
-            return pair_blocked(*args)
+            return resolve_pass(*args)
         finally:
             inside[0] = False
 
     histories = _guarded_histories()
     expected = [_pruned(history) for history in histories]
     monkeypatch.setattr(Constraint, "edges", guarded)
-    monkeypatch.setattr(pruning, "_pair_blocked", flagged)
+    monkeypatch.setattr(pruning, "_resolve_pass", flagged)
     assert [_pruned(history) for history in histories] == expected
 
 

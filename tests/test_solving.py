@@ -101,8 +101,10 @@ class TestSolve:
                     index = prune_constraints(graph).index
                 own = solve(graph)
                 rows = (index.a_adj, index.b_adj, index.a_pred, index.k_adj)
+                folded = {s: [(key, row, list(targets)) for key, row, targets in records]
+                          for s, records in index.folded.items()}
                 before = ([list(r) for r in rows], dict(index.a_label), dict(index.b_label),
-                          {d: list(records) for d, records in index.folded.items()})
+                          folded)
                 reach = index.reach and list(index.reach)
                 assert solve(graph, index=index) == own
                 # The solver only reads the index it is given.
