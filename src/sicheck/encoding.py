@@ -28,8 +28,8 @@ from typing import IO
 from .graphs import iter_bits
 from .histories import INIT_TXN
 from .polygraph import (
-    EITHER, OR, SO, Constraint, Edge, Polygraph, branch_ends, initial_edges, resolved_edges,
-    rmw_runs,
+    EITHER, OR, SO, Constraint, Edge, Polygraph, branch_ends, forced_edges, initial_edges,
+    resolved_edges,
 )
 from .pruning import KnownIndex
 
@@ -62,24 +62,13 @@ def _branch_pairs(index: KnownIndex, cons: Constraint, branch: str) -> list[Pair
     return [(s, d), *((r, d) for r in readers if r != d)]
 
 
-def _run_edge_count(graph: Polygraph, key: str) -> int:
-    """How many edges construct listed for the RMW-run pairs of `key`: per
-    pair, s -WW-> d and r -RW-> d for every reader r of s but d."""
-    runs = rmw_runs(graph, key)
-    count = 0
-    for src, (head, at) in runs.items():
-        readers = graph.readers.get((key, src), ())
-        count += sum(1 + len(readers) - (dst in readers)
-                     for dst, (other, to) in runs.items() if other == head and to > at)
-    return count
-
-
 def creation_order(graph: Polygraph) -> list[Edge]:
     """The known edges with the derived ones merged back in where construct
     and prune once listed them: the session-order edges; the WR edges in
-    `read_from` order; per key, each writer's init -WW-> edge just before
-    the RW edges from the key's initial readers to it, then the key's run
-    edges; then the edges of the branches prune resolved, in resolution
+    `read_from` order; per key, each writer's init -WW-> edge, then the
+    key's forced edges (`forced_edges`), with the RW edges from the key's
+    initial readers to each writer moved up behind that writer's init -WW->
+    edge; then the edges of the branches prune resolved, in resolution
     order (`resolved_edges`).
     """
     listed, derived = iter(graph.known_edges), initial_edges(graph)
@@ -89,12 +78,12 @@ def creation_order(graph: Polygraph) -> list[Edge]:
     for writer in graph.read_from.values():
         edges.append(next(derived if writer == INIT_TXN else listed))
     for key, writers in graph.writers.items():
+        forced = iter(forced_edges(graph, key))
         init_readers = graph.readers.get((key, INIT_TXN), ())
         for writer in writers:
             edges.append(next(derived))
-            edges += islice(listed, len(init_readers) - (writer in init_readers))
-        if key in graph.rmw_keys:
-            edges += islice(listed, _run_edge_count(graph, key))
+            edges += islice(forced, len(init_readers) - (writer in init_readers))
+        edges += forced
     return edges + resolved_edges(graph)
 
 

@@ -28,7 +28,9 @@ from dataclasses import dataclass, replace
 
 from .errors import BudgetExceededError, MissingSupportError
 from .histories import INIT_TXN, TxnId, txn_label
-from .polygraph import EITHER, OR, RW, SO, WR, WW, ConstraintKey, Edge, Polygraph, owning_branch
+from .polygraph import (
+    EITHER, OR, RW, SO, WR, WW, ConstraintKey, Edge, Polygraph, forced_edges, owning_branch,
+)
 from .witness import KNOWN_ORIGIN, Origin, WitnessCycle, has_adjacent_rw
 
 CERTAIN = "certain"
@@ -84,8 +86,10 @@ class Counterexample:
 class EdgeUniverse:
     """Every labeled edge the polygraph can realize, with ownership.
 
-    Each open constraint's branch edges belong to that branch alone, and no
-    known edge coincides with one, so ownership is computed from the edge.
+    The known edges are the listed ones and construct's forced ones
+    (`forced_edges`). Each open constraint's branch edges belong to that
+    branch alone, and no known edge coincides with one, so ownership is
+    computed from the edge.
     A vertex's sorted successor list is built the first time it is asked
     for: most of the universe is never read by the cluster search.
     """
@@ -93,6 +97,8 @@ class EdgeUniverse:
     def __init__(self, graph: Polygraph):
         self.graph = graph
         self.known = set(graph.known_edges)
+        for key in graph.writers:
+            self.known.update(forced_edges(graph, key))
         self._known_out: dict[TxnId, list[Edge]] = {}
         for edge in self.known:
             self._known_out.setdefault(edge[0], []).append(edge)

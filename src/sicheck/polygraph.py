@@ -11,12 +11,17 @@ The virtual initial writer writes every key and precedes every real writer.
 Its own edges, init -WR-> each reader of an initial value and init -WW->
 each committed writer, are derived from `read_from` and `writers` by
 `initial_edges` and never listed in `known_edges`: it has no incoming edge,
-so it lies on no cycle, and only the encoding export asks for them. The
-read-overwrite edges its pairs force, from each reader of an initial value
-to each other writer of the key, are listed.
+so it lies on no cycle, and only the encoding export asks for them.
 
 The initial writer's pairs and those inside one read-modify-write run are
-ordered at construction, not generated (see `generate_constraints`).
+ordered at construction, not generated (see `generate_constraints`), and
+their edges are not listed either: construct records each key's runs in
+`runs`, and the read-overwrite edges the initial writer's pairs force, from
+each reader of an initial value to each other writer of the key, follow
+from `readers` and `writers`. `known_edges` holds only session-order and
+writer-to-reader edges. The known-graph index folds the forced edges as
+rows, the witness check reads them off the runs and reader rows, and
+`forced_edges` lists them for the encoding export and the explainer.
 
 Prune does not list the edges of the branches it keeps either: it records
 each writer pair it resolves, with its surviving branch, in `resolved`. The
@@ -133,6 +138,8 @@ class Polygraph:
     # Keys some writer read from a real writer: the only keys `rmw_runs` can
     # find a run on.
     rmw_keys: set[str] = field(default_factory=set)
+    # Per key with an RMW run, its runs (`rmw_runs`), each writer in run order.
+    runs: dict[str, list[tuple[TxnId, ...]]] = field(default_factory=dict)
     # Writer pairs prune resolved, in resolution order, with their surviving branch.
     resolved: dict[ConstraintKey, str] = field(default_factory=dict)
 
@@ -145,6 +152,7 @@ class Polygraph:
             read_from=self.read_from,
             writers=self.writers,
             rmw_keys=self.rmw_keys,
+            runs=self.runs,
             resolved=dict(self.resolved),
         )
 
@@ -224,8 +232,30 @@ def resolved_edges(graph: Polygraph) -> list[Edge]:
     return edges
 
 
-def rmw_runs(graph: Polygraph, key: str) -> dict[TxnId, tuple[TxnId, int]]:
-    """(head, position) of each writer of `key` in an RMW run of two or more.
+def forced_edges(graph: Polygraph, key: str) -> list[Edge]:
+    """The edges of the writer pairs construct ordered on `key`, which no
+    list holds, in the order construct once listed them: for each writer w,
+    r -RW-> w from every reader r of the initial value but w; then those of
+    each pair inside one RMW run, pairs in id order, each as `branch_edges`
+    gives the branch that puts the earlier member first."""
+    init_readers = graph.readers.get((key, INIT_TXN), ())
+    edges = [(r, w, RW, key) for w in graph.writers[key] for r in init_readers if r != w]
+    position: dict[TxnId, int] = {}
+    ordered: dict[TxnId, list[TxnId]] = {}  # member -> its run's members in id order
+    for run in graph.runs.get(key, ()):
+        members = sorted(run)
+        for at, writer in enumerate(run):
+            position[writer], ordered[writer] = at, members
+    for first in sorted(ordered):
+        members = ordered[first]
+        for second in members[members.index(first) + 1:]:
+            src, dst = (first, second) if position[first] < position[second] else (second, first)
+            edges += branch_edges(graph, key, src, dst)
+    return edges
+
+
+def rmw_runs(graph: Polygraph, key: str) -> list[tuple[TxnId, ...]]:
+    """The RMW runs of two or more writers of `key`, by head, each in run order.
 
     Writer w is the RMW successor of writer s when w read the key from s and
     no other writer of the key did. A run is a maximal path of successors
@@ -237,15 +267,14 @@ def rmw_runs(graph: Polygraph, key: str) -> dict[TxnId, tuple[TxnId, int]]:
         source = graph.read_from.get((key, writer), INIT_TXN)
         if source != INIT_TXN:
             following[source] = None if source in following else writer
-    if not following:
-        return {}
     successors = set(following.values())
-    runs: dict[TxnId, tuple[TxnId, int]] = {}
-    for head in [s for s, w in following.items() if w is not None and s not in successors]:
-        writer, at = head, 0
+    runs: list[tuple[TxnId, ...]] = []
+    for head in sorted(s for s, w in following.items() if w is not None and s not in successors):
+        run, writer = [head], following[head]
         while writer is not None:
-            runs[writer] = (head, at)
-            writer, at = following.get(writer), at + 1
+            run.append(writer)
+            writer = following.get(writer)
+        runs.append(tuple(run))
     return runs
 
 
@@ -255,30 +284,28 @@ def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
     real writer, and those inside one RMW run (`rmw_runs`), which come in
     run order: s precedes its successor w, else WR s->w and WW w->s close a
     cycle, and no x sits between them, as WW x->w and the RW w->x of
-    s-before-x compose to a self-loop at x. Such a pair's branch goes
-    straight into the known graph, but for the initial writer's WW edge
-    (`initial_edges`); prune would promote it in its first iteration.
-
-    Per key the listed edges come in this order: for each writer, the RW
-    edges from the readers of the initial value; then the run pairs' edges.
+    s-before-x compose to a self-loop at x. Such a pair's branch is known
+    but not listed: each key's runs go to `graph.runs`, and the initial
+    writer's branches follow from the key's writers and readers (see the
+    module docstring).
     """
-    known, constraints, readers = graph.known_edges, graph.constraints, graph.readers
+    constraints = graph.constraints
     for key, writers in graph.writers.items():
-        init_readers = readers.get((key, INIT_TXN))
-        if init_readers:
-            for writer in writers:
-                known.extend([(r, writer, RW, key) for r in init_readers if r != writer])
-        runs = rmw_runs(graph, key) if key in graph.rmw_keys else {}
-        for i, first in enumerate(writers[:-1]):
-            at = runs.get(first)
-            for second in writers[i + 1 :]:
-                to = at and runs.get(second)
-                if not to or at[0] != to[0]:
+        runs = rmw_runs(graph, key) if key in graph.rmw_keys else None
+        if not runs:
+            for i, first in enumerate(writers[:-1]):
+                for second in writers[i + 1:]:
                     constraints[key, first, second] = Constraint(key, first, second)
-                    continue
-                src, dst = (first, second) if at[1] < to[1] else (second, first)
-                known.append((src, dst, WW, key))
-                known.extend([(r, dst, RW, key) for r in readers.get((key, src), ()) if r != dst])
+            continue
+        graph.runs[key] = runs
+        if len(runs) == 1 and len(runs[0]) == len(writers):
+            continue  # one run orders every pair
+        run_of = {writer: run for run in runs for writer in run}
+        for i, first in enumerate(writers[:-1]):
+            mine = run_of.get(first)
+            for second in writers[i + 1:]:
+                if mine is None or run_of.get(second) is not mine:
+                    constraints[key, first, second] = Constraint(key, first, second)
     return graph
 
 
@@ -314,13 +341,12 @@ def constraint_count(graph: Polygraph) -> tuple[int, int]:
         if key in rmw_keys:
             # Pairs inside one run are not generated: a run member is paired
             # with no other member of its run.
-            runs = rmw_runs(graph, key)
-            sizes: dict[TxnId, list[int]] = {}
-            for writer, (head, _) in runs.items():
-                size = sizes.setdefault(head, [0, 0])
-                size[0] += 1
-                size[1] += len(readers.get((key, writer), ()))
-            for size, read_in_run in sizes.values():
+            head: dict[TxnId, TxnId] = {}
+            for run in graph.runs.get(key, ()):
+                size, read_in_run = len(run), 0
+                for writer in run:
+                    head[writer] = run[0]
+                    read_in_run += len(readers.get((key, writer), ()))
                 pairs -= size * (size - 1) // 2
                 unknown_here -= (size - 1) * read_in_run
             # A writer that read the key from a writer outside its run is the
@@ -328,7 +354,7 @@ def constraint_count(graph: Polygraph) -> tuple[int, int]:
             for writer in writers:
                 source = read_from.get((key, writer), INIT_TXN)
                 if source not in (INIT_TXN, writer) and (
-                        runs.get(source, (source,))[0] != runs.get(writer, (writer,))[0]):
+                        head.get(source, source) != head.get(writer, writer)):
                     unknown_here -= 1
         count += pairs
         unknown += 2 * pairs + unknown_here

@@ -41,6 +41,7 @@ and the outcome carries a witness cycle for each dead branch.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -72,46 +73,84 @@ def _walk_pays(sources: int, chains: int, n: int) -> bool:
 class KnownIndex:
     """Pair-level bitmask view of a polygraph's known edges.
 
-    Built once from `graph.known_edges` and the branches of `graph.resolved`;
-    `add_edges` folds in listed edges, `add_branches` branch records, in
-    place; `folded` keeps one branch record per source writer and key, for
-    `label` and `b_pred_rows`. After every update the index equals a fresh
-    build over the graph's known edges and resolved branches, field by
-    field. The closure `reach` is None until `with_reach` computes it; from
-    then on a fold keeps it, and the chain starts `starts` with it, by
-    walking the chains for a small batch and by a rebuild for a large one.
-    `readers` holds the reader rows `reader_row` was asked for, of writers
-    that have readers.
+    Built once from `graph.known_edges`, construct's forced branches (the
+    initial writer's against each writer and those inside each RMW run, see
+    `polygraph`) and the branches of `graph.resolved`; `add_edges` folds in
+    listed edges, `add_branches` branch records, in place; `folded` keeps
+    one branch record per source writer and key, for `label` and
+    `b_pred_rows`. After every update the index equals a fresh build over
+    the graph's known edges, forced and resolved branches, field by field.
+    The closure `reach` is None until `with_reach` computes it; from then on
+    a fold keeps it, and the chain starts `starts` with it, by walking the
+    chains for a small batch and by a rebuild for a large one. `readers`
+    holds the reader rows `reader_row` was asked for, of writers that have
+    readers.
     """
 
     def __init__(self, graph: Polygraph):
         self.graph = graph
         self.vertices = graph.vertices
-        self.vindex = {v: i for i, v in enumerate(self.vertices)}
-        n = len(self.vertices)
-        self.n = n
-        self.a_adj = [0] * n
-        self.b_adj = [0] * n
-        self.a_pred = [0] * n
-        # One representative listed edge per pair, lowest (rank, key) first;
-        # `label` also weighs the folded branches.
-        self.a_label: dict[tuple[int, int], Edge] = {}
-        self.b_label: dict[tuple[int, int], Edge] = {}
+        self.vindex = vindex = {v: i for i, v in enumerate(self.vertices)}
+        n = self.n = len(self.vertices)
+        a_adj, b_adj, a_pred, k_adj = self.a_adj, self.b_adj, self.a_pred, self.k_adj = (
+            [0] * n, [0] * n, [0] * n, [0] * n)
+        # What `label` reads besides the rows, built by its first call, as
+        # only witnesses ask: the lowest (rank, key) listed edge of each pair,
+        # keyed (i, j, is RW); per reader, the (key, writer) of each of its
+        # reads; the (run number, position) of each run member, keyed (key, vertex).
+        self._labels: dict[tuple[int, int, bool], Edge] | None = None
+        self._sources: dict[int, list[tuple[str, int]]] = {}
+        self._run_at: dict[tuple[str, int], tuple[int, int]] = {}
         # The branches folded without listing their edges: per source vertex,
         # one (key, reader row, targets in fold order) record per key.
         self.folded: dict[int, list[tuple[str, tuple[int, ...], list[int]]]] = {}
-        self.k_adj = [0] * n
         self.reach: list[int] | None = None
         # First vertex of each chain of K (see `graphs.chain_starts`), kept with `reach`.
         self.starts: list[int] = []
         # Rows of graph.readers in vertex-index space, filled by `reader_row`.
         self.readers: dict[tuple[str, TxnId], tuple[int, ...]] = {}
-        # The initial writer's row (see the module docstring).
-        init = self.vindex.get(INIT_TXN)
+        readers, writers = graph.readers, graph.writers
+        # The forced branches' B rows first, then their A pairs against them.
+        # The initial writer's row (see the module docstring); each reader of
+        # an initial value is overwritten by every other writer of the key.
+        self.init = init = vindex.get(INIT_TXN)
         if init is not None:
-            init_readers = (rs for (_, writer), rs in graph.readers.items() if writer == INIT_TXN)
-            targets = set().union(*graph.writers.values(), *init_readers)
-            self.a_adj[init] = self.k_adj[init] = sum(1 << self.vindex[v] for v in targets)
+            targets = set().union(*writers.values())
+            for (key, writer), row in readers.items():
+                if writer == INIT_TXN:
+                    targets.update(row)
+                    mask = _mask(vindex, writers.get(key, ()))
+                    for r in row:
+                        i = vindex[r]
+                        b_adj[i] |= mask & ~(1 << i)
+            a_adj[init] = k_adj[init] = _mask(vindex, targets)
+        # A run member's readers are overwritten by each later member.
+        runs = []
+        for key, keyed in graph.runs.items():
+            for run in keyed:
+                members = [vindex[w] for w in run]
+                runs.append(members)
+                later = 0
+                for writer, m in zip(reversed(run), reversed(members)):
+                    if later:
+                        for r in readers.get((key, writer), ()):
+                            i = vindex[r]
+                            b_adj[i] |= later & ~(1 << i)
+                    later |= 1 << m
+        # Each member precedes the later ones: its A row is the suffix of
+        # the run after it, its K row that and its successors' B rows.
+        for members in runs:
+            earlier = 0
+            for m in members:
+                a_pred[m] |= earlier
+                earlier |= 1 << m
+            later = composed = 0
+            for m in reversed(members):
+                if later:
+                    a_adj[m] |= later
+                    k_adj[m] |= later | composed
+                later |= 1 << m
+                composed |= b_adj[m]
         self.add_edges(graph.known_edges)
         if graph.resolved:
             self.fold_branches(branch_ends(cid, branch) for cid, branch in graph.resolved.items())
@@ -127,25 +166,15 @@ class KnownIndex:
         A-predecessor row changed (reach only once it is computed)."""
         vindex, a_adj, b_adj, a_pred, k_adj = (
             self.vindex, self.a_adj, self.b_adj, self.a_pred, self.k_adj)
+        self._labels = None
         new_a: list[int] = []  # i, j of each new A pair (i, j), flat
         middles: set[int] = set()  # the middle vertex i of each new B pair (i, j)
         for edge in edges:
             i, j = vindex[edge[0]], vindex[edge[1]]
-            pair = (i, j)
-            rw = edge[2] == RW
-            labels = self.b_label if rw else self.a_label
-            old = labels.get(pair)
-            if old is not None:
-                # The lowest (rank, key) labels the pair; the key only breaks a tie.
-                rank, old_rank = _LABEL_RANK[edge[2]], _LABEL_RANK[old[2]]
-                if rank > old_rank or rank == old_rank and (edge[3] or "") >= (old[3] or ""):
-                    continue
-            labels[pair] = edge
-            if old is not None:
-                continue
-            if rw:
-                b_adj[i] |= 1 << j
-                middles.add(i)
+            if edge[2] == RW:
+                if not (b_adj[i] >> j) & 1:
+                    b_adj[i] |= 1 << j
+                    middles.add(i)
             elif not (a_adj[i] >> j) & 1:
                 new_a.append(i)
                 new_a.append(j)
@@ -257,30 +286,86 @@ class KnownIndex:
 
     def label(self, i: int, j: int, rw: bool) -> Edge | None:
         """The lowest (rank, key) known edge on pair (i, j) of the B layer when
-        `rw`, else of the A layer: the listed label, or an edge of a folded
-        branch. None when neither holds the pair. A folded WW edge i -> j is
-        a branch of source i; a folded RW edge i -> j one of a source s that
-        reader i read from, so an A-predecessor of i and, by the branch's
-        WW edge, of j."""
-        best = (self.b_label if rw else self.a_label).get((i, j))
+        `rw`, else of the A layer, or None when neither holds the pair: a
+        listed edge, or an edge of a forced or a folded branch. Such a WW
+        edge i -> j is one of a key on which i is ordered before j
+        (`_ordered`), which j read, as a later run member did, or which a
+        record of source i folded; such an RW edge i -> j one of a key that
+        reader i read from a writer ordered before j. The initial writer
+        labels no pair."""
+        if self._labels is None:
+            self._label_views()
+        best = self._labels.get((i, j, rw))
         kind = RW if rw else WW
-        for s in iter_bits(self.a_pred[i] & self.a_pred[j]) if rw else (i,):
-            for key, row, targets in self.folded.get(s, ()):
-                if (not rw or i in row) and j in targets and (
-                        best is None
-                        or (_LABEL_RANK[kind], key) < (_LABEL_RANK[best[2]], best[3] or "")):
-                    best = (self.vertices[i], self.vertices[j], kind, key)
+        if i == self.init or best is not None and _LABEL_RANK[best[2]] < _LABEL_RANK[kind]:
+            return best
+        if rw:
+            keys = [key for key, s in self._sources.get(i, ()) if self._ordered(key, s, j)]
+        else:
+            keys = [key for key, _ in self._sources.get(j, ()) if self._ordered(key, i, j)]
+            keys += [key for key, _, targets in self.folded.get(i, ()) if j in targets]
+        if keys and (best is None or min(keys) < best[3]):
+            best = (self.vertices[i], self.vertices[j], kind, min(keys))
         return best
+
+    def _label_views(self) -> None:
+        """Build what `label` reads besides the rows (see `__init__`)."""
+        graph, vindex = self.graph, self.vindex
+        labels: dict[tuple[int, int, bool], Edge] = {}
+        for edge in graph.known_edges:
+            pair = (vindex[edge[0]], vindex[edge[1]], edge[2] == RW)
+            old = labels.get(pair)
+            if old is None or ((_LABEL_RANK[edge[2]], edge[3] or "")
+                               < (_LABEL_RANK[old[2]], old[3] or "")):
+                labels[pair] = edge
+        self._sources = {}
+        for (key, reader), writer in graph.read_from.items():
+            self._sources.setdefault(vindex[reader], []).append((key, vindex[writer]))
+        runs = [(key, run) for key, keyed in graph.runs.items() for run in keyed]
+        self._run_at = {(key, vindex[w]): (number, at)
+                        for number, (key, run) in enumerate(runs) for at, w in enumerate(run)}
+        self._labels = labels
+
+    def _ordered(self, key: str, s: int, d: int) -> bool:
+        """Does a forced or a folded branch put writer s before d on key: the
+        initial writer's, one RMW run's or a branch record of source s?"""
+        if s == self.init:
+            writers, v = self.graph.writers.get(key, ()), self.vertices[d]
+            at = bisect_left(writers, v)
+            return at < len(writers) and writers[at] == v
+        at, to = self._run_at.get((key, s)), self._run_at.get((key, d))
+        if at is not None and to is not None and at[0] == to[0] and at[1] < to[1]:
+            return True
+        return any(k == key and d in targets for k, _, targets in self.folded.get(s, ()))
 
     def b_pred_rows(self) -> list[int]:
         """A new list of B-predecessor rows: bit i of row j is set when B holds (i, j).
 
-        A folded record adds its source's reader row, as a mask built once,
-        to the row of each of its targets d, but d's own bit.
+        Listed RW edges aside, each branch adds a reader row, as a mask built
+        once, to the row of each writer it overwrites with, but the writer's
+        own bit: the initial readers of a key to each writer of it, the
+        readers of a run's members before each member to it, and a folded
+        record's reader row to each of its targets.
         """
+        graph, vindex, init = self.graph, self.vindex, self.init
         b_pred = [0] * self.n
-        for i, j in self.b_label:
-            b_pred[j] |= 1 << i
+        for src, dst, kind, _ in graph.known_edges:
+            if kind == RW:
+                b_pred[vindex[dst]] |= 1 << vindex[src]
+        if init is not None:
+            for (key, writer), row in graph.readers.items():
+                if writer == INIT_TXN:
+                    mask = _mask(vindex, row)
+                    for w in graph.writers.get(key, ()):
+                        d = vindex[w]
+                        b_pred[d] |= mask & ~(1 << d)
+        for key, runs in graph.runs.items():
+            for run in runs:
+                earlier = 0
+                for w in run:
+                    d = vindex[w]
+                    b_pred[d] |= earlier & ~(1 << d)
+                    earlier |= _mask(vindex, graph.readers.get((key, w), ()))
         for records in self.folded.values():
             for _, row, targets in records:
                 if not row:
@@ -326,6 +411,14 @@ class KnownIndex:
         for a, b in zip(path, path[1:]):
             deps.extend(self.decompose(a, b))
         return deps
+
+
+def _mask(vindex: dict[TxnId, int], txns: Iterable[TxnId]) -> int:
+    """The row of the given transactions' vertices."""
+    mask = 0
+    for v in txns:
+        mask |= 1 << vindex[v]
+    return mask
 
 
 def k_middle(a_rows: list[int], b_rows: list[int], u: int, v: int) -> int | None:
@@ -387,15 +480,22 @@ class PruneOutcome:
     index: KnownIndex | None = None
 
 
-def _writer(index: KnownIndex, key: str, writer: TxnId,
-            changed: set[int] | None) -> tuple[int, tuple[int, ...], int, bool, list[int]]:
-    """A writer of key in a branch test: its vertex s, its reader row, the OR
-    of its readers' A-predecessor rows, whether s or a reader is in `changed`
-    (always, when that is None), and its branch record's empty target list."""
+def _writer(index: KnownIndex, key: str, writer: TxnId, changed: set[int] | None) -> list:
+    """A writer of key in a branch test: [its vertex s, its reader row,
+    whether s or a reader is in `changed` (always, when that is None), its
+    branch record's empty target list, None], the last entry for the OR of
+    its readers' A-predecessor rows, which `_writer_preds` fills for a
+    pair that is tested."""
     s = index.vindex[writer]
     row = index.reader_row(key, writer)
-    preds = index.a_pred[row[0]] if len(row) == 1 else _preds(index.a_pred, row, None)
-    return s, row, preds, changed is None or s in changed or not changed.isdisjoint(row), []
+    return [s, row, changed is None or s in changed or not changed.isdisjoint(row), [], None]
+
+
+def _writer_preds(a_pred: list[int], info: list) -> int:
+    """The OR of the A-predecessor rows of a `_writer`'s readers, kept in it."""
+    row = info[1]
+    preds = info[4] = a_pred[row[0]] if len(row) == 1 else _preds(a_pred, row, None)
+    return preds
 
 
 def _preds(a_pred: list[int], row: tuple[int, ...], but: int | None) -> int:
@@ -421,9 +521,9 @@ def _resolve_pass(index: KnownIndex, changed: set[int] | None, deadline: float |
     pair when there is a deadline.
     """
     graph = index.graph
-    constraints, resolved, reach = graph.constraints, graph.resolved, index.reach
+    constraints, resolved, reach, a_pred = graph.constraints, graph.resolved, index.reach, index.a_pred
     key = first = None
-    writers: dict[TxnId, tuple] = {}  # `_writer` of each writer of `key` asked for
+    writers: dict[TxnId, list] = {}  # `_writer` of each writer of `key` asked for
     for cid in sorted(constraints):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError("pruning budget exhausted")
@@ -432,21 +532,25 @@ def _resolve_pass(index: KnownIndex, changed: set[int] | None, deadline: float |
         # Sorted ids put the pairs of one first writer in a run; unpack it once.
         if cid[1] is not first:
             first = cid[1]
-            info = writers.get(first)
-            if info is None:
-                info = writers[first] = _writer(index, key, first, changed)
-            a, row_a, preds_first, dirty_a, found_a = info
+            info_a = writers.get(first)
+            if info_a is None:
+                info_a = writers[first] = _writer(index, key, first, changed)
+            a, row_a, dirty_a, found_a, preds_first = info_a
         second = cid[2]
         info = writers.get(second)
         if info is None:
             info = writers[second] = _writer(index, key, second, changed)
-        b, row_b, preds_b, dirty_b, found_b = info
+        b, row_b, dirty_b, found_b, preds_b = info
         if not (dirty_a or dirty_b):
             continue
+        if preds_first is None:
+            preds_first = _writer_preds(a_pred, info_a)
         # A writer that read key from the other is no reader of its branch.
-        preds_a = _preds(index.a_pred, row_a, b) if b in row_a else preds_first
+        preds_a = _preds(a_pred, row_a, b) if b in row_a else preds_first
         if a in row_b:
-            preds_b = _preds(index.a_pred, row_b, a)
+            preds_b = _preds(a_pred, row_b, a)
+        elif preds_b is None:
+            preds_b = _writer_preds(a_pred, info)
         reach_a, reach_b = reach[a], reach[b]
         either_blocked = (reach_b >> a) & 1 or (preds_a >> b) & 1 or preds_a & reach_b
         or_blocked = (reach_a >> b) & 1 or (preds_b >> a) & 1 or preds_b & reach_a

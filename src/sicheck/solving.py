@@ -364,13 +364,18 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
     constraint, and order the vertices so that every edge of the induced
     graph it re-derives runs forward: the listed edges, the initial
     writer's derived ones, checked once per target (every committed writer
-    and every reader of an initial value), and the edges of every resolved
-    and every assigned branch s -> d, s -WW-> d and r -RW-> d for each
-    reader r of s but d, read off the reader rows without building them.
-    An unsat cycle must be closed, undesired, and justified edge by edge by
-    its claimed provenance without drawing on both branches of any
-    constraint; a known edge is a listed one or one of a resolved branch.
+    and every reader of an initial value), the RW edges from each reader
+    of an initial value to every other writer of the key, the edges of
+    each RMW run, read off its members in run order, and the edges of every
+    resolved and every assigned branch s -> d, s -WW-> d and r -RW-> d for
+    each reader r of s but d, read off the reader rows without building
+    them. An unsat cycle must be closed, undesired, and justified edge by
+    edge by its claimed provenance without drawing on both branches of any
+    constraint; a known edge is a listed one, an RW edge from a reader of
+    an initial value to another writer of the key, one of an RMW run, or
+    one of a resolved branch.
     """
+    readers, read_from = graph.readers, graph.read_from
     if result.status == "sat":
         assignment, order = result.assignment, result.order or []
         if assignment is None or assignment.keys() != graph.constraints.keys():
@@ -391,7 +396,6 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
         for src, dst, kind, _ in graph.known_edges:
             if kind == RW and position[dst] < lowest[src]:
                 lowest[src] = position[dst]
-        readers = graph.readers
         for key, s, d in branches:
             row = readers.get((key, s))
             if row:
@@ -399,8 +403,35 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
                 for r in row:
                     if r != d and at < lowest[r]:
                         lowest[r] = at
+        # A reader of an initial value precedes the lowest other writer of the key.
+        for (key, writer), row in readers.items():
+            if writer == INIT_TXN and key in graph.writers:
+                first = heapq.nsmallest(2, ((position[w], w) for w in graph.writers[key]))
+                for r in row:
+                    at = first[0] if first[0][1] != r else first[1] if len(first) > 1 else None
+                    if at is not None and at[0] < lowest[r]:
+                        lowest[r] = at[0]
+        # A reader of run member m precedes the lowest member after m but
+        # itself: only m's successor, the next member, reads m's value.
+        runs = [(key, run) for key, keyed in graph.runs.items() for run in keyed]
+        for key, run in runs:
+            after = [len(position)] * (len(run) + 1)  # after[i]: lowest position from member i on
+            for i in range(len(run) - 1, -1, -1):
+                after[i] = min(after[i + 1], position[run[i]])
+            for i, member in enumerate(run[:-1]):
+                for r in readers.get((key, member), ()):
+                    at = after[i + 2] if r == run[i + 1] else after[i + 1]
+                    if at < lowest[r]:
+                        lowest[r] = at
+        # Each member precedes the lowest `lowest` of the members after it.
+        for _, run in runs:
+            bound = len(position)
+            for member in reversed(run):
+                if position[member] >= bound:
+                    return False
+                bound = min(bound, lowest[member])
         targets = set().union(*graph.writers.values())
-        targets.update(reader for (_, reader), writer in graph.read_from.items()
+        targets.update(reader for (_, reader), writer in read_from.items()
                        if writer == INIT_TXN)
         return (all(position[src] < lowest[dst]
                     for src, dst, kind, _ in graph.known_edges if kind != RW)
@@ -413,9 +444,21 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
     if has_adjacent_rw(cycle.edges()):
         return False
     listed = set(graph.known_edges)
+    run_at = {(key, w): (number, at) for number, (key, run) in enumerate(
+        (key, run) for key, keyed in graph.runs.items() for run in keyed)
+        for at, w in enumerate(run)}
 
     def known(edge: Edge) -> bool:
         if edge in listed:
+            return True
+        src, dst, kind, key = edge
+        writer = src if kind == WW else read_from.get((key, src)) if kind == RW else None
+        if writer is None or src == dst:
+            return False
+        if writer == INIT_TXN:
+            return kind == RW and dst in graph.writers.get(key, ())
+        at, to = run_at.get((key, writer)), run_at.get((key, dst))
+        if at is not None and to is not None and at[0] == to[0] and at[1] < to[1]:
             return True
         owner = owning_branch(graph, edge)
         return (owner is not None and graph.resolved.get(owner[0]) == owner[1]

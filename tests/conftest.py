@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from sicheck.graphs import iter_bits
-from sicheck.histories import ABORTED, COMMITTED, INIT_TXN, History, Operation, Transaction
+from sicheck.histories import (
+    ABORTED, COMMITTED, INIT_TXN, History, Operation, Transaction, parse_history,
+)
 from sicheck.workload import WorkloadParams, generate, inject
 
 
@@ -70,6 +75,18 @@ def injected_histories():
                                 keys=6, dist="uniform", seed=seed)
         for kind in ("long-fork", "lost-update", "causality-violation"):
             yield inject(generate(params), kind, seed)
+
+
+def workload_seed_1_histories(*names: str) -> dict[str, History]:
+    """The first history of run seed 1 of each benchmark workload
+    (`perfbench/workloads.py`) named, of every one when none is, by name."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.append(root)
+    from perfbench.workloads import WORKLOADS
+
+    return {name: parse_history(workload.case(1).data) for name, workload in WORKLOADS.items()
+            if name in names or not names}
 
 
 # Transaction ids of the long-fork fixture, paper-style names.

@@ -95,17 +95,18 @@ def bfs_reach(n: int, adj: list[int]) -> list[int]:
 
 
 def eager_edge_universe(
-    graph: Polygraph,
+    graph: Polygraph, known_edges: list[Edge] | None = None,
 ) -> tuple[dict[TxnId, list[Edge]], dict[Edge, tuple[ConstraintKey, str]]]:
     """Every realizable edge up front: sorted successor lists and branch owners.
 
-    Known edges first; then each constraint's branch edges in sorted
-    constraint order, an edge going to the first branch that lists it.
+    Known edges first, `known_edges` when given, else the graph's listed
+    ones; then each constraint's branch edges in sorted constraint order,
+    an edge going to the first branch that lists it.
     """
     owner: dict[Edge, tuple[ConstraintKey, str]] = {}
     succ: dict[TxnId, list[Edge]] = {}
     known: set[Edge] = set()
-    for edge in graph.known_edges:
+    for edge in graph.known_edges if known_edges is None else known_edges:
         if edge in known:
             continue
         known.add(edge)

@@ -12,9 +12,11 @@ rule written apart from `polygraph.rmw_runs` (`rmw_run_pairs`);
 that `test_polygraph.py`'s differential test compares with.
 
 Construction here still lists the initial writer's edges among the known
-edges, as it did before they were derived; `split_initial_edges` takes them
-out, so the current construction can be compared with this one and tests
-can take those edges from here rather than from the code under test.
+edges, as it did before they were derived, and the edges of the writer
+pairs it orders, as it did before construction recorded its RMW runs;
+`split_unlisted_edges` takes them out, so the current construction can be
+compared with this one and tests can take those edges from here rather
+than from the code under test.
 """
 
 from __future__ import annotations
@@ -374,15 +376,40 @@ def build_polygraph(history: History, rmw_runs: bool = True) -> Polygraph:
     return generate_constraints(history, create_known_graph(history), rmw_runs)
 
 
-def split_initial_edges(graph: Polygraph) -> tuple[Polygraph, list[Edge]]:
-    """A graph built here in the current layout, and the edges it dropped.
+def split_unlisted_edges(graph: Polygraph) -> tuple[Polygraph, list[Edge], list[Edge]]:
+    """A graph built here in the current layout, and the edges it dropped:
+    the initial writer's, then the WW and RW edges of the pairs
+    construction ordered, each list in the order the edges were listed.
 
-    The layout lists no edge of the initial writer and names in `rmw_keys`
-    the keys some writer read from another real writer; the dropped edges
-    keep the order they were listed in.
+    The layout lists only session-order and writer-to-reader edges, names
+    in `rmw_keys` the keys some writer read from another real writer and
+    records in `runs` the RMW runs of each key that has one, by head, each
+    in run order: the writers of the pairs `rmw_run_pairs` orders that the
+    graph left out of its constraints, each run led by the writer the most
+    of them put first.
     """
     initial = [edge for edge in graph.known_edges if edge[0] == INIT_TXN]
-    rest = [edge for edge in graph.known_edges if edge[0] != INIT_TXN]
+    forced = [edge for edge in graph.known_edges if edge[0] != INIT_TXN and edge[2] in (WW, RW)]
+    rest = [edge for edge in graph.known_edges if edge[2] in (SO, WR) and edge[0] != INIT_TXN]
     rmw_keys = {key for (key, reader), writer in graph.read_from.items()
                 if writer != INIT_TXN and reader in graph.writers.get(key, ())}
-    return dataclasses.replace(graph, known_edges=rest, rmw_keys=rmw_keys), initial
+    runs: dict[str, list[tuple[TxnId, ...]]] = {}
+    for key in graph.writers:
+        later: dict[TxnId, set[TxnId]] = {}  # run member -> the members after it
+        for (low, high), earlier in rmw_run_pairs(graph, key).items():
+            if (key, low, high) not in graph.constraints:
+                later.setdefault(earlier, set()).add(high if earlier == low else low)
+                later.setdefault(high if earlier == low else low, set())
+        heads = [w for w in later if not any(w in after for after in later.values())]
+        if heads:
+            runs[key] = sorted(tuple(sorted((head, *later[head]), key=lambda w: -len(later[w])))
+                               for head in heads)
+    current = dataclasses.replace(graph, known_edges=rest, rmw_keys=rmw_keys, runs=runs)
+    return current, initial, forced
+
+
+def known_edges(history: History) -> list[Edge]:
+    """The known edges construction lists here, but the initial writer's:
+    the listed ones of the current layout, then the ordered pairs'."""
+    current, _, forced = split_unlisted_edges(build_polygraph(history))
+    return current.known_edges + forced

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import reference_frontend as ref
+from reference_frontend import known_edges as reference_known_edges
 from sicheck.encoding import branch_clause_text, creation_order, encode, export_encoding
 from sicheck.graphs import iter_bits
 from harness import HistoryBounds, random_small_history
@@ -136,8 +137,9 @@ class TestModelCorrespondence:
             if not enc.clauses:
                 continue
             vindex = enc.index.vindex
+            known = reference_known_edges(history)
             for _ in range(4):
-                chosen = list(graph.known_edges)
+                chosen = list(known)
                 for cid in sorted(graph.constraints):
                     branch = EITHER if rng.random() < 0.5 else OR
                     chosen.extend(graph.constraints[cid].edges(graph, branch))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from sicheck.errors import MissingSupportError
@@ -18,7 +20,7 @@ from sicheck.explain import (
     undesired_cycles,
 )
 from harness import minimal_counterexample_size, random_small_history
-from sicheck.histories import INIT_TXN, completeness_gate
+from sicheck.histories import INIT_TXN, completeness_gate, parse_history
 from sicheck.pipeline import check_si
 from sicheck.polygraph import RW, SO, WR, WW, build_polygraph
 from sicheck.pruning import prune_constraints
@@ -26,8 +28,9 @@ from sicheck.witness import KNOWN_ORIGIN
 
 from conftest import (
     T0, T1, T2, T3, T4, T5, committed, immediate_violation_history, injected_histories,
-    mk_history,
+    mk_history, workload_seed_1_histories,
 )
+import reference_frontend as ref
 from reference_closures import eager_edge_universe
 
 A, B, C = (0, 0), (1, 0), (2, 0)
@@ -276,13 +279,16 @@ class TestRenderDot:
 
 class TestLazyUniverseMatchesEager:
     """Per-vertex successor lists and computed owners equal the eager build,
-    on each polygraph and on what prune leaves of it."""
+    on each polygraph and on what prune leaves of it; the eager build takes
+    its known edges, but the initial writer's, from the reference
+    construction, which lists the forced ones."""
 
     @staticmethod
     def check(history):
         graph = build_polygraph(history)
+        known = ref.known_edges(history)
         for _ in range(2):
-            succ, owner = eager_edge_universe(graph)
+            succ, owner = eager_edge_universe(graph, known)
             universe = EdgeUniverse(graph)
             assert set(succ) <= set(graph.vertices)
             for vertex in graph.vertices:
@@ -305,4 +311,13 @@ class TestLazyUniverseMatchesEager:
     def test_injected_anomalies(self, long_fork, lost_update, causality_violation):
         fixtures = [long_fork, lost_update, causality_violation, immediate_violation_history()]
         for history in fixtures + list(injected_histories()):
+            self.check(history)
+
+    def test_rmw_run_seeds_and_workload_histories(self):
+        # The rmw-runs corpus and the workloads with RMW runs; uniform-10k has none.
+        corpus = Path(__file__).parent / "corpus" / "rmw-runs"
+        for path in sorted(corpus.glob("*.json")):
+            self.check(parse_history(path.read_bytes()))
+        for history in workload_seed_1_histories(
+                "zipf-anomaly", "hotspot-write", "rmw-chains").values():
             self.check(history)

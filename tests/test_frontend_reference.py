@@ -184,7 +184,8 @@ def graph_fields(graph: Polygraph | tuple) -> object:
     if isinstance(graph, tuple):
         return graph
     return (graph.vertices, graph.known_edges, list(graph.constraints.items()),
-            graph.readers, graph.read_from, list(graph.writers.items()), graph.rmw_keys, graph)
+            graph.readers, graph.read_from, list(graph.writers.items()), graph.rmw_keys,
+            graph.runs, graph)
 
 
 def assert_front_end_matches(history: History) -> tuple:
@@ -192,7 +193,7 @@ def assert_front_end_matches(history: History) -> tuple:
     assert gate == gate_fields(history, ref.completeness_gate)
     graph, expected = outcome(build_polygraph, history), outcome(ref.build_polygraph, history)
     if isinstance(expected, Polygraph):
-        assert graph_fields(graph) == graph_fields(ref.split_initial_edges(expected)[0])
+        assert graph_fields(graph) == graph_fields(ref.split_unlisted_edges(expected)[0])
         assert list(creation_order(graph)) == expected.known_edges
     else:
         assert graph_fields(graph) == graph_fields(expected)

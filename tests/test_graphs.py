@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sicheck.graphs import bfs_path, find_cycle, iter_bits, reach_masks, tarjan_scc
 from sicheck.histories import completeness_gate
-from sicheck.polygraph import build_polygraph, rmw_runs
+from sicheck.polygraph import build_polygraph
 from sicheck.pruning import KnownIndex, prune_constraints
 from sicheck.workload import WorkloadParams, generate, inject
 
@@ -152,7 +152,7 @@ class TestKernelsMatchReferences:
                 graph = build_polygraph(history)
                 # RMW runs cover every writer of rmw-chains, so construct
                 # leaves prune nothing to resolve there; elsewhere prune grows K.
-                covered = all(len(rmw_runs(graph, key)) == len(writers)
+                covered = all([tuple(sorted(run)) for run in graph.runs.get(key, ())] == [writers]
                               for key, writers in graph.writers.items() if len(writers) > 1)
                 assert covered == (shape == "rmw-chains")
                 before = KnownIndex(graph)

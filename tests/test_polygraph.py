@@ -16,6 +16,7 @@ from sicheck.polygraph import (
     build_polygraph,
     constraint_count,
     create_known_graph,
+    forced_edges,
     generate_constraints,
     initial_edges,
     owning_branch,
@@ -219,10 +220,12 @@ class TestConstraints:
         graph = build_polygraph(history)
         # The initial writer precedes the real writers of x and y, which its
         # derived edges say, and the reader of the initial value is
-        # overwritten by the writer of x.
+        # overwritten by the writer of x, which is derived too.
         assert list(initial_edges(graph)) == [
             (INIT_TXN, (1, 0), WR, "x"), (INIT_TXN, (0, 0), WW, "x"), (INIT_TXN, (1, 0), WW, "y")]
-        assert graph.known_edges == [((1, 0), (0, 0), RW, "x")]
+        assert graph.known_edges == []
+        assert forced_edges(graph, "x") == [((1, 0), (0, 0), RW, "x")]
+        assert forced_edges(graph, "y") == []
         # No constraint mentions the initial writer.
         assert all(INIT_TXN not in (a, b) for _, a, b in graph.constraints)
 
@@ -286,7 +289,7 @@ class TestExpansionEquivalence:
 
             plain = self.plain_constraints(history)
             assert self.expanded(graph) == {c for c in plain if not in_run(c)}
-            known = set(graph.known_edges)
+            known = {edge for key in graph.writers for edge in forced_edges(graph, key)}
             for ww, rw in filter(in_run, plain):
                 assert ww in known or rw in known
                 in_runs += 1
@@ -327,15 +330,18 @@ class TestRmwRuns:
             checked = check_si(history, no_prune=no_prune)
             assert (checked.outcome, checked.classification) == verdict
         graph = build_polygraph(history)
-        # Before pruning, only construct's run order puts branch edges in the known graph.
-        ordered = [edge for edge in graph.known_edges if owning_branch(graph, edge) is not None]
+        # Construct lists no WW or RW edge; of the forced edges it derives,
+        # those of its run order are the only branch edges.
+        assert {edge[2] for edge in graph.known_edges} <= {SO, WR}
+        ordered = [edge for edge in forced_edges(graph, "x") if owning_branch(graph, edge) is not None]
+        assert graph.runs == ({"x": rmw_runs(graph, "x")} if rmw_runs(graph, "x") else {})
         return graph, sorted(graph.constraints), ordered
 
     def test_head_read_initial_value(self):
         # A read x from the initial writer, B from A, C from B; D only reads A's x.
         A, B, C, D = self.A, self.B, self.C, self.D
         graph, constraints, ordered = self.case("head-read-init", ("si-holds", None))
-        assert rmw_runs(graph, "x") == {A: (A, 0), B: (A, 1), C: (A, 2)}
+        assert rmw_runs(graph, "x") == [(A, B, C)]
         assert constraints == []
         assert ordered == [
             (A, B, WW, "x"), (D, B, RW, "x"),
@@ -349,7 +355,7 @@ class TestRmwRuns:
         A, B, C, D = self.A, self.B, self.C, self.D
         graph, constraints, ordered = self.case("fork-at-committed-writer",
                                                 ("violation", "lost-update"))
-        assert rmw_runs(graph, "x") == {A: (A, 0), B: (A, 1)}
+        assert rmw_runs(graph, "x") == [(A, B)]
         assert constraints == [("x", A, C), ("x", A, D), ("x", B, C), ("x", B, D), ("x", C, D)]
         assert ordered == [(A, B, WW, "x")]
 
@@ -358,7 +364,7 @@ class TestRmwRuns:
         A, B = self.A, self.B
         graph, constraints, ordered = self.case("two-writer-read-cycle",
                                                 ("violation", "unclassified"))
-        assert rmw_runs(graph, "x") == {}
+        assert rmw_runs(graph, "x") == []
         assert constraints == [("x", A, B)]
         assert ordered == []
 
@@ -367,7 +373,7 @@ class TestRmwRuns:
         # B's x. Only committed transactions link a run: A is alone.
         A, B, C = self.A, self.B, self.C
         graph, constraints, ordered = self.case("broken-by-aborted-writer", ("si-holds", None))
-        assert rmw_runs(graph, "x") == {B: (B, 0), C: (B, 1)}
+        assert rmw_runs(graph, "x") == [(B, C)]
         assert constraints == [("x", A, B), ("x", A, C)]
         assert ordered == [(B, C, WW, "x")]
 
@@ -376,9 +382,38 @@ class TestRmwRuns:
         A, A2, B = self.A, (0, 1), self.B
         graph, constraints, ordered = self.case("contradicts-session-order",
                                                 ("violation", "causality-violation"))
-        assert rmw_runs(graph, "x") == {A2: (A2, 0), B: (A2, 1), A: (A2, 2)}
+        assert rmw_runs(graph, "x") == [(A2, B, A)]
         assert constraints == []
         assert ordered == [(A2, A, WW, "x"), (B, A, RW, "x"), (B, A, WW, "x"), (A2, B, WW, "x")]
+
+    def test_initial_reader_that_writes_the_key(self):
+        # A reads the initial x and overwrites it, B writes x blind and C
+        # reads the initial x and D's y. No run: A and B stay a pair, and
+        # each initial reader is overwritten by every writer but itself.
+        A, B, C = self.A, self.B, self.C
+        graph, constraints, ordered = self.case("initial-reader-writes-key", ("si-holds", None))
+        assert rmw_runs(graph, "x") == []
+        assert constraints == [("x", A, B)]
+        assert ordered == []
+        assert forced_edges(graph, "x") == [(C, A, RW, "x"), (A, B, RW, "x"), (C, B, RW, "x")]
+
+    def test_run_member_read_by_a_reader_only(self):
+        # Run A, B, C; D reads B's x and T(4,0)'s y and writes nothing, so
+        # only C, the member after B, overwrites D's read.
+        A, B, C, D = self.A, self.B, self.C, self.D
+        graph, constraints, ordered = self.case("member-read-by-reader-only", ("si-holds", None))
+        assert rmw_runs(graph, "x") == [(A, B, C)]
+        assert constraints == []
+        assert ordered == [(A, B, WW, "x"), (A, C, WW, "x"), (B, C, RW, "x"),
+                           (B, C, WW, "x"), (D, C, RW, "x")]
+
+    def test_two_runs_on_one_key(self):
+        # Runs A, B and C, D on x: each is ordered, the pairs across them are open.
+        A, B, C, D = self.A, self.B, self.C, self.D
+        graph, constraints, ordered = self.case("two-runs-on-one-key", ("si-holds", None))
+        assert rmw_runs(graph, "x") == [(A, B), (C, D)]
+        assert constraints == [("x", A, C), ("x", A, D), ("x", B, C), ("x", B, D)]
+        assert ordered == [(A, B, WW, "x"), (C, D, WW, "x")]
 
 
 class TestRmwRunDifferential:
@@ -408,22 +443,24 @@ class TestRmwRunDifferential:
                 continue
             graph = build_polygraph(history)
             # The initial writer's edges are those the reference lists.
-            plain, initial = ref.split_initial_edges(ref.build_polygraph(history, rmw_runs=False))
+            plain, initial, plain_forced = ref.split_unlisted_edges(
+                ref.build_polygraph(history, rmw_runs=False))
             assert list(initial_edges(graph)) == sorted(initial, key=lambda e: e[2] == WW)
             # Each pair inside a run: no constraint, its forced branch's
             # edges known once each, and nothing else differs.
-            known = Counter(graph.known_edges)
+            assert graph.known_edges == plain.known_edges and plain.runs == {}
+            known = Counter(edge for key in graph.writers for edge in forced_edges(graph, key))
             ordered, in_runs = Counter(), set()
-            for key in graph.writers:
-                runs = rmw_runs(graph, key)
-                for writer, (head, at) in runs.items():
-                    for other, (other_head, other_at) in runs.items():
-                        if head == other_head and at < other_at:
+            for key, runs in graph.runs.items():
+                assert runs == rmw_runs(graph, key)
+                for run in runs:
+                    for at, writer in enumerate(run):
+                        for other in run[at + 1:]:
                             cons = Constraint(key, min(writer, other), max(writer, other))
                             in_runs.add(cons.id)
                             ordered.update(cons.edges(graph, EITHER if writer < other else OR))
             assert all(known[edge] == 1 for edge in ordered)
-            assert known == Counter(plain.known_edges) + ordered
+            assert known == Counter(plain_forced) + ordered
             assert in_runs <= plain.constraints.keys()
             assert graph.constraints == {cid: cons for cid, cons in plain.constraints.items()
                                          if cid not in in_runs}

@@ -32,7 +32,7 @@ from sicheck.workload import DISTRIBUTIONS, PROFILES, WorkloadParams, generate, 
 
 from conftest import (
     T0, T1, T2, T3, T4, T5, committed, immediate_violation_history, index_labels,
-    injected_histories, mk_history,
+    injected_histories, mk_history, workload_seed_1_histories,
 )
 from reference_closures import bfs_reach, floyd_warshall_reach
 import reference_frontend as ref
@@ -257,14 +257,14 @@ class TestKnownIndexDecomposition:
             (a, b, WW, "z"), (a, b, WW, "y"), (b, a, RW, "y"), (b, a, RW, "x"),
         ])
         index = KnownIndex(graph)
-        assert index.a_label[(0, 1)] == (a, b, WW, "y")
-        assert index.b_label[(1, 0)] == (b, a, RW, "x")
+        assert index.label(0, 1, False) == (a, b, WW, "y")
+        assert index.label(1, 0, True) == (b, a, RW, "x")
         graph.known_edges += [(a, b, WR, "z"), (a, b, WR, "x"), (a, b, WW, "w")]
         index.add_edges(graph.known_edges[4:])
-        assert index.a_label[(0, 1)] == (a, b, WR, "x")
+        assert index.label(0, 1, False) == (a, b, WR, "x")
         graph.known_edges.append((a, b, SO, None))
         index.add_edges(graph.known_edges[7:])
-        assert index.a_label[(0, 1)] == (a, b, SO, None)
+        assert index.label(0, 1, False) == (a, b, SO, None)
 
 
 def test_reader_rows_filled_on_demand_equal_the_eager_conversion(long_fork, lost_update):
@@ -299,21 +299,21 @@ def _index_fields(index: KnownIndex) -> tuple:
 _RANK = {SO: 0, WR: 1, WW: 2, RW: 3}
 
 
-def _reference_edges(graph, initial_edges=()) -> list:
-    """The initial writer's edges, the listed ones, then those of the resolved
-    branches, each branch's as `Constraint.edges` gives them."""
+def _reference_edges(graph, unlisted=()) -> list:
+    """The edges the graph does not list, the listed ones, then those of the
+    resolved branches, each branch's as `Constraint.edges` gives them."""
     resolved = [edge for cid, branch in graph.resolved.items()
                 for edge in Constraint(*cid).edges(graph, branch)]
-    return [*initial_edges, *graph.known_edges, *resolved]
+    return [*unlisted, *graph.known_edges, *resolved]
 
 
-def _reference_labels(graph, initial_edges=()) -> dict:
+def _reference_labels(graph, unlisted=()) -> dict:
     """Each pair's lowest (rank, key) edge, keyed (i, j, is RW), over the
-    initial, listed and resolved edges; the initial writer labels no pair."""
+    unlisted, listed and resolved edges; the initial writer labels no pair."""
     vindex = {v: i for i, v in enumerate(graph.vertices)}
     init = vindex.get(INIT_TXN)
     labels: dict = {}
-    for edge in _reference_edges(graph, initial_edges):
+    for edge in _reference_edges(graph, unlisted):
         i, j = vindex[edge[0]], vindex[edge[1]]
         if i != init:
             pair = (i, j, edge[2] == RW)
@@ -322,21 +322,33 @@ def _reference_labels(graph, initial_edges=()) -> dict:
     return labels
 
 
-def _reference_fields(graph, initial_edges=()) -> tuple:
+def _reference_fields(graph, unlisted=()) -> tuple:
     """The index fields computed directly from the known edges, sharing no code with it.
 
-    `initial_edges` are the initial writer's edges, which the graph does not
-    list; the caller takes them from the reference construction. They are
-    the exception: its A row and its K row are both the set of their
-    targets, it is no vertex's A-predecessor and it labels no pair. Every
-    other edge, listed or of a resolved branch, sets its layer's bit and
-    an A edge its predecessor bit; K is A plus A∘B.
+    The rows are `_reference_rows`'; each pair's label is its lowest
+    (rank, key) edge, the closure Floyd–Warshall's.
+    """
+    a_adj, b_adj, a_pred, k_adj = _reference_rows(graph, unlisted)
+    return (a_adj, b_adj, a_pred, _reference_labels(graph, unlisted), k_adj,
+            floyd_warshall_reach(len(k_adj), k_adj))
+
+
+def _reference_rows(graph, unlisted=()) -> tuple:
+    """The A, B, A-predecessor and K rows folded from the known edges one by one.
+
+    `unlisted` are the edges the graph does not list, the initial writer's
+    and those of the writer pairs construct orders; the caller takes them
+    from the reference construction. The initial writer's are the
+    exception: its A row and its K row are both the set of their targets
+    and it is no vertex's A-predecessor. Every other edge, unlisted, listed
+    or of a resolved branch, sets its layer's bit and an A edge its
+    predecessor bit; K is A plus A∘B.
     """
     vindex = {v: i for i, v in enumerate(graph.vertices)}
     n = len(vindex)
     a_adj, b_adj, a_pred = [0] * n, [0] * n, [0] * n
     init = vindex.get(INIT_TXN)
-    for edge in _reference_edges(graph, initial_edges):
+    for edge in _reference_edges(graph, unlisted):
         i, j = vindex[edge[0]], vindex[edge[1]]
         if i == init:
             a_adj[i] |= 1 << j
@@ -347,11 +359,12 @@ def _reference_fields(graph, initial_edges=()) -> tuple:
             a_pred[j] |= 1 << i
     k_adj = list(a_adj)
     for i in range(n):
-        for m in range(n):
-            if i != init and (a_adj[i] >> m) & 1:
-                k_adj[i] |= b_adj[m]
-    return (a_adj, b_adj, a_pred, _reference_labels(graph, initial_edges), k_adj,
-            floyd_warshall_reach(n, k_adj))
+        rest = 0 if i == init else a_adj[i]
+        while rest:
+            low = rest & -rest
+            k_adj[i] |= b_adj[low.bit_length() - 1]
+            rest ^= low
+    return a_adj, b_adj, a_pred, k_adj
 
 
 @contextmanager
@@ -360,9 +373,9 @@ def audited_updates():
     `with_reach` call while active.
 
     After each the index must equal a fresh build over the graph's known
-    edges and resolved branches and the directly computed reference, which
-    states how the initial writer's edges, `audit["initial_edges"]` of the
-    graph being pruned, are left out of it; before its closure is computed
+    edges and resolved branches and the directly computed reference over
+    those and the edges the graph does not list, `audit["unlisted"]` of the
+    graph being pruned; before its closure is computed
     the closure field is left out of both. Its chains must equal the fresh
     build's. The folds a build makes are checked with it, not one by one.
     The set a fold returns must name exactly the vertices whose reach or
@@ -372,7 +385,7 @@ def audited_updates():
     """
     build, close = KnownIndex.__init__, KnownIndex.with_reach
     folds = {"add_edges": KnownIndex.add_edges, "add_branches": KnownIndex.add_branches}
-    audit = {"updates": 0, "cycle_closing": 0, "initial_edges": []}
+    audit = {"updates": 0, "cycle_closing": 0, "unlisted": []}
     building = False
 
     def assert_matches_reference(index):
@@ -386,7 +399,7 @@ def audited_updates():
             building = False
         fields = len(_index_fields(index)) - (index.reach is None)
         assert (_index_fields(index)[:fields] == _index_fields(fresh)[:fields]
-                == _reference_fields(index.graph, audit["initial_edges"])[:fields])
+                == _reference_fields(index.graph, audit["unlisted"])[:fields])
         assert index.starts == fresh.starts
 
     def checked_build(self, graph):
@@ -439,21 +452,59 @@ def audited_updates():
 
 def _reference_initial_edges(history) -> list:
     """The initial writer's edges as the reference construction lists them."""
-    return ref.split_initial_edges(ref.build_polygraph(history))[1]
+    return ref.split_unlisted_edges(ref.build_polygraph(history))[1]
+
+
+def _reference_unlisted_edges(history) -> list:
+    """The edges the reference construction lists and construct does not:
+    the initial writer's, then those of the writer pairs it orders."""
+    _, initial, forced = ref.split_unlisted_edges(ref.build_polygraph(history))
+    return initial + forced
+
+
+class TestForcedBranchRows:
+    """The index derives construct's forced branches from the runs and reader
+    rows; its A, B, A-predecessor and K rows, before and after prune, equal
+    those folded edge by edge from the reference construction, which lists
+    the forced edges."""
+
+    @staticmethod
+    def check(history) -> bool:
+        graph = build_polygraph(history)
+        unlisted = _reference_unlisted_edges(history)
+        index = KnownIndex(graph)
+        assert _rows(index) == _reference_rows(graph, unlisted)
+        outcome = prune_constraints(graph)
+        if outcome.index is not None:
+            assert _rows(outcome.index) == _reference_rows(graph, unlisted)
+        return bool(graph.runs)
+
+    def test_random_histories(self):
+        histories = map(random_small_history, range(1500))
+        runs = [self.check(history) for history in histories if completeness_gate(history).ok()]
+        assert sum(runs) > 300, sum(runs)
+
+    def test_workload_histories(self):
+        for name, history in workload_seed_1_histories().items():
+            self.check(history)
+
+
+def _rows(index: KnownIndex) -> tuple:
+    return index.a_adj, index.b_adj, index.a_pred, index.k_adj
 
 
 def _prune_audited(history, audit) -> None:
     if not completeness_gate(history).ok():
         return
     graph = build_polygraph(history)
-    audit["initial_edges"] = _reference_initial_edges(history)
+    audit["unlisted"] = _reference_unlisted_edges(history)
     listed = list(graph.known_edges)
     outcome = prune_constraints(graph)
     assert graph.known_edges == listed  # prune lists nothing
     assert not any(edge[0] == INIT_TXN for edge in graph.known_edges)
     if outcome.verdict == "ok":
         assert (_index_fields(outcome.index) == _index_fields(KnownIndex(graph).with_reach())
-                == _reference_fields(graph, audit["initial_edges"]))
+                == _reference_fields(graph, audit["unlisted"]))
 
 
 @st.composite
@@ -491,9 +542,10 @@ def _gated_graphs(seeds: int):
 
 def _listing_initial_edges(history):
     """The reference construction, which lists the initial writer's edges,
-    with `rmw_keys` named as construct names them."""
+    with `rmw_keys` and `runs` as construct records them."""
     graph = ref.build_polygraph(history)
-    return dataclasses.replace(graph, rmw_keys=ref.split_initial_edges(graph)[0].rmw_keys)
+    current = ref.split_unlisted_edges(graph)[0]
+    return dataclasses.replace(graph, rmw_keys=current.rmw_keys, runs=current.runs)
 
 
 class TestInitialWriterRow:
@@ -516,7 +568,7 @@ class TestInitialWriterRow:
             folded = sum({1 << index.vindex[e[1]] for e in _reference_initial_edges(history)})
             assert index.a_adj[0] == index.k_adj[0] == mask == folded
             assert not any(row & 1 for row in index.a_pred)
-            assert not any(i == 0 for i, _ in index.a_label)
+            assert all(index.label(0, j, False) is None for j in iter_bits(index.a_adj[0]))
 
     def test_prune_and_check_as_when_folded(self, monkeypatch):
         def outcomes(history, graph):
@@ -567,7 +619,7 @@ class TestIncrementalIndex:
             _prune_audited(history, audit)
 
 
-def _reference_prune(graph, initial_edges) -> tuple:
+def _reference_prune(graph, unlisted) -> tuple:
     """Prune as it ran when it listed the edges it promoted: every open
     constraint tested against the closure of the listed and promoted edges
     as the iteration starts, each edge of a branch on its own, and the
@@ -581,7 +633,7 @@ def _reference_prune(graph, initial_edges) -> tuple:
     while True:
         current = dataclasses.replace(graph, known_edges=[*graph.known_edges, *promoted],
                                       resolved={})
-        _, _, a_pred, _, _, reach = _reference_fields(current, initial_edges)
+        _, _, a_pred, _, _, reach = _reference_fields(current, unlisted)
 
         def impossible(edge):
             i, j = vindex[edge[0]], vindex[edge[1]]
@@ -616,7 +668,7 @@ class TestResolvedBranches:
             if not completeness_gate(history).ok():
                 continue
             graph = build_polygraph(history)
-            expected = _reference_prune(graph, _reference_initial_edges(history))
+            expected = _reference_prune(graph, _reference_unlisted_edges(history))
             listed = list(graph.known_edges)
             outcome = prune_constraints(graph)
             assert graph.known_edges == listed
@@ -629,19 +681,20 @@ class TestResolvedBranches:
     def test_labels_after_every_iteration(self, monkeypatch):
         """After the index is built and after every fold of prune, `label` of
         every A and B pair is the reference's, the lowest (rank, key) over
-        the listed and the resolved edges; the initial writer, whose edges
-        all leave it, labels no pair."""
+        the listed, the forced and the resolved edges, which the reference
+        construction lists but the first; the initial writer, whose edges all
+        leave it, labels no pair. Counts the pairs whose label is not the
+        lowest over the listed and forced edges alone."""
         fold, close = KnownIndex.add_branches, KnownIndex.with_reach
         audit = Counter()
+        unlisted, before = [], {}
 
         def check(index):
             labels = index_labels(index)
-            assert labels == _reference_labels(index.graph)
+            assert labels == _reference_labels(index.graph, unlisted)
             assert all(index.label(0, j, False) is None for j in iter_bits(index.a_adj[0]))
             audit["checks"] += 1
-            audit["from_branches"] += sum(
-                label != (index.b_label if rw else index.a_label).get((i, j))
-                for (i, j, rw), label in labels.items())
+            audit["from_branches"] += sum(label != before.get(pair) for pair, label in labels.items())
 
         def checked_fold(self, records):
             changed = fold(self, records)
@@ -658,12 +711,14 @@ class TestResolvedBranches:
         for history in [random_small_history(seed) for seed in range(3000)] + list(
                 injected_histories()):
             if completeness_gate(history).ok():
-                prune_constraints(build_polygraph(history))
+                graph = build_polygraph(history)
+                unlisted[:] = _reference_unlisted_edges(history)
+                before = _reference_labels(graph, unlisted)
+                prune_constraints(graph)
         assert audit["checks"] > 3000 and audit["from_branches"] > 10000, audit
 
     def test_fresh_index_of_a_pruned_graph_is_prunes_final_index(self):
-        names = ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "starts", "a_label", "b_label",
-                 "folded")
+        names = ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "starts", "folded")
         compared = 0
         for _, graph in _gated_graphs(3000):
             outcome = prune_constraints(graph)
@@ -672,6 +727,7 @@ class TestResolvedBranches:
             fresh = KnownIndex(graph).with_reach()
             for name in names:
                 assert getattr(fresh, name) == getattr(outcome.index, name), name
+            assert index_labels(fresh) == index_labels(outcome.index)
             compared += bool(graph.resolved)
         assert compared > 800, compared
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -10,15 +11,15 @@ import pytest
 from sicheck.errors import BudgetExceededError
 from sicheck.graphs import iter_bits
 from harness import HistoryBounds, random_small_history
-from sicheck.histories import INIT_TXN, completeness_gate
+from sicheck.histories import INIT_TXN, completeness_gate, parse_history
 from sicheck.oracle import induced_graph, oracle_check
-from sicheck.polygraph import EITHER, OR, RW, WR, WW, Constraint, Polygraph, build_polygraph
+from sicheck.polygraph import EITHER, OR, RW, SO, WR, WW, Constraint, Polygraph, build_polygraph
 from sicheck.pruning import KnownIndex, prune_constraints
 from sicheck.solving import SolveResult, Solver, solve, verify_witness
 from sicheck.witness import WitnessCycle, has_adjacent_rw
 from sicheck.workload import WorkloadParams, generate, inject
 
-from conftest import T1, T2, T3, T4, committed, mk_history
+from conftest import T1, T2, T3, T4, committed, index_labels, mk_history
 import reference_frontend as ref
 
 DATA = Path(__file__).parent / "data"
@@ -103,12 +104,11 @@ class TestSolve:
                 rows = (index.a_adj, index.b_adj, index.a_pred, index.k_adj)
                 folded = {s: [(key, row, list(targets)) for key, row, targets in records]
                           for s, records in index.folded.items()}
-                before = ([list(r) for r in rows], dict(index.a_label), dict(index.b_label),
-                          folded)
+                before = ([list(r) for r in rows], index_labels(index), folded)
                 reach = index.reach and list(index.reach)
                 assert solve(graph, index=index) == own
                 # The solver only reads the index it is given.
-                after = ([list(r) for r in rows], index.a_label, index.b_label, index.folded)
+                after = ([list(r) for r in rows], index_labels(index), index.folded)
                 assert after == before and index.reach == reach
                 assert own.status == ("sat" if history is sat else "unsat")
 
@@ -174,7 +174,8 @@ def test_search_builds_no_edge_lists(monkeypatch, case, no_prune):
 
 
 def test_conflict_cycles_name_known_edges_first():
-    """A cycle dep comes from a branch only when its pair has no known edge in its layer."""
+    """A cycle dep comes from a branch only when its pair has no known edge
+    in its layer, listed or forced."""
     unsat = 0
     for seed in range(500):
         history = random_small_history(seed)
@@ -188,8 +189,8 @@ def test_conflict_cycles_name_known_edges_first():
         unsat += 1
         for edge, origin in result.cycle.deps:
             if origin[0] == "branch":
-                labels = index.b_label if edge[2] == RW else index.a_label
-                assert (index.vindex[edge[0]], index.vindex[edge[1]]) not in labels, seed
+                pair = (index.vindex[edge[0]], index.vindex[edge[1]])
+                assert index.label(*pair, edge[2] == RW) is None, seed
     assert unsat
 
 
@@ -558,3 +559,70 @@ class TestVerifyWitness:
             ]
         )
         assert not verify_witness(SolveResult("unsat", cycle=doubled), graph)
+
+
+RMW_RUNS = Path(__file__).parent / "corpus" / "rmw-runs"
+A, B, C, D = (0, 0), (1, 0), (2, 0), (3, 0)  # the transactions of the rmw-runs seeds
+
+
+class TestForcedEdgeControls:
+    """Negative controls for the edges of the pairs construct orders, which
+    `verify_witness` reads off the runs and reader rows, not off a list.
+
+    A forged sat order keeps the solver's assignment and is rejected only
+    by a forced edge; the order it is forged from verifies."""
+
+    @staticmethod
+    def graph(name):
+        return build_polygraph(parse_history((RMW_RUNS / f"{name}.json").read_bytes()))
+
+    @staticmethod
+    def orders(graph, valid, forged):
+        result = solve(graph)
+        assert result.status == "sat" and verify_witness(result, graph)
+        for order, verifies in ((valid, True), (forged, False)):
+            claim = SolveResult("sat", assignment=result.assignment, order=[INIT_TXN, *order])
+            assert verify_witness(claim, graph) == verifies, order
+
+    def test_swapped_run_members_rejected(self):
+        # Runs A, B and C, D. Without the listed WR edges A -> B and C -> D
+        # only the runs order their members.
+        graph = dataclasses.replace(self.graph("two-runs-on-one-key"), known_edges=[])
+        valid = solve(graph).order[1:]
+        for first, second in ((A, B), (C, D)):
+            forged = list(valid)
+            at, to = forged.index(first), forged.index(second)
+            forged[at], forged[to] = second, first
+            self.orders(graph, valid, forged)
+
+    def test_writer_before_an_initial_reader_rejected(self):
+        # C reads the initial x and D's y; A reads the initial x and writes
+        # x; B writes x. D -WR-> C composes with C's forced RW edges to A
+        # and B: no writer of x may come before D.
+        graph = self.graph("initial-reader-writes-key")
+        self.orders(graph, [D, C, A, B], [A, D, C, B])
+        # A lone RW edge orders nothing: C may follow the writers it read before.
+        self.orders(graph, [D, A, B, C], [A, D, C, B])
+
+    def test_member_reader_after_a_later_member_rejected(self):
+        # Run A, B, C; D reads B's x and E's y. E -WR-> D composes with D's
+        # forced RW edge to C, so C after B but before E, and so before D, fails.
+        E = (4, 0)
+        graph = self.graph("member-read-by-reader-only")
+        self.orders(graph, [A, B, E, D, C], [A, B, C, E, D])
+
+    def test_resolved_edge_across_two_runs_rejected(self):
+        # Runs A, B and C, D; a listed edge D -> A closes A -> C -> D -> A.
+        graph = self.graph("two-runs-on-one-key")
+        graph.known_edges.append((D, A, SO, None))
+        cross, run = (A, C, WW, "x"), (C, D, WW, "x")
+
+        def cycle(cross_origin):
+            return SolveResult("unsat", cycle=WitnessCycle([
+                (cross, cross_origin), (run, ("resolved", ("x", C, D), EITHER)),
+                ((D, A, SO, None), ("known",))]))
+
+        assert ("x", A, C) in graph.constraints
+        assert verify_witness(cycle(("branch", ("x", A, C), EITHER)), graph)
+        assert not verify_witness(cycle(("resolved", ("x", A, C), EITHER)), graph)
+        assert not verify_witness(cycle(("known",)), graph)
