@@ -101,6 +101,9 @@ class KnownIndex:
         self._labels: dict[tuple[int, int, bool], Edge] | None = None
         self._sources: dict[int, list[tuple[str, int]]] = {}
         self._run_at: dict[tuple[str, int], tuple[int, int]] = {}
+        # Per key that some writer writes and some transaction read from the
+        # initial writer: (the key's writers, those readers), as vertices.
+        self._initial: list[tuple[list[int], list[int]]] = []
         # The branches folded without listing their edges: per source vertex,
         # one (key, reader row, targets in fold order) record per key.
         self.folded: dict[int, list[tuple[str, tuple[int, ...], list[int]]]] = {}
@@ -119,11 +122,14 @@ class KnownIndex:
             for (key, writer), row in readers.items():
                 if writer == INIT_TXN:
                     targets.update(row)
-                    mask = _mask(vindex, writers.get(key, ()))
-                    for r in row:
-                        i = vindex[r]
-                        b_adj[i] |= mask & ~(1 << i)
-            a_adj[init] = k_adj[init] = _mask(vindex, targets)
+                    if key in writers:
+                        self._initial.append(([vindex[w] for w in writers[key]],
+                                              [vindex[r] for r in row]))
+            a_adj[init] = k_adj[init] = _row(vindex[v] for v in targets)
+            for overwriting, initial_readers in self._initial:
+                mask = _row(overwriting)
+                for i in initial_readers:
+                    b_adj[i] |= mask ^ (1 << i) if i in overwriting else mask
         # A run member's readers are overwritten by each later member.
         runs = []
         for key, keyed in graph.runs.items():
@@ -352,27 +358,22 @@ class KnownIndex:
         for src, dst, kind, _ in graph.known_edges:
             if kind == RW:
                 b_pred[vindex[dst]] |= 1 << vindex[src]
-        if init is not None:
-            for (key, writer), row in graph.readers.items():
-                if writer == INIT_TXN:
-                    mask = _mask(vindex, row)
-                    for w in graph.writers.get(key, ()):
-                        d = vindex[w]
-                        b_pred[d] |= mask & ~(1 << d)
+        for overwriting, initial_readers in self._initial:
+            mask = _row(initial_readers)
+            for d in overwriting:
+                b_pred[d] |= mask ^ (1 << d) if d in initial_readers else mask
         for key, runs in graph.runs.items():
             for run in runs:
                 earlier = 0
                 for w in run:
                     d = vindex[w]
                     b_pred[d] |= earlier & ~(1 << d)
-                    earlier |= _mask(vindex, graph.readers.get((key, w), ()))
+                    earlier |= _row(vindex[r] for r in graph.readers.get((key, w), ()))
         for records in self.folded.values():
             for _, row, targets in records:
                 if not row:
                     continue
-                mask = 0
-                for r in row:
-                    mask |= 1 << r
+                mask = _row(row)
                 for d in targets:
                     b_pred[d] |= mask ^ (1 << d) if d in row else mask
         return b_pred
@@ -413,12 +414,12 @@ class KnownIndex:
         return deps
 
 
-def _mask(vindex: dict[TxnId, int], txns: Iterable[TxnId]) -> int:
-    """The row of the given transactions' vertices."""
-    mask = 0
-    for v in txns:
-        mask |= 1 << vindex[v]
-    return mask
+def _row(vertices: Iterable[int]) -> int:
+    """The row of the given vertices."""
+    row = 0
+    for v in vertices:
+        row |= 1 << v
+    return row
 
 
 def k_middle(a_rows: list[int], b_rows: list[int], u: int, v: int) -> int | None:

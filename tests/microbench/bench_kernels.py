@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import io
+import timeit
 import tracemalloc
 
 import pytest
@@ -44,7 +45,7 @@ from sicheck.explain import (
 )
 from sicheck.gcpause import collector_paused
 from sicheck.graphs import reach_masks, tarjan_scc
-from sicheck.histories import completeness_gate, parse_history
+from sicheck.histories import COMMITTED, History, Operation, Transaction, completeness_gate, parse_history
 from sicheck.pipeline import check_si
 from sicheck.polygraph import build_polygraph
 from sicheck.pruning import KnownIndex, _resolve_pass, prune_constraints
@@ -75,7 +76,9 @@ def test_build_polygraph(benchmark, front_end):
 
 
 def test_build_polygraph_rmw_chains(benchmark):
-    """Construct where RMW runs cover every writer: known edges, no constraints."""
+    """Construct where RMW runs cover every writer: it records the runs,
+    lists only session-order and writer-to-reader edges and generates no
+    constraint."""
     history = parse_history(WORKLOADS["rmw-chains"].case(SEED).data)
     benchmark(collector_paused(build_polygraph), history)
 
@@ -95,6 +98,40 @@ def test_construct_and_prune_peak_memory(benchmark, front_end):
     peak_mb = round(benchmark.pedantic(probe, rounds=1, iterations=1) / 2**20, 1)
     benchmark.extra_info["peak_mb"] = peak_mb
     print(f"construct + prune tracemalloc peak: {peak_mb} MB")
+
+
+def _rmw_run_history(length: int) -> History:
+    """One key x and one RMW run of `length` writers, writer i reading the
+    value of writer i - 1; each writer's value also has a reader that writes
+    nothing. Every transaction is alone in its session."""
+    txns = [((0, 0), (Operation("w", "x", 1),))]
+    for i in range(1, length):
+        txns.append(((i, 0), (Operation("r", "x", i), Operation("w", "x", i + 1))))
+    txns += [((length + i, 0), (Operation("r", "x", i + 1),)) for i in range(length)]
+    return History.build([(tid[0], [Transaction(tid, COMMITTED, ops)]) for tid, ops in txns])
+
+
+def test_rmw_run_scale(benchmark):
+    """Construct plus the `KnownIndex` build on one RMW run of 100, 200 and
+    400 writers (`_rmw_run_history`), min of 5 each; prints the time per
+    length and its ratio per doubling, which stays near 2 when both are
+    linear in the run's length. The benchmark times the 400-writer run."""
+    runs = {length: _rmw_run_history(length) for length in (100, 200, 400)}
+
+    def check(length):
+        return KnownIndex(build_polygraph(runs[length]))
+
+    best = {length: min(timeit.repeat(collector_paused(lambda: check(length)),
+                                      number=1, repeat=5))
+            for length in runs}
+    ratios = {f"{length}->{2 * length}": round(best[2 * length] / best[length], 2)
+              for length in (100, 200)}
+    benchmark.extra_info.update({f"ms_{length}": round(t * 1000, 2) for length, t in best.items()})
+    benchmark.extra_info.update(ratios)
+    print("rmw run construct + index:",
+          ", ".join(f"L={length} {t * 1000:.2f} ms" for length, t in best.items()),
+          "; ratio per doubling", ratios)
+    benchmark.pedantic(collector_paused(check), args=(400,), rounds=5)
 
 
 def test_prune_zipf_anomaly(benchmark):
@@ -140,8 +177,7 @@ def _copy_index(index: KnownIndex) -> KnownIndex:
     fresh = copy.copy(index)
     for name in ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "starts"):
         setattr(fresh, name, list(getattr(index, name)))
-    for name in ("a_label", "b_label", "readers"):
-        setattr(fresh, name, dict(getattr(index, name)))
+    fresh.readers = dict(index.readers)
     fresh.folded = {s: [(key, row, list(targets)) for key, row, targets in records]
                     for s, records in index.folded.items()}
     return fresh
