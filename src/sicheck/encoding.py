@@ -65,11 +65,9 @@ def _branch_pairs(index: KnownIndex, cons: Constraint, branch: str) -> list[Pair
 def creation_order(graph: Polygraph) -> list[Edge]:
     """The known edges with the derived ones merged back in where construct
     and prune once listed them: the session-order edges; the WR edges in
-    `read_from` order; per key, each writer's init -WW-> edge, then the
-    key's forced edges (`forced_edges`), with the RW edges from the key's
-    initial readers to each writer moved up behind that writer's init -WW->
-    edge; then the edges of the branches prune resolved, in resolution
-    order (`resolved_edges`).
+    `read_from` order; per key, the edges of the pairs construct ordered
+    (`forced_edges`); then the edges of the branches prune resolved, in
+    resolution order (`resolved_edges`).
     """
     listed, derived = iter(graph.known_edges), initial_edges(graph)
     sessions = next((i for i, e in enumerate(graph.known_edges) if e[2] != SO),
@@ -77,13 +75,8 @@ def creation_order(graph: Polygraph) -> list[Edge]:
     edges = list(islice(listed, sessions))
     for writer in graph.read_from.values():
         edges.append(next(derived if writer == INIT_TXN else listed))
-    for key, writers in graph.writers.items():
-        forced = iter(forced_edges(graph, key))
-        init_readers = graph.readers.get((key, INIT_TXN), ())
-        for writer in writers:
-            edges.append(next(derived))
-            edges += islice(forced, len(init_readers) - (writer in init_readers))
-        edges += forced
+    for key in graph.writers:
+        edges += forced_edges(graph, key)
     return edges + resolved_edges(graph)
 
 

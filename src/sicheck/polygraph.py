@@ -38,6 +38,7 @@ completeness gate reads too.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import combinations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -233,24 +234,16 @@ def resolved_edges(graph: Polygraph) -> list[Edge]:
 
 
 def forced_edges(graph: Polygraph, key: str) -> list[Edge]:
-    """The edges of the writer pairs construct ordered on `key`, which no
-    list holds, in the order construct once listed them: for each writer w,
-    r -RW-> w from every reader r of the initial value but w; then those of
-    each pair inside one RMW run, pairs in id order, each as `branch_edges`
-    gives the branch that puts the earlier member first."""
-    init_readers = graph.readers.get((key, INIT_TXN), ())
-    edges = [(r, w, RW, key) for w in graph.writers[key] for r in init_readers if r != w]
-    position: dict[TxnId, int] = {}
-    ordered: dict[TxnId, list[TxnId]] = {}  # member -> its run's members in id order
-    for run in graph.runs.get(key, ()):
-        members = sorted(run)
-        for at, writer in enumerate(run):
-            position[writer], ordered[writer] = at, members
-    for first in sorted(ordered):
-        members = ordered[first]
-        for second in members[members.index(first) + 1:]:
-            src, dst = (first, second) if position[first] < position[second] else (second, first)
-            edges += branch_edges(graph, key, src, dst)
+    """The edges of the writer pairs construct orders on `key`, which no
+    list holds, in the order construct once listed them, each branch's as
+    `branch_edges` gives them: the initial writer's branch to each writer,
+    then the branch of each pair inside one RMW run, pairs in id order,
+    that puts the earlier member first."""
+    edges = [edge for w in graph.writers[key] for edge in branch_edges(graph, key, INIT_TXN, w)]
+    runs = graph.runs.get(key, ())
+    position = {writer: at for run in runs for at, writer in enumerate(run)}
+    for pair in sorted(pair for run in runs for pair in combinations(sorted(run), 2)):
+        edges += branch_edges(graph, key, *sorted(pair, key=position.__getitem__))
     return edges
 
 
@@ -291,21 +284,16 @@ def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
     """
     constraints = graph.constraints
     for key, writers in graph.writers.items():
-        runs = rmw_runs(graph, key) if key in graph.rmw_keys else None
-        if not runs:
-            for i, first in enumerate(writers[:-1]):
-                for second in writers[i + 1:]:
-                    constraints[key, first, second] = Constraint(key, first, second)
-            continue
-        graph.runs[key] = runs
-        if len(runs) == 1 and len(runs[0]) == len(writers):
-            continue  # one run orders every pair
+        runs = rmw_runs(graph, key) if key in graph.rmw_keys else ()
+        if runs:
+            graph.runs[key] = runs
         run_of = {writer: run for run in runs for writer in run}
         for i, first in enumerate(writers[:-1]):
             mine = run_of.get(first)
-            for second in writers[i + 1:]:
-                if mine is None or run_of.get(second) is not mine:
-                    constraints[key, first, second] = Constraint(key, first, second)
+            if mine is None or len(mine) < len(writers):  # else its run orders every pair
+                for second in writers[i + 1:]:
+                    if mine is None or run_of.get(second) is not mine:
+                        constraints[key, first, second] = Constraint(key, first, second)
     return graph
 
 

@@ -2,12 +2,12 @@
 
 The pruner keeps one index of the known edges for the whole check: the
 pair-level induced graph K = A ∪ (A ∘ B), where A holds session-order,
-writer-reader, and resolved write-order edges and B holds resolved
-read-overwrite edges, together with K's transitive closure, which only the
-pruner computes. A constraint branch is impossible when adding one of its
-edges would close a cycle in K; the constraint is then resolved: prune
-records it with its surviving branch in `graph.resolved` and lists none of
-its edges.
+writer-reader, and forced and resolved write-order edges and B holds
+forced and resolved read-overwrite edges, together with K's transitive
+closure, which only the pruner computes. A constraint branch is impossible
+when adding one of its edges would close a cycle in K; the constraint is
+then resolved: prune records it with its surviving branch in
+`graph.resolved` and lists none of its edges.
 Branch tests within one iteration all read the iteration-start index, in
 vertex-index space, key by key (`_resolve_pass`): a branch s -> d with
 reader row R is impossible when d reaches s, or when d is or reaches an
@@ -32,7 +32,11 @@ The virtual initial writer has no incoming edge, so it lies on no cycle and
 no `reach` row holds its bit. Its edges are derived, never listed (see
 `polygraph`): the index gives its A and K rows the one row they would
 build, every committed writer plus every reader of an initial value, and
-it is no vertex's A-predecessor and labels no pair.
+it is no vertex's A-predecessor and labels no pair. The edges of the
+writer pairs construct orders are not listed either: the index derives
+their B rows from the initial readers and the RMW runs, then their A and
+K rows against those, in O(L) row updates for a run of L writers
+(`KnownIndex.__init__`).
 
 If both branches of some constraint are impossible the history is violating
 and the outcome carries a witness cycle for each dead branch.
@@ -41,7 +45,6 @@ and the outcome carries a witness cycle for each dead branch.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -94,13 +97,11 @@ class KnownIndex:
         n = self.n = len(self.vertices)
         a_adj, b_adj, a_pred, k_adj = self.a_adj, self.b_adj, self.a_pred, self.k_adj = (
             [0] * n, [0] * n, [0] * n, [0] * n)
-        # What `label` reads besides the rows, built by its first call, as
-        # only witnesses ask: the lowest (rank, key) listed edge of each pair,
-        # keyed (i, j, is RW); per reader, the (key, writer) of each of its
-        # reads; the (run number, position) of each run member, keyed (key, vertex).
+        # Built by the first `label` call, as only witnesses ask: the lowest
+        # (rank, key) listed edge of each pair, keyed (i, j, is RW), and per
+        # reader the (key, writer) of each of its reads.
         self._labels: dict[tuple[int, int, bool], Edge] | None = None
         self._sources: dict[int, list[tuple[str, int]]] = {}
-        self._run_at: dict[tuple[str, int], tuple[int, int]] = {}
         # Per key that some writer writes and some transaction read from the
         # initial writer: (the key's writers, those readers), as vertices.
         self._initial: list[tuple[list[int], list[int]]] = []
@@ -130,33 +131,26 @@ class KnownIndex:
                 mask = _row(overwriting)
                 for i in initial_readers:
                     b_adj[i] |= mask ^ (1 << i) if i in overwriting else mask
-        # A run member's readers are overwritten by each later member.
-        runs = []
-        for key, keyed in graph.runs.items():
-            for run in keyed:
-                members = [vindex[w] for w in run]
-                runs.append(members)
-                later = 0
-                for writer, m in zip(reversed(run), reversed(members)):
-                    if later:
-                        for r in readers.get((key, writer), ()):
-                            i = vindex[r]
-                            b_adj[i] |= later & ~(1 << i)
-                    later |= 1 << m
-        # Each member precedes the later ones: its A row is the suffix of
-        # the run after it, its K row that and its successors' B rows.
-        for members in runs:
-            earlier = 0
-            for m in members:
+        # A run member's readers are overwritten by each later member; its A
+        # row is the members after it, its K row those and their B rows.
+        runs = [(key, run, [vindex[w] for w in run])
+                for key, keyed in graph.runs.items() for run in keyed]
+        for key, run, members in runs:
+            later = 0
+            for writer, m in zip(reversed(run), reversed(members)):
+                for r in readers.get((key, writer), ()) if later else ():
+                    b_adj[vindex[r]] |= later & ~(1 << vindex[r])
+                later |= 1 << m
+        for _, _, members in runs:
+            earlier = later = composed = 0
+            for m, at in zip(members, reversed(members)):
                 a_pred[m] |= earlier
                 earlier |= 1 << m
-            later = composed = 0
-            for m in reversed(members):
                 if later:
-                    a_adj[m] |= later
-                    k_adj[m] |= later | composed
-                later |= 1 << m
-                composed |= b_adj[m]
+                    a_adj[at] |= later
+                    k_adj[at] |= later | composed
+                later |= 1 << at
+                composed |= b_adj[at]
         self.add_edges(graph.known_edges)
         if graph.resolved:
             self.fold_branches(branch_ends(cid, branch) for cid, branch in graph.resolved.items())
@@ -293,56 +287,45 @@ class KnownIndex:
     def label(self, i: int, j: int, rw: bool) -> Edge | None:
         """The lowest (rank, key) known edge on pair (i, j) of the B layer when
         `rw`, else of the A layer, or None when neither holds the pair: a
-        listed edge, or an edge of a forced or a folded branch. Such a WW
-        edge i -> j is one of a key on which i is ordered before j
-        (`_ordered`), which j read, as a later run member did, or which a
-        record of source i folded; such an RW edge i -> j one of a key that
-        reader i read from a writer ordered before j. The initial writer
-        labels no pair."""
+        listed edge, or one of a forced or folded branch, WW i -> j on a key
+        that j read or i has a folded record on, RW i -> j on a key i read,
+        where `_ordered` puts i, or the writer i read, before j. The initial
+        writer labels no pair."""
         if self._labels is None:
             self._label_views()
         best = self._labels.get((i, j, rw))
         kind = RW if rw else WW
-        if i == self.init or best is not None and _LABEL_RANK[best[2]] < _LABEL_RANK[kind]:
-            return best
-        if rw:
-            keys = [key for key, s in self._sources.get(i, ()) if self._ordered(key, s, j)]
-        else:
-            keys = [key for key, _ in self._sources.get(j, ()) if self._ordered(key, i, j)]
-            keys += [key for key, _, targets in self.folded.get(i, ()) if j in targets]
-        if keys and (best is None or min(keys) < best[3]):
-            best = (self.vertices[i], self.vertices[j], kind, min(keys))
+        if i != self.init and (best is None or best[2] == kind):
+            sources = self._sources.get(i, ()) if rw else [
+                *((key, i) for key, _ in self._sources.get(j, ())),
+                *((key, i) for key, _, _ in self.folded.get(i, ()))]
+            keys = [key for key, s in sources if self._ordered(key, s, j)]
+            if keys and (best is None or min(keys) < best[3]):
+                best = (self.vertices[i], self.vertices[j], kind, min(keys))
         return best
 
     def _label_views(self) -> None:
         """Build what `label` reads besides the rows (see `__init__`)."""
-        graph, vindex = self.graph, self.vindex
-        labels: dict[tuple[int, int, bool], Edge] = {}
-        for edge in graph.known_edges:
+        vindex, labels, self._sources = self.vindex, {}, {}
+        for edge in self.graph.known_edges:
             pair = (vindex[edge[0]], vindex[edge[1]], edge[2] == RW)
             old = labels.get(pair)
             if old is None or ((_LABEL_RANK[edge[2]], edge[3] or "")
                                < (_LABEL_RANK[old[2]], old[3] or "")):
                 labels[pair] = edge
-        self._sources = {}
-        for (key, reader), writer in graph.read_from.items():
+        for (key, reader), writer in self.graph.read_from.items():
             self._sources.setdefault(vindex[reader], []).append((key, vindex[writer]))
-        runs = [(key, run) for key, keyed in graph.runs.items() for run in keyed]
-        self._run_at = {(key, vindex[w]): (number, at)
-                        for number, (key, run) in enumerate(runs) for at, w in enumerate(run)}
         self._labels = labels
 
     def _ordered(self, key: str, s: int, d: int) -> bool:
-        """Does a forced or a folded branch put writer s before d on key: the
-        initial writer's, one RMW run's or a branch record of source s?"""
+        """Does a forced or folded branch put writer s before writer d on key:
+        the initial writer's, one RMW run's or a branch record of source s?"""
+        first, then = self.vertices[s], self.vertices[d]
         if s == self.init:
-            writers, v = self.graph.writers.get(key, ()), self.vertices[d]
-            at = bisect_left(writers, v)
-            return at < len(writers) and writers[at] == v
-        at, to = self._run_at.get((key, s)), self._run_at.get((key, d))
-        if at is not None and to is not None and at[0] == to[0] and at[1] < to[1]:
-            return True
-        return any(k == key and d in targets for k, _, targets in self.folded.get(s, ()))
+            return then in self.graph.writers.get(key, ())
+        return any(first in run and then in run[run.index(first) + 1:]
+                   for run in self.graph.runs.get(key, ())) or any(
+            k == key and d in targets for k, _, targets in self.folded.get(s, ()))
 
     def b_pred_rows(self) -> list[int]:
         """A new list of B-predecessor rows: bit i of row j is set when B holds (i, j).
@@ -522,7 +505,8 @@ def _resolve_pass(index: KnownIndex, changed: set[int] | None, deadline: float |
     pair when there is a deadline.
     """
     graph = index.graph
-    constraints, resolved, reach, a_pred = graph.constraints, graph.resolved, index.reach, index.a_pred
+    constraints, resolved, reach, a_pred = (
+        graph.constraints, graph.resolved, index.reach, index.a_pred)
     key = first = None
     writers: dict[TxnId, list] = {}  # `_writer` of each writer of `key` asked for
     for cid in sorted(constraints):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 from .errors import BudgetExceededError
 from .graphs import find_cycle, iter_bits, tarjan_scc
@@ -362,26 +362,27 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
 
     A sat witness must assign a branch to every constraint, and no other
     constraint, and order the vertices so that every edge of the induced
-    graph it re-derives runs forward: the listed edges, the initial
+    graph it re-derives runs forward: the listed edges; the initial
     writer's derived ones, checked once per target (every committed writer
-    and every reader of an initial value), the RW edges from each reader
-    of an initial value to every other writer of the key, the edges of
-    each RMW run, read off its members in run order, and the edges of every
-    resolved and every assigned branch s -> d, s -WW-> d and r -RW-> d for
-    each reader r of s but d, read off the reader rows without building
-    them. An unsat cycle must be closed, undesired, and justified edge by
-    edge by its claimed provenance without drawing on both branches of any
-    constraint; a known edge is a listed one, an RW edge from a reader of
-    an initial value to another writer of the key, one of an RMW run, or
-    one of a resolved branch.
+    and every reader of an initial value); those of construct's forced
+    pairs, read off the reader rows and the RMW runs: each reader of an
+    initial value is overwritten by every other writer of the key, and each
+    run member, and each reader of one, by the members after it; and the
+    edges of every resolved and every assigned branch s -> d, s -WW-> d and
+    r -RW-> d for each reader r of s but d, read off the reader rows
+    without building them. An unsat cycle must be closed, undesired, and
+    justified edge by edge by its claimed provenance without drawing on
+    both branches of any constraint; a known edge is a listed one, one of a
+    forced pair or one of a resolved branch.
     """
-    readers, read_from = graph.readers, graph.read_from
+    readers, read_from, runs = graph.readers, graph.read_from, graph.runs
     if result.status == "sat":
         assignment, order = result.assignment, result.order or []
         if assignment is None or assignment.keys() != graph.constraints.keys():
             return False
         position = {v: p for p, v in enumerate(order)}
-        if len(order) != len(graph.vertices) or position.keys() != set(graph.vertices):
+        n = len(order)
+        if n != len(graph.vertices) or position.keys() != set(graph.vertices):
             return False
         branches = []  # (key, s, d) of each resolved and each assigned branch
         for cid, branch in chain(graph.resolved.items(), assignment.items()):
@@ -403,36 +404,31 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
                 for r in row:
                     if r != d and at < lowest[r]:
                         lowest[r] = at
-        # A reader of an initial value precedes the lowest other writer of the key.
-        for (key, writer), row in readers.items():
-            if writer == INIT_TXN and key in graph.writers:
-                first = heapq.nsmallest(2, ((position[w], w) for w in graph.writers[key]))
-                for r in row:
-                    at = first[0] if first[0][1] != r else first[1] if len(first) > 1 else None
-                    if at is not None and at[0] < lowest[r]:
-                        lowest[r] = at[0]
-        # A reader of run member m precedes the lowest member after m but
-        # itself: only m's successor, the next member, reads m's value.
-        runs = [(key, run) for key, keyed in graph.runs.items() for run in keyed]
-        for key, run in runs:
-            after = [len(position)] * (len(run) + 1)  # after[i]: lowest position from member i on
-            for i in range(len(run) - 1, -1, -1):
-                after[i] = min(after[i + 1], position[run[i]])
-            for i, member in enumerate(run[:-1]):
-                for r in readers.get((key, member), ()):
-                    at = after[i + 2] if r == run[i + 1] else after[i + 1]
-                    if at < lowest[r]:
-                        lowest[r] = at
-        # Each member precedes the lowest `lowest` of the members after it.
-        for _, run in runs:
-            bound = len(position)
-            for member in reversed(run):
-                if position[member] >= bound:
-                    return False
-                bound = min(bound, lowest[member])
-        targets = set().union(*graph.writers.values())
-        targets.update(reader for (_, reader), writer in read_from.items()
-                       if writer == INIT_TXN)
+        targets = set().union(*graph.writers.values())  # the initial writer's
+        lows: dict[str, list[int]] = {}  # per key, its writers' two lowest positions, then n
+        for (key, reader), writer in read_from.items():
+            if writer == INIT_TXN:
+                targets.add(reader)
+                if key in graph.writers:
+                    low = lows.get(key)
+                    if low is None:
+                        low = lows[key] = sorted(position[w] for w in graph.writers[key])[:2] + [n]
+                    lowest[reader] = min(lowest[reader], low[position[reader] == low[0]])
+        for key, keyed in runs.items():
+            for run in keyed:
+                # after[i]: the lowest position among the members from the i-th
+                # on; of a run, only the next member reads a member's value.
+                after = [*accumulate([position[m] for m in reversed(run)], min)][::-1] + [n, n]
+                for i, member in enumerate(run[:-1]):
+                    for r in readers.get((key, member), ()):
+                        lowest[r] = min(lowest[r], after[i + 2 if r == run[i + 1] else i + 1])
+        for keyed in runs.values():
+            for run in keyed:
+                bound = n  # the lowest `lowest` of the members after `member`
+                for member in reversed(run):
+                    if position[member] >= bound:
+                        return False
+                    bound = min(bound, lowest[member])
         return (all(position[src] < lowest[dst]
                     for src, dst, kind, _ in graph.known_edges if kind != RW)
                 and all(position[s] < lowest[d] for _, s, d in branches)
@@ -444,9 +440,6 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
     if has_adjacent_rw(cycle.edges()):
         return False
     listed = set(graph.known_edges)
-    run_at = {(key, w): (number, at) for number, (key, run) in enumerate(
-        (key, run) for key, keyed in graph.runs.items() for run in keyed)
-        for at, w in enumerate(run)}
 
     def known(edge: Edge) -> bool:
         if edge in listed:
@@ -457,8 +450,7 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
             return False
         if writer == INIT_TXN:
             return kind == RW and dst in graph.writers.get(key, ())
-        at, to = run_at.get((key, writer)), run_at.get((key, dst))
-        if at is not None and to is not None and at[0] == to[0] and at[1] < to[1]:
+        if any(writer in run and dst in run[run.index(writer) + 1:] for run in runs.get(key, ())):
             return True
         owner = owning_branch(graph, edge)
         return (owner is not None and graph.resolved.get(owner[0]) == owner[1]
