@@ -28,8 +28,7 @@ from typing import IO
 from .graphs import iter_bits
 from .histories import INIT_TXN
 from .polygraph import (
-    EITHER, OR, SO, Constraint, Edge, Polygraph, branch_ends, forced_edges, initial_edges,
-    resolved_edges,
+    EITHER, OR, SO, WR, Constraint, Edge, Polygraph, branch_ends, forced_edges, resolved_edges,
 )
 from .pruning import KnownIndex
 
@@ -65,16 +64,17 @@ def _branch_pairs(index: KnownIndex, cons: Constraint, branch: str) -> list[Pair
 def creation_order(graph: Polygraph) -> list[Edge]:
     """The known edges with the derived ones merged back in where construct
     and prune once listed them: the session-order edges; the WR edges in
-    `read_from` order; per key, the edges of the pairs construct ordered
-    (`forced_edges`); then the edges of the branches prune resolved, in
-    resolution order (`resolved_edges`).
+    `read_from` order, the initial writer's among them; per key, the edges
+    of the pairs construct ordered, the initial writer's WW edges among
+    them (`forced_edges`); then the edges of the branches prune resolved,
+    in resolution order (`resolved_edges`).
     """
-    listed, derived = iter(graph.known_edges), initial_edges(graph)
+    listed = iter(graph.known_edges)
     sessions = next((i for i, e in enumerate(graph.known_edges) if e[2] != SO),
                     len(graph.known_edges))
     edges = list(islice(listed, sessions))
-    for writer in graph.read_from.values():
-        edges.append(next(derived if writer == INIT_TXN else listed))
+    for (key, reader), writer in graph.read_from.items():
+        edges.append((INIT_TXN, reader, WR, key) if writer == INIT_TXN else next(listed))
     for key in graph.writers:
         edges += forced_edges(graph, key)
     return edges + resolved_edges(graph)

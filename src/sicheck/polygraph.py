@@ -9,9 +9,9 @@ explanation of the history.
 
 The virtual initial writer writes every key and precedes every real writer.
 Its own edges, init -WR-> each reader of an initial value and init -WW->
-each committed writer, are derived from `read_from` and `writers` by
-`initial_edges` and never listed in `known_edges`: it has no incoming edge,
-so it lies on no cycle, and only the encoding export asks for them.
+each committed writer, follow from `read_from` and `writers` and are never
+listed in `known_edges`: it has no incoming edge, so it lies on no cycle,
+and only the encoding export derives them (`encoding.creation_order`).
 
 The initial writer's pairs and those inside one read-modify-write run are
 ordered at construction, not generated (see `generate_constraints`), and
@@ -37,7 +37,6 @@ completeness gate reads too.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from itertools import combinations
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -160,7 +159,7 @@ class Polygraph:
 
 def create_known_graph(history: History, walk: OpsWalk | None = None) -> Polygraph:
     """Build vertices, session-order edges, and writer-to-reader edges, but
-    for the initial writer's (see `initial_edges`).
+    for the initial writer's (see the module docstring).
 
     The history must have passed the completeness gate: every committed read
     of a nonzero value then maps to exactly one committed writer whose final
@@ -209,18 +208,6 @@ def create_known_graph(history: History, walk: OpsWalk | None = None) -> Polygra
 
     graph.readers = {k: tuple(v) for k, v in readers.items()}
     return graph
-
-
-def initial_edges(graph: Polygraph) -> Iterator[Edge]:
-    """The initial writer's edges, which no list holds: init -WR-> each
-    reader of an initial value, in read order, then init -WW-> each
-    committed writer, key by key."""
-    for (key, reader), writer in graph.read_from.items():
-        if writer == INIT_TXN:
-            yield (INIT_TXN, reader, WR, key)
-    for key, writers in graph.writers.items():
-        for writer in writers:
-            yield (INIT_TXN, writer, WW, key)
 
 
 def resolved_edges(graph: Polygraph) -> list[Edge]:

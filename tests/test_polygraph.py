@@ -18,10 +18,10 @@ from sicheck.polygraph import (
     create_known_graph,
     forced_edges,
     generate_constraints,
-    initial_edges,
     owning_branch,
     rmw_runs,
 )
+from sicheck.encoding import creation_order
 from sicheck.explain import EdgeUniverse
 from harness import HistoryBounds, random_small_history
 from sicheck.pipeline import check_si
@@ -32,6 +32,11 @@ from sicheck.witness import KNOWN_ORIGIN
 from sicheck.workload import WorkloadParams, generate
 
 from conftest import T0, T1, T2, T3, T4, T5, committed, index_labels, mk_history
+
+
+def initial_edges(graph):
+    """The initial writer's edges, which no list holds, as the export derives them."""
+    return [edge for edge in creation_order(graph) if edge[0] == INIT_TXN]
 
 
 class TestKnownGraph:
