@@ -28,7 +28,7 @@ from typing import IO
 from .graphs import iter_bits
 from .histories import INIT_TXN
 from .polygraph import (
-    EITHER, OR, SO, WR, Constraint, Edge, Polygraph, branch_ends, forced_edges, resolved_edges,
+    EITHER, OR, SO, WR, WW, Constraint, Edge, Polygraph, branch_ends, forced_edges, resolved_edges,
 )
 from .pruning import KnownIndex
 
@@ -64,10 +64,11 @@ def _branch_pairs(index: KnownIndex, cons: Constraint, branch: str) -> list[Pair
 def creation_order(graph: Polygraph) -> list[Edge]:
     """The known edges with the derived ones merged back in where construct
     and prune once listed them: the session-order edges; the WR edges in
-    `read_from` order, the initial writer's among them; per key, the edges
-    of the pairs construct ordered, the initial writer's WW edges among
-    them (`forced_edges`); then the edges of the branches prune resolved,
-    in resolution order (`resolved_edges`).
+    `read_from` order, the initial writer's among them; per key, each
+    writer's init -WW-> edge followed by the RW edges from the key's
+    initial readers to it, then the key's run edges (`forced_edges`); then
+    the edges of the branches prune resolved, in resolution order
+    (`resolved_edges`).
     """
     listed = iter(graph.known_edges)
     sessions = next((i for i, e in enumerate(graph.known_edges) if e[2] != SO),
@@ -75,8 +76,13 @@ def creation_order(graph: Polygraph) -> list[Edge]:
     edges = list(islice(listed, sessions))
     for (key, reader), writer in graph.read_from.items():
         edges.append((INIT_TXN, reader, WR, key) if writer == INIT_TXN else next(listed))
-    for key in graph.writers:
-        edges += forced_edges(graph, key)
+    for key, writers in graph.writers.items():
+        forced = iter(forced_edges(graph, key))
+        init_readers = graph.readers.get((key, INIT_TXN), ())
+        for writer in writers:
+            edges.append((INIT_TXN, writer, WW, key))
+            edges += islice(forced, len(init_readers) - (writer in init_readers))
+        edges += forced
     return edges + resolved_edges(graph)
 
 

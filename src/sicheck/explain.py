@@ -86,10 +86,10 @@ class Counterexample:
 class EdgeUniverse:
     """Every labeled edge the polygraph can realize, with ownership.
 
-    The known edges are the listed ones and construct's forced ones but
-    the initial writer's. Each open constraint's branch edges belong to
-    that branch alone, and no known edge coincides with one, so ownership
-    is computed from the edge.
+    The known edges are the listed ones and construct's forced ones
+    (`forced_edges`). Each open constraint's branch edges belong to that
+    branch alone, and no known edge coincides with one, so ownership is
+    computed from the edge.
     A vertex's sorted successor list is built the first time it is asked
     for: most of the universe is never read by the cluster search.
     """
@@ -98,7 +98,8 @@ class EdgeUniverse:
         self.graph = graph
         self.known = set(graph.known_edges)
         for key in graph.writers:
-            self.known.update(e for e in forced_edges(graph, key) if e[0] != INIT_TXN)
+            if key in graph.runs or (key, INIT_TXN) in graph.readers:
+                self.known.update(forced_edges(graph, key))
         self._known_out: dict[TxnId, list[Edge]] = {}
         for edge in self.known:
             self._known_out.setdefault(edge[0], []).append(edge)

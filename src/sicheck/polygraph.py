@@ -222,11 +222,13 @@ def resolved_edges(graph: Polygraph) -> list[Edge]:
 
 def forced_edges(graph: Polygraph, key: str) -> list[Edge]:
     """The edges of the writer pairs construct orders on `key`, which no
-    list holds, in the order construct once listed them, each branch's as
-    `branch_edges` gives them: the initial writer's branch to each writer,
-    then the branch of each pair inside one RMW run, pairs in id order,
-    that puts the earlier member first."""
-    edges = [edge for w in graph.writers[key] for edge in branch_edges(graph, key, INIT_TXN, w)]
+    list holds, in the order construct once listed them: r -RW-> w for each
+    writer w and each reader r of the initial value but w, the initial
+    writer's branches but their init -WW-> w; then the branch of each pair
+    inside one RMW run that puts the earlier member first, pairs in id
+    order, each as `branch_edges` gives it."""
+    init_readers = graph.readers.get((key, INIT_TXN), ())
+    edges = [(r, w, RW, key) for w in graph.writers[key] for r in init_readers if r != w]
     runs = graph.runs.get(key, ())
     position = {writer: at for run in runs for at, writer in enumerate(run)}
     for pair in sorted(pair for run in runs for pair in combinations(sorted(run), 2)):

@@ -98,13 +98,15 @@ class KnownIndex:
         a_adj, b_adj, a_pred, k_adj = self.a_adj, self.b_adj, self.a_pred, self.k_adj = (
             [0] * n, [0] * n, [0] * n, [0] * n)
         # Built by the first `label` call, as only witnesses ask: the lowest
-        # (rank, key) listed edge of each pair, keyed (i, j, is RW), and per
-        # reader the (key, writer) of each of its reads.
+        # (rank, key) listed edge of each pair, keyed (i, j, is RW); per
+        # initial reader, (key, the key's writers) of each key it read so;
+        # per run member, (key, the run's members) of each run it is in.
         self._labels: dict[tuple[int, int, bool], Edge] | None = None
-        self._sources: dict[int, list[tuple[str, int]]] = {}
+        self._initial_of: dict[int, list[tuple[str, list[int]]]] = {}
+        self._runs_of: dict[int, list[tuple[str, list[int]]]] = {}
         # Per key that some writer writes and some transaction read from the
-        # initial writer: (the key's writers, those readers), as vertices.
-        self._initial: list[tuple[list[int], list[int]]] = []
+        # initial writer: (key, the key's writers, those readers), as vertices.
+        self._initial: list[tuple[str, list[int], list[int]]] = []
         # The branches folded without listing their edges: per source vertex,
         # one (key, reader row, targets in fold order) record per key.
         self.folded: dict[int, list[tuple[str, tuple[int, ...], list[int]]]] = {}
@@ -124,10 +126,10 @@ class KnownIndex:
                 if writer == INIT_TXN:
                     targets.update(row)
                     if key in writers:
-                        self._initial.append(([vindex[w] for w in writers[key]],
+                        self._initial.append((key, [vindex[w] for w in writers[key]],
                                               [vindex[r] for r in row]))
             a_adj[init] = k_adj[init] = _row(vindex[v] for v in targets)
-            for overwriting, initial_readers in self._initial:
+            for _, overwriting, initial_readers in self._initial:
                 mask = _row(overwriting)
                 for i in initial_readers:
                     b_adj[i] |= mask ^ (1 << i) if i in overwriting else mask
@@ -287,71 +289,79 @@ class KnownIndex:
     def label(self, i: int, j: int, rw: bool) -> Edge | None:
         """The lowest (rank, key) known edge on pair (i, j) of the B layer when
         `rw`, else of the A layer, or None when neither holds the pair: a
-        listed edge, or one of a forced or folded branch, WW i -> j on a key
-        that j read or i has a folded record on, RW i -> j on a key i read,
-        where `_ordered` puts i, or the writer i read, before j. The initial
+        listed edge, or one of a forced or folded branch. A WW edge i -> j
+        is one of a key on which `_ordered_keys` puts i before j. An RW edge
+        i -> j is one of a key that i read from the initial writer and j
+        writes, or one that i read from a writer s ordered before j; s is
+        then an A-predecessor of i, by its WR edge, and of j. The initial
         writer labels no pair."""
         if self._labels is None:
             self._label_views()
         best = self._labels.get((i, j, rw))
         kind = RW if rw else WW
         if i != self.init and (best is None or best[2] == kind):
-            sources = self._sources.get(i, ()) if rw else [
-                *((key, i) for key, _ in self._sources.get(j, ())),
-                *((key, i) for key, _, _ in self.folded.get(i, ()))]
-            keys = [key for key, s in sources if self._ordered(key, s, j)]
+            if rw:
+                reader, read_from = self.vertices[i], self.graph.read_from
+                keys = [key for key, ws in self._initial_of.get(i, ()) if j in ws]
+                keys += [key for s in iter_bits(self.a_pred[i] & self.a_pred[j])
+                         for key in self._ordered_keys(s, j)
+                         if read_from.get((key, reader)) == self.vertices[s]]
+            else:
+                keys = self._ordered_keys(i, j)
             if keys and (best is None or min(keys) < best[3]):
                 best = (self.vertices[i], self.vertices[j], kind, min(keys))
         return best
 
     def _label_views(self) -> None:
         """Build what `label` reads besides the rows (see `__init__`)."""
-        vindex, labels, self._sources = self.vindex, {}, {}
+        vindex, self._labels = self.vindex, {}
         for edge in self.graph.known_edges:
             pair = (vindex[edge[0]], vindex[edge[1]], edge[2] == RW)
-            old = labels.get(pair)
+            old = self._labels.get(pair)
             if old is None or ((_LABEL_RANK[edge[2]], edge[3] or "")
                                < (_LABEL_RANK[old[2]], old[3] or "")):
-                labels[pair] = edge
-        for (key, reader), writer in self.graph.read_from.items():
-            self._sources.setdefault(vindex[reader], []).append((key, vindex[writer]))
-        self._labels = labels
+                self._labels[pair] = edge
+        for key, overwriting, initial_readers in self._initial:
+            for r in initial_readers:
+                self._initial_of.setdefault(r, []).append((key, overwriting))
+        for key, runs in self.graph.runs.items():
+            for members in ([vindex[w] for w in run] for run in runs):
+                for m in members:
+                    self._runs_of.setdefault(m, []).append((key, members))
 
-    def _ordered(self, key: str, s: int, d: int) -> bool:
-        """Does a forced or folded branch put writer s before writer d on key:
-        the initial writer's, one RMW run's or a branch record of source s?"""
-        first, then = self.vertices[s], self.vertices[d]
-        if s == self.init:
-            return then in self.graph.writers.get(key, ())
-        return any(first in run and then in run[run.index(first) + 1:]
-                   for run in self.graph.runs.get(key, ())) or any(
-            k == key and d in targets for k, _, targets in self.folded.get(s, ()))
+    def _ordered_keys(self, s: int, d: int) -> list[str]:
+        """The keys on which one RMW run or a branch record of source s puts
+        writer s before writer d."""
+        keys = [key for key, members in self._runs_of.get(s, ())
+                if d in members[members.index(s) + 1:]]
+        return keys + [key for key, _, targets in self.folded.get(s, ()) if d in targets]
 
     def b_pred_rows(self) -> list[int]:
         """A new list of B-predecessor rows: bit i of row j is set when B holds (i, j).
 
-        Listed RW edges aside, each branch adds a reader row, as a mask built
-        once, to the row of each writer it overwrites with, but the writer's
-        own bit: the initial readers of a key to each writer of it, the
-        readers of a run's members before each member to it, and a folded
-        record's reader row to each of its targets.
+        Listed RW edges and the initial readers' aside, each branch adds a
+        reader row, as a mask built once, to the row of each writer it
+        overwrites with, but the writer's own bit: the readers of a run's
+        members before each member to it, and a folded record's reader row
+        to each of its targets.
         """
         graph, vindex, init = self.graph, self.vindex, self.init
         b_pred = [0] * self.n
-        for src, dst, kind, _ in graph.known_edges:
-            if kind == RW:
-                b_pred[vindex[dst]] |= 1 << vindex[src]
-        for overwriting, initial_readers in self._initial:
-            mask = _row(initial_readers)
+        for src, dst in [(src, dst) for src, dst, kind, _ in graph.known_edges if kind == RW]:
+            b_pred[vindex[dst]] |= 1 << vindex[src]
+        for _, overwriting, initial_readers in self._initial:
             for d in overwriting:
-                b_pred[d] |= mask ^ (1 << d) if d in initial_readers else mask
+                for r in initial_readers:
+                    if r != d:
+                        b_pred[d] |= 1 << r
         for key, runs in graph.runs.items():
             for run in runs:
                 earlier = 0
                 for w in run:
                     d = vindex[w]
                     b_pred[d] |= earlier & ~(1 << d)
-                    earlier |= _row(vindex[r] for r in graph.readers.get((key, w), ()))
+                    for r in graph.readers.get((key, w), ()):
+                        earlier |= 1 << vindex[r]
         for records in self.folded.values():
             for _, row, targets in records:
                 if not row:

@@ -404,16 +404,15 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
                 for r in row:
                     if r != d and at < lowest[r]:
                         lowest[r] = at
-        targets = set().union(*graph.writers.values())  # the initial writer's
-        lows: dict[str, list[int]] = {}  # per key, its writers' two lowest positions, then n
-        for (key, reader), writer in read_from.items():
-            if writer == INIT_TXN:
-                targets.add(reader)
-                if key in graph.writers:
-                    low = lows.get(key)
-                    if low is None:
-                        low = lows[key] = sorted(position[w] for w in graph.writers[key])[:2] + [n]
-                    lowest[reader] = min(lowest[reader], low[position[reader] == low[0]])
+        # The initial writer's targets; its readers precede every other writer.
+        initial = [(key, row) for (key, writer), row in readers.items() if writer == INIT_TXN]
+        targets = set().union(*graph.writers.values(), *(row for _, row in initial))
+        for key, row in initial:
+            for w in graph.writers.get(key, ()):
+                at = position[w]
+                for r in row:
+                    if r != w and at < lowest[r]:
+                        lowest[r] = at
         for key, keyed in runs.items():
             for run in keyed:
                 # after[i]: the lowest position among the members from the i-th

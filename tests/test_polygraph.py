@@ -229,8 +229,8 @@ class TestConstraints:
         assert list(initial_edges(graph)) == [
             (INIT_TXN, (1, 0), WR, "x"), (INIT_TXN, (0, 0), WW, "x"), (INIT_TXN, (1, 0), WW, "y")]
         assert graph.known_edges == []
-        assert forced_edges(graph, "x") == [(INIT_TXN, (0, 0), WW, "x"), ((1, 0), (0, 0), RW, "x")]
-        assert forced_edges(graph, "y") == [(INIT_TXN, (1, 0), WW, "y")]
+        assert forced_edges(graph, "x") == [((1, 0), (0, 0), RW, "x")]
+        assert forced_edges(graph, "y") == []
         # No constraint mentions the initial writer.
         assert all(INIT_TXN not in (a, b) for _, a, b in graph.constraints)
 
@@ -400,8 +400,7 @@ class TestRmwRuns:
         assert rmw_runs(graph, "x") == []
         assert constraints == [("x", A, B)]
         assert ordered == []
-        assert forced_edges(graph, "x") == [(INIT_TXN, A, WW, "x"), (C, A, RW, "x"),
-                                            (INIT_TXN, B, WW, "x"), (A, B, RW, "x"), (C, B, RW, "x")]
+        assert forced_edges(graph, "x") == [(C, A, RW, "x"), (A, B, RW, "x"), (C, B, RW, "x")]
 
     def test_run_member_read_by_a_reader_only(self):
         # Run A, B, C; D reads B's x and T(4,0)'s y and writes nothing, so
@@ -455,8 +454,7 @@ class TestRmwRunDifferential:
             # Each pair inside a run: no constraint, its forced branch's
             # edges known once each, and nothing else differs.
             assert graph.known_edges == plain.known_edges and plain.runs == {}
-            known = Counter(edge for key in graph.writers for edge in forced_edges(graph, key)
-                            if edge[0] != INIT_TXN)
+            known = Counter(edge for key in graph.writers for edge in forced_edges(graph, key))
             ordered, in_runs = Counter(), set()
             for key, runs in graph.runs.items():
                 assert runs == rmw_runs(graph, key)
