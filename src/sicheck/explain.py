@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import BudgetExceededError, MissingSupportError
 from .histories import INIT_TXN, TxnId, txn_label
@@ -86,22 +87,16 @@ class Counterexample:
 class EdgeUniverse:
     """Every labeled edge the polygraph can realize, with ownership.
 
-    The known edges are the listed ones and construct's forced ones
-    (`forced_edges`). Each open constraint's branch edges belong to that
-    branch alone, and no known edge coincides with one, so ownership is
-    computed from the edge.
+    Each open constraint's branch edges belong to that branch alone, and no
+    known edge coincides with one, so ownership is computed from the edge.
     A vertex's sorted successor list is built the first time it is asked
     for: most of the universe is never read by the cluster search.
     """
 
     def __init__(self, graph: Polygraph):
         self.graph = graph
-        self.known = set(graph.known_edges)
-        for key in graph.writers:
-            if key in graph.runs or (key, INIT_TXN) in graph.readers:
-                self.known.update(forced_edges(graph, key))
         self._known_out: dict[TxnId, list[Edge]] = {}
-        for edge in self.known:
+        for edge in graph.known_edges:
             self._known_out.setdefault(edge[0], []).append(edge)
         # Per vertex, the (key, source writer, label) of its branch edges:
         # WW from each key it writes, RW from each key it reads.
@@ -111,23 +106,39 @@ class EdgeUniverse:
                 self._sources.setdefault(writer, []).append((key, writer, WW))
         for (key, reader), writer in graph.read_from.items():
             self._sources.setdefault(reader, []).append((key, writer, RW))
+        # The (run, position) of each RMW run member, keyed (key, member).
+        self._run_at = {(key, writer): (run, at) for key, runs in graph.runs.items()
+                        for run in runs for at, writer in enumerate(run)}
         self._succ: dict[TxnId, list[Edge]] = {}
 
+    @cached_property
+    def known(self) -> set[Edge]:
+        """The known edges but the initial writer's own: the listed ones and
+        those of the pairs construct ordered (`forced_edges`)."""
+        graph = self.graph
+        return {*graph.known_edges, *(edge for key in graph.writers
+                                      for edge in forced_edges(graph, key))}
+
     def successors(self, vertex: TxnId) -> list[Edge]:
-        """Sorted out-edges of `vertex`, built on first request: its known
+        """Sorted out-edges of `vertex`, built on first request: its listed
         edges, a WW edge to every other writer of each key it writes and an
         RW edge to every writer but its source of each key it reads, where
-        the constraint of those two writers is open."""
+        the constraint of those two writers is open or construct ordered
+        them: the source is the initial writer, or the other writer follows
+        it in one RMW run."""
         succ = self._succ.get(vertex)
         if succ is None:
-            graph = self.graph
-            edges = list(self._known_out.get(vertex, ()))
+            graph, run_at = self.graph, self._run_at
+            edges = set(self._known_out.get(vertex, ()))  # a graph may list a forced edge
             for key, source, label in self._sources.get(vertex, ()):
+                initial, ahead = source == INIT_TXN, run_at.get((key, source))
                 for other in graph.writers.get(key, ()):
-                    # No self-loop; other == source fails the membership
-                    # test, as no constraint pairs a writer with itself.
-                    if other != vertex and _constraint_of(key, source, other) in graph.constraints:
-                        edges.append((vertex, other, label, key))
+                    # No self-loop; other == source is neither an open pair
+                    # nor one a run orders.
+                    if other != vertex and (
+                            initial or _constraint_of(key, source, other) in graph.constraints
+                            or ahead is not None and _follows(ahead, run_at.get((key, other)))):
+                        edges.add((vertex, other, label, key))
             succ = self._succ[vertex] = sorted(edges)
         return succ
 
@@ -147,6 +158,12 @@ class EdgeUniverse:
 
 def _constraint_of(key: str, a: TxnId, b: TxnId) -> ConstraintKey:
     return (key, a, b) if a < b else (key, b, a)
+
+
+def _follows(ahead: tuple, behind: tuple | None) -> bool:
+    """Is the run member at (run, position) `behind` later in the same run
+    than the one at `ahead`?"""
+    return behind is not None and behind[0] is ahead[0] and ahead[1] < behind[1]
 
 
 def undesired_cycles(

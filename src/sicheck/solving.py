@@ -407,8 +407,9 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
         # The initial writer's targets; its readers precede every other writer.
         initial = [(key, row) for (key, writer), row in readers.items() if writer == INIT_TXN]
         targets = set().union(*graph.writers.values(), *(row for _, row in initial))
-        for key, row in initial:
-            for w in graph.writers.get(key, ()):
+        for writers, row in [(graph.writers[key], row) for key, row in initial
+                             if key in graph.writers]:
+            for w in writers:
                 at = position[w]
                 for r in row:
                     if r != w and at < lowest[r]:
