@@ -33,7 +33,7 @@ def _load(path: str):
             return parse_history(fh.read())
     except OSError as exc:
         raise SicheckError(f"{path}: {exc.strerror or exc}") from exc
-    except (SicheckError, ValueError) as exc:
+    except SicheckError as exc:
         raise SicheckError(f"{path}: {exc}") from exc
 
 
@@ -107,6 +107,8 @@ def _check_one(args_tuple) -> tuple[str, Verdict | tuple[int, str]]:
         )
     except BudgetExceededError as exc:
         return path, (EXIT_BUDGET, f"{path}: {exc}")
+    except SicheckError as exc:  # a dangling read, say
+        return path, (EXIT_INPUT_ERROR, f"{path}: {exc}")
     verdict.timings_ms = {"parse": parse_ms, **verdict.timings_ms}  # `total` stays the check's
     return path, verdict
 

@@ -10,7 +10,8 @@ induced layer. Known edges, listed and derived (`creation_order`),
 contribute unit clauses; every
 surviving constraint contributes one exactly-one-branch clause; each
 supported induced pair gets a definitional clause tying it to a direct
-A-layer edge or to the A-then-RW compositions via `a_adj[i] & b_pred[j]`.
+A-layer edge or to the A-then-RW compositions through the middles
+`a_adj[i] & b_pred[j]`, where `b_pred` is the transpose of the index's B rows.
 
 Variables are created only for pairs that can carry an edge. Unsupported
 induced variables would be identically false, so they are never created;
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import IO
 
-from .graphs import iter_bits
+from .graphs import iter_bits, transpose
 from .histories import INIT_TXN
 from .polygraph import (
     EITHER, OR, SO, WR, WW, Constraint, Edge, Polygraph, branch_ends, forced_edges, resolved_edges,
@@ -46,12 +47,12 @@ class Encoding:
     clauses: list[tuple[list[Pair], list[Pair]]]
     pair_count: int
     induced_count: int
-    b_pred: list[int] | None = None  # the index's, built by the first `induced_definition`
+    b_pred: list[int] | None = None  # B transposed, built by the first `induced_definition`
 
     def induced_definition(self, i: int, j: int) -> tuple[bool, list[int]]:
         """(has direct A-layer support, middle vertices of A∘RW compositions)."""
         if self.b_pred is None:
-            self.b_pred = self.index.b_pred_rows()
+            self.b_pred = transpose(self.index.b_adj)
         a_row = self.index.a_adj[i]
         return bool((a_row >> j) & 1), list(iter_bits(a_row & self.b_pred[j]))
 

@@ -25,6 +25,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def transpose(rows: list[int]) -> list[int]:
+    """The reversed graph's rows: bit i of row j is set when bit j of row i is."""
+    columns = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in iter_bits(row):
+            columns[j] |= bit
+    return columns
+
+
 def tarjan_scc(n: int, adj: list[int]) -> list[list[int]]:
     """Strongly connected components in reverse topological order.
 

@@ -171,8 +171,10 @@ def parse_history(data: bytes | str) -> History:
             raise FormatError(f"history is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise FormatError(f"history is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("history is nested too deeply") from exc
 
     if not isinstance(doc, dict):
         raise FormatError("top level must be an object")

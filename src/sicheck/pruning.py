@@ -80,8 +80,8 @@ class KnownIndex:
     initial writer's against each writer and those inside each RMW run, see
     `polygraph`) and the branches of `graph.resolved`; `add_edges` folds in
     listed edges, `add_branches` branch records, in place; `folded` keeps
-    one branch record per source writer and key, for `label` and
-    `b_pred_rows`. After every update the index equals a fresh build over
+    the targets of the branch records per source writer and key, for
+    `label`. After every update the index equals a fresh build over
     the graph's known edges, forced and resolved branches, field by field.
     The closure `reach` is None until `with_reach` computes it; from then on
     a fold keeps it, and the chain starts `starts` with it, by walking the
@@ -107,9 +107,9 @@ class KnownIndex:
         # Per key that some writer writes and some transaction read from the
         # initial writer: (key, the key's writers, those readers), as vertices.
         self._initial: list[tuple[str, list[int], list[int]]] = []
-        # The branches folded without listing their edges: per source vertex,
-        # one (key, reader row, targets in fold order) record per key.
-        self.folded: dict[int, list[tuple[str, tuple[int, ...], list[int]]]] = {}
+        # The branches folded without listing their edges: per source vertex
+        # and key, the targets in fold order.
+        self.folded: dict[int, dict[str, list[int]]] = {}
         self.reach: list[int] | None = None
         # First vertex of each chain of K (see `graphs.chain_starts`), kept with `reach`.
         self.starts: list[int] = []
@@ -205,23 +205,14 @@ class KnownIndex:
         """Fold branch records (key, s, reader row of s, targets), at most one
         per source s and key, as `add_edges` folds the edges s -WW-> d and
         r -RW-> d of each target d, for every reader r but d, but with no
-        edge tuple and no label; returns as it does. `folded` takes a
-        record's target list over, or extends its source's on that key."""
+        edge tuple and no label; returns as it does. `folded` adds a
+        record's targets to its source's on that key."""
         a_adj, b_adj, a_pred, k_adj, folded = (
             self.a_adj, self.b_adj, self.a_pred, self.k_adj, self.folded)
         new_a: list[tuple[int, list[int]]] = []  # per source, its new A targets
         middles: set[int] = set()
         for key, s, row, targets in records:
-            mine = folded.get(s)
-            if mine is None:
-                folded[s] = [(key, row, targets)]
-            else:
-                for other, _, merged in mine:
-                    if other == key:
-                        merged.extend(targets)
-                        break
-                else:
-                    mine.append((key, row, targets))
+            folded.setdefault(s, {}).setdefault(key, []).extend(targets)
             mask = 1 << targets[0]
             for d in targets[1:]:
                 mask |= 1 << d
@@ -334,42 +325,7 @@ class KnownIndex:
         writer s before writer d."""
         keys = [key for key, members in self._runs_of.get(s, ())
                 if d in members[members.index(s) + 1:]]
-        return keys + [key for key, _, targets in self.folded.get(s, ()) if d in targets]
-
-    def b_pred_rows(self) -> list[int]:
-        """A new list of B-predecessor rows: bit i of row j is set when B holds (i, j).
-
-        Listed RW edges and the initial readers' aside, each branch adds a
-        reader row, as a mask built once, to the row of each writer it
-        overwrites with, but the writer's own bit: the readers of a run's
-        members before each member to it, and a folded record's reader row
-        to each of its targets.
-        """
-        graph, vindex, init = self.graph, self.vindex, self.init
-        b_pred = [0] * self.n
-        for src, dst in [(src, dst) for src, dst, kind, _ in graph.known_edges if kind == RW]:
-            b_pred[vindex[dst]] |= 1 << vindex[src]
-        for _, overwriting, initial_readers in self._initial:
-            for d in overwriting:
-                for r in initial_readers:
-                    if r != d:
-                        b_pred[d] |= 1 << r
-        for key, runs in graph.runs.items():
-            for run in runs:
-                earlier = 0
-                for w in run:
-                    d = vindex[w]
-                    b_pred[d] |= earlier & ~(1 << d)
-                    for r in graph.readers.get((key, w), ()):
-                        earlier |= 1 << vindex[r]
-        for records in self.folded.values():
-            for _, row, targets in records:
-                if not row:
-                    continue
-                mask = _row(row)
-                for d in targets:
-                    b_pred[d] |= mask ^ (1 << d) if d in row else mask
-        return b_pred
+        return keys + [key for key, targets in self.folded.get(s, {}).items() if d in targets]
 
     def branch(self, cons: Constraint, branch: str) -> tuple[int, int, tuple[int, ...]]:
         """A constraint branch in vertex-index space: its write-order pair

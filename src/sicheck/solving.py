@@ -7,7 +7,10 @@ incrementally maintained induced graph (direct non-RW edges plus non-RW∘RW
 compositions, at pair granularity) whose topological order is repaired on
 every insertion; a failed repair is a conflict, analyzed into the set of
 contributing decisions for dynamic backtracking. Retraction keeps a pair
-(i, j) while A holds it or `a_rows[i] & b_pred[j]` (B-predecessors) is not 0.
+(i, j) while the index's K row holds it (its A and A∘B pairs), A holds it,
+or it composes through an assigned pair: `a_rows[i] & b_pred[j]` is not 0,
+where `b_pred` holds only the assigned B pairs outside the index, or an
+assigned A successor m of i has B(m, j).
 The search is exhaustive: unsat is only reported once every branch
 combination is covered by recorded conflicts, never on budget exhaustion,
 which raises instead.
@@ -76,8 +79,8 @@ class Solver:
         self.a_rows = list(self.known.a_adj)
         self.b_rows = list(self.known.b_adj)
         self.a_pred = list(self.known.a_pred)
-        # Built only when there is something to search.
-        self.b_pred = self.known.b_pred_rows() if self.constraints else []
+        # The transpose of the assigned B pairs that are not in the index.
+        self.b_pred = [0] * self.n
         # Induced graph rows (known ∪ assigned), plus a maintained
         # topological order: ord[v] is v's slot, at[slot] the vertex in it.
         self.ind_rows = list(self.known.k_adj)
@@ -234,7 +237,11 @@ class Solver:
     def _retract(self, k: int) -> None:
         """Remove constraint k's branch edges, whenever it was assigned: a row
         bit is cleared when its pair is not in the index and has no branch edge
-        left, then each induced pair it supported that no A or A∘B pair still holds."""
+        left, then each induced pair it supported that no A or A∘B pair still
+        holds: the index's K row holds the index's own A∘B pairs, and the rest
+        use an assigned B pair (`b_pred`) or an assigned A pair (u, m)."""
+        known_a, known_k, a_rows, b_rows, b_pred = (
+            self.known.a_adj, self.known.k_adj, self.a_rows, self.b_rows, self.b_pred)
         for rw, pair in self.pushed[k]:
             stacks = self.b_edges if rw else self.a_edges
             stack = stacks[pair]
@@ -243,13 +250,19 @@ class Solver:
                 continue
             del stacks[pair]
             i, j = pair
-            if ((self.known.b_adj if rw else self.known.a_adj)[i] >> j) & 1:
+            if ((self.known.b_adj if rw else known_a)[i] >> j) & 1:
                 continue
-            rows, preds = (self.b_rows, self.b_pred) if rw else (self.a_rows, self.a_pred)
+            rows, preds = (b_rows, b_pred) if rw else (a_rows, self.a_pred)
             rows[i] &= ~(1 << j)
             preds[j] &= ~(1 << i)
             for u, v in self._supported_by(i, j, rw):
-                if not ((self.a_rows[u] >> v) & 1 or self.a_rows[u] & self.b_pred[v]):
+                a_row = a_rows[u]
+                if ((known_k[u] | a_row) >> v) & 1 or a_row & b_pred[v]:
+                    continue
+                for m in iter_bits(a_row ^ known_a[u]):  # the assigned A successors
+                    if (b_rows[m] >> v) & 1:
+                        break
+                else:
                     self.ind_rows[u] &= ~(1 << v)
         self.pushed[k] = []
         self.assigned[k] = None

@@ -11,10 +11,11 @@ resolves most writer pairs; `tarjan_scc`, `reach_masks`, the `KnownIndex`
 build, each fold of the branch records a prune iteration makes
 (`KnownIndex.add_branches`, one record per source writer and key, with its
 closure update), the first iteration's key-by-key branch tests, the
-`KnownIndex` build of the pruned polygraph, `b_pred_rows` of the pruner's
-final index, the solver's search, its Pearce–Kelly order repair and one
-out-of-order retraction on the known induced graphs of the benchmark's
-workload shapes
+`KnownIndex` build of the pruned polygraph, the solver's set-up on the
+pruner's final index and its search, its Pearce–Kelly order repair, one
+out-of-order retraction, and `graphs.transpose` of the B rows of the
+encoder's index, on the known induced graphs of the benchmark's workload
+shapes
 (`perfbench/workloads.py`, first history of run seed 1), and the
 explainer's `EdgeUniverse` build and `find_cluster` on the same histories
 (these two only where the check finds a violation). One probe measures
@@ -44,7 +45,7 @@ from sicheck.explain import (
     DEFAULT_MAX_CYCLE_LEN, DEFAULT_MAX_CYCLES_PER_DEP, EdgeUniverse, find_cluster,
 )
 from sicheck.gcpause import collector_paused
-from sicheck.graphs import reach_masks, tarjan_scc
+from sicheck.graphs import reach_masks, tarjan_scc, transpose
 from sicheck.histories import COMMITTED, History, Operation, Transaction, completeness_gate, parse_history
 from sicheck.pipeline import check_si
 from sicheck.polygraph import build_polygraph
@@ -178,7 +179,7 @@ def _copy_index(index: KnownIndex) -> KnownIndex:
     for name in ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "starts"):
         setattr(fresh, name, list(getattr(index, name)))
     fresh.readers = dict(index.readers)
-    fresh.folded = {s: [(key, row, list(targets)) for key, row, targets in records]
+    fresh.folded = {s: {key: list(targets) for key, targets in records.items()}
                     for s, records in index.folded.items()}
     return fresh
 
@@ -186,8 +187,7 @@ def _copy_index(index: KnownIndex) -> KnownIndex:
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))
 def closure_updates(request):
     """Every fold of the workload's prune: the index as it stood before the
-    fold, and the branch records it folds in. The fold takes the records'
-    target lists over, so each round folds copies of them."""
+    fold, and the branch records it folds in."""
     history = parse_history(WORKLOADS[request.param].case(SEED).data)
     updates = []
     fold = KnownIndex.add_branches
@@ -214,8 +214,7 @@ def test_closure_update(benchmark, closure_updates, number):
     before, records = closure_updates[number]
 
     def setup():
-        copies = [(key, s, row, list(targets)) for key, s, row, targets in records]
-        return (_copy_index(before), copies), {}
+        return (_copy_index(before), records), {}
 
     benchmark.pedantic(KnownIndex.add_branches, setup=setup, rounds=10)
 
@@ -243,9 +242,17 @@ def test_pruned_index_build(benchmark, graphs):
     benchmark(KnownIndex, graphs[3])
 
 
-def test_b_pred_rows(benchmark, graphs):
-    """B-predecessor rows of the pruner's final index, from its per-source records."""
-    benchmark(graphs[2].b_pred_rows)
+def test_solver_setup(benchmark, graphs):
+    """The solver's search state from the pruner's final index: copies of its
+    rows and an all-zero `b_pred`."""
+    final, pruned = graphs[2], graphs[3]
+    benchmark(Solver, pruned, index=final)
+
+
+def test_transpose(benchmark, graphs):
+    """The B rows of the encoder's index transposed, as the export's first
+    induced definition builds them."""
+    benchmark(transpose, encode(graphs[3]).index.b_adj)
 
 
 def test_solver_search(benchmark, graphs):

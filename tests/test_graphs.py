@@ -3,7 +3,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from sicheck.graphs import bfs_path, find_cycle, iter_bits, reach_masks, tarjan_scc
+from sicheck.graphs import bfs_path, find_cycle, iter_bits, reach_masks, tarjan_scc, transpose
 from sicheck.histories import completeness_gate
 from sicheck.polygraph import build_polygraph
 from sicheck.pruning import KnownIndex, prune_constraints
@@ -23,6 +23,18 @@ class TestBits:
     def test_iter_bits_ascending(self):
         assert list(iter_bits(0b101001)) == [0, 3, 5]
         assert list(iter_bits(0)) == []
+
+
+class TestTranspose:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 40).flatmap(
+        lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    def test_reverses_every_edge(self, rows):
+        columns = transpose(rows)
+        n = len(rows)
+        assert all((columns[j] >> i) & 1 == (rows[i] >> j) & 1
+                   for i in range(n) for j in range(n))
+        assert transpose(columns) == rows
 
 
 class TestScc:

@@ -1,20 +1,25 @@
+import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sicheck.errors import (
     DanglingReadError,
     FormatError,
     ReservedValueError,
+    SicheckError,
     UniqueValueError,
 )
 from sicheck.histories import (
+    History,
     completeness_gate,
     effective_reads_writes,
     parse_history,
     serialize_history,
     txn_label,
 )
+from sicheck.workload import WorkloadParams, generate
 
 from conftest import aborted, committed, mk_history
 
@@ -33,6 +38,12 @@ def txn(index, ops, status="committed"):
 
 def op(t, k, v):
     return {"t": t, "k": k, "v": v}
+
+
+# Nesting deeper than the JSON decoder recurses.
+DEEP = "[" * 200_000
+# An integer of more digits than `int` converts by default.
+LONG_INTEGER = '{"sessions": [' + "9" * 5_000 + "]}"
 
 
 class TestParse:
@@ -102,6 +113,7 @@ class TestParse:
             doc([session(0, [txn(1, [op("r", "x", 0)]), txn(0, [op("r", "x", 0)])])]),
             doc([session(-1, [txn(0, [op("r", "x", 0)])])]),
             doc([session(0, [txn(-1, [op("r", "x", 0)])])]),
+            pytest.param(LONG_INTEGER, id="long-integer"),
         ],
     )
     def test_malformed_rejected(self, payload):
@@ -116,6 +128,7 @@ class TestParse:
              " in position 0: invalid start byte"),
             ("[", FormatError,
              "history is not valid JSON: Expecting value: line 1 column 2 (char 1)"),
+            pytest.param(DEEP, FormatError, "history is nested too deeply", id="deep"),
             (json.dumps([1]), FormatError, "top level must be an object"),
             (json.dumps({"sessions": [], "x": 1}), FormatError,
              "unknown fields ['x'] in top level"),
@@ -188,6 +201,71 @@ class TestParse:
     def test_txn_label(self):
         assert txn_label((1, 4)) == "T(1,4)"
         assert txn_label((-1, -1)) == "init"
+
+
+_FIELDS = ("sessions", "id", "transactions", "index", "status", "ops", "t", "k", "v")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["r", "w", "committed", "aborted"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=20,
+)
+_VALID = json.loads(serialize_history(generate(WorkloadParams(
+    sessions=2, txns_per_session=2, ops_per_txn=2, keys=3, seed=1))))
+
+
+def _paths(node, path=()):
+    """The path of every entry of every object and array in a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for at, child in items:
+        yield path + (at,)
+        yield from _paths(child, path + (at,))
+
+
+@st.composite
+def _one_field_replaced(draw):
+    """The valid history `_VALID` with the value at one path replaced."""
+    doc = copy.deepcopy(_VALID)
+    *parents, last = draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for at in parents:
+        node = node[at]
+    node[last] = draw(_json_values)
+    return json.dumps(doc)
+
+
+def _parses_or_rejects(payload):
+    try:
+        assert isinstance(parse_history(payload), History)
+    except SicheckError:
+        pass
+
+
+class TestParseFuzz:
+    """Any input gives a `History` or a `SicheckError`, never another exception."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.binary(max_size=64))
+    @example(DEEP.encode())
+    @example(LONG_INTEGER.encode())
+    def test_arbitrary_bytes(self, payload):
+        _parses_or_rejects(payload)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_json_values.map(json.dumps))
+    def test_json_over_the_field_names(self, payload):
+        _parses_or_rejects(payload)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_one_field_replaced())
+    def test_valid_history_with_one_field_replaced(self, payload):
+        _parses_or_rejects(payload)
 
 
 class TestInternalConsistency:

@@ -19,6 +19,9 @@ from conftest import immediate_violation_history
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+# One committed read of 7 on x, which no transaction wrote.
+DANGLING = json.dumps({"sessions": [{"id": 0, "transactions": [
+    {"index": 0, "status": "committed", "ops": [{"t": "r", "k": "x", "v": 7}]}]}]})
 
 
 @pytest.fixture
@@ -170,19 +173,31 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_file_hides_no_verdict(self, long_fork_file, tmp_path, capsys, jobs):
         good = str(DATA / "valid_small.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{")
-        files = [good, str(bad), long_fork_file]
+        # Bad JSON, a read of a value no one wrote, nesting deeper than the
+        # decoder recurses, and an integer longer than int() converts.
+        errors = {
+            "bad.json": ("{", "history is not valid JSON"),
+            "dangling.json": (DANGLING, "T(0,0) reads 7 from key 'x', which no transaction wrote"),
+            "deep.json": ("[" * 200_000, "history is nested too deeply"),
+            "digits.json": ('{"sessions": [' + "9" * 5_000 + "]}", "history is not valid JSON"),
+        }
+        bad = []
+        for name, (text, _) in errors.items():
+            (tmp_path / name).write_text(text)
+            bad.append(str(tmp_path / name))
+        files = [good, *bad, long_fork_file]
         assert main(["check", *files, "--jobs", jobs]) == 2
         captured = capsys.readouterr()
         assert f"{good}: ok (snapshot isolation holds)" in captured.out
         assert f"{long_fork_file}: violation (long-fork)" in captured.out
-        assert f"sicheck: error: {bad}: history is not valid JSON" in captured.err
+        for path, (_, message) in zip(bad, errors.values()):
+            assert f"sicheck: error: {path}: {message}" in captured.err
         assert main(["check", *files, "--json", "--jobs", jobs]) == 2
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["file"] for r in records] == files
-        assert [r.get("verdict") for r in records] == ["si-holds", None, "violation"]
-        assert records[1]["exit_code"] == 2 and records[1]["error"].startswith(f"{bad}: ")
+        assert [r.get("verdict") for r in records] == ["si-holds", *[None] * 4, "violation"]
+        for path, record in zip(bad, records[1:]):
+            assert record["exit_code"] == 2 and record["error"].startswith(f"{path}: ")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_budget_overrun_is_the_worst_code(self, tmp_path, capsys, jobs):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sicheck.errors import BudgetExceededError
-from sicheck.graphs import iter_bits
+from sicheck.graphs import iter_bits, transpose
 from harness import HistoryBounds, random_small_history
 from sicheck.histories import INIT_TXN, completeness_gate, parse_history
 from sicheck.oracle import induced_graph, oracle_check
@@ -102,7 +102,7 @@ class TestSolve:
                     index = prune_constraints(graph).index
                 own = solve(graph)
                 rows = (index.a_adj, index.b_adj, index.a_pred, index.k_adj)
-                folded = {s: [(key, row, list(targets)) for key, row, targets in records]
+                folded = {s: {key: list(targets) for key, targets in records.items()}
                           for s, records in index.folded.items()}
                 before = ([list(r) for r in rows], index_labels(index), folded)
                 reach = index.reach and list(index.reach)
@@ -232,7 +232,7 @@ def test_search_state_is_the_index_rows_plus_the_assignment(case, no_prune):
         assert _search_state(solver) == _search_state(fresh)
     assert (solver.a_rows, solver.b_rows) == (index.a_adj, index.b_adj)
     assert (solver.a_pred, solver.ind_rows) == (index.a_pred, index.k_adj)
-    assert solver.b_pred == index.b_pred_rows()
+    assert solver.b_pred == [0] * len(index.b_adj)
     assert not (solver.a_edges or solver.b_edges)
 
 
@@ -329,11 +329,8 @@ class _AuditedSolver(Solver):
             for m in iter_bits(a_row):
                 expected |= self.b_rows[m]
             assert self.ind_rows[i] == expected, i
-        transpose = [0] * self.n
-        for i, row in enumerate(self.b_rows):
-            for j in iter_bits(row):
-                transpose[j] |= 1 << i
-        assert self.b_pred == transpose
+        assigned = [row & ~known for row, known in zip(self.b_rows, self.known.b_adj)]
+        assert self.b_pred == transpose(assigned)
         self.audits += 1
 
 
@@ -341,7 +338,8 @@ class _AuditedSolver(Solver):
 def test_induced_rows_follow_the_support_rule(no_prune):
     """After every branch tried and every retraction, each induced row is
     its A row plus the B rows of its A successors, and `b_pred` is the
-    transpose of the B rows, also across out-of-order retractions."""
+    transpose of the assigned B pairs outside the index, also across
+    out-of-order retractions."""
     audits = out_of_order = 0
     for seed in range(400):
         history = random_small_history(seed, _CONTENDED)
