@@ -470,6 +470,7 @@ def render_dot(ce: Counterexample, stage: str = "final") -> str:
     for dep in deps:
         src, dst, label, key = dep.edge
         text = label if key is None else f"{label}({key})"
+        text = text.replace("\\", "\\\\").replace('"', '\\"')  # a key may hold either
         style = "solid" if dep.tag == CERTAIN else "dashed"
         lines.append(
             f'  "{txn_label(src)}" -> "{txn_label(dst)}" [label="{text}", style={style}];'

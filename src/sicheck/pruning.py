@@ -34,12 +34,14 @@ no `reach` row holds its bit. Its edges are derived, never listed (see
 build, every committed writer plus every reader of an initial value, and
 it is no vertex's A-predecessor and labels no pair. The edges of the
 writer pairs construct orders are not listed either: the index derives
-their B rows from the initial readers and the RMW runs, then their A and
-K rows against those, in O(L) row updates for a run of L writers
+their B rows from the initial readers and the RMW runs, next to those of
+the listed RW edges, then their A and K rows against those, in O(L) row
+updates for a run of L writers, and then the listed A edges' rows
 (`KnownIndex.__init__`).
 
 If both branches of some constraint are impossible the history is violating
-and the outcome carries a witness cycle for each dead branch.
+and the outcome carries a witness cycle for each dead branch, labeled by
+`witness.path_deps` as the solver's conflict cycles are.
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ from .graphs import bfs_path, chain_starts, extend_reach, iter_bits, reach_masks
 from .histories import INIT_TXN, TxnId
 from .polygraph import (
     EITHER, OR, RW, SO, WR, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends,
-    owning_branch,
 )
-from .witness import KNOWN_ORIGIN, Origin, WitnessCycle
+from .witness import Origin, WitnessCycle, known_origin, path_deps
 
 _LABEL_RANK = {SO: 0, WR: 1, WW: 2, RW: 3}
 # A closure rebuild costs a few steps per vertex; a walk, a binary search per
@@ -76,13 +77,14 @@ def _walk_pays(sources: int, chains: int, n: int) -> bool:
 class KnownIndex:
     """Pair-level bitmask view of a polygraph's known edges.
 
-    Built once from `graph.known_edges`, construct's forced branches (the
+    Built once from `graph.known_edges` and construct's forced branches (the
     initial writer's against each writer and those inside each RMW run, see
-    `polygraph`) and the branches of `graph.resolved`; `add_edges` folds in
-    listed edges, `add_branches` branch records, in place; `folded` keeps
-    the targets of the branch records per source writer and key, for
-    `label`. After every update the index equals a fresh build over
-    the graph's known edges, forced and resolved branches, field by field.
+    `polygraph`), B rows first, then A, A-predecessor and K rows against
+    them, and then the branches of `graph.resolved`; only `add_branches`
+    folds them, or later branch records, in place; `folded`
+    keeps the targets of the branch records per source writer and key, for
+    `label`. After every fold the index equals a fresh build over the
+    graph's known edges, forced and resolved branches, field by field.
     The closure `reach` is None until `with_reach` computes it; from then on
     a fold keeps it, and the chain starts `starts` with it, by walking the
     chains for a small batch and by a rebuild for a large one. `readers`
@@ -116,7 +118,6 @@ class KnownIndex:
         # Rows of graph.readers in vertex-index space, filled by `reader_row`.
         self.readers: dict[tuple[str, TxnId], tuple[int, ...]] = {}
         readers, writers = graph.readers, graph.writers
-        # The forced branches' B rows first, then their A pairs against them.
         # The initial writer's row (see the module docstring); each reader of
         # an initial value is overwritten by every other writer of the key.
         self.init = init = vindex.get(INIT_TXN)
@@ -133,8 +134,7 @@ class KnownIndex:
                 mask = _row(overwriting)
                 for i in initial_readers:
                     b_adj[i] |= mask ^ (1 << i) if i in overwriting else mask
-        # A run member's readers are overwritten by each later member; its A
-        # row is the members after it, its K row those and their B rows.
+        # A run member's readers are overwritten by each later member.
         runs = [(key, run, [vindex[w] for w in run])
                 for key, keyed in graph.runs.items() for run in keyed]
         for key, run, members in runs:
@@ -143,6 +143,12 @@ class KnownIndex:
                 for r in readers.get((key, writer), ()) if later else ():
                     b_adj[vindex[r]] |= later & ~(1 << vindex[r])
                 later |= 1 << m
+        for src, dst, kind, _ in graph.known_edges:
+            if kind == RW:
+                b_adj[vindex[src]] |= 1 << vindex[dst]
+        # The B rows are whole now. A run member's A row is the members after
+        # it, its K row those and their B rows; a listed A pair's K row gains
+        # its target and the target's B row.
         for _, _, members in runs:
             earlier = later = composed = 0
             for m, at in zip(members, reversed(members)):
@@ -153,7 +159,13 @@ class KnownIndex:
                     k_adj[at] |= later | composed
                 later |= 1 << at
                 composed |= b_adj[at]
-        self.add_edges(graph.known_edges)
+        for src, dst, kind, _ in graph.known_edges:
+            if kind != RW:
+                i, j = vindex[src], vindex[dst]
+                if not (a_adj[i] >> j) & 1:  # a run member's reader may be the next one
+                    a_adj[i] |= 1 << j
+                    a_pred[j] |= 1 << i
+                    k_adj[i] |= 1 << j | b_adj[j]
         if graph.resolved:
             self.fold_branches(branch_ends(cid, branch) for cid, branch in graph.resolved.items())
 
@@ -163,37 +175,9 @@ class KnownIndex:
         self.starts = chain_starts(self.n, self.k_adj)
         return self
 
-    def add_edges(self, edges: list[Edge]) -> set[int]:
-        """Fold listed edges into the index; return the vertices whose reach or
-        A-predecessor row changed (reach only once it is computed)."""
-        vindex, a_adj, b_adj, a_pred, k_adj = (
-            self.vindex, self.a_adj, self.b_adj, self.a_pred, self.k_adj)
-        self._labels = None
-        new_a: list[int] = []  # i, j of each new A pair (i, j), flat
-        middles: set[int] = set()  # the middle vertex i of each new B pair (i, j)
-        for edge in edges:
-            i, j = vindex[edge[0]], vindex[edge[1]]
-            if edge[2] == RW:
-                if not (b_adj[i] >> j) & 1:
-                    b_adj[i] |= 1 << j
-                    middles.add(i)
-            elif not (a_adj[i] >> j) & 1:
-                new_a.append(i)
-                new_a.append(j)
-        grown = self._compose(middles)
-        changed: set[int] = set()
-        pairs = iter(new_a)
-        for i, j in zip(pairs, pairs):
-            a_adj[i] |= 1 << j
-            a_pred[j] |= 1 << i
-            k_adj[i] |= 1 << j | b_adj[j]
-            grown.add(i)
-            changed.add(j)
-        return self._fold(grown, changed)
-
     def fold_branches(self, branches: Iterable[tuple[str, TxnId, TxnId]]) -> set[int]:
         """Fold branches given as (key, source writer, target writer), one
-        record per source and key (`add_branches`); returns as it does."""
+        record per source and key (`add_branches`), and return what it returns."""
         vindex = self.vindex
         groups: dict[tuple[str, TxnId], list[int]] = {}
         for key, src, dst in branches:
@@ -203,10 +187,11 @@ class KnownIndex:
 
     def add_branches(self, records: list[tuple[str, int, tuple[int, ...], list[int]]]) -> set[int]:
         """Fold branch records (key, s, reader row of s, targets), at most one
-        per source s and key, as `add_edges` folds the edges s -WW-> d and
-        r -RW-> d of each target d, for every reader r but d, but with no
-        edge tuple and no label; returns as it does. `folded` adds a
-        record's targets to its source's on that key."""
+        per source s and key: the pairs of the edges s -WW-> d and r -RW-> d
+        of each target d, for every reader r but d, with no edge tuple and
+        no label. Returns the vertices whose A-predecessor row changed and,
+        once the closure is computed, those whose reach changed. `folded`
+        adds a record's targets to its source's on that key."""
         a_adj, b_adj, a_pred, k_adj, folded = (
             self.a_adj, self.b_adj, self.a_pred, self.k_adj, self.folded)
         new_a: list[tuple[int, list[int]]] = []  # per source, its new A targets
@@ -227,7 +212,14 @@ class KnownIndex:
                 a_adj[s] |= fresh
                 k_adj[s] |= fresh
                 new_a.append((s, list(iter_bits(fresh)) if known else targets))
-        grown = self._compose(middles)
+        # A middle's B row composes with its A-predecessors of before the batch
+        # (old pairs too); a new A pair then composes with every B pair.
+        grown: set[int] = set()
+        for m in middles:
+            b_row = b_adj[m]
+            for p in iter_bits(a_pred[m]):
+                k_adj[p] |= b_row
+                grown.add(p)
         changed: set[int] = set()
         for s, targets in new_a:
             bit, k_row = 1 << s, k_adj[s]
@@ -238,20 +230,6 @@ class KnownIndex:
             grown.add(s)
             changed.update(targets)
         return self._fold(grown, changed)
-
-    def _compose(self, middles: set[int]) -> set[int]:
-        """Compose the B row of each middle vertex m that gained a pair with
-        m's A-predecessors of before the batch (old pairs again, which K
-        holds); a new A pair then composes with every B pair, old or new.
-        Returns the K rows that may have grown."""
-        b_adj, a_pred, k_adj = self.b_adj, self.a_pred, self.k_adj
-        grown: set[int] = set()
-        for m in middles:
-            row = b_adj[m]
-            for p in iter_bits(a_pred[m]):
-                k_adj[p] |= row
-                grown.add(p)
-        return grown
 
     def _fold(self, grown: set[int], changed: set[int]) -> set[int]:
         """Keep the closure once a batch is in A, B and K; `grown` holds the
@@ -346,21 +324,11 @@ class KnownIndex:
         row = self.readers[(key, writer)] = tuple(map(self.vindex.__getitem__, readers))
         return row
 
-    def decompose(self, u: int, v: int) -> list[Edge]:
-        """Underlying labeled dependencies of a K edge (direct or composed)."""
-        m = k_middle(self.a_adj, self.b_adj, u, v)
-        if m is None:
-            return [self.label(u, v, False)]
-        return [self.label(u, m, False), self.label(m, v, True)]
-
-    def path_deps(self, src: int, dst: int) -> list[Edge]:
-        path = bfs_path(self.k_adj, src, dst)
-        if path is None:
-            raise AssertionError(f"no path {src}->{dst} in the known induced graph")
-        deps: list[Edge] = []
-        for a, b in zip(path, path[1:]):
-            deps.extend(self.decompose(a, b))
-        return deps
+    def known_dep(self, i: int, j: int, rw: bool) -> tuple[Edge, Origin] | None:
+        """`label`'s edge on a pair with its origin, or None when no known
+        edge is on the pair."""
+        edge = self.label(i, j, rw)
+        return None if edge is None else (edge, known_origin(self.graph, edge))
 
 
 def _row(vertices: Iterable[int]) -> int:
@@ -369,17 +337,6 @@ def _row(vertices: Iterable[int]) -> int:
     for v in vertices:
         row |= 1 << v
     return row
-
-
-def k_middle(a_rows: list[int], b_rows: list[int], u: int, v: int) -> int | None:
-    """How the induced graph holds pair (u, v): None when A holds it directly,
-    else the lowest middle vertex m with A(u, m) and B(m, v)."""
-    if (a_rows[u] >> v) & 1:
-        return None
-    for m in iter_bits(a_rows[u]):
-        if (b_rows[m] >> v) & 1:
-            return m
-    raise AssertionError(f"({u},{v}) is not an edge of the induced graph")
 
 
 def ww_branch_blocked(src: int, dst: int, reach: list[int]) -> bool:
@@ -540,36 +497,20 @@ def _branch_blocked(index: KnownIndex, cons: Constraint, branch: str) -> Blocked
     return None
 
 
-def _blocked_cycle(index: KnownIndex, graph: Polygraph, cons: Constraint,
-                   branch: str) -> WitnessCycle:
-    """Reconstruct the K cycle that makes an impossible branch impossible."""
+def _blocked_cycle(index: KnownIndex, cons: Constraint, branch: str) -> WitnessCycle:
+    """The K cycle that makes an impossible branch impossible: the blocked
+    edge, after its A-predecessor p when it is RW, then K's shortest path back."""
     blocked = _branch_blocked(index, cons, branch)
     assert blocked is not None
-    edge = blocked.edge
+    edge, p = blocked.edge, blocked.predecessor
     src, dst = index.vindex[edge[0]], index.vindex[edge[1]]
-    branch_dep = (edge, ("branch", cons.id, branch))
-    deps: list[tuple[Edge, Origin]] = []
-    if edge[2] == WW:
-        deps.append(branch_dep)
-        for known in index.path_deps(dst, src):
-            deps.append((known, known_origin(graph, known)))
-    else:
-        p = blocked.predecessor
-        assert p is not None
-        pred_edge = index.label(p, src, False)
-        deps.append((pred_edge, known_origin(graph, pred_edge)))
-        deps.append(branch_dep)
-        if p != dst:
-            for known in index.path_deps(dst, p):
-                deps.append((known, known_origin(graph, known)))
+    deps = [] if p is None else [index.known_dep(p, src, False)]
+    deps.append((edge, ("branch", cons.id, branch)))
+    back_to = src if p is None else p
+    path = bfs_path(index.k_adj, dst, back_to)
+    assert path is not None, f"no path {dst}->{back_to} in the known induced graph"
+    deps += path_deps(index.a_adj, index.b_adj, path, index.known_dep)
     return WitnessCycle(deps).canonical()
-
-
-def known_origin(graph: Polygraph, edge: Edge) -> Origin:
-    """Origin of a known edge: resolved from a writer pair's branch (by
-    prune, or by construct's RMW-run order), or known from the start."""
-    owner = owning_branch(graph, edge)
-    return KNOWN_ORIGIN if owner is None else ("resolved", *owner)
 
 
 def prune_constraints(
@@ -596,8 +537,8 @@ def prune_constraints(
             outcome.verdict = "immediate-violation"
             outcome.violation = ImmediateViolation(
                 constraint=cons,
-                either_cycle=_blocked_cycle(index, graph, cons, EITHER),
-                or_cycle=_blocked_cycle(index, graph, cons, OR),
+                either_cycle=_blocked_cycle(index, cons, EITHER),
+                or_cycle=_blocked_cycle(index, cons, OR),
             )
             return outcome
         if not count:

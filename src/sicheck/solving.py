@@ -29,8 +29,8 @@ from .histories import INIT_TXN, TxnId
 from .polygraph import (
     EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends, owning_branch,
 )
-from .pruning import KnownIndex, k_middle, known_origin
-from .witness import Origin, WitnessCycle, has_adjacent_rw
+from .pruning import KnownIndex
+from .witness import Origin, WitnessCycle, has_adjacent_rw, path_deps
 
 
 @dataclass(slots=True)
@@ -126,33 +126,24 @@ class Solver:
 
     # ----- provenance -------------------------------------------------------
 
-    def _pair_dep(self, i: int, j: int, layer: str, culprits: set[int]) -> tuple[Edge, Origin]:
-        """A labeled edge supporting pair (i, j) in the given layer: its known
-        label, else the branch edge of the first constraint assigned to it,
-        which joins `culprits`."""
-        a = layer == "a"
-        edge = self.known.label(i, j, not a)
-        if edge is not None:
-            return edge, known_origin(self.graph, edge)
-        k = (self.a_edges if a else self.b_edges)[(i, j)][0]
-        culprits.add(k)
-        cons = self.constraints[k]
-        vertices = self.known.vertices
-        edge = (vertices[i], vertices[j], WW if a else RW, cons.key)
-        return edge, ("branch", cons.id, self.assigned[k])
-
     def _cycle_from_vertices(self, vcycle: list[int]) -> tuple[WitnessCycle, frozenset[int]]:
-        """The cycle's witness, and the constraints whose branch edges it uses."""
-        deps: list[tuple[Edge, Origin]] = []
+        """The cycle's witness, and the constraints whose branch edges it uses:
+        a pair is labeled by its known edge, else by the branch edge of the
+        first constraint assigned to it, which joins the culprits."""
         culprits: set[int] = set()
-        for k, u in enumerate(vcycle):
-            v = vcycle[(k + 1) % len(vcycle)]
-            m = k_middle(self.a_rows, self.b_rows, u, v)
-            if m is None:
-                deps.append(self._pair_dep(u, v, "a", culprits))
-            else:
-                deps += [self._pair_dep(u, m, "a", culprits),
-                         self._pair_dep(m, v, "b", culprits)]
+        vertices = self.known.vertices
+
+        def dep(i: int, j: int, rw: bool) -> tuple[Edge, Origin]:
+            known = self.known.known_dep(i, j, rw)
+            if known is not None:
+                return known
+            k = (self.b_edges if rw else self.a_edges)[(i, j)][0]
+            culprits.add(k)
+            cons = self.constraints[k]
+            edge = (vertices[i], vertices[j], RW if rw else WW, cons.key)
+            return edge, ("branch", cons.id, self.assigned[k])
+
+        deps = path_deps(self.a_rows, self.b_rows, vcycle + vcycle[:1], dep)
         return WitnessCycle(deps).canonical(), frozenset(culprits)
 
     # ----- incremental induced-graph maintenance ----------------------------

@@ -1,12 +1,14 @@
-"""Dependency-cycle witnesses shared by the pruner, solver, and explainer."""
+"""Dependency-cycle witnesses shared by the pruner, solver, and explainer;
+the pruner and the solver label their induced-graph paths by `path_deps`."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+from .graphs import iter_bits
 from .histories import txn_label
-from .polygraph import RW, Edge
+from .polygraph import RW, Edge, Polygraph, owning_branch
 
 # Where a dependency edge comes from:
 #   ("known",)                    original session-order / writer-reader edge,
@@ -19,6 +21,39 @@ Origin = tuple
 
 
 KNOWN_ORIGIN: Origin = ("known",)
+
+
+def known_origin(graph: Polygraph, edge: Edge) -> Origin:
+    """Origin of a known edge: resolved from a writer pair's branch (by
+    prune, or by construct's RMW-run order), or known from the start."""
+    owner = owning_branch(graph, edge)
+    return KNOWN_ORIGIN if owner is None else ("resolved", *owner)
+
+
+def k_middle(a_rows: list[int], b_rows: list[int], u: int, v: int) -> int | None:
+    """How the induced graph holds pair (u, v): None when A holds it directly,
+    else the lowest middle vertex m with A(u, m) and B(m, v)."""
+    if (a_rows[u] >> v) & 1:
+        return None
+    for m in iter_bits(a_rows[u]):
+        if (b_rows[m] >> v) & 1:
+            return m
+    raise AssertionError(f"({u},{v}) is not an edge of the induced graph")
+
+
+def path_deps(a_rows: list[int], b_rows: list[int], path: Sequence[int],
+              dep: Callable[[int, int, bool], tuple[Edge, Origin]]) -> list[tuple[Edge, Origin]]:
+    """A vertex path of the induced graph as labeled dependencies: per pair
+    (u, v), `dep(u, v, False)` when A holds it, else `dep(u, m, False)` and
+    `dep(m, v, True)` for its lowest middle m (`k_middle`); True labels B."""
+    deps = []
+    for u, v in zip(path, path[1:]):
+        m = k_middle(a_rows, b_rows, u, v)
+        if m is None:
+            deps.append(dep(u, v, False))
+        else:
+            deps += [dep(u, m, False), dep(m, v, True)]
+    return deps
 
 
 def has_adjacent_rw(cycle: Sequence[Edge]) -> bool:

@@ -7,7 +7,9 @@ when called alone), `encode` plus `export_encoding` of its pruned
 polygraph, and `build_polygraph` again on the first `rmw-chains`
 history, where construct orders every writer pair of the RMW runs;
 `prune_constraints` on the first `zipf-anomaly` history, where prune
-resolves most writer pairs; `tarjan_scc`, `reach_masks`, the `KnownIndex`
+resolves most writer pairs; the solver's conflict analysis
+(`Solver._cycle_from_vertices`) of every conflict of the search on the
+first `hotspot-write` history; `tarjan_scc`, `reach_masks`, the `KnownIndex`
 build, each fold of the branch records a prune iteration makes
 (`KnownIndex.add_branches`, one record per source writer and key, with its
 closure update), the first iteration's key-by-key branch tests, the
@@ -303,6 +305,45 @@ def test_retract(benchmark, graphs):
         return (solver, min(range(len(solver.stamp)), key=solver.stamp.__getitem__)), {}
 
     benchmark.pedantic(lambda solver, k: solver._retract(k), setup=solved, rounds=20)
+
+
+@pytest.fixture(scope="module")
+def conflicts():
+    """Each conflict of the search on the first `hotspot-write` history,
+    pruned: a copy of the solver state it arose in, and its vertex cycle."""
+    graph = build_polygraph(parse_history(WORKLOADS["hotspot-write"].case(SEED).data))
+    final = prune_constraints(graph).index
+    recorded = []
+    analyze = Solver._analyze
+
+    def recording(solver, vcycle):
+        state = copy.copy(solver)
+        state.a_rows, state.b_rows = list(solver.a_rows), list(solver.b_rows)
+        state.a_edges = {pair: list(ks) for pair, ks in solver.a_edges.items()}
+        state.b_edges = {pair: list(ks) for pair, ks in solver.b_edges.items()}
+        state.assigned = list(solver.assigned)
+        recorded.append((state, list(vcycle)))
+        return analyze(solver, vcycle)
+
+    Solver._analyze = recording
+    try:
+        Solver(graph, index=final).solve()
+    finally:
+        Solver._analyze = analyze
+    return recorded
+
+
+def test_conflict_analysis(benchmark, conflicts):
+    """The witness and culprits of every conflict of the search, each from
+    the state it arose in; a round's time over `extra_info["conflicts"]`
+    is the cost of one conflict. The index's label views are built by then."""
+    benchmark.extra_info["conflicts"] = len(conflicts)
+
+    def analyze_all():
+        for state, vcycle in conflicts:
+            state._cycle_from_vertices(vcycle)
+
+    benchmark(analyze_all)
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))

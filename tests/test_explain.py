@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,22 @@ class TestRenderDot:
         verdict = check_si(causality_violation)
         dot = render_dot(verdict.counterexample, "participants")
         assert '"init"' in dot
+
+    def test_keys_escaped_in_labels(self):
+        # A two-transaction lost update on a key that holds a quote and a backslash.
+        key = 'a"b\\'
+        history = mk_history([[committed([("r", key, 0), ("w", key, 1)])],
+                              [committed([("r", key, 0), ("w", key, 2)])]])
+        verdict = check_si(history)
+        assert verdict.classification == "lost-update"
+        edge_line = re.compile(r'  "[^"]*" -> "[^"]*" \[label="((?:[^"\\]|\\.)*)", style=\w+\];')
+        for stage in ("final", "participants"):
+            edges = [line for line in render_dot(verdict.counterexample, stage).splitlines()
+                     if " -> " in line]
+            labels = [edge_line.fullmatch(line) for line in edges]
+            assert all(labels), edges
+            texts = {re.sub(r"\\(.)", r"\1", m[1]) for m in labels}
+            assert texts == {f"{kind}({key})" for kind in (WR, WW, RW)}, texts
 
     def test_unknown_stage_rejected(self, lost_update_run):
         history, graph, verdict = lost_update_run

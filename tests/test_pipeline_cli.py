@@ -2,9 +2,12 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sicheck import encoding
 from sicheck.cli import main
@@ -16,6 +19,7 @@ from sicheck.pruning import prune_constraints
 from sicheck.workload import WorkloadParams, generate
 
 from conftest import immediate_violation_history
+from harness import random_small_history
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -383,3 +387,29 @@ class TestCli:
         code = main(["check", str(out), "--budget-ms", "0"])
         capsys.readouterr()
         assert code == 3
+
+
+class TestCheckFuzz:
+    """`sicheck check --json` on a random history, whole or with a byte slice
+    replaced, exits 0, 1 or 2 with one JSON record naming the file, and
+    prints no traceback."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2999),
+           st.none() | st.tuples(st.integers(0, 2**16), st.integers(0, 8), st.binary(max_size=8)))
+    def test_damaged_histories(self, seed, damage):
+        data = serialize_history(random_small_history(seed))
+        if damage is not None:
+            at, length, replacement = damage
+            at %= len(data) + 1
+            data = data[:at] + replacement + data[at + length:]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "history.json")
+            Path(path).write_bytes(data)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["check", "--json", path])
+        lines = out.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        assert len(lines) == 1 and json.loads(lines[0])["file"] == path
+        assert "Traceback" not in err.getvalue()

@@ -15,19 +15,18 @@ from sicheck.errors import BudgetExceededError
 from sicheck.graphs import chain_starts, extend_reach, iter_bits, reach_masks
 from harness import random_small_history
 from sicheck.polygraph import (
-    EITHER, OR, RW, SO, WR, WW, Constraint, Polygraph, build_polygraph, resolved_edges,
+    EITHER, OR, RW, SO, WR, WW, Constraint, Polygraph, branch_ends, build_polygraph,
+    resolved_edges,
 )
 from sicheck.pruning import (
     BlockedEdge,
     KnownIndex,
-    k_middle,
-    known_origin,
     prune_constraints,
     rw_branch_blocked,
     ww_branch_blocked,
 )
 from sicheck.histories import INIT_TXN, completeness_gate
-from sicheck.witness import has_adjacent_rw
+from sicheck.witness import has_adjacent_rw, k_middle, known_origin, path_deps
 from sicheck.workload import DISTRIBUTIONS, PROFILES, WorkloadParams, generate, inject
 
 from conftest import (
@@ -248,8 +247,8 @@ class TestKnownIndexDecomposition:
         t1, t2 = index.vindex[T1], index.vindex[T2]
         # T1 -> T2 in the known induced graph only via WR(x)∘RW(y) through T3.
         assert (index.k_adj[t1] >> t2) & 1
-        deps = index.decompose(t1, t2)
-        assert deps == [(T1, T3, WR, "x"), (T3, T2, RW, "y")]
+        deps = path_deps(index.a_adj, index.b_adj, [t1, t2], index.known_dep)
+        assert [edge for edge, _ in deps] == [(T1, T3, WR, "x"), (T3, T2, RW, "y")]
 
     def test_label_is_lowest_rank_then_key_whatever_the_order(self):
         a, b = (0, 0), (1, 0)
@@ -260,11 +259,9 @@ class TestKnownIndexDecomposition:
         assert index.label(0, 1, False) == (a, b, WW, "y")
         assert index.label(1, 0, True) == (b, a, RW, "x")
         graph.known_edges += [(a, b, WR, "z"), (a, b, WR, "x"), (a, b, WW, "w")]
-        index.add_edges(graph.known_edges[4:])
-        assert index.label(0, 1, False) == (a, b, WR, "x")
+        assert KnownIndex(graph).label(0, 1, False) == (a, b, WR, "x")
         graph.known_edges.append((a, b, SO, None))
-        index.add_edges(graph.known_edges[7:])
-        assert index.label(0, 1, False) == (a, b, SO, None)
+        assert KnownIndex(graph).label(0, 1, False) == (a, b, SO, None)
 
 
 def test_reader_rows_filled_on_demand_equal_the_eager_conversion(long_fork, lost_update):
@@ -369,8 +366,8 @@ def _reference_rows(graph, unlisted=()) -> tuple:
 
 @contextmanager
 def audited_updates():
-    """Check every KnownIndex build, fold (`add_edges`, `add_branches`) and
-    `with_reach` call while active.
+    """Check every KnownIndex build, fold (`add_branches`) and `with_reach`
+    call while active.
 
     After each the index must equal a fresh build over the graph's known
     edges and resolved branches and the directly computed reference over
@@ -383,8 +380,7 @@ def audited_updates():
     with its closure) and those that close a cycle, i.e. give some vertex
     its own reach bit.
     """
-    build, close = KnownIndex.__init__, KnownIndex.with_reach
-    folds = {"add_edges": KnownIndex.add_edges, "add_branches": KnownIndex.add_branches}
+    build, close, fold = KnownIndex.__init__, KnownIndex.with_reach, KnownIndex.add_branches
     audit = {"updates": 0, "cycle_closing": 0, "unlisted": []}
     building = False
 
@@ -412,26 +408,24 @@ def audited_updates():
         if not building:
             assert_matches_reference(self)
 
-    def checked_fold(fold):
-        def checked(self, batch):
-            if building:
-                return fold(self, batch)
-            reach = None if self.reach is None else list(self.reach)
-            a_pred = list(self.a_pred)
-            changed = fold(self, batch)
-            assert_matches_reference(self)
-            if reach is None:
-                assert changed == {v for v in range(self.n) if self.a_pred[v] != a_pred[v]}
-                return changed
-            assert changed == {
-                v for v in range(self.n)
-                if self.reach[v] != reach[v] or self.a_pred[v] != a_pred[v]
-            }
-            audit["updates"] += 1
-            if any((self.reach[v] >> v) & 1 and not (reach[v] >> v) & 1 for v in range(self.n)):
-                audit["cycle_closing"] += 1
+    def checked_fold(self, batch):
+        if building:
+            return fold(self, batch)
+        reach = None if self.reach is None else list(self.reach)
+        a_pred = list(self.a_pred)
+        changed = fold(self, batch)
+        assert_matches_reference(self)
+        if reach is None:
+            assert changed == {v for v in range(self.n) if self.a_pred[v] != a_pred[v]}
             return changed
-        return checked
+        assert changed == {
+            v for v in range(self.n)
+            if self.reach[v] != reach[v] or self.a_pred[v] != a_pred[v]
+        }
+        audit["updates"] += 1
+        if any((self.reach[v] >> v) & 1 and not (reach[v] >> v) & 1 for v in range(self.n)):
+            audit["cycle_closing"] += 1
+        return changed
 
     def checked_close(self):
         result = close(self)
@@ -439,15 +433,12 @@ def audited_updates():
             assert_matches_reference(self)
         return result
 
-    KnownIndex.__init__, KnownIndex.with_reach = checked_build, checked_close
-    for name, fold in folds.items():
-        setattr(KnownIndex, name, checked_fold(fold))
+    KnownIndex.__init__, KnownIndex.with_reach, KnownIndex.add_branches = (
+        checked_build, checked_close, checked_fold)
     try:
         yield audit
     finally:
-        KnownIndex.__init__, KnownIndex.with_reach = build, close
-        for name, fold in folds.items():
-            setattr(KnownIndex, name, fold)
+        KnownIndex.__init__, KnownIndex.with_reach, KnownIndex.add_branches = build, close, fold
 
 
 def _reference_initial_edges(history) -> list:
@@ -744,28 +735,41 @@ def every_update_walks(monkeypatch):
 
 
 def _interleaved_updates(seed: int) -> None:
-    """Random batches of labeled edges on a polygraph whose vertex order
+    """Random batches of resolved branches on a polygraph whose vertex order
     interleaves three sessions, so that every chain of K is one vertex long.
 
-    An edge that would give K a pair i -> i+1 is left out.
+    Each of keys x and y has writers that random transactions read from,
+    each by a listed WR edge. A branch that would give K a pair i -> i+1
+    is left out.
     """
     rng = random.Random(seed)
     vertices = tuple((s, t) for t in range(4) for s in range(3))
     n = len(vertices)
     so = [((s, t), (s, t + 1), SO, None) for s in range(3) for t in range(3)]
     graph = Polygraph(vertices=vertices, known_edges=so)
+    for key in "xy":
+        readers = rng.sample(vertices, rng.randint(0, 3))
+        for r in readers:
+            w = rng.choice([v for v in vertices if v != r])
+            edge = (w, r, WR, key)
+            trial = dataclasses.replace(graph, known_edges=graph.known_edges + [edge])
+            if not any((_reference_rows(trial)[3][i] >> (i + 1)) & 1 for i in range(n - 1)):
+                graph.known_edges.append(edge)
+                graph.readers[key, w] = tuple(sorted((*graph.readers.get((key, w), ()), r)))
+                graph.read_from[key, r] = w
     index = KnownIndex(graph).with_reach()
     for _ in range(6):
-        batch = []
+        batch = {}
         for _ in range(rng.randint(1, 4)):
-            u, v = rng.sample(vertices, 2)
-            edge = (u, v, rng.choice((WR, WW, RW)), rng.choice("xy"))
-            trial = Polygraph(vertices=vertices, known_edges=graph.known_edges + batch + [edge])
-            k_adj = _reference_fields(trial)[5]
-            if not any((k_adj[i] >> (i + 1)) & 1 for i in range(n - 1)):
-                batch.append(edge)
-        graph.known_edges += batch
-        index.add_edges(batch)
+            s, d = rng.sample(vertices, 2)
+            cid, branch = (rng.choice("xy"), *sorted((s, d))), EITHER if s < d else OR
+            if cid in graph.resolved or cid in batch:
+                continue
+            trial = dataclasses.replace(graph, resolved={**graph.resolved, **batch, cid: branch})
+            if not any((_reference_rows(trial)[3][i] >> (i + 1)) & 1 for i in range(n - 1)):
+                batch[cid] = branch
+        graph.resolved.update(batch)
+        index.fold_branches(branch_ends(cid, branch) for cid, branch in batch.items())
         assert index.starts == list(range(n))
 
 
@@ -803,9 +807,9 @@ class TestChainWalk:
         with audited_updates() as audit:
             index = KnownIndex(graph).with_reach()
             assert index.starts == [0, 8, 10]
-            batch = [((0, 7), (1, 0), WR, "x"), ((1, 0), (2, 0), WR, "y")]
-            graph.known_edges += batch
-            index.add_edges(batch)
+            batch = {("x", (0, 7), (1, 0)): EITHER, ("y", (1, 0), (2, 0)): EITHER}
+            graph.resolved.update(batch)
+            index.fold_branches(branch_ends(cid, branch) for cid, branch in batch.items())
         assert audit["updates"] == len(every_update_walks) == 1
         assert index.reach == reach_masks(index.n, index.k_adj)
         assert index.starts == [0, 10]

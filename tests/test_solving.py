@@ -273,6 +273,12 @@ def test_pk_order_stays_topological():
 # assignment outlives (`test_induced_rows_follow_the_support_rule` counts them).
 _CONTENDED = HistoryBounds(max_sessions=6, max_txns=10, max_keys=2, max_writers_per_key=4,
                            max_ops_per_txn=3, abort_pct=0, corruption_pct=0)
+# Wider shapes whose searches retract a pair that only an assigned A pair
+# composed with a B pair still supports: of seeds 0-1499, these three (665
+# without pruning, 1212 pruned, 1405 both); the contended seeds have none.
+_WIDE = HistoryBounds(max_sessions=6, max_txns=12, max_keys=4, max_writers_per_key=6,
+                      max_ops_per_txn=5, abort_pct=0, corruption_pct=0)
+_KEPT_BY_ASSIGNED_A_SEEDS = (665, 1212, 1405)
 
 
 @pytest.mark.parametrize("bounds", [None, _CONTENDED], ids=["default", "contended"])
@@ -300,12 +306,22 @@ def test_search_matches_the_oracle(bounds):
 class _AuditedSolver(Solver):
     """A solver that recomputes its induced rows from scratch after every
     branch it tries and every retraction, and counts the retractions of a
-    culprit that some later-stamped assignment outlives."""
+    culprit that some later-stamped assignment outlives, and the induced
+    pairs a retraction tests and keeps only by an assigned A pair (u, m)
+    with B(m, v): neither the index's K row nor A holds them, and no
+    assigned B pair composes into them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.trying: int | None = None
-        self.audits = self.out_of_order = 0
+        self.audits = self.out_of_order = self.kept_by_assigned_a = 0
+        self.tested: set | None = None  # the pairs the running retraction tests
+
+    def _supported_by(self, i, j, rw):
+        pairs = super()._supported_by(i, j, rw)
+        if self.tested is not None:
+            self.tested.update(pairs)
+        return pairs
 
     def _try_branch(self, k, branch):
         self.trying = k
@@ -320,7 +336,14 @@ class _AuditedSolver(Solver):
             for j in range(len(self.constraints))
         ):
             self.out_of_order += 1
+        self.tested = set()
         super()._retract(k)
+        known_k, a_rows = self.known.k_adj, self.a_rows
+        self.kept_by_assigned_a += sum(
+            1 for u, v in self.tested
+            if (self.ind_rows[u] >> v) & 1 and not ((known_k[u] | a_rows[u]) >> v) & 1
+            and not a_rows[u] & self.b_pred[v])
+        self.tested = None
         self.audit()
 
     def audit(self):
@@ -339,10 +362,12 @@ def test_induced_rows_follow_the_support_rule(no_prune):
     """After every branch tried and every retraction, each induced row is
     its A row plus the B rows of its A successors, and `b_pred` is the
     transpose of the assigned B pairs outside the index, also across
-    out-of-order retractions."""
-    audits = out_of_order = 0
-    for seed in range(400):
-        history = random_small_history(seed, _CONTENDED)
+    out-of-order retractions and pairs kept only by an assigned A pair."""
+    audits = out_of_order = kept = 0
+    cases = [(seed, _CONTENDED) for seed in range(400)]
+    cases += [(seed, _WIDE) for seed in _KEPT_BY_ASSIGNED_A_SEEDS]
+    for seed, bounds in cases:
+        history = random_small_history(seed, bounds)
         if not completeness_gate(history).ok():
             continue
         graph = build_polygraph(history)
@@ -353,7 +378,9 @@ def test_induced_rows_follow_the_support_rule(no_prune):
         assert verify_witness(result, graph), seed
         audits += solver.audits
         out_of_order += solver.out_of_order
+        kept += solver.kept_by_assigned_a
     assert audits > 200 and (out_of_order > 0 or not no_prune), (audits, out_of_order)
+    assert kept > 0
 
 
 def test_hotspot_decisions_stay_near_the_constraints_left():
