@@ -37,6 +37,7 @@ completeness gate reads too.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -260,6 +261,10 @@ def rmw_runs(graph: Polygraph, key: str) -> list[tuple[TxnId, ...]]:
     return runs
 
 
+# A constraint from its id, as `Constraint(*cid)` but without the argument parsing.
+_constraint = partial(tuple.__new__, Constraint)
+
+
 def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
     """Add one constraint per unordered pair of distinct writers of each key,
     but for the pairs of the virtual initial writer, which precedes every
@@ -273,16 +278,19 @@ def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
     """
     constraints = graph.constraints
     for key, writers in graph.writers.items():
+        if len(writers) < 2:  # no pair, and a run has two writers or more
+            continue
         runs = rmw_runs(graph, key) if key in graph.rmw_keys else ()
         if runs:
             graph.runs[key] = runs
-        run_of = {writer: run for run in runs for writer in run}
-        for i, first in enumerate(writers[:-1]):
-            mine = run_of.get(first)
-            if mine is None or len(mine) < len(writers):  # else its run orders every pair
-                for second in writers[i + 1:]:
-                    if mine is None or run_of.get(second) is not mine:
-                        constraints[key, first, second] = Constraint(key, first, second)
+            if len(runs[0]) == len(writers):  # its one run orders every pair
+                continue
+            run_of = {writer: run for run in runs for writer in run}
+            cids = [(key, first, second) for first, second in combinations(writers, 2)
+                    if (mine := run_of.get(first)) is None or run_of.get(second) is not mine]
+        else:
+            cids = [(key, first, second) for first, second in combinations(writers, 2)]
+        constraints.update(zip(cids, map(_constraint, cids)))
     return graph
 
 

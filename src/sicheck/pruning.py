@@ -9,12 +9,14 @@ when adding one of its edges would close a cycle in K; the constraint is
 then resolved: prune records it with its surviving branch in
 `graph.resolved` and lists none of its edges.
 Branch tests within one iteration all read the iteration-start index, in
-vertex-index space, key by key (`_resolve_pass`): a branch s -> d with
-reader row R is impossible when d reaches s, or when d is or reaches an
-A-predecessor of a reader in R but d. Each writer of the key has its row
-and the OR of its readers' A-predecessor rows looked up once, so a pair
-costs a few bit tests and ANDs. Only a constraint whose two branches are
-both impossible has its blocked edges found one by one, for its witnesses.
+vertex-index space, key by key and, within a key, grouped by first writer
+(`_resolve_pass`): a branch s -> d with reader row R is impossible when d
+reaches s, or when d is or reaches an A-predecessor of a reader in R but
+d. Each writer of the key has `reach` plus itself and the OR of its
+readers' A-predecessor rows plus itself computed once, so a pair costs
+two ANDs, unless one writer read the key from the other. Only a
+constraint whose two branches are both impossible has its blocked edges
+found one by one, for its witnesses.
 The resolved pairs are recorded per source writer and key, with the targets
 of their surviving branches, and folded into the index after the loop, one
 A/K row update per source (`KnownIndex.add_branches`), to take effect in
@@ -315,13 +317,13 @@ class KnownIndex:
     def reader_row(self, key: str, writer: TxnId) -> tuple[int, ...]:
         """A writer's reader row on key in vertex-index space, converted on the
         first request and kept; a writer no one read keeps no entry."""
-        row = self.readers.get((key, writer))
-        if row is not None:
-            return row
-        readers = self.graph.readers.get((key, writer))
+        pair = (key, writer)
+        readers = self.graph.readers.get(pair)
         if readers is None:
             return ()
-        row = self.readers[(key, writer)] = tuple(map(self.vindex.__getitem__, readers))
+        row = self.readers.get(pair)
+        if row is None:
+            row = self.readers[pair] = tuple(map(self.vindex.__getitem__, readers))
         return row
 
     def known_dep(self, i: int, j: int, rw: bool) -> tuple[Edge, Origin] | None:
@@ -387,25 +389,7 @@ class PruneOutcome:
     index: KnownIndex | None = None
 
 
-def _writer(index: KnownIndex, key: str, writer: TxnId, changed: set[int] | None) -> list:
-    """A writer of key in a branch test: [its vertex s, its reader row,
-    whether s or a reader is in `changed` (always, when that is None), its
-    branch record's empty target list, None], the last entry for the OR of
-    its readers' A-predecessor rows, which `_writer_preds` fills for a
-    pair that is tested."""
-    s = index.vindex[writer]
-    row = index.reader_row(key, writer)
-    return [s, row, changed is None or s in changed or not changed.isdisjoint(row), [], None]
-
-
-def _writer_preds(a_pred: list[int], info: list) -> int:
-    """The OR of the A-predecessor rows of a `_writer`'s readers, kept in it."""
-    row = info[1]
-    preds = info[4] = a_pred[row[0]] if len(row) == 1 else _preds(a_pred, row, None)
-    return preds
-
-
-def _preds(a_pred: list[int], row: tuple[int, ...], but: int | None) -> int:
+def _preds(a_pred: list[int], row: tuple[int, ...], but: int) -> int:
     """The OR of the A-predecessor rows of the readers in `row` but `but`."""
     preds = 0
     for r in row:
@@ -417,21 +401,39 @@ def _preds(a_pred: list[int], row: tuple[int, ...], but: int | None) -> int:
 def _resolve_pass(index: KnownIndex, changed: set[int] | None, deadline: float | None,
                   records: list[tuple[str, int, tuple[int, ...], list[int]]]) -> ConstraintKey | None:
     """One iteration's tests: the open writer pairs in sorted order, so key
-    by key, against the index; resolve each pair with one impossible branch
-    and append its target to the branch record of its source writer and
-    key in `records`. Returns the first pair whose two branches are both
-    impossible, and stops there.
+    by key and, within a key, grouped by first writer, against the index;
+    resolve each pair with one impossible branch and append its target to
+    the branch record of its source writer and key in `records`. Returns
+    the first pair whose two branches are both impossible, and stops there.
 
     A branch s -> d is impossible when d reaches s, or when d is or reaches
-    an A-predecessor of a reader of s but d. With `changed`, a pair is
-    tested only when a row its test reads changed. The clock is read per
-    pair when there is a deadline.
+    an A-predecessor of a reader of s but d: when (reach[d] | 1 << d) and
+    (P | 1 << s) meet, P the OR of the A-predecessor rows of those readers.
+    Both rows are computed once per writer of the key; a pair where one
+    writer read the key from the other ORs P again without it. With
+    `changed`, a pair is tested only when a row its test reads changed. The
+    clock is read per pair when there is a deadline.
     """
     graph = index.graph
-    constraints, resolved, reach, a_pred = (
-        graph.constraints, graph.resolved, index.reach, index.a_pred)
+    constraints, resolved, a_pred = graph.constraints, graph.resolved, index.a_pred
+    vindex, reader_row, reach = index.vindex, index.reader_row, index.reach
+
+    def tested(key: str, writer: TxnId) -> tuple:
+        """What a branch test reads of a writer of key: (its vertex s, its
+        reader row, whether s or a reader is in `changed` (always, when that
+        is None), its branch record's empty target list, reach[s] | 1 << s,
+        P | 1 << s), P the OR of its readers' A-predecessor rows."""
+        s = vindex[writer]
+        row = reader_row(key, writer)
+        bit = 1 << s
+        preds = bit
+        for r in row:
+            preds |= a_pred[r]
+        return (s, row, changed is None or s in changed or not changed.isdisjoint(row), [],
+                reach[s] | bit, preds)
+
     key = first = None
-    writers: dict[TxnId, list] = {}  # `_writer` of each writer of `key` asked for
+    writers: dict[TxnId, tuple] = {}  # `tested` of each writer of `key` asked for
     for cid in sorted(constraints):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError("pruning budget exhausted")
@@ -440,28 +442,21 @@ def _resolve_pass(index: KnownIndex, changed: set[int] | None, deadline: float |
         # Sorted ids put the pairs of one first writer in a run; unpack it once.
         if cid[1] is not first:
             first = cid[1]
-            info_a = writers.get(first)
-            if info_a is None:
-                info_a = writers[first] = _writer(index, key, first, changed)
-            a, row_a, dirty_a, found_a, preds_first = info_a
-        second = cid[2]
-        info = writers.get(second)
+            info = writers.get(first)
+            if info is None:
+                info = writers[first] = tested(key, first)
+            a, row_a, dirty_a, found_a, reach_a, preds_first = info
+        info = writers.get(cid[2])
         if info is None:
-            info = writers[second] = _writer(index, key, second, changed)
-        b, row_b, dirty_b, found_b, preds_b = info
+            info = writers[cid[2]] = tested(key, cid[2])
+        b, row_b, dirty_b, found_b, reach_b, preds_b = info
         if not (dirty_a or dirty_b):
             continue
-        if preds_first is None:
-            preds_first = _writer_preds(a_pred, info_a)
         # A writer that read key from the other is no reader of its branch.
-        preds_a = _preds(a_pred, row_a, b) if b in row_a else preds_first
+        preds_a = _preds(a_pred, row_a, b) | 1 << a if b in row_a else preds_first
         if a in row_b:
-            preds_b = _preds(a_pred, row_b, a)
-        elif preds_b is None:
-            preds_b = _writer_preds(a_pred, info)
-        reach_a, reach_b = reach[a], reach[b]
-        either_blocked = (reach_b >> a) & 1 or (preds_a >> b) & 1 or preds_a & reach_b
-        or_blocked = (reach_a >> b) & 1 or (preds_b >> a) & 1 or preds_b & reach_a
+            preds_b = _preds(a_pred, row_b, a) | 1 << b
+        either_blocked, or_blocked = reach_b & preds_a, preds_b & reach_a
         if not (either_blocked or or_blocked):
             continue
         if either_blocked and or_blocked:

@@ -6,11 +6,15 @@ branch edges extend and retraction, in any order, restores: an
 incrementally maintained induced graph (direct non-RW edges plus non-RW∘RW
 compositions, at pair granularity) whose topological order is repaired on
 every insertion; a failed repair is a conflict, analyzed into the set of
-contributing decisions for dynamic backtracking. Retraction keeps a pair
-(i, j) while the index's K row holds it (its A and A∘B pairs), A holds it,
-or it composes through an assigned pair: `a_rows[i] & b_pred[j]` is not 0,
-where `b_pred` holds only the assigned B pairs outside the index, or an
-assigned A successor m of i has B(m, j).
+contributing decisions for dynamic backtracking. An A pair (i, j) inserts
+only the induced pairs row i lacks of j and B(j), j first. The repair
+(Pearce–Kelly) searches forward from the new pair's target through the
+mask of the slots it may reorder, so each row it visits costs one AND.
+Retraction keeps a pair (i, j) while the index's K row holds it (its A and
+A∘B pairs), A holds it, or it composes through an assigned pair:
+`a_rows[i] & b_pred[j]` is not 0, where `b_pred` holds only the assigned B
+pairs outside the index, or an assigned A successor m of i has B(m, j),
+tested against the OR of those B rows, taken once per i and retracted pair.
 The search is exhaustive: unsat is only reported once every branch
 combination is covered by recorded conflicts, never on budget exhaustion,
 which raises instead.
@@ -153,26 +157,32 @@ class Solver:
         returned as its vertices, and the order is then left as it was."""
         if u == v:
             return [u]
-        if self.ord[u] < self.ord[v]:
+        ord_, at, rows = self.ord, self.at, self.ind_rows
+        low, bound = ord_[v], ord_[u]
+        if bound < low:
             return None
         # Forward search from v bounded by ord[u]; reaching u closes a cycle.
-        bound = self.ord[u]
+        # Every edge but u->v runs to a higher slot, so the search stays in
+        # slots ord[v]..ord[u], and `region` holds the vertices of those
+        # slots it has not reached yet: each row is searched through it.
+        region = sum(map((1).__lshift__, at[low + 1:bound + 1]))
         parent = {v: -1}
         stack = [v]
         forward = [v]
         while stack:
             x = stack.pop()
-            for w in iter_bits(self.ind_rows[x]):
-                if w in parent or self.ord[w] > bound:
-                    continue
+            hits = rows[x] & region
+            if not hits:
+                continue
+            if (hits >> u) & 1:
+                path = []  # x .. v
+                while x != -1:
+                    path.append(x)
+                    x = parent[x]
+                return [u] + path[::-1]
+            region ^= hits
+            for w in iter_bits(hits):
                 parent[w] = x
-                if w == u:
-                    path = [w]
-                    while x != -1:
-                        path.append(x)
-                        x = parent[x]
-                    path.reverse()  # v .. u
-                    return [u] + path[:-1]
                 forward.append(w)
                 stack.append(w)
         # No cycle: shift the affected region to restore topological order.
@@ -181,17 +191,17 @@ class Solver:
         # higher slot, so a vertex's successors on such a path come first.
         back = [u]
         back_mask = 1 << u
-        for slot in range(bound - 1, self.ord[v] - 1, -1):
-            x = self.at[slot]
-            if self.ind_rows[x] & back_mask:
+        for slot in range(bound - 1, low - 1, -1):
+            x = at[slot]
+            if rows[x] & back_mask:
                 back.append(x)
                 back_mask |= 1 << x
         back.reverse()
-        nodes = back + sorted(forward, key=lambda x: self.ord[x])
-        slots = sorted(self.ord[x] for x in nodes)
+        nodes = back + sorted(forward, key=ord_.__getitem__)
+        slots = sorted(ord_[x] for x in nodes)
         for node, slot in zip(nodes, slots):
-            self.ord[node] = slot
-            self.at[slot] = node
+            ord_[node] = slot
+            at[slot] = node
         return None
 
     def _analyze(self, vcycle: list[int]) -> tuple[WitnessCycle, frozenset[int]]:
@@ -218,21 +228,31 @@ class Solver:
             return
         rows[i] |= 1 << j
         preds[j] |= 1 << i
-        for u, v in self._supported_by(i, j, rw):
-            if not (self.ind_rows[u] >> v) & 1:
-                self.ind_rows[u] |= 1 << v
-                vcycle = self._pk_check(u, v)
-                if vcycle is not None:
-                    raise _Conflict(*self._analyze(vcycle))
+        ind_rows = self.ind_rows
+        if rw:
+            pairs = [(p, j) for p in iter_bits(self.a_pred[i]) if not (ind_rows[p] >> j) & 1]
+        else:
+            # The targets of row i this pair supports that it lacks, j first.
+            new = ((1 << j) | self.b_rows[j]) & ~ind_rows[i]
+            pairs = [(i, w) for w in iter_bits(new & ~(1 << j))]
+            if (new >> j) & 1:
+                pairs.insert(0, pair)
+        for u, v in pairs:
+            ind_rows[u] |= 1 << v
+            vcycle = self._pk_check(u, v)
+            if vcycle is not None:
+                raise _Conflict(*self._analyze(vcycle))
 
     def _retract(self, k: int) -> None:
         """Remove constraint k's branch edges, whenever it was assigned: a row
         bit is cleared when its pair is not in the index and has no branch edge
         left, then each induced pair it supported that no A or A∘B pair still
         holds: the index's K row holds the index's own A∘B pairs, and the rest
-        use an assigned B pair (`b_pred`) or an assigned A pair (u, m)."""
-        known_a, known_k, a_rows, b_rows, b_pred = (
-            self.known.a_adj, self.known.k_adj, self.a_rows, self.b_rows, self.b_pred)
+        use an assigned B pair (`b_pred`) or an assigned A pair (u, m), whose
+        B rows are ORed once per u and cleared pair."""
+        known_a, known_k, a_rows, b_rows, b_pred, ind_rows = (
+            self.known.a_adj, self.known.k_adj, self.a_rows, self.b_rows, self.b_pred,
+            self.ind_rows)
         for rw, pair in self.pushed[k]:
             stacks = self.b_edges if rw else self.a_edges
             stack = stacks[pair]
@@ -246,15 +266,17 @@ class Solver:
             rows, preds = (b_rows, b_pred) if rw else (a_rows, self.a_pred)
             rows[i] &= ~(1 << j)
             preds[j] &= ~(1 << i)
+            held = -1  # the u whose assigned A successors' B rows `composed` ORs
             for u, v in self._supported_by(i, j, rw):
                 a_row = a_rows[u]
                 if ((known_k[u] | a_row) >> v) & 1 or a_row & b_pred[v]:
                     continue
-                for m in iter_bits(a_row ^ known_a[u]):  # the assigned A successors
-                    if (b_rows[m] >> v) & 1:
-                        break
-                else:
-                    self.ind_rows[u] &= ~(1 << v)
+                if u != held:
+                    held, composed = u, 0
+                    for m in iter_bits(a_row ^ known_a[u]):
+                        composed |= b_rows[m]
+                if not (composed >> v) & 1:
+                    ind_rows[u] &= ~(1 << v)
         self.pushed[k] = []
         self.assigned[k] = None
 

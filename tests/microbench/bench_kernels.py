@@ -1,27 +1,26 @@
 """Layer micro-benchmarks for the front end, the known-graph kernels and the explainer.
 
-Times `parse_history`, `completeness_gate` and `build_polygraph` on the
-first `uniform-10k` history of run seed 1, where the three are a large
-share of a check (the gate and the build each walk the ops, as they do
-when called alone), `encode` plus `export_encoding` of its pruned
-polygraph, and `build_polygraph` again on the first `rmw-chains`
-history, where construct orders every writer pair of the RMW runs;
-`prune_constraints` on the first `zipf-anomaly` history, where prune
-resolves most writer pairs; the solver's conflict analysis
-(`Solver._cycle_from_vertices`) of every conflict of the search on the
-first `hotspot-write` history; `tarjan_scc`, `reach_masks`, the `KnownIndex`
+Times `parse_history` and `completeness_gate` on the first `uniform-10k`
+history of run seed 1, where the two are a large share of a check (the
+gate walks the ops, as it does when called alone), and `encode` plus
+`export_encoding` of its pruned polygraph; `prune_constraints` on the
+first `zipf-anomaly` history, where prune resolves most writer pairs; the
+solver's conflict analysis (`Solver._cycle_from_vertices`) of every
+conflict of the search on the first `hotspot-write` history; and, on the
+first history of run seed 1 of each of the benchmark's workload shapes
+(`perfbench/workloads.py`): `build_polygraph` (on `rmw-chains` the RMW runs
+order most writer pairs), `tarjan_scc`, `reach_masks`, the `KnownIndex`
 build, each fold of the branch records a prune iteration makes
 (`KnownIndex.add_branches`, one record per source writer and key, with its
-closure update), the first iteration's key-by-key branch tests, the
-`KnownIndex` build of the pruned polygraph, the solver's set-up on the
-pruner's final index and its search, its Pearce–Kelly order repair, one
-out-of-order retraction, and `graphs.transpose` of the B rows of the
-encoder's index, on the known induced graphs of the benchmark's workload
-shapes
-(`perfbench/workloads.py`, first history of run seed 1), and the
-explainer's `EdgeUniverse` build and `find_cluster` on the same histories
-(these two only where the check finds a violation). One probe measures
-memory, not time: the tracemalloc peak of `build_polygraph` plus
+closure update), the first iteration's branch tests (`_resolve_pass`, key
+by key and grouped by first writer), the `KnownIndex` build of the pruned
+polygraph, the solver's set-up on the pruner's final index and its
+search, its Pearce–Kelly order repair (`Solver._pk_check`, which searches
+the rows through the mask of the affected region), one out-of-order
+retraction, and `graphs.transpose` of the B rows of the encoder's index;
+and the explainer's `EdgeUniverse` build and `find_cluster` on the same
+histories (these two only where the check finds a violation). One probe
+measures memory, not time: the tracemalloc peak of `build_polygraph` plus
 `prune_constraints` on the first `uniform-10k` history, reported in
 `extra_info` and printed (run with `-s` to see it).
 The file name keeps it out of the default test run; run it from the
@@ -73,16 +72,16 @@ def test_completeness_gate(benchmark, front_end):
     benchmark(collector_paused(completeness_gate), front_end[1])
 
 
-def test_build_polygraph(benchmark, front_end):
-    """Known graph, then constraints, with the collector paused as `check_si` runs it."""
-    benchmark(collector_paused(build_polygraph), front_end[1])
+@pytest.fixture(scope="module", params=sorted(WORKLOADS))
+def history(request):
+    """The workload's first history, parsed."""
+    return parse_history(WORKLOADS[request.param].case(SEED).data)
 
 
-def test_build_polygraph_rmw_chains(benchmark):
-    """Construct where RMW runs cover every writer: it records the runs,
-    lists only session-order and writer-to-reader edges and generates no
-    constraint."""
-    history = parse_history(WORKLOADS["rmw-chains"].case(SEED).data)
+def test_build_polygraph(benchmark, history):
+    """Known graph, then constraints, with the collector paused as `check_si`
+    runs it; on `rmw-chains` RMW runs cover most writers, so construct
+    records the runs and generates few constraints."""
     benchmark(collector_paused(build_polygraph), history)
 
 

@@ -1,17 +1,22 @@
 """Reference graph kernels over bitmask rows, for cross-checking
 `sicheck.graphs.tarjan_scc`, `sicheck.graphs.reach_masks` and the pruner's
-incrementally kept closure, and the eager build of the explainer's edge
-universe, for cross-checking `sicheck.explain.EdgeUniverse`.
+incrementally kept closure; the solver's order repair and prune's branch
+pass a pair or a successor at a time, for cross-checking
+`sicheck.solving.Solver._pk_check` and `sicheck.pruning._resolve_pass`;
+and the eager build of the explainer's edge universe, for cross-checking
+`sicheck.explain.EdgeUniverse`.
 
 The closures are deliberately naive and independent of the SCC-based path;
 the Tarjan reference walks one edge per step, as the row-at-a-time kernel
-must reproduce exactly.
+must reproduce exactly, and so do the order repair and the branch pass.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Iterator
 
+from sicheck.errors import BudgetExceededError
 from sicheck.graphs import iter_bits
 from sicheck.histories import TxnId
 from sicheck.polygraph import EITHER, OR, ConstraintKey, Edge, Polygraph
@@ -92,6 +97,103 @@ def bfs_reach(n: int, adj: list[int]) -> list[int]:
             frontier = nxt & ~seen
         out.append(seen)
     return out
+
+
+def pk_check_per_successor(rows: list[int], ord_: list[int], at: list[int],
+                           u: int, v: int) -> list[int] | None:
+    """Pearce–Kelly repair for a new pair u -> v, already set in `rows`, of
+    the topological order `ord_` (slot per vertex) and its inverse `at`,
+    both repaired in place: the forward search from v tests each successor
+    against the visited set and the bound ord[u]. A cycle the pair closes is
+    returned as its vertices, u first, and the order is left as it was."""
+    if u == v:
+        return [u]
+    if ord_[u] < ord_[v]:
+        return None
+    bound = ord_[u]
+    parent = {v: -1}
+    stack = [v]
+    forward = [v]
+    while stack:
+        x = stack.pop()
+        for w in iter_bits(rows[x]):
+            if w in parent or ord_[w] > bound:
+                continue
+            parent[w] = x
+            if w == u:
+                path = [w]
+                while x != -1:
+                    path.append(x)
+                    x = parent[x]
+                path.reverse()  # v .. u
+                return [u] + path[:-1]
+            forward.append(w)
+            stack.append(w)
+    back = [u]
+    back_mask = 1 << u
+    for slot in range(bound - 1, ord_[v] - 1, -1):
+        x = at[slot]
+        if rows[x] & back_mask:
+            back.append(x)
+            back_mask |= 1 << x
+    back.reverse()
+    nodes = back + sorted(forward, key=lambda x: ord_[x])
+    slots = sorted(ord_[x] for x in nodes)
+    for node, slot in zip(nodes, slots):
+        ord_[node] = slot
+        at[slot] = node
+    return None
+
+
+def resolve_pass_per_pair(index, changed: set[int] | None, deadline: float | None,
+                          records: list) -> ConstraintKey | None:
+    """Prune's branch pass (`sicheck.pruning._resolve_pass`, same arguments
+    and effects) with each pair's test written out: either branch a -> b is
+    impossible when b reaches a, or when b is or reaches an A-predecessor of
+    a reader of a but b, and the or branch likewise. The readers'
+    A-predecessor rows are ORed per pair; only each writer's vertex, reader
+    row, `changed` test and branch record are kept per key."""
+    graph = index.graph
+    constraints, resolved, reach, a_pred = (
+        graph.constraints, graph.resolved, index.reach, index.a_pred)
+    key = None
+    writers: dict[TxnId, list] = {}
+    for cid in sorted(constraints):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceededError("pruning budget exhausted")
+        if cid[0] != key:
+            key, writers = cid[0], {}
+        for writer in cid[1:]:
+            if writer not in writers:
+                s, row = index.vindex[writer], index.reader_row(key, writer)
+                dirty = changed is None or s in changed or not changed.isdisjoint(row)
+                writers[writer] = [s, row, dirty, []]
+        a, row_a, dirty_a, found_a = writers[cid[1]]
+        b, row_b, dirty_b, found_b = writers[cid[2]]
+        if not (dirty_a or dirty_b):
+            continue
+        preds_a = preds_b = 0
+        for r in row_a:
+            if r != b:
+                preds_a |= a_pred[r]
+        for r in row_b:
+            if r != a:
+                preds_b |= a_pred[r]
+        either_blocked = (reach[b] >> a) & 1 or (preds_a >> b) & 1 or preds_a & reach[b]
+        or_blocked = (reach[a] >> b) & 1 or (preds_b >> a) & 1 or preds_b & reach[a]
+        if not (either_blocked or or_blocked):
+            continue
+        if either_blocked and or_blocked:
+            return cid
+        del constraints[cid]
+        if either_blocked:
+            resolved[cid], s, row, found, d = OR, b, row_b, found_b, a
+        else:
+            resolved[cid], s, row, found, d = EITHER, a, row_a, found_a, b
+        if not found:
+            records.append((key, s, row, found))
+        found.append(d)
+    return None
 
 
 def eager_edge_universe(

@@ -33,7 +33,7 @@ from conftest import (
     T0, T1, T2, T3, T4, T5, committed, immediate_violation_history, index_labels,
     injected_histories, mk_history, workload_seed_1_histories,
 )
-from reference_closures import bfs_reach, floyd_warshall_reach
+from reference_closures import bfs_reach, floyd_warshall_reach, resolve_pass_per_pair
 import reference_frontend as ref
 
 
@@ -928,6 +928,49 @@ class TestBranchTestsMatchReference:
         # seeds 0-19999).
         for seed in (3049, 9993, 10007):
             prune_constraints(build_polygraph(random_small_history(seed)))
+
+
+def _pass_log(monkeypatch, history, resolve_pass) -> tuple:
+    """Prune a fresh polygraph of the history with `resolve_pass` as the
+    branch pass: per iteration, the pairs it resolved in order with their
+    branches, its records with their targets in order, and the pair it
+    returned; then the pairs resolved per iteration, the verdict and the
+    final index rows."""
+    log = []
+
+    def logged(index, changed, deadline, records):
+        before = len(index.graph.resolved)
+        violating = resolve_pass(index, changed, deadline, records)
+        resolved = list(index.graph.resolved.items())[before:]
+        log.append((resolved, [(key, s, row, list(found)) for key, s, row, found in records],
+                    violating))
+        return violating
+
+    monkeypatch.setattr(pruning, "_resolve_pass", logged)
+    outcome = prune_constraints(build_polygraph(history))
+    rows = None if outcome.index is None else (_rows(outcome.index), outcome.index.reach)
+    return log, outcome.resolved_per_iteration, outcome.verdict, rows
+
+
+def test_grouped_pass_matches_the_per_pair_reference(monkeypatch):
+    """The pass grouped by first writer does what the per-pair reference
+    does, iteration by iteration: the same pairs resolved in the same order,
+    the same branch records and targets, the same violating pair, and the
+    same final index, on random histories and injected anomalies, and on
+    the seeds where a writer that read the key from the other decides a
+    test (see `test_the_other_writer_is_no_reader_of_the_branch`)."""
+    resolve_pass = pruning._resolve_pass
+    seeds = [*range(3000), 3049, 9993, 10007]
+    histories = [random_small_history(seed) for seed in seeds] + list(injected_histories())
+    violations = resolved = 0
+    for history in histories:
+        if not completeness_gate(history).ok():
+            continue
+        got = _pass_log(monkeypatch, history, resolve_pass)
+        assert got == _pass_log(monkeypatch, history, resolve_pass_per_pair)
+        violations += got[2] != "ok"
+        resolved += sum(got[1])
+    assert violations > 100 and resolved > 1000, (violations, resolved)
 
 
 def test_budget_runs_out_inside_a_key(monkeypatch):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from sicheck.workload import WorkloadParams, generate, inject
 
 from conftest import T1, T2, T3, T4, committed, index_labels, mk_history
 import reference_frontend as ref
+from reference_closures import pk_check_per_successor
 
 DATA = Path(__file__).parent / "data"
 
@@ -266,6 +268,50 @@ def test_pk_order_stays_topological():
             assert solver.ind_rows == [
                 sum(1 << v for u, v in set(present) if u == x) for x in range(n)
             ]
+
+
+def test_pk_check_matches_the_per_successor_reference():
+    """Random insertions, many against the order and some closing a cycle
+    or a self-loop, mixed with removals: `_pk_check` returns the cycle the
+    per-successor reference returns and repairs `ord` and `at` as it does,
+    a returned cycle runs along the rows and leaves the order as it was,
+    and the order stays topological once a cycle's pair is removed, as a
+    conflict's retraction removes it."""
+    n = 30
+    graph = Polygraph(vertices=tuple((i, 0) for i in range(n)))
+    rng = random.Random(11)
+    outcomes = Counter()
+    for _ in range(30):
+        solver = Solver(graph)
+        assert solver.check_known_acyclic() is None
+        rows, ord_, at = solver.ind_rows, list(solver.ord), list(solver.at)
+        present: list[tuple[int, int]] = []
+        for _ in range(120):
+            if present and rng.random() < 0.2:
+                u, v = present.pop(rng.randrange(len(present)))
+                rows[u] &= ~(1 << v)
+                continue
+            u, v = rng.randrange(n), rng.randrange(n)
+            if (rows[u] >> v) & 1 or (u == v and rng.random() < 0.9):
+                continue
+            rows[u] |= 1 << v
+            before = (list(solver.ord), list(solver.at))
+            got = solver._pk_check(u, v)
+            assert got == pk_check_per_successor(rows, ord_, at, u, v)
+            assert (solver.ord, solver.at) == (ord_, at)
+            if got is None:
+                outcomes["repaired" if before[0][u] > before[0][v] else "in order"] += 1
+                present.append((u, v))
+            else:
+                outcomes["cycle"] += 1
+                assert (solver.ord, solver.at) == before
+                assert got[:2] == [u, v] or got == [u]
+                assert all((rows[x] >> y) & 1 for x, y in zip(got, got[1:] + got[:1]))
+                rows[u] &= ~(1 << v)
+            assert [solver.at[solver.ord[x]] for x in range(n)] == list(range(n))
+            for x in range(n):
+                assert all(solver.ord[x] < solver.ord[y] for y in iter_bits(rows[x]))
+    assert min(outcomes["repaired"], outcomes["in order"], outcomes["cycle"]) > 50, outcomes
 
 
 # Six sessions over at most two keys with up to four writers each: without
