@@ -9,7 +9,7 @@ solver's conflict analysis (`Solver._cycle_from_vertices`) of every
 conflict of the search on the first `hotspot-write` history; and, on the
 first history of run seed 1 of each of the benchmark's workload shapes
 (`perfbench/workloads.py`): `build_polygraph` (on `rmw-chains` the RMW runs
-order most writer pairs), `tarjan_scc`, `reach_masks`, the `KnownIndex`
+order every writer pair), `tarjan_scc`, `reach_masks`, the `KnownIndex`
 build, each fold of the branch records a prune iteration makes
 (`KnownIndex.add_branches`, one record per source writer and key, with its
 closure update), the first iteration's branch tests (`_resolve_pass`, key
@@ -80,8 +80,8 @@ def history(request):
 
 def test_build_polygraph(benchmark, history):
     """Known graph, then constraints, with the collector paused as `check_si`
-    runs it; on `rmw-chains` RMW runs cover most writers, so construct
-    records the runs and generates few constraints."""
+    runs it; on `rmw-chains` RMW runs cover every writer, so construct
+    records the runs and generates no constraint."""
     benchmark(collector_paused(build_polygraph), history)
 
 
