@@ -26,15 +26,29 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 
+def _os_error(path: str, exc: OSError) -> str:
+    """A file that cannot be read or written, as a message naming it."""
+    return f"{path}: {exc.strerror or exc}"
+
+
 def _load(path: str):
     """Read and parse a history file; an error names the file."""
     try:
         with open(path, "rb") as fh:
             return parse_history(fh.read())
     except OSError as exc:
-        raise SicheckError(f"{path}: {exc.strerror or exc}") from exc
+        raise SicheckError(_os_error(path, exc)) from exc
     except SicheckError as exc:
         raise SicheckError(f"{path}: {exc}") from exc
+
+
+def _write(path: str, data: bytes) -> None:
+    """Write an output file; an error names the file."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise SicheckError(_os_error(path, exc)) from exc
 
 
 def _at_least(least: int):
@@ -109,6 +123,8 @@ def _check_one(args_tuple) -> tuple[str, Verdict | tuple[int, str]]:
         return path, (EXIT_BUDGET, f"{path}: {exc}")
     except SicheckError as exc:  # a dangling read, say
         return path, (EXIT_INPUT_ERROR, f"{path}: {exc}")
+    except OSError as exc:  # the encoding file cannot be written
+        return path, (EXIT_INPUT_ERROR, _os_error(emit_encoding, exc))
     verdict.timings_ms = {"parse": parse_ms, **verdict.timings_ms}  # `total` stays the check's
     return path, verdict
 
@@ -161,8 +177,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.output == "-":
         sys.stdout.buffer.write(payload)
     else:
-        with open(args.output, "wb") as fh:
-            fh.write(payload)
+        _write(args.output, payload)
     return EXIT_OK
 
 
@@ -179,8 +194,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         if gate is not None:
             _print_verdict(args.history, verdict, as_json=False)
         if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write("digraph counterexample {\n}\n")
+            _write(args.dot, b"digraph counterexample {\n}\n")
         return EXIT_VIOLATION
     print(f"minimal: {'yes' if ce.minimal else 'no'}")
     deps = ce.stages[args.stage]
@@ -193,8 +207,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             flags.append("context")
         print(f"  {txn_label(src)} -{text}-> {txn_label(dst)} [{', '.join(flags)}]")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(render_dot(ce, args.stage))
+        _write(args.dot, render_dot(ce, args.stage).encode("utf-8"))
     return EXIT_VIOLATION
 
 

@@ -18,11 +18,15 @@ of shared constraints; it is complete when every constraint it touches
 contributes edges from both branches or from neither. The search extends the
 witness cycle with the fewest possible dependencies, so within budget the
 returned cluster is a smallest complete one containing the cycle.
+The edge universe the cluster search walks is the one labeled view of a
+polygraph's edges: the pruner and the solver label their witnesses' known
+pairs from it too (`EdgeUniverse.known_dep`).
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -32,7 +36,7 @@ from .histories import INIT_TXN, TxnId, txn_label
 from .polygraph import (
     EITHER, OR, RW, SO, WR, WW, ConstraintKey, Edge, Polygraph, forced_edges, owning_branch,
 )
-from .witness import KNOWN_ORIGIN, Origin, WitnessCycle, has_adjacent_rw
+from .witness import KNOWN_ORIGIN, Origin, WitnessCycle, has_adjacent_rw, known_origin
 
 CERTAIN = "certain"
 UNCERTAIN = "uncertain"
@@ -90,7 +94,9 @@ class EdgeUniverse:
     Each open constraint's branch edges belong to that branch alone, and no
     known edge coincides with one, so ownership is computed from the edge.
     A vertex's sorted successor list is built the first time it is asked
-    for: most of the universe is never read by the cluster search.
+    for: most of the universe is never read by the cluster search. The
+    same lists label the known pairs of the pruner's and the solver's
+    witness cycles (`known_dep`).
     """
 
     def __init__(self, graph: Polygraph):
@@ -123,24 +129,41 @@ class EdgeUniverse:
         """Sorted out-edges of `vertex`, built on first request: its listed
         edges, a WW edge to every other writer of each key it writes and an
         RW edge to every writer but its source of each key it reads, where
-        the constraint of those two writers is open or construct ordered
-        them: the source is the initial writer, or the other writer follows
-        it in one RMW run."""
+        the constraint of those two writers is open or puts the source
+        first: construct ordered them (the source is the initial writer, or
+        the other writer follows it in one RMW run), or prune resolved them
+        so."""
         succ = self._succ.get(vertex)
         if succ is None:
             graph, run_at = self.graph, self._run_at
+            constraints, resolved = graph.constraints, graph.resolved
             edges = set(self._known_out.get(vertex, ()))  # a graph may list a forced edge
             for key, source, label in self._sources.get(vertex, ()):
                 initial, ahead = source == INIT_TXN, run_at.get((key, source))
                 for other in graph.writers.get(key, ()):
                     # No self-loop; other == source is neither an open pair
-                    # nor one a run orders.
+                    # nor an ordered one.
                     if other != vertex and (
-                            initial or _constraint_of(key, source, other) in graph.constraints
+                            initial or (cid := _constraint_of(key, source, other)) in constraints
+                            or resolved.get(cid) == (EITHER if source < other else OR)
                             or ahead is not None and _follows(ahead, run_at.get((key, other)))):
                         edges.add((vertex, other, label, key))
             succ = self._succ[vertex] = sorted(edges)
         return succ
+
+    def known_dep(self, u: TxnId, v: TxnId, rw: bool) -> tuple[Edge, Origin] | None:
+        """The lowest known edge on pair (u, v), RW when `rw` and of another
+        label otherwise, with its origin, or None when there is none. The
+        successor order puts SO before WR before WW, and keys in ascending
+        order within a label; a known edge is one no open constraint owns."""
+        succ = self.successors(u)
+        for at in range(bisect_left(succ, (u, v)), len(succ)):
+            edge = succ[at]
+            if edge[1] != v:
+                break
+            if (edge[2] == RW) == rw and self.origin_of(edge) == KNOWN_ORIGIN:
+                return edge, known_origin(self.graph, edge)
+        return None
 
     def origin_of(self, edge: Edge) -> Origin:
         """The owning branch of a branch edge, else the known origin."""
@@ -329,7 +352,7 @@ def _certain_cycle_exists(edge: Edge, scenario: Scenario, max_len: int = 12) -> 
     return bool(cycles)
 
 
-def resolve_uncertain(scenario: Scenario, graph: Polygraph) -> Scenario:
+def resolve_uncertain(scenario: Scenario) -> Scenario:
     """Eliminate impossible branches and certify their opposites, to a fixpoint.
 
     When an uncertain dependency would close an undesired cycle together with
@@ -425,7 +448,7 @@ def interpret(
     participants = _snapshot(scenario)
     participant_edges = set(scenario)
 
-    resolve_uncertain(scenario, graph)
+    resolve_uncertain(scenario)
     recovered = _snapshot(scenario)
 
     final_scenario = finalize(scenario)

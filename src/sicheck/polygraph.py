@@ -265,7 +265,7 @@ def rmw_runs(graph: Polygraph, key: str) -> list[tuple[TxnId, ...]]:
 _constraint = partial(tuple.__new__, Constraint)
 
 
-def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
+def generate_constraints(graph: Polygraph) -> Polygraph:
     """Add one constraint per unordered pair of distinct writers of each key,
     but for the pairs of the virtual initial writer, which precedes every
     real writer, and those inside one RMW run (`rmw_runs`), which come in
@@ -295,7 +295,7 @@ def generate_constraints(history: History, graph: Polygraph) -> Polygraph:
 
 
 def build_polygraph(history: History, walk: OpsWalk | None = None) -> Polygraph:
-    return generate_constraints(history, create_known_graph(history, walk))
+    return generate_constraints(create_known_graph(history, walk))
 
 
 def constraint_count(graph: Polygraph) -> tuple[int, int]:

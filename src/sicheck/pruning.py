@@ -34,7 +34,7 @@ The virtual initial writer has no incoming edge, so it lies on no cycle and
 no `reach` row holds its bit. Its edges are derived, never listed (see
 `polygraph`): the index gives its A and K rows the one row they would
 build, every committed writer plus every reader of an initial value, and
-it is no vertex's A-predecessor and labels no pair. The edges of the
+it is no vertex's A-predecessor and on no witness. The edges of the
 writer pairs construct orders are not listed either: the index derives
 their B rows from the initial readers and the RMW runs, next to those of
 the listed RW edges, then their A and K rows against those, in O(L) row
@@ -42,25 +42,28 @@ updates for a run of L writers, and then the listed A edges' rows
 (`KnownIndex.__init__`).
 
 If both branches of some constraint are impossible the history is violating
-and the outcome carries a witness cycle for each dead branch, labeled by
-`witness.path_deps` as the solver's conflict cycles are.
+and the outcome carries a witness cycle for each dead branch, split into
+pairs by `witness.path_deps` as the solver's cycles are. The index keeps
+rows and closure only: a pair is in its rows exactly when the explainer's
+`EdgeUniverse` has a known edge on it, and the lowest one labels the pair.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .errors import BudgetExceededError
+from .explain import EdgeUniverse
 from .graphs import bfs_path, chain_starts, extend_reach, iter_bits, reach_masks
 from .histories import INIT_TXN, TxnId
 from .polygraph import (
-    EITHER, OR, RW, SO, WR, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends,
+    EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends,
 )
-from .witness import Origin, WitnessCycle, known_origin, path_deps
+from .witness import Origin, WitnessCycle, path_deps
 
-_LABEL_RANK = {SO: 0, WR: 1, WW: 2, RW: 3}
 # A closure rebuild costs a few steps per vertex; a walk, a binary search per
 # (source row, chain) pair plus the rows it changes. On the benchmark's shapes
 # the two cost the same near 3.5 such pairs per vertex. The bound sits below
@@ -83,10 +86,10 @@ class KnownIndex:
     initial writer's against each writer and those inside each RMW run, see
     `polygraph`), B rows first, then A, A-predecessor and K rows against
     them, and then the branches of `graph.resolved`; only `add_branches`
-    folds them, or later branch records, in place; `folded`
-    keeps the targets of the branch records per source writer and key, for
-    `label`. After every fold the index equals a fresh build over the
-    graph's known edges, forced and resolved branches, field by field.
+    folds them, or later branch records, in place. After every fold the
+    index equals a fresh build over the graph's known edges, forced and
+    resolved branches, field by field. It holds rows, not edges: the
+    explainer's `EdgeUniverse` labels a pair the rows hold.
     The closure `reach` is None until `with_reach` computes it; from then on
     a fold keeps it, and the chain starts `starts` with it, by walking the
     chains for a small batch and by a rebuild for a large one. `readers`
@@ -101,19 +104,6 @@ class KnownIndex:
         n = self.n = len(self.vertices)
         a_adj, b_adj, a_pred, k_adj = self.a_adj, self.b_adj, self.a_pred, self.k_adj = (
             [0] * n, [0] * n, [0] * n, [0] * n)
-        # Built by the first `label` call, as only witnesses ask: the lowest
-        # (rank, key) listed edge of each pair, keyed (i, j, is RW); per
-        # initial reader, (key, the key's writers) of each key it read so;
-        # per run member, (key, the run's members) of each run it is in.
-        self._labels: dict[tuple[int, int, bool], Edge] | None = None
-        self._initial_of: dict[int, list[tuple[str, list[int]]]] = {}
-        self._runs_of: dict[int, list[tuple[str, list[int]]]] = {}
-        # Per key that some writer writes and some transaction read from the
-        # initial writer: (key, the key's writers, those readers), as vertices.
-        self._initial: list[tuple[str, list[int], list[int]]] = []
-        # The branches folded without listing their edges: per source vertex
-        # and key, the targets in fold order.
-        self.folded: dict[int, dict[str, list[int]]] = {}
         self.reach: list[int] | None = None
         # First vertex of each chain of K (see `graphs.chain_starts`), kept with `reach`.
         self.starts: list[int] = []
@@ -122,20 +112,18 @@ class KnownIndex:
         readers, writers = graph.readers, graph.writers
         # The initial writer's row (see the module docstring); each reader of
         # an initial value is overwritten by every other writer of the key.
-        self.init = init = vindex.get(INIT_TXN)
+        init = vindex.get(INIT_TXN)
         if init is not None:
             targets = set().union(*writers.values())
             for (key, writer), row in readers.items():
                 if writer == INIT_TXN:
                     targets.update(row)
                     if key in writers:
-                        self._initial.append((key, [vindex[w] for w in writers[key]],
-                                              [vindex[r] for r in row]))
+                        overwriting = [vindex[w] for w in writers[key]]
+                        mask = _row(overwriting)
+                        for i in map(vindex.__getitem__, row):
+                            b_adj[i] |= mask ^ (1 << i) if i in overwriting else mask
             a_adj[init] = k_adj[init] = _row(vindex[v] for v in targets)
-            for _, overwriting, initial_readers in self._initial:
-                mask = _row(overwriting)
-                for i in initial_readers:
-                    b_adj[i] |= mask ^ (1 << i) if i in overwriting else mask
         # A run member's readers are overwritten by each later member.
         runs = [(key, run, [vindex[w] for w in run])
                 for key, keyed in graph.runs.items() for run in keyed]
@@ -192,14 +180,11 @@ class KnownIndex:
         per source s and key: the pairs of the edges s -WW-> d and r -RW-> d
         of each target d, for every reader r but d, with no edge tuple and
         no label. Returns the vertices whose A-predecessor row changed and,
-        once the closure is computed, those whose reach changed. `folded`
-        adds a record's targets to its source's on that key."""
-        a_adj, b_adj, a_pred, k_adj, folded = (
-            self.a_adj, self.b_adj, self.a_pred, self.k_adj, self.folded)
+        once the closure is computed, those whose reach changed."""
+        a_adj, b_adj, a_pred, k_adj = self.a_adj, self.b_adj, self.a_pred, self.k_adj
         new_a: list[tuple[int, list[int]]] = []  # per source, its new A targets
         middles: set[int] = set()
         for key, s, row, targets in records:
-            folded.setdefault(s, {}).setdefault(key, []).extend(targets)
             mask = 1 << targets[0]
             for d in targets[1:]:
                 mask |= 1 << d
@@ -257,56 +242,6 @@ class KnownIndex:
             self.starts = [v for v in starts if v not in links]
         return changed
 
-    def label(self, i: int, j: int, rw: bool) -> Edge | None:
-        """The lowest (rank, key) known edge on pair (i, j) of the B layer when
-        `rw`, else of the A layer, or None when neither holds the pair: a
-        listed edge, or one of a forced or folded branch. A WW edge i -> j
-        is one of a key on which `_ordered_keys` puts i before j. An RW edge
-        i -> j is one of a key that i read from the initial writer and j
-        writes, or one that i read from a writer s ordered before j; s is
-        then an A-predecessor of i, by its WR edge, and of j. The initial
-        writer labels no pair."""
-        if self._labels is None:
-            self._label_views()
-        best = self._labels.get((i, j, rw))
-        kind = RW if rw else WW
-        if i != self.init and (best is None or best[2] == kind):
-            if rw:
-                reader, read_from = self.vertices[i], self.graph.read_from
-                keys = [key for key, ws in self._initial_of.get(i, ()) if j in ws]
-                keys += [key for s in iter_bits(self.a_pred[i] & self.a_pred[j])
-                         for key in self._ordered_keys(s, j)
-                         if read_from.get((key, reader)) == self.vertices[s]]
-            else:
-                keys = self._ordered_keys(i, j)
-            if keys and (best is None or min(keys) < best[3]):
-                best = (self.vertices[i], self.vertices[j], kind, min(keys))
-        return best
-
-    def _label_views(self) -> None:
-        """Build what `label` reads besides the rows (see `__init__`)."""
-        vindex, self._labels = self.vindex, {}
-        for edge in self.graph.known_edges:
-            pair = (vindex[edge[0]], vindex[edge[1]], edge[2] == RW)
-            old = self._labels.get(pair)
-            if old is None or ((_LABEL_RANK[edge[2]], edge[3] or "")
-                               < (_LABEL_RANK[old[2]], old[3] or "")):
-                self._labels[pair] = edge
-        for key, overwriting, initial_readers in self._initial:
-            for r in initial_readers:
-                self._initial_of.setdefault(r, []).append((key, overwriting))
-        for key, runs in self.graph.runs.items():
-            for members in ([vindex[w] for w in run] for run in runs):
-                for m in members:
-                    self._runs_of.setdefault(m, []).append((key, members))
-
-    def _ordered_keys(self, s: int, d: int) -> list[str]:
-        """The keys on which one RMW run or a branch record of source s puts
-        writer s before writer d."""
-        keys = [key for key, members in self._runs_of.get(s, ())
-                if d in members[members.index(s) + 1:]]
-        return keys + [key for key, targets in self.folded.get(s, {}).items() if d in targets]
-
     def branch(self, cons: Constraint, branch: str) -> tuple[int, int, tuple[int, ...]]:
         """A constraint branch in vertex-index space: its write-order pair
         (s, d) and the reader row of its source writer s. The branch's edges
@@ -325,12 +260,6 @@ class KnownIndex:
         if row is None:
             row = self.readers[pair] = tuple(map(self.vindex.__getitem__, readers))
         return row
-
-    def known_dep(self, i: int, j: int, rw: bool) -> tuple[Edge, Origin] | None:
-        """`label`'s edge on a pair with its origin, or None when no known
-        edge is on the pair."""
-        edge = self.label(i, j, rw)
-        return None if edge is None else (edge, known_origin(self.graph, edge))
 
 
 def _row(vertices: Iterable[int]) -> int:
@@ -492,19 +421,26 @@ def _branch_blocked(index: KnownIndex, cons: Constraint, branch: str) -> Blocked
     return None
 
 
-def _blocked_cycle(index: KnownIndex, cons: Constraint, branch: str) -> WitnessCycle:
+def _blocked_cycle(index: KnownIndex, universe: EdgeUniverse, cons: Constraint,
+                   branch: str) -> WitnessCycle:
     """The K cycle that makes an impossible branch impossible: the blocked
-    edge, after its A-predecessor p when it is RW, then K's shortest path back."""
+    edge, after its A-predecessor p when it is RW, then K's shortest path
+    back; `universe` labels the known pairs."""
     blocked = _branch_blocked(index, cons, branch)
     assert blocked is not None
     edge, p = blocked.edge, blocked.predecessor
+    vertices = index.vertices
+
+    def known_dep(i: int, j: int, rw: bool) -> tuple[Edge, Origin]:
+        return universe.known_dep(vertices[i], vertices[j], rw)
+
     src, dst = index.vindex[edge[0]], index.vindex[edge[1]]
-    deps = [] if p is None else [index.known_dep(p, src, False)]
+    deps = [] if p is None else [known_dep(p, src, False)]
     deps.append((edge, ("branch", cons.id, branch)))
     back_to = src if p is None else p
     path = bfs_path(index.k_adj, dst, back_to)
     assert path is not None, f"no path {dst}->{back_to} in the known induced graph"
-    deps += path_deps(index.a_adj, index.b_adj, path, index.known_dep)
+    deps += path_deps(index.a_adj, index.b_adj, path, known_dep)
     return WitnessCycle(deps).canonical()
 
 
@@ -529,11 +465,15 @@ def prune_constraints(
         outcome.iterations += 1
         if violating is not None:
             cons = graph.constraints[violating]
+            # The index holds the pairs resolved before this pass, not those
+            # it resolved: the labels are of the graph the index is of.
+            universe = EdgeUniverse(replace(graph, resolved=dict(islice(
+                graph.resolved.items(), before))))
             outcome.verdict = "immediate-violation"
             outcome.violation = ImmediateViolation(
                 constraint=cons,
-                either_cycle=_blocked_cycle(index, cons, EITHER),
-                or_cycle=_blocked_cycle(index, cons, OR),
+                either_cycle=_blocked_cycle(index, universe, cons, EITHER),
+                or_cycle=_blocked_cycle(index, universe, cons, OR),
             )
             return outcome
         if not count:

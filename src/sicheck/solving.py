@@ -15,6 +15,9 @@ A∘B pairs), A holds it, or it composes through an assigned pair:
 `a_rows[i] & b_pred[j]` is not 0, where `b_pred` holds only the assigned B
 pairs outside the index, or an assigned A successor m of i has B(m, j),
 tested against the OR of those B rows, taken once per i and retracted pair.
+A conflict's culprits are the first constraints assigned to the pairs of
+its cycle that the index's rows lack. Only the first conflict's cycle is
+kept; its known pairs are labeled (`EdgeUniverse`) when it is reported.
 The search is exhaustive: unsat is only reported once every branch
 combination is covered by recorded conflicts, never on budget exhaustion,
 which raises instead.
@@ -33,8 +36,9 @@ from .histories import INIT_TXN, TxnId
 from .polygraph import (
     EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends, owning_branch,
 )
+from .explain import EdgeUniverse
 from .pruning import KnownIndex
-from .witness import Origin, WitnessCycle, has_adjacent_rw, path_deps
+from .witness import WitnessCycle, has_adjacent_rw, path_deps
 
 
 @dataclass(slots=True)
@@ -49,8 +53,7 @@ class SolveResult:
 
 
 class _Conflict(Exception):
-    def __init__(self, cycle: WitnessCycle, culprits: frozenset[int]):
-        self.cycle = cycle
+    def __init__(self, culprits: frozenset[int]):
         self.culprits = culprits
 
 
@@ -100,7 +103,8 @@ class Solver:
         self.assigned: list[str | None] = [None] * len(self.constraints)
         self.stamp = [0] * len(self.constraints)
         self.pushed: list[list[tuple[bool, tuple[int, int]]]] = [[] for _ in self.constraints]
-        self.first_conflict_cycle: WitnessCycle | None = None
+        # The first conflict's cycle, its known pairs not labeled yet (`_witness`).
+        self.first_conflict: list[tuple] | None = None
 
     # ----- initial known graph ---------------------------------------------
 
@@ -120,7 +124,7 @@ class Solver:
             restricted = [self.ind_rows[v] & mask if v in comp else 0 for v in range(self.n)]
             vcycle = find_cycle(self.n, restricted)
             assert vcycle is not None
-            return self._cycle_from_vertices(vcycle)[0]
+            return self._witness(self._cycle_deps(vcycle)[0])
         order = len(sccs) - 1
         for comp in sccs:
             self.ord[comp[0]] = order
@@ -130,25 +134,32 @@ class Solver:
 
     # ----- provenance -------------------------------------------------------
 
-    def _cycle_from_vertices(self, vcycle: list[int]) -> tuple[WitnessCycle, frozenset[int]]:
-        """The cycle's witness, and the constraints whose branch edges it uses:
-        a pair is labeled by its known edge, else by the branch edge of the
-        first constraint assigned to it, which joins the culprits."""
+    def _cycle_deps(self, vcycle: list[int]) -> tuple[list[tuple], frozenset[int]]:
+        """The cycle's dependencies, and the constraints whose branch edges it
+        uses: a pair the index holds is known, and left as ((its two
+        vertices, is RW), None) for `_witness` to label; any other is labeled
+        by the branch edge of the first constraint assigned to it, which
+        joins the culprits."""
         culprits: set[int] = set()
-        vertices = self.known.vertices
+        vertices, known_a, known_b = self.known.vertices, self.known.a_adj, self.known.b_adj
 
-        def dep(i: int, j: int, rw: bool) -> tuple[Edge, Origin]:
-            known = self.known.known_dep(i, j, rw)
-            if known is not None:
-                return known
+        def dep(i: int, j: int, rw: bool) -> tuple:
+            if ((known_b if rw else known_a)[i] >> j) & 1:
+                return (vertices[i], vertices[j], rw), None
             k = (self.b_edges if rw else self.a_edges)[(i, j)][0]
             culprits.add(k)
             cons = self.constraints[k]
             edge = (vertices[i], vertices[j], RW if rw else WW, cons.key)
             return edge, ("branch", cons.id, self.assigned[k])
 
-        deps = path_deps(self.a_rows, self.b_rows, vcycle + vcycle[:1], dep)
-        return WitnessCycle(deps).canonical(), frozenset(culprits)
+        return path_deps(self.a_rows, self.b_rows, vcycle + vcycle[:1], dep), frozenset(culprits)
+
+    def _witness(self, deps: list[tuple]) -> WitnessCycle:
+        """`_cycle_deps`' dependencies as a witness: each known pair labeled
+        by its lowest known edge (`EdgeUniverse.known_dep`)."""
+        universe = EdgeUniverse(self.graph)
+        return WitnessCycle([universe.known_dep(*dep) if origin is None else (dep, origin)
+                             for dep, origin in deps]).canonical()
 
     # ----- incremental induced-graph maintenance ----------------------------
 
@@ -204,11 +215,12 @@ class Solver:
             at[slot] = node
         return None
 
-    def _analyze(self, vcycle: list[int]) -> tuple[WitnessCycle, frozenset[int]]:
-        cycle, culprits = self._cycle_from_vertices(vcycle)
-        if self.first_conflict_cycle is None:
-            self.first_conflict_cycle = cycle
-        return cycle, culprits
+    def _analyze(self, vcycle: list[int]) -> frozenset[int]:
+        """The conflict's culprits; the first conflict's cycle is kept."""
+        deps, culprits = self._cycle_deps(vcycle)
+        if self.first_conflict is None:
+            self.first_conflict = deps
+        return culprits
 
     def _supported_by(self, i: int, j: int, rw: bool) -> list[tuple[int, int]]:
         """The induced pairs (i, j) can support, in visit order; `rw` as in `_add_pair`."""
@@ -241,7 +253,7 @@ class Solver:
             ind_rows[u] |= 1 << v
             vcycle = self._pk_check(u, v)
             if vcycle is not None:
-                raise _Conflict(*self._analyze(vcycle))
+                raise _Conflict(self._analyze(vcycle))
 
     def _retract(self, k: int) -> None:
         """Remove constraint k's branch edges, whenever it was assigned: a row
@@ -346,10 +358,10 @@ class Solver:
             else:
                 union = eliminated[k][EITHER] | eliminated[k][OR]
                 if not union:
-                    assert self.first_conflict_cycle is not None
+                    assert self.first_conflict is not None
                     return SolveResult(
                         "unsat",
-                        cycle=self.first_conflict_cycle,
+                        cycle=self._witness(self.first_conflict),
                         decisions=self.decisions,
                         conflicts=self.conflicts,
                     )

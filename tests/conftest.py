@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sicheck.explain import EdgeUniverse
 from sicheck.graphs import iter_bits
 from sicheck.histories import (
     ABORTED, COMMITTED, INIT_TXN, History, Operation, Transaction, parse_history,
@@ -118,13 +119,16 @@ def causality_violation() -> History:
 
 
 def index_labels(index) -> dict:
-    """`KnownIndex.label` of every A and every B pair of an index, keyed
-    (i, j, is RW), but the initial writer's, which labels no pair."""
+    """The edge `EdgeUniverse.known_dep` labels every A and every B pair of
+    an index by, None where it finds none, keyed (i, j, is RW), but for the
+    initial writer's pairs, which witnesses never name."""
+    universe, vertices = EdgeUniverse(index.graph), index.vertices
     init = index.vindex.get(INIT_TXN)
     labels = {}
     for rw, rows in ((False, index.a_adj), (True, index.b_adj)):
         for i, row in enumerate(rows):
             if i != init:
                 for j in iter_bits(row):
-                    labels[i, j, rw] = index.label(i, j, rw)
+                    dep = universe.known_dep(vertices[i], vertices[j], rw)
+                    labels[i, j, rw] = dep and dep[0]
     return labels

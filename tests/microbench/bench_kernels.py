@@ -5,8 +5,10 @@ history of run seed 1, where the two are a large share of a check (the
 gate walks the ops, as it does when called alone), and `encode` plus
 `export_encoding` of its pruned polygraph; `prune_constraints` on the
 first `zipf-anomaly` history, where prune resolves most writer pairs; the
-solver's conflict analysis (`Solver._cycle_from_vertices`) of every
-conflict of the search on the first `hotspot-write` history; and, on the
+solver's conflict analysis (`Solver._cycle_deps`) of every conflict of
+the search on the first `hotspot-write` history; the labels of the cycle
+the search reports on the first `zipf-anomaly` history (`Solver._witness`,
+which builds the edge universe of the pruned polygraph); and, on the
 first history of run seed 1 of each of the benchmark's workload shapes
 (`perfbench/workloads.py`): `build_polygraph` (on `rmw-chains` the RMW runs
 order every writer pair), `tarjan_scc`, `reach_masks`, the `KnownIndex`
@@ -180,8 +182,6 @@ def _copy_index(index: KnownIndex) -> KnownIndex:
     for name in ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "starts"):
         setattr(fresh, name, list(getattr(index, name)))
     fresh.readers = dict(index.readers)
-    fresh.folded = {s: {key: list(targets) for key, targets in records.items()}
-                    for s, records in index.folded.items()}
     return fresh
 
 
@@ -333,16 +333,28 @@ def conflicts():
 
 
 def test_conflict_analysis(benchmark, conflicts):
-    """The witness and culprits of every conflict of the search, each from
-    the state it arose in; a round's time over `extra_info["conflicts"]`
-    is the cost of one conflict. The index's label views are built by then."""
+    """The culprits and the dependencies of every conflict of the search,
+    each from the state it arose in, its known pairs left unlabeled; a
+    round's time over `extra_info["conflicts"]` is the cost of one
+    conflict. Only a reported cycle is labeled (`test_witness_labels`)."""
     benchmark.extra_info["conflicts"] = len(conflicts)
 
     def analyze_all():
         for state, vcycle in conflicts:
-            state._cycle_from_vertices(vcycle)
+            state._cycle_deps(vcycle)
 
     benchmark(analyze_all)
+
+
+def test_witness_labels(benchmark):
+    """The labels of the first conflict's cycle, which the search reports
+    on the first `zipf-anomaly` history, pruned: the edge universe of the
+    pruned polygraph and the lowest known edge of each known pair."""
+    graph = build_polygraph(parse_history(WORKLOADS["zipf-anomaly"].case(SEED).data))
+    solver = Solver(graph, index=prune_constraints(graph).index)
+    if solver.solve().status != "unsat" or solver.first_conflict is None:
+        pytest.skip("the search reports no conflict's cycle")
+    benchmark(solver._witness, solver.first_conflict)
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))

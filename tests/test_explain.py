@@ -23,7 +23,7 @@ from sicheck.explain import (
 from harness import minimal_counterexample_size, random_small_history
 from sicheck.histories import INIT_TXN, completeness_gate, parse_history
 from sicheck.pipeline import check_si
-from sicheck.polygraph import RW, SO, WR, WW, build_polygraph
+from sicheck.polygraph import RW, SO, WR, WW, build_polygraph, resolved_edges
 from sicheck.pruning import prune_constraints
 from sicheck.witness import KNOWN_ORIGIN
 
@@ -206,16 +206,15 @@ class TestResolve:
                 scenario[edge] = TaggedDependency(edge, ("branch", cid, branch), UNCERTAIN)
         known = (A, B, WR, "k")
         scenario[known] = TaggedDependency(known, ("known",), CERTAIN)
-        resolve_uncertain(scenario, graph)
+        resolve_uncertain(scenario)
         assert (B, A, WW, "k") not in scenario
         assert scenario[(A, B, WW, "k")].tag == CERTAIN
         assert scenario[(C, B, RW, "k")].tag == CERTAIN
 
-    def test_all_certain_unchanged(self, lost_update):
-        graph = build_polygraph(lost_update)
+    def test_all_certain_unchanged(self):
         edge = (A, B, WR, "k")
         scenario = {edge: TaggedDependency(edge, ("known",), CERTAIN)}
-        assert resolve_uncertain(dict(scenario), graph) == scenario
+        assert resolve_uncertain(dict(scenario)) == scenario
 
     def test_two_independent_constraints_stay_uncertain(self):
         history = mk_history(
@@ -231,7 +230,7 @@ class TestResolve:
         for cid, cons in graph.constraints.items():
             edge = cons.edges(graph, "either")[0]
             scenario[edge] = TaggedDependency(edge, ("branch", cid, "either"), UNCERTAIN)
-        resolve_uncertain(scenario, graph)
+        resolve_uncertain(scenario)
         assert all(d.tag == UNCERTAIN for d in scenario.values())
         # Finalize then removes both.
         assert finalize(scenario) == {}
@@ -298,14 +297,15 @@ class TestLazyUniverseMatchesEager:
     """Per-vertex successor lists and computed owners equal the eager build,
     on each polygraph and on what prune leaves of it; the eager build takes
     its known edges, but the initial writer's, from the reference
-    construction, which lists the forced ones."""
+    construction, which lists the forced ones, and after prune those of the
+    resolved branches too."""
 
     @staticmethod
     def check(history):
         graph = build_polygraph(history)
         known = ref.known_edges(history)
         for _ in range(2):
-            succ, owner = eager_edge_universe(graph, known)
+            succ, owner = eager_edge_universe(graph, known + resolved_edges(graph))
             universe = EdgeUniverse(graph)
             assert set(succ) <= set(graph.vertices)
             for vertex in graph.vertices:

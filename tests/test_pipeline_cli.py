@@ -252,6 +252,17 @@ class TestCli:
         assert out == "" and "--emit-encoding takes one history file" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["check", str(DATA / "long_fork.json"), "--emit-encoding"],
+        ["explain", str(DATA / "long_fork.json"), "--dot"],
+        ["generate", "--sessions", "2", "--txns", "2", "-o"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "out"
+        assert main([*argv, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"sicheck: error: {target}: No such file or directory"]
+
     def test_generate_and_check_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "w.json"
         assert main([

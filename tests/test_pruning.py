@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sicheck import pipeline, pruning
 from sicheck.errors import BudgetExceededError
+from sicheck.explain import EdgeUniverse
 from sicheck.graphs import chain_starts, extend_reach, iter_bits, reach_masks
 from harness import random_small_history
 from sicheck.polygraph import (
@@ -26,6 +27,7 @@ from sicheck.pruning import (
     ww_branch_blocked,
 )
 from sicheck.histories import INIT_TXN, completeness_gate
+from sicheck.solving import Solver
 from sicheck.witness import has_adjacent_rw, k_middle, known_origin, path_deps
 from sicheck.workload import DISTRIBUTIONS, PROFILES, WorkloadParams, generate, inject
 
@@ -247,7 +249,12 @@ class TestKnownIndexDecomposition:
         t1, t2 = index.vindex[T1], index.vindex[T2]
         # T1 -> T2 in the known induced graph only via WR(x)∘RW(y) through T3.
         assert (index.k_adj[t1] >> t2) & 1
-        deps = path_deps(index.a_adj, index.b_adj, [t1, t2], index.known_dep)
+        universe = EdgeUniverse(graph)
+
+        def known_dep(i, j, rw):
+            return universe.known_dep(index.vertices[i], index.vertices[j], rw)
+
+        deps = path_deps(index.a_adj, index.b_adj, [t1, t2], known_dep)
         assert [edge for edge, _ in deps] == [(T1, T3, WR, "x"), (T3, T2, RW, "y")]
 
     def test_label_is_lowest_rank_then_key_whatever_the_order(self):
@@ -255,13 +262,18 @@ class TestKnownIndexDecomposition:
         graph = Polygraph(vertices=(a, b), known_edges=[
             (a, b, WW, "z"), (a, b, WW, "y"), (b, a, RW, "y"), (b, a, RW, "x"),
         ])
-        index = KnownIndex(graph)
-        assert index.label(0, 1, False) == (a, b, WW, "y")
-        assert index.label(1, 0, True) == (b, a, RW, "x")
+
+        def label(u, v, rw):
+            """The universe's label of (u, v), every pair's checked first."""
+            assert index_labels(KnownIndex(graph)) == _reference_labels(graph)
+            return EdgeUniverse(graph).known_dep(u, v, rw)[0]
+
+        assert label(a, b, False) == (a, b, WW, "y")
+        assert label(b, a, True) == (b, a, RW, "x")
         graph.known_edges += [(a, b, WR, "z"), (a, b, WR, "x"), (a, b, WW, "w")]
-        assert KnownIndex(graph).label(0, 1, False) == (a, b, WR, "x")
+        assert label(a, b, False) == (a, b, WR, "x")
         graph.known_edges.append((a, b, SO, None))
-        assert KnownIndex(graph).label(0, 1, False) == (a, b, SO, None)
+        assert label(a, b, False) == (a, b, SO, None)
 
 
 def test_reader_rows_filled_on_demand_equal_the_eager_conversion(long_fork, lost_update):
@@ -559,7 +571,9 @@ class TestInitialWriterRow:
             folded = sum({1 << index.vindex[e[1]] for e in _reference_initial_edges(history)})
             assert index.a_adj[0] == index.k_adj[0] == mask == folded
             assert not any(row & 1 for row in index.a_pred)
-            assert all(index.label(0, j, False) is None for j in iter_bits(index.a_adj[0]))
+            universe = EdgeUniverse(graph)
+            assert all(universe.known_dep(INIT_TXN, index.vertices[j], False) is None
+                       for j in iter_bits(index.a_adj[0]))
 
     def test_prune_and_check_as_when_folded(self, monkeypatch):
         def outcomes(history, graph):
@@ -649,8 +663,9 @@ def _reference_prune(graph, unlisted) -> tuple:
 
 class TestResolvedBranches:
     """Prune lists no edge of the branches it keeps: it records the pairs in
-    `graph.resolved`, the index folds them as branch records, `label`
-    weighs them with the listed labels, and `resolved_edges` derives them."""
+    `graph.resolved`, the index folds them as branch records, the edge
+    universe weighs them with the listed labels, and `resolved_edges`
+    derives them."""
 
     def test_resolved_edges_are_what_prune_once_appended(self):
         compared = Counter()
@@ -670,12 +685,12 @@ class TestResolvedBranches:
         assert min(compared.values()) > 10, compared
 
     def test_labels_after_every_iteration(self, monkeypatch):
-        """After the index is built and after every fold of prune, `label` of
-        every A and B pair is the reference's, the lowest (rank, key) over
-        the listed, the forced and the resolved edges, which the reference
-        construction lists but the first; the initial writer, whose edges all
-        leave it, labels no pair. Counts the pairs whose label is not the
-        lowest over the listed and forced edges alone."""
+        """After the index is built and after every fold of prune, the edge
+        universe's label of every A and B pair is the reference's, the lowest
+        (rank, key) over the listed, the forced and the resolved edges, which
+        the reference construction lists but the first; the initial writer,
+        whose edges all leave it, labels no pair. Counts the pairs whose
+        label is not the lowest over the listed and forced edges alone."""
         fold, close = KnownIndex.add_branches, KnownIndex.with_reach
         audit = Counter()
         unlisted, before = [], {}
@@ -683,7 +698,9 @@ class TestResolvedBranches:
         def check(index):
             labels = index_labels(index)
             assert labels == _reference_labels(index.graph, unlisted)
-            assert all(index.label(0, j, False) is None for j in iter_bits(index.a_adj[0]))
+            universe = EdgeUniverse(index.graph)
+            assert all(universe.known_dep(INIT_TXN, index.vertices[j], False) is None
+                       for j in iter_bits(index.a_adj[0]))
             audit["checks"] += 1
             audit["from_branches"] += sum(label != before.get(pair) for pair, label in labels.items())
 
@@ -709,7 +726,7 @@ class TestResolvedBranches:
         assert audit["checks"] > 3000 and audit["from_branches"] > 10000, audit
 
     def test_fresh_index_of_a_pruned_graph_is_prunes_final_index(self):
-        names = ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "starts", "folded")
+        names = ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "starts")
         compared = 0
         for _, graph in _gated_graphs(3000):
             outcome = prune_constraints(graph)
@@ -721,6 +738,81 @@ class TestResolvedBranches:
             assert index_labels(fresh) == index_labels(outcome.index)
             compared += bool(graph.resolved)
         assert compared > 800, compared
+
+
+def _assert_rows_are_the_known_pairs(universe, vertices, a_rows, b_rows) -> int:
+    """Each pair with no initial-writer endpoint is in `a_rows` (`b_rows`)
+    exactly when `universe.known_dep` finds a non-RW (RW) edge on it.
+    Returns how many pairs the rows hold."""
+    held = 0
+    for i, u in enumerate(vertices):
+        if u == INIT_TXN:
+            continue
+        for j, v in enumerate(vertices):
+            if v == INIT_TXN:
+                continue
+            for rw, rows in ((False, a_rows), (True, b_rows)):
+                bit = (rows[i] >> j) & 1
+                assert bit == (universe.known_dep(u, v, rw) is not None), (u, v, rw)
+                held += bit
+    return held
+
+
+class TestIndexRowsAreTheUniversesKnownPairs:
+    """The index keeps rows and the edge universe keeps edges: a pair with no
+    initial-writer endpoint is in the index's A (B) rows exactly when the
+    universe over the index's graph has a non-RW (RW) edge on it that no
+    open constraint owns. So every pair a witness path takes is labeled,
+    and a label names no pair the rows lack."""
+
+    def test_fresh_builds_and_every_fold(self, monkeypatch):
+        fold = KnownIndex.add_branches
+        held = Counter()
+
+        def check(index, label):
+            held[label] += _assert_rows_are_the_known_pairs(
+                EdgeUniverse(index.graph), index.vertices, index.a_adj, index.b_adj)
+
+        def checked_fold(self, records):
+            changed = fold(self, records)
+            check(self, "fold")
+            return changed
+
+        monkeypatch.setattr(KnownIndex, "add_branches", checked_fold)
+        for _, graph in _gated_graphs(1500):
+            check(KnownIndex(graph), "fresh")
+            prune_constraints(graph)
+            check(KnownIndex(graph), "fresh")
+        assert held["fresh"] > 20000 and held["fold"] > 5000, held
+
+    def test_immediate_violations(self, monkeypatch):
+        """The universe that labels an immediate violation's cycles is of the
+        graph the index is of, though the pass resolved pairs before it."""
+        blocked_cycle = pruning._blocked_cycle
+        checked = []
+
+        def checked_cycle(index, universe, cons, branch):
+            _assert_rows_are_the_known_pairs(universe, index.vertices, index.a_adj, index.b_adj)
+            checked.append(len(index.graph.resolved) > len(universe.graph.resolved))
+            return blocked_cycle(index, universe, cons, branch)
+
+        monkeypatch.setattr(pruning, "_blocked_cycle", checked_cycle)
+        for _, graph in _gated_graphs(1500):
+            prune_constraints(graph)
+        assert len(checked) > 500 and sum(checked) > 100, (len(checked), sum(checked))
+
+    def test_solver_level_zero(self):
+        checked = 0
+        for _, graph in _gated_graphs(1500):
+            pruned = graph.clone()
+            cases = [(graph, KnownIndex(graph)), (pruned, prune_constraints(pruned).index)]
+            for searched, index in cases:
+                if index is None:
+                    continue
+                solver = Solver(searched, index=index)
+                checked += bool(_assert_rows_are_the_known_pairs(
+                    EdgeUniverse(searched), index.vertices, solver.a_rows, solver.b_rows))
+        assert checked > 1000, checked
 
 
 @pytest.fixture
@@ -738,15 +830,16 @@ def _interleaved_updates(seed: int) -> None:
     """Random batches of resolved branches on a polygraph whose vertex order
     interleaves three sessions, so that every chain of K is one vertex long.
 
-    Each of keys x and y has writers that random transactions read from,
-    each by a listed WR edge. A branch that would give K a pair i -> i+1
-    is left out.
+    Every transaction writes keys x and y, and random ones read each from
+    another by a listed WR edge. A branch that would give K a pair
+    i -> i+1 is left out.
     """
     rng = random.Random(seed)
     vertices = tuple((s, t) for t in range(4) for s in range(3))
     n = len(vertices)
     so = [((s, t), (s, t + 1), SO, None) for s in range(3) for t in range(3)]
-    graph = Polygraph(vertices=vertices, known_edges=so)
+    graph = Polygraph(vertices=vertices, known_edges=so,
+                      writers={key: tuple(sorted(vertices)) for key in "xy"})
     for key in "xy":
         readers = rng.sample(vertices, rng.randint(0, 3))
         for r in readers:
@@ -803,7 +896,8 @@ class TestChainWalk:
         # so source 8 lies in the second half of the chain that 7 -> 8 makes.
         vertices = (*((0, t) for t in range(8)), (1, 0), (1, 1), (2, 0))
         so = [(u, v, SO, None) for u, v in zip(vertices, vertices[1:]) if u[0] == v[0]]
-        graph = Polygraph(vertices=vertices, known_edges=so)
+        graph = Polygraph(vertices=vertices, known_edges=so,
+                          writers={"x": ((0, 7), (1, 0)), "y": ((1, 0), (2, 0))})
         with audited_updates() as audit:
             index = KnownIndex(graph).with_reach()
             assert index.starts == [0, 8, 10]

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from sicheck.errors import BudgetExceededError
+from sicheck.explain import EdgeUniverse
 from sicheck.graphs import iter_bits, transpose
 from harness import HistoryBounds, random_small_history
 from sicheck.histories import INIT_TXN, completeness_gate, parse_history
@@ -21,6 +22,7 @@ from sicheck.witness import WitnessCycle, has_adjacent_rw
 from sicheck.workload import WorkloadParams, generate, inject
 
 from conftest import T1, T2, T3, T4, committed, index_labels, mk_history
+from test_pruning import _reference_labels, _reference_unlisted_edges
 import reference_frontend as ref
 from reference_closures import pk_check_per_successor
 
@@ -104,13 +106,11 @@ class TestSolve:
                     index = prune_constraints(graph).index
                 own = solve(graph)
                 rows = (index.a_adj, index.b_adj, index.a_pred, index.k_adj)
-                folded = {s: {key: list(targets) for key, targets in records.items()}
-                          for s, records in index.folded.items()}
-                before = ([list(r) for r in rows], index_labels(index), folded)
+                before = ([list(r) for r in rows], index_labels(index))
                 reach = index.reach and list(index.reach)
                 assert solve(graph, index=index) == own
                 # The solver only reads the index it is given.
-                after = ([list(r) for r in rows], index_labels(index), index.folded)
+                after = ([list(r) for r in rows], index_labels(index))
                 assert after == before and index.reach == reach
                 assert own.status == ("sat" if history is sat else "unsat")
 
@@ -177,7 +177,8 @@ def test_search_builds_no_edge_lists(monkeypatch, case, no_prune):
 
 def test_conflict_cycles_name_known_edges_first():
     """A cycle dep comes from a branch only when its pair has no known edge
-    in its layer, listed or forced."""
+    in its layer, listed or forced; a known dep is the pair's lowest (rank,
+    key) known edge, as the reference labels it."""
     unsat = 0
     for seed in range(500):
         history = random_small_history(seed)
@@ -189,10 +190,15 @@ def test_conflict_cycles_name_known_edges_first():
         if result.status != "unsat":
             continue
         unsat += 1
+        universe = EdgeUniverse(graph)
+        labels = _reference_labels(graph, _reference_unlisted_edges(history))
         for edge, origin in result.cycle.deps:
+            pair = (index.vindex[edge[0]], index.vindex[edge[1]], edge[2] == RW)
             if origin[0] == "branch":
-                pair = (index.vindex[edge[0]], index.vindex[edge[1]])
-                assert index.label(*pair, edge[2] == RW) is None, seed
+                assert universe.known_dep(edge[0], edge[1], edge[2] == RW) is None, seed
+                assert pair not in labels, seed
+            else:
+                assert labels[pair] == edge, seed
     assert unsat
 
 
@@ -427,6 +433,35 @@ def test_induced_rows_follow_the_support_rule(no_prune):
         kept += solver.kept_by_assigned_a
     assert audits > 200 and (out_of_order > 0 or not no_prune), (audits, out_of_order)
     assert kept > 0
+
+
+def test_retraction_takes_the_assigned_b_rows_per_cleared_pair():
+    """Retracting branch s -> d on x clears its A pair (s, d), then its B
+    pairs (r1, d) and (r2, d) of s's readers, in reader order. Each cleared
+    pair ORs the B rows of u's assigned A successors afresh: here s's OR is
+    first taken for the A pair's (s, w), while B(r1, d) still holds, and
+    (s, d) is tested against it again only after (r2, d), when r1's B row
+    has lost d; a stale OR would keep (s, d). Hand-built: r1 reads x from s
+    with no WR edge listed, so s -> r1 can be an assigned A pair (its WW
+    on y). On construct's graphs the OR cannot go stale: s's readers are
+    its known A successors, never assigned ones, and any other u takes its
+    OR for (u, d) only once none of its assigned A successors keeps an
+    assigned B pair to d, so none is left to lose."""
+    s, d, r1, r2, w = (0, 0), (1, 0), (2, 0), (3, 0), (4, 0)
+    cids = [("x", s, d), ("y", s, r1)]
+    graph = Polygraph(
+        vertices=(s, d, r1, r2, w), known_edges=[(s, r2, WR, "x"), (d, w, RW, "z")],
+        constraints={cid: Constraint(*cid) for cid in cids},
+        readers={("x", s): (r1, r2)}, read_from={("x", r1): s, ("x", r2): s},
+        writers={"x": (s, d), "y": (s, r1)})
+    solver = _AuditedSolver(graph)
+    assert solver.check_known_acyclic() is None
+    assert solver._try_branch(1, EITHER) is None  # s -WW(y)-> r1
+    assert solver._try_branch(0, EITHER) is None  # s -WW(x)-> d, r1 -RW-> d, r2 -RW-> d
+    assert solver.ind_rows[0] == sum(1 << v for v in (1, 2, 3, 4))
+    solver._retract(0)  # audited
+    assert solver.ind_rows[0] == 1 << 2 | 1 << 3
+    assert solver.audits == 3
 
 
 def test_hotspot_decisions_stay_near_the_constraints_left():
