@@ -51,6 +51,17 @@ def _write(path: str, data: bytes) -> None:
         raise SicheckError(_os_error(path, exc)) from exc
 
 
+def _probe_output(path: str) -> None:
+    """Raise the OSError that writing `path` would raise, before any work is
+    done for it: open it for appending, which changes no file, and remove
+    it again if the open made it."""
+    existed = os.path.lexists(path)
+    with open(path, "ab"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _at_least(least: int):
     """An argparse type: an int no smaller than `least`."""
     def count(text: str) -> int:  # argparse says "invalid count value" for a non-number
@@ -106,6 +117,11 @@ def _check_one(args_tuple) -> tuple[str, Verdict | tuple[int, str]]:
     """Check one file. An input or budget error comes back as (exit code,
     message naming the file), so that it hides no other file's verdict."""
     path, no_prune, budget_ms, emit_encoding = args_tuple
+    if emit_encoding:
+        try:
+            _probe_output(emit_encoding)
+        except OSError as exc:
+            return path, (EXIT_INPUT_ERROR, _os_error(emit_encoding, exc))
     started = time.monotonic()
     try:
         history = _load(path)

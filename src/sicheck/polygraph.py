@@ -23,6 +23,14 @@ writer-to-reader edges. The known-graph index folds the forced edges as
 rows, the witness check reads them off the runs and reader rows, and
 `forced_edges` lists them for the encoding export and the explainer.
 
+Construct also records, in the loop over each transaction's reads, the
+initial writer's rows that the index and the witness check read
+(`record_initial`): `initial_readers`, the reader row of the initial
+value of each key some committed transaction writes, and
+`initial_targets`, every committed writer and every reader of an initial
+value. A graph with the initial writer as a vertex but without them is
+refused (`initial_records`), so no hand-built graph gets an empty row.
+
 Prune does not list the edges of the branches it keeps either: it records
 each writer pair it resolves, with its surviving branch, in `resolved`. The
 known-graph index folds those branches from their writers and reader rows,
@@ -37,6 +45,7 @@ completeness gate reads too.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import partial
 from itertools import combinations
 from dataclasses import dataclass, field
@@ -143,6 +152,12 @@ class Polygraph:
     runs: dict[str, list[tuple[TxnId, ...]]] = field(default_factory=dict)
     # Writer pairs prune resolved, in resolution order, with their surviving branch.
     resolved: dict[ConstraintKey, str] = field(default_factory=dict)
+    # The initial writer's rows (`record_initial`): per key some committed
+    # transaction writes and someone read the initial value of, that reader
+    # row; and every committed writer and reader of an initial value, in
+    # vertex order. None until recorded.
+    initial_readers: dict[str, tuple[TxnId, ...]] | None = None
+    initial_targets: tuple[TxnId, ...] | None = None
 
     def clone(self) -> "Polygraph":
         return Polygraph(
@@ -155,6 +170,8 @@ class Polygraph:
             rmw_keys=self.rmw_keys,
             runs=self.runs,
             resolved=dict(self.resolved),
+            initial_readers=self.initial_readers,
+            initial_targets=self.initial_targets,
         )
 
 
@@ -189,12 +206,15 @@ def create_known_graph(history: History, walk: OpsWalk | None = None) -> Polygra
                 graph.known_edges.append((prev, txn.id, SO, None))
             prev = txn.id
 
+    initial_keys: dict[str, None] = {}  # written keys read from the initial writer
+    targets: list[TxnId] = []  # the initial writer's, in vertex order
     for tid in committed:
-        reads = effective[tid][0]
+        reads, writes = effective[tid]
+        target = bool(writes)
         for key in sorted(reads):
             value = reads[key]
-            writer = walk.writer.get((key, value)) if value else INIT_TXN
             if value:
+                writer = walk.writer.get((key, value))
                 # Only a committed writer's final write on the key counts.
                 if writer not in effective or effective[writer][1][key] != value:
                     raise SicheckError(
@@ -202,13 +222,39 @@ def create_known_graph(history: History, walk: OpsWalk | None = None) -> Polygra
                         "run the completeness gate first"
                     )
                 graph.known_edges.append((writer, tid, WR, key))
-                if key in effective[tid][1]:
+                if key in writes:
                     graph.rmw_keys.add(key)
+            else:
+                writer, target = INIT_TXN, True
+                if key in writers_by_key:
+                    initial_keys[key] = None
             readers.setdefault((key, writer), []).append(tid)
             graph.read_from[(key, tid)] = writer
+        if target:
+            targets.append(tid)
 
     graph.readers = {k: tuple(v) for k, v in readers.items()}
+    return record_initial(graph, initial_keys, targets)
+
+
+def record_initial(graph: Polygraph, keys: Iterable[str], targets: Iterable[TxnId]) -> Polygraph:
+    """Record the initial writer's rows on a graph whose `readers` are
+    whole: the reader row of the initial value of each of `keys`, each a
+    key some committed transaction writes, and `targets`, every committed
+    writer and every reader of an initial value, in vertex order."""
+    readers = graph.readers
+    graph.initial_readers = {key: readers[(key, INIT_TXN)] for key in keys}
+    graph.initial_targets = tuple(targets)
     return graph
+
+
+def initial_records(graph: Polygraph) -> tuple[dict[str, tuple[TxnId, ...]], tuple[TxnId, ...]]:
+    """The initial writer's rows construct recorded (`record_initial`), for
+    a graph that has the initial writer as a vertex; raises if it has none."""
+    if graph.initial_readers is None or graph.initial_targets is None:
+        raise SicheckError("the polygraph has no record of the initial writer's rows; "
+                           "build it with create_known_graph or record_initial")
+    return graph.initial_readers, graph.initial_targets
 
 
 def resolved_edges(graph: Polygraph) -> list[Edge]:

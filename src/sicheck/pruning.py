@@ -23,23 +23,28 @@ A/K row update per source (`KnownIndex.add_branches`), to take effect in
 the next iteration. That re-tests only constraints whose reachability or
 predecessor rows changed, and the final index is handed on to the solver.
 
-The closure is computed whole (`graphs.reach_masks`) once, before the first
-iteration. An update then walks K's chains, the runs of vertices i, i+1, …
-that K links one to the next (`graphs.extend_reach`); a session's committed
-transactions are consecutive vertices linked by session order, so there are
-about as many chains as sessions. The closure is rebuilt instead only when
-the batch's source rows times the chains exceed twice the vertices.
+The closure is computed whole (`graphs.reach_masks`) once, before the
+first iteration, and only when some writer pair is open: with none, as
+when construct orders every pair in RMW runs, no branch test reads it,
+and the final index keeps `reach` None. An update then walks K's chains,
+the runs of vertices i, i+1, … that K links one to the next
+(`graphs.extend_reach`); a session's committed transactions are
+consecutive vertices linked by session order, so there are about as many
+chains as sessions. The closure is rebuilt instead only when the batch's
+source rows times the chains exceed twice the vertices.
 
 The virtual initial writer has no incoming edge, so it lies on no cycle and
 no `reach` row holds its bit. Its edges are derived, never listed (see
 `polygraph`): the index gives its A and K rows the one row they would
 build, every committed writer plus every reader of an initial value, and
-it is no vertex's A-predecessor and on no witness. The edges of the
-writer pairs construct orders are not listed either: the index derives
-their B rows from the initial readers and the RMW runs, next to those of
-the listed RW edges, then their A and K rows against those, in O(L) row
-updates for a run of L writers, and then the listed A edges' rows
-(`KnownIndex.__init__`).
+it is no vertex's A-predecessor and on no witness. That row, and the
+readers of each written key's initial value, are the ones construct
+recorded (`polygraph.initial_records`); the index scans no reader row for
+them. The edges of the writer pairs construct orders are not listed
+either: the index derives their B rows from the initial readers and the
+RMW runs, next to those of the listed RW edges, then their A and K rows
+against those, in O(L) row updates for a run of L writers, and then the
+listed A edges' rows (`KnownIndex.__init__`).
 
 If both branches of some constraint are impossible the history is violating
 and the outcome carries a witness cycle for each dead branch, split into
@@ -60,7 +65,7 @@ from .explain import EdgeUniverse
 from .graphs import bfs_path, chain_starts, extend_reach, iter_bits, reach_masks
 from .histories import INIT_TXN, TxnId
 from .polygraph import (
-    EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends,
+    EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends, initial_records,
 )
 from .witness import Origin, WitnessCycle, path_deps
 
@@ -83,18 +88,19 @@ class KnownIndex:
     """Pair-level bitmask view of a polygraph's known edges.
 
     Built once from `graph.known_edges` and construct's forced branches (the
-    initial writer's against each writer and those inside each RMW run, see
-    `polygraph`), B rows first, then A, A-predecessor and K rows against
-    them, and then the branches of `graph.resolved`; only `add_branches`
-    folds them, or later branch records, in place. After every fold the
-    index equals a fresh build over the graph's known edges, forced and
-    resolved branches, field by field. It holds rows, not edges: the
-    explainer's `EdgeUniverse` labels a pair the rows hold.
-    The closure `reach` is None until `with_reach` computes it; from then on
-    a fold keeps it, and the chain starts `starts` with it, by walking the
-    chains for a small batch and by a rebuild for a large one. `readers`
-    holds the reader rows `reader_row` was asked for, of writers that have
-    readers.
+    initial writer's against each writer, from the rows construct recorded
+    for it, and those inside each RMW run, see `polygraph`), B rows first,
+    then A, A-predecessor and K rows against them, and then the branches of
+    `graph.resolved`; only `add_branches` folds them, or later branch
+    records, in place. After every fold the index equals a fresh build over
+    the graph's known edges, forced and resolved branches, field by field.
+    It holds rows, not edges: the explainer's `EdgeUniverse` labels a pair
+    the rows hold.
+    The closure `reach` is None until `with_reach` computes it, which prune
+    does only while some writer pair is open; from then on a fold keeps it,
+    and the chain starts `starts` with it, by walking the chains for a
+    small batch and by a rebuild for a large one. `readers` holds the
+    reader rows `reader_row` was asked for, of writers that have readers.
     """
 
     def __init__(self, graph: Polygraph):
@@ -114,16 +120,13 @@ class KnownIndex:
         # an initial value is overwritten by every other writer of the key.
         init = vindex.get(INIT_TXN)
         if init is not None:
-            targets = set().union(*writers.values())
-            for (key, writer), row in readers.items():
-                if writer == INIT_TXN:
-                    targets.update(row)
-                    if key in writers:
-                        overwriting = [vindex[w] for w in writers[key]]
-                        mask = _row(overwriting)
-                        for i in map(vindex.__getitem__, row):
-                            b_adj[i] |= mask ^ (1 << i) if i in overwriting else mask
-            a_adj[init] = k_adj[init] = _row(vindex[v] for v in targets)
+            initial, targets = initial_records(graph)
+            for key, row in initial.items():
+                overwriting = [vindex[w] for w in writers[key]]
+                mask = _row(overwriting)
+                for i in map(vindex.__getitem__, row):
+                    b_adj[i] |= mask ^ (1 << i) if i in overwriting else mask
+            a_adj[init] = k_adj[init] = _row(map(vindex.__getitem__, targets))
         # A run member's readers are overwritten by each later member.
         runs = [(key, run, [vindex[w] for w in run])
                 for key, keyed in graph.runs.items() for run in keyed]
@@ -452,7 +455,9 @@ def prune_constraints(
     """Iterate branch elimination to a fixpoint; mutates the given polygraph."""
     outcome = PruneOutcome(graph=graph)
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    index = KnownIndex(graph).with_reach()
+    index = KnownIndex(graph)
+    if graph.constraints:  # with no open pair, no branch test reads the closure
+        index.with_reach()
     changed: set[int] | None = None  # None: test every constraint
 
     while max_iterations is None or outcome.iterations < max_iterations:

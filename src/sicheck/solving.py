@@ -34,7 +34,8 @@ from .errors import BudgetExceededError
 from .graphs import find_cycle, iter_bits, tarjan_scc
 from .histories import INIT_TXN, TxnId
 from .polygraph import (
-    EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends, owning_branch,
+    EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends, initial_records,
+    owning_branch,
 )
 from .explain import EdgeUniverse
 from .pruning import KnownIndex
@@ -402,8 +403,9 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
     constraint, and order the vertices so that every edge of the induced
     graph it re-derives runs forward: the listed edges; the initial
     writer's derived ones, checked once per target (every committed writer
-    and every reader of an initial value); those of construct's forced
-    pairs, read off the reader rows and the RMW runs: each reader of an
+    and every reader of an initial value, as construct recorded them); those
+    of construct's forced pairs, read off the recorded initial readers of
+    each written key, the reader rows and the RMW runs: each reader of an
     initial value is overwritten by every other writer of the key, and each
     run member, and each reader of one, by the members after it; and the
     edges of every resolved and every assigned branch s -> d, s -WW-> d and
@@ -443,11 +445,9 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
                     if r != d and at < lowest[r]:
                         lowest[r] = at
         # The initial writer's targets; its readers precede every other writer.
-        initial = [(key, row) for (key, writer), row in readers.items() if writer == INIT_TXN]
-        targets = set().union(*graph.writers.values(), *(row for _, row in initial))
-        for writers, row in [(graph.writers[key], row) for key, row in initial
-                             if key in graph.writers]:
-            for w in writers:
+        initial, targets = initial_records(graph) if INIT_TXN in position else ({}, ())
+        for key, row in initial.items():
+            for w in graph.writers[key]:
                 at = position[w]
                 for r in row:
                     if r != w and at < lowest[r]:

@@ -78,16 +78,36 @@ def injected_histories():
             yield inject(generate(params), kind, seed)
 
 
-def workload_seed_1_histories(*names: str) -> dict[str, History]:
-    """The first history of run seed 1 of each benchmark workload
-    (`perfbench/workloads.py`) named, of every one when none is, by name."""
+def _workloads() -> dict:
+    """The benchmark workloads (`perfbench/workloads.py`), by name."""
     root = str(Path(__file__).resolve().parents[1])
     if root not in sys.path:
         sys.path.append(root)
     from perfbench.workloads import WORKLOADS
 
-    return {name: parse_history(workload.case(1).data) for name, workload in WORKLOADS.items()
-            if name in names or not names}
+    return WORKLOADS
+
+
+def workload_history(name: str, seed: int) -> History:
+    """The history of the named benchmark workload generated from `seed`."""
+    return parse_history(_workloads()[name].case(seed).data)
+
+
+def workload_seed_1_histories(*names: str) -> dict[str, History]:
+    """The first history of run seed 1 of each benchmark workload
+    (`perfbench/workloads.py`) named, of every one when none is, by name."""
+    return {name: workload_history(name, 1) for name in _workloads() if name in names or not names}
+
+
+def rmw_run_history(length: int) -> History:
+    """One key x and one RMW run of `length` writers, writer i reading the
+    value of writer i - 1; each writer's value also has a reader that writes
+    nothing. Every transaction is alone in its session."""
+    txns = [((0, 0), (Operation("w", "x", 1),))]
+    for i in range(1, length):
+        txns.append(((i, 0), (Operation("r", "x", i), Operation("w", "x", i + 1))))
+    txns += [((length + i, 0), (Operation("r", "x", i + 1),)) for i in range(length)]
+    return History.build([(tid[0], [Transaction(tid, COMMITTED, ops)]) for tid, ops in txns])
 
 
 # Transaction ids of the long-fork fixture, paper-style names.
@@ -132,3 +152,13 @@ def index_labels(index) -> dict:
                     dep = universe.known_dep(vertices[i], vertices[j], rw)
                     labels[i, j, rw] = dep and dep[0]
     return labels
+
+
+def with_closure(index):
+    """A final index of prune with its closure, for comparison with a fresh
+    `with_reach()` index: prune computes the closure only while some writer
+    pair is open, so an index of a graph with none gets it here."""
+    if index.reach is None:
+        assert not index.graph.constraints
+        index.with_reach()
+    return index

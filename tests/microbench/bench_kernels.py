@@ -4,7 +4,8 @@ Times `parse_history` and `completeness_gate` on the first `uniform-10k`
 history of run seed 1, where the two are a large share of a check (the
 gate walks the ops, as it does when called alone), and `encode` plus
 `export_encoding` of its pruned polygraph; `prune_constraints` on the
-first `zipf-anomaly` history, where prune resolves most writer pairs; the
+first `zipf-anomaly` history, where prune resolves most writer pairs, and
+on the first `rmw-chains` history, where construct leaves it none; the
 solver's conflict analysis (`Solver._cycle_deps`) of every conflict of
 the search on the first `hotspot-write` history; the labels of the cycle
 the search reports on the first `zipf-anomaly` history (`Solver._witness`,
@@ -24,7 +25,9 @@ and the explainer's `EdgeUniverse` build and `find_cluster` on the same
 histories (these two only where the check finds a violation). One probe
 measures memory, not time: the tracemalloc peak of `build_polygraph` plus
 `prune_constraints` on the first `uniform-10k` history, reported in
-`extra_info` and printed (run with `-s` to see it).
+`extra_info` and printed (run with `-s` to see it). A scale probe times
+construct plus prune, and takes their tracemalloc peak, on the
+`uniform-10k` shape at 1x, 2x and 4x its transactions per session.
 The file name keeps it out of the default test run; run it from the
 repository root with
 
@@ -39,6 +42,7 @@ import copy
 import io
 import timeit
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -49,11 +53,14 @@ from sicheck.explain import (
 )
 from sicheck.gcpause import collector_paused
 from sicheck.graphs import reach_masks, tarjan_scc, transpose
-from sicheck.histories import COMMITTED, History, Operation, Transaction, completeness_gate, parse_history
+from sicheck.histories import completeness_gate, parse_history
 from sicheck.pipeline import check_si
 from sicheck.polygraph import build_polygraph
 from sicheck.pruning import KnownIndex, _resolve_pass, prune_constraints
 from sicheck.solving import Solver
+from sicheck.workload import generate
+
+from conftest import rmw_run_history
 
 SEED = 1
 
@@ -104,23 +111,57 @@ def test_construct_and_prune_peak_memory(benchmark, front_end):
     print(f"construct + prune tracemalloc peak: {peak_mb} MB")
 
 
-def _rmw_run_history(length: int) -> History:
-    """One key x and one RMW run of `length` writers, writer i reading the
-    value of writer i - 1; each writer's value also has a reader that writes
-    nothing. Every transaction is alone in its session."""
-    txns = [((0, 0), (Operation("w", "x", 1),))]
-    for i in range(1, length):
-        txns.append(((i, 0), (Operation("r", "x", i), Operation("w", "x", i + 1))))
-    txns += [((length + i, 0), (Operation("r", "x", i + 1),)) for i in range(length)]
-    return History.build([(tid[0], [Transaction(tid, COMMITTED, ops)]) for tid, ops in txns])
+# Multiples of the `uniform-10k` shape's transactions per session (510) the scale probe checks.
+SCALES = (1, 2, 4)
+
+
+def test_construct_and_prune_scale(benchmark):
+    """Construct plus prune on the `uniform-10k` shape at 1x, 2x and 4x its
+    transactions per session (510, 1,020 and 2,040), history seed 1, the
+    collector paused: per size, the wall time (min of 3) and the
+    tracemalloc peak of one more run, in `extra_info` and printed, with
+    their ratios per doubling. The benchmark times the 1x size."""
+    shape = WORKLOADS["uniform-10k"].params
+    histories = {scale: generate(replace(shape, seed=SEED,
+                                         txns_per_session=scale * shape.txns_per_session))
+                 for scale in SCALES}
+
+    @collector_paused
+    def check(scale):
+        prune_constraints(build_polygraph(histories[scale]))
+
+    @collector_paused
+    def peak(scale):
+        tracemalloc.start()
+        try:
+            prune_constraints(build_polygraph(histories[scale]))
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    seconds = {scale: min(timeit.repeat(lambda: check(scale), number=1, repeat=3))
+               for scale in SCALES}
+    peaks = {scale: peak(scale) for scale in SCALES}
+    for scale in SCALES:
+        committed = sum(1 for _ in histories[scale].committed())
+        benchmark.extra_info[f"x{scale}"] = {
+            "committed": committed, "ms": round(seconds[scale] * 1000, 1),
+            "peak_mb": round(peaks[scale], 1)}
+        print(f"uniform-10k x{scale} ({committed} committed): construct + prune "
+              f"{seconds[scale] * 1000:.1f} ms, tracemalloc peak {peaks[scale]:.1f} MB")
+    for low, high in zip(SCALES, SCALES[1:]):
+        benchmark.extra_info[f"x{low}->x{high}"] = {
+            "time": round(seconds[high] / seconds[low], 2),
+            "peak": round(peaks[high] / peaks[low], 2)}
+    benchmark.pedantic(check, args=(1,), rounds=3)
 
 
 def test_rmw_run_scale(benchmark):
     """Construct plus the `KnownIndex` build on one RMW run of 100, 200 and
-    400 writers (`_rmw_run_history`), min of 5 each; prints the time per
+    400 writers (`rmw_run_history`), min of 5 each; prints the time per
     length and its ratio per doubling, which stays near 2 when both are
     linear in the run's length. The benchmark times the 400-writer run."""
-    runs = {length: _rmw_run_history(length) for length in (100, 200, 400)}
+    runs = {length: rmw_run_history(length) for length in (100, 200, 400)}
 
     def check(length):
         return KnownIndex(build_polygraph(runs[length]))
@@ -144,6 +185,16 @@ def test_prune_zipf_anomaly(benchmark):
     history = parse_history(WORKLOADS["zipf-anomaly"].case(SEED).data)
     benchmark.pedantic(collector_paused(prune_constraints),
                        setup=lambda: ((build_polygraph(history),), {}), rounds=7)
+
+
+def test_prune_rmw_chains(benchmark):
+    """Prune on the first `rmw-chains` history, from a fresh polygraph each
+    round, the collector paused: construct orders every writer pair in RMW
+    runs, so prune builds the index and passes over no open pair, and
+    computes no closure."""
+    history = parse_history(WORKLOADS["rmw-chains"].case(SEED).data)
+    benchmark.pedantic(collector_paused(prune_constraints),
+                       setup=lambda: ((build_polygraph(history),), {}), rounds=20)
 
 
 def test_export_encoding(benchmark, front_end):

@@ -11,6 +11,10 @@ rule written apart from `polygraph.rmw_runs` (`rmw_run_pairs`);
 `rmw_runs=False` leaves them to constraints, the construction without runs
 that `test_polygraph.py`'s differential test compares with.
 
+Construction here records the initial writer's rows (`record_initial`)
+from scans of its finished reader rows and effective writes, not in its
+loops.
+
 Construction here still lists the initial writer's edges among the known
 edges, as it did before they were derived, and the edges of the writer
 pairs it orders, as it did before construction recorded its RMW runs;
@@ -44,7 +48,9 @@ from sicheck.histories import (
     TxnId,
     txn_label,
 )
-from sicheck.polygraph import EITHER, OR, RW, SO, WR, WW, Constraint, Edge, Polygraph
+from sicheck.polygraph import (
+    EITHER, OR, RW, SO, WR, WW, Constraint, Edge, Polygraph, record_initial,
+)
 
 _TXN_FIELDS = frozenset({"index", "status", "ops"})
 _OP_FIELDS = frozenset({"t", "k", "v"})
@@ -308,7 +314,10 @@ def create_known_graph(history: History) -> Polygraph:
             graph.read_from[(key, tid)] = writer
 
     graph.readers = {k: tuple(v) for k, v in readers.items()}
-    return graph
+    # The initial writer's rows, found by scanning what the loops built.
+    initial_keys = [key for key in graph.writers if (key, INIT_TXN) in graph.readers]
+    targets = [tid for tid in committed if effective[tid][1] or 0 in effective[tid][0].values()]
+    return record_initial(graph, initial_keys, targets)
 
 
 def rmw_run_pairs(graph: Polygraph, key: str) -> dict[tuple[TxnId, TxnId], TxnId]:

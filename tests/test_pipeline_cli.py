@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sicheck import encoding
+from sicheck import cli, encoding
 from sicheck.cli import main
 from sicheck.encoding import encode, export_encoding
 from sicheck.histories import parse_history, serialize_history
@@ -262,6 +262,35 @@ class TestCli:
         assert main([*argv, str(target)]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [f"sicheck: error: {target}: No such file or directory"]
+
+    def test_unwritable_encoding_path_is_found_before_the_check(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def no_check(*args, **kwargs):
+            raise AssertionError("check_si ran for an encoding path that cannot be written")
+
+        monkeypatch.setattr(cli, "check_si", no_check)
+        target = tmp_path / "missing" / "out"
+        for json_args in ([], ["--json"]):
+            args = ["check", str(DATA / "long_fork.json"), "--emit-encoding", str(target)]
+            assert main([*args, *json_args]) == 2
+            out, err = capsys.readouterr()
+            message = f"{target}: No such file or directory"
+            if json_args:
+                assert json.loads(out)["error"] == message and err == ""
+            else:
+                assert out == "" and err.splitlines() == [f"sicheck: error: {message}"]
+        assert not target.parent.exists()
+
+    def test_budget_overrun_leaves_no_encoding_file(self, tmp_path, capsys):
+        slow, target = tmp_path / "w.json", tmp_path / "encoding.txt"
+        main(["generate", "--sessions", "10", "--txns", "40", "--ops", "8",
+              "--keys", "12", "--dist", "zipfian", "--profile", "write-heavy",
+              "--seed", "2", "-o", str(slow)])
+        capsys.readouterr()
+        args = ["check", str(slow), "--budget-ms", "0", "--emit-encoding", str(target)]
+        assert main(args) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [slow]
 
     def test_generate_and_check_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "w.json"

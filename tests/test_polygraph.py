@@ -1,9 +1,11 @@
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import reference_frontend as ref
+from sicheck.errors import SicheckError
 from sicheck.histories import COMMITTED, INIT_TXN, History, Operation, Transaction, parse_history
 from sicheck.polygraph import (
     EITHER,
@@ -19,19 +21,23 @@ from sicheck.polygraph import (
     forced_edges,
     generate_constraints,
     owning_branch,
+    record_initial,
     rmw_runs,
 )
 from sicheck.encoding import creation_order
 from sicheck.explain import EdgeUniverse
 from harness import HistoryBounds, random_small_history
 from sicheck.pipeline import check_si
-from sicheck.pruning import prune_constraints
+from sicheck.pruning import KnownIndex, prune_constraints
 from sicheck.solving import solve, verify_witness
 from sicheck.histories import completeness_gate, effective_reads_writes
 from sicheck.witness import KNOWN_ORIGIN
 from sicheck.workload import WorkloadParams, generate
 
-from conftest import T0, T1, T2, T3, T4, T5, committed, index_labels, mk_history
+from conftest import (
+    T0, T1, T2, T3, T4, T5, committed, index_labels, injected_histories, mk_history,
+    with_closure,
+)
 
 
 def initial_edges(graph):
@@ -479,8 +485,8 @@ class TestRmwRunDifferential:
             if status == "sat":
                 # A clean history reaches prune's fixpoint of the reference.
                 pruned, plain_pruned = graph.clone(), plain.clone()
-                index = prune_constraints(pruned).index
-                plain_index = prune_constraints(plain_pruned).index
+                index = with_closure(prune_constraints(pruned).index)
+                plain_index = with_closure(prune_constraints(plain_pruned).index)
                 for name in self.INDEX_FIELDS:
                     assert getattr(index, name) == getattr(plain_index, name), (seed, name)
                 # Construct lists a run pair's edges that prune resolves in the
@@ -493,3 +499,56 @@ class TestRmwRunDifferential:
         assert counts["pairs"] > 1000
         assert min(counts[status, runs] for status in ("sat", "unsat")
                    for runs in (False, True)) > 200, counts
+
+
+def scanned_initial_rows(graph) -> tuple:
+    """The initial writer's rows found by a scan of every reader row and a
+    union of every writer tuple, as the index and the witness check once
+    found them: the reader row of the initial value of each written key,
+    and every committed writer and reader of an initial value, in vertex
+    order."""
+    initial = {key: row for (key, writer), row in graph.readers.items()
+               if writer == INIT_TXN and key in graph.writers}
+    targets = set().union(*graph.writers.values(), *(
+        row for (_, writer), row in graph.readers.items() if writer == INIT_TXN))
+    return initial, tuple(v for v in graph.vertices if v in targets)
+
+
+class TestInitialRecords:
+    """Construct records the initial writer's rows in its loops; they equal
+    the scans of the finished reader rows and writers."""
+
+    def test_records_equal_the_scans(self):
+        counts = Counter()
+        histories = [random_small_history(seed) for seed in range(3000)]
+        for history in histories + list(injected_histories()):
+            if not completeness_gate(history).ok():
+                continue
+            graph = build_polygraph(history)
+            initial, targets = scanned_initial_rows(graph)
+            assert graph.initial_readers == initial and graph.initial_targets == targets
+            copy = graph.clone()
+            assert (copy.initial_readers, copy.initial_targets) == (initial, targets)
+            prune_constraints(graph)
+            assert (graph.initial_readers, graph.initial_targets) == (initial, targets)
+            counts["read"] += bool(initial)
+            counts["unread"] += len(targets) < len(graph.vertices) - 1
+        assert min(counts.values()) > 300, counts
+
+    def test_a_graph_without_records_is_refused(self):
+        """Dropped records raise rather than read as an empty row; recorded
+        again through `record_initial`, the graph is as construct built it."""
+        history = mk_history([[committed([("r", "x", 0), ("w", "y", 1)])],
+                              [committed([("r", "y", 1), ("w", "x", 2)])]])
+        graph = build_polygraph(history)
+        sat = solve(graph)
+        assert sat.status == "sat" and verify_witness(sat, graph)
+        for missing in ({"initial_readers": None}, {"initial_targets": None}):
+            bare = dataclasses.replace(graph, **missing)
+            with pytest.raises(SicheckError, match="initial writer's rows"):
+                KnownIndex(bare)
+            with pytest.raises(SicheckError, match="initial writer's rows"):
+                verify_witness(sat, bare)
+        bare = dataclasses.replace(graph, initial_readers=None, initial_targets=None)
+        initial, targets = scanned_initial_rows(bare)
+        assert record_initial(bare, initial, targets) == graph

@@ -33,7 +33,8 @@ from sicheck.workload import DISTRIBUTIONS, PROFILES, WorkloadParams, generate, 
 
 from conftest import (
     T0, T1, T2, T3, T4, T5, committed, immediate_violation_history, index_labels,
-    injected_histories, mk_history, workload_seed_1_histories,
+    injected_histories, mk_history, rmw_run_history, with_closure, workload_history,
+    workload_seed_1_histories,
 )
 from reference_closures import bfs_reach, floyd_warshall_reach, resolve_pass_per_pair
 import reference_frontend as ref
@@ -506,7 +507,8 @@ def _prune_audited(history, audit) -> None:
     assert graph.known_edges == listed  # prune lists nothing
     assert not any(edge[0] == INIT_TXN for edge in graph.known_edges)
     if outcome.verdict == "ok":
-        assert (_index_fields(outcome.index) == _index_fields(KnownIndex(graph).with_reach())
+        assert (_index_fields(with_closure(outcome.index))
+                == _index_fields(KnownIndex(graph).with_reach())
                 == _reference_fields(graph, audit["unlisted"]))
 
 
@@ -561,7 +563,8 @@ class TestInitialWriterRow:
             assert INIT_TXN == graph.vertices[0]
             index = KnownIndex(graph).with_reach()
             outcome = prune_constraints(graph)
-            for reach in (index.reach, outcome.index.reach if outcome.index else []):
+            # Prune computes no closure when no writer pair is open.
+            for reach in (index.reach, (outcome.index and outcome.index.reach) or []):
                 assert not any(row & 1 for row in reach)
 
     def test_row_is_the_writer_and_initial_reader_mask(self):
@@ -599,6 +602,49 @@ class TestInitialWriterRow:
         folded = [outcomes(history, graph) for history, graph in cases]
         assert folded == expected
         assert sum(1 for e in expected if e[2]) > 10
+
+
+class TestNoClosureWithoutAnOpenPair:
+    """Prune computes K's closure only for its branch tests: with no open
+    writer pair, as when construct orders every pair in RMW runs, its index
+    keeps `reach` None, and prune's counts and rows are those of a prune
+    whose index computed the closure."""
+
+    def test_every_pair_ordered_at_construct(self, monkeypatch):
+        build = KnownIndex.__init__
+
+        def closed_build(self, graph):
+            build(self, graph)
+            self.with_reach()
+
+        histories = [workload_history("rmw-chains", seed) for seed in (1, 2, 3)]
+        for history in [*histories, rmw_run_history(12)]:
+            graph = build_polygraph(history)
+            assert not graph.constraints and graph.runs
+            closed = graph.clone()
+            outcome = prune_constraints(graph)
+            index = outcome.index
+            assert index.reach is None and index.starts == []
+            with monkeypatch.context() as patched:
+                patched.setattr(KnownIndex, "__init__", closed_build)
+                reference = prune_constraints(closed)
+            assert reference.index.reach is not None
+            assert ((outcome.iterations, outcome.resolved_per_iteration, outcome.resolved_count)
+                    == (reference.iterations, reference.resolved_per_iteration,
+                        reference.resolved_count) == (1, [0], 0))
+            assert graph.resolved == closed.resolved == {}
+            assert _rows(index) == _rows(reference.index)
+            assert index_labels(index) == index_labels(reference.index)
+
+    def test_closure_exactly_with_an_open_pair(self):
+        counts = Counter()
+        for _, graph in _gated_graphs(600):
+            open_pairs = bool(graph.constraints)
+            outcome = prune_constraints(graph)
+            if outcome.index is not None:
+                assert (outcome.index.reach is not None) == open_pairs
+                counts[open_pairs] += 1
+        assert min(counts[True], counts[False]) > 50, counts
 
 
 class TestIncrementalIndex:
@@ -691,7 +737,7 @@ class TestResolvedBranches:
         the reference construction lists but the first; the initial writer,
         whose edges all leave it, labels no pair. Counts the pairs whose
         label is not the lowest over the listed and forced edges alone."""
-        fold, close = KnownIndex.add_branches, KnownIndex.with_reach
+        fold, build = KnownIndex.add_branches, KnownIndex.__init__
         audit = Counter()
         unlisted, before = [], {}
 
@@ -709,13 +755,12 @@ class TestResolvedBranches:
             check(self)
             return changed
 
-        def checked_close(self):
-            close(self)
+        def checked_build(self, graph):
+            build(self, graph)
             check(self)
-            return self
 
         monkeypatch.setattr(KnownIndex, "add_branches", checked_fold)
-        monkeypatch.setattr(KnownIndex, "with_reach", checked_close)
+        monkeypatch.setattr(KnownIndex, "__init__", checked_build)
         for history in [random_small_history(seed) for seed in range(3000)] + list(
                 injected_histories()):
             if completeness_gate(history).ok():
@@ -732,10 +777,10 @@ class TestResolvedBranches:
             outcome = prune_constraints(graph)
             if outcome.index is None:
                 continue
-            fresh = KnownIndex(graph).with_reach()
+            fresh, final = KnownIndex(graph).with_reach(), with_closure(outcome.index)
             for name in names:
-                assert getattr(fresh, name) == getattr(outcome.index, name), name
-            assert index_labels(fresh) == index_labels(outcome.index)
+                assert getattr(fresh, name) == getattr(final, name), name
+            assert index_labels(fresh) == index_labels(final)
             compared += bool(graph.resolved)
         assert compared > 800, compared
 
