@@ -29,7 +29,8 @@ from typing import IO
 from .graphs import iter_bits, transpose
 from .histories import INIT_TXN
 from .polygraph import (
-    EITHER, OR, SO, WR, WW, Constraint, Edge, Polygraph, branch_ends, forced_edges, resolved_edges,
+    EITHER, OR, SO, WR, WW, ConstraintKey, Edge, Polygraph, branch_ends, forced_edges,
+    resolved_edges,
 )
 from .pruning import KnownIndex
 
@@ -57,8 +58,8 @@ class Encoding:
         return bool((a_row >> j) & 1), list(iter_bits(a_row & self.b_pred[j]))
 
 
-def _branch_pairs(index: KnownIndex, cons: Constraint, branch: str) -> list[Pair]:
-    s, d, readers = index.branch(cons, branch)
+def _branch_pairs(index: KnownIndex, cid: ConstraintKey, branch: str) -> list[Pair]:
+    s, d, readers = index.branch(cid, branch)
     return [(s, d), *((r, d) for r in readers if r != d)]
 
 
@@ -89,15 +90,14 @@ def creation_order(graph: Polygraph) -> list[Edge]:
 
 def encode(graph: Polygraph) -> Encoding:
     """Build the Boolean views of a (typically pruned) polygraph."""
-    constraints = [graph.constraints[cid] for cid in sorted(graph.constraints)]
+    constraints = sorted(graph.constraints)
     index = KnownIndex(graph)
-    index.fold_branches(branch_ends(cons.id, branch)
-                        for cons in constraints for branch in (EITHER, OR))
+    index.fold_branches(branch_ends(cid, branch) for cid in constraints for branch in (EITHER, OR))
     return Encoding(
         index=index,
         known_edges=creation_order(graph),
-        clauses=[(_branch_pairs(index, cons, EITHER), _branch_pairs(index, cons, OR))
-                 for cons in constraints],
+        clauses=[(_branch_pairs(index, cid, EITHER), _branch_pairs(index, cid, OR))
+                 for cid in constraints],
         pair_count=sum((a | b).bit_count() for a, b in zip(index.a_adj, index.b_adj)),
         induced_count=sum(row.bit_count() for row in index.k_adj),
     )

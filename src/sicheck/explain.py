@@ -34,7 +34,8 @@ from functools import cached_property
 from .errors import BudgetExceededError, MissingSupportError
 from .histories import INIT_TXN, TxnId, txn_label
 from .polygraph import (
-    EITHER, OR, RW, SO, WR, WW, ConstraintKey, Edge, Polygraph, forced_edges, owning_branch,
+    EITHER, OR, RW, SO, WR, WW, ConstraintKey, Edge, Polygraph, branch_edges, branch_ends,
+    forced_edges, owning_branch,
 )
 from .witness import KNOWN_ORIGIN, Origin, WitnessCycle, has_adjacent_rw, known_origin
 
@@ -285,7 +286,7 @@ def find_cluster(
             best, best_count = list(cycles), len(deps)
             return
         cid, missing = gap
-        for dep in graph.constraints[cid].edges(graph, missing):
+        for dep in branch_edges(graph, *branch_ends(cid, missing)):
             through, dep_capped = undesired_cycles(
                 universe.successors, dep, max_len, max_cycles_per_dep
             )
@@ -412,16 +413,24 @@ def classify(cycle: WitnessCycle, participant_edges: set[Edge], graph: Polygraph
 
 
 def interpret(
-    history,  # History; unused today, kept for symmetry with the pipeline
+    history,  # History; unused, kept for the benchmark's traced run, as Solver's _encoding is
     graph: Polygraph,
     cycle: WitnessCycle,
     budget_ms: int | None = None,
 ) -> Counterexample:
     """Build the four-stage counterexample for a violation cycle.
 
-    `graph` must be the original (unpruned) polygraph; origins recorded by
-    the solver against the pruned graph are re-derived here.
+    `graph` may be the polygraph at any stage: the writer pairs prune
+    resolved are reopened, so the explanation is over the unpruned graph
+    (prune lists no edge, so that is the graph construct built), and
+    origins recorded by the pruner or the solver are re-derived here.
     """
+    if graph.resolved:
+        # Built from the resolved pairs, most of them, and so sized once;
+        # a merge into a copy of the open pairs grows the table as it goes.
+        reopened = dict.fromkeys(graph.resolved)
+        reopened.update(graph.constraints)
+        graph = replace(graph, constraints=reopened, resolved={})
     universe = EdgeUniverse(graph)
     max_len = max(DEFAULT_MAX_CYCLE_LEN, min(len(graph.vertices), 16))
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0

@@ -1,7 +1,10 @@
 """End-to-end check: gate, construct, prune, solve, explain.
 
-The Boolean encoding is built only when it is to be written out; the
-solver searches the polygraph and the known-graph index directly.
+A check holds one polygraph: prune resolves writer pairs in it in place,
+the solver and the witness check read it as prune left it, and the
+explainer reopens the resolved pairs itself. The Boolean encoding is built
+only when it is to be written out; the solver searches the polygraph and
+the known-graph index directly.
 """
 
 from __future__ import annotations
@@ -112,22 +115,20 @@ def check_si(
     verdict.timings_ms["gate"] = (time.monotonic() - t0) * 1000
 
     t0 = time.monotonic()
-    original = build_polygraph(history, walk)
+    graph = build_polygraph(history, walk)
     del walk  # not held through prune and solve
-    verdict.stats_before = constraint_count(original)
+    verdict.stats_before = constraint_count(graph)
     verdict.timings_ms["construct"] = (time.monotonic() - t0) * 1000
 
     t0 = time.monotonic()
     cycle: WitnessCycle | None = None
     index: KnownIndex | None = None
     if no_prune:
-        working = original
         verdict.stats_after = verdict.stats_before
         verdict.timings_ms["prune"] = 0.0
     else:
-        working = original.clone()
-        outcome: PruneOutcome = prune_constraints(working, budget_ms=remaining_ms())
-        verdict.stats_after = constraint_count(working)
+        outcome: PruneOutcome = prune_constraints(graph, budget_ms=remaining_ms())
+        verdict.stats_after = constraint_count(graph)
         verdict.timings_ms["prune"] = (time.monotonic() - t0) * 1000
         if outcome.verdict == "immediate-violation":
             assert outcome.violation is not None
@@ -143,7 +144,7 @@ def check_si(
         from .encoding import encode, export_encoding
 
         t0 = time.monotonic()
-        enc = encode(working)
+        enc = encode(graph)
         verdict.timings_ms["encode"] = (time.monotonic() - t0) * 1000
         with open(emit_encoding_path, "wb") as sink:
             export_encoding(enc, sink)
@@ -151,7 +152,7 @@ def check_si(
 
     if cycle is None:
         t0 = time.monotonic()
-        result: SolveResult = solve(working, budget_ms=remaining_ms(), index=index)
+        result: SolveResult = solve(graph, budget_ms=remaining_ms(), index=index)
         # Verification and the explainer build their own views of the graph;
         # do not hold the index while they do.
         index = None
@@ -159,7 +160,7 @@ def check_si(
         verdict.conflicts = result.conflicts
         verdict.timings_ms["solve"] = (time.monotonic() - t0) * 1000
         t0 = time.monotonic()
-        if not verify_witness(result, working):
+        if not verify_witness(result, graph):
             raise SicheckError("solver produced a witness that fails verification")
         verdict.timings_ms["verify"] = (time.monotonic() - t0) * 1000
         if result.status == "sat":
@@ -171,7 +172,7 @@ def check_si(
     verdict.cycle = cycle
     if explain and cycle is not None:
         t0 = time.monotonic()
-        ce = interpret(history, original, cycle, budget_ms=remaining_ms())
+        ce = interpret(history, graph, cycle, budget_ms=remaining_ms())
         verdict.counterexample = ce
         verdict.classification = ce.classification
         verdict.timings_ms["interpret"] = (time.monotonic() - t0) * 1000

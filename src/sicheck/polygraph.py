@@ -5,7 +5,9 @@ committed transactions. Every unordered pair of writers of a key contributes
 one constraint with two branches: the "either" branch orders the pair one
 way and carries the read-overwrite edges that ordering forces, the "or"
 branch is symmetric. Exactly one branch of each constraint must hold in any
-explanation of the history.
+explanation of the history. A constraint is held as its id alone, the key
+and the two writers; its branches' edges follow from the reader rows
+(`branch_edges`).
 
 The virtual initial writer writes every key and precedes every real writer.
 Its own edges, init -WR-> each reader of an initial value and init -WW->
@@ -46,10 +48,8 @@ completeness gate reads too.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import partial
-from itertools import combinations
+from itertools import combinations, repeat
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import SicheckError
 from .histories import INIT_TXN, History, OpsWalk, TxnId, txn_label, walk_ops
@@ -65,35 +65,9 @@ OR = "or"
 # (src, dst, label, key); key is None for SO edges.
 Edge = tuple[TxnId, TxnId, str, str | None]
 
-# Identifies a constraint: (key, first writer, second writer), first < second.
+# A constraint is its id: (key, first writer, second writer), first < second.
+# Its branches follow from the id and the reader rows (`branch_edges`).
 ConstraintKey = tuple[str, TxnId, TxnId]
-
-
-class Constraint(NamedTuple):
-    """Unordered writer pair on one key; branches are derived on demand.
-
-    The either branch orders first before second; readers of the earlier
-    writer's value must then precede the later writer (RW edges). Branch edge
-    lists are not materialized because reader sets are shared across all
-    constraints of the same writer. A named tuple, as construct makes one
-    per writer pair; `id` is the same triple as a plain tuple.
-    """
-
-    key: str
-    first: TxnId
-    second: TxnId
-
-    @property
-    def id(self) -> ConstraintKey:
-        return (self.key, self.first, self.second)
-
-    def edges(self, graph: "Polygraph", branch: str) -> list[Edge]:
-        if branch not in (EITHER, OR):
-            raise ValueError(f"unknown branch {branch!r}")
-        return branch_edges(graph, *branch_ends(self.id, branch))
-
-    def opposite(self, branch: str) -> str:
-        return OR if branch == EITHER else EITHER
 
 
 def branch_ends(cid: ConstraintKey, branch: str) -> tuple[str, TxnId, TxnId]:
@@ -136,7 +110,9 @@ class Polygraph:
 
     vertices: tuple[TxnId, ...] = ()
     known_edges: list[Edge] = field(default_factory=list)
-    constraints: dict[ConstraintKey, Constraint] = field(default_factory=dict)
+    # The open writer pairs, an insertion-ordered set of ids (values None);
+    # construct adds them in id order.
+    constraints: dict[ConstraintKey, None] = field(default_factory=dict)
     # Committed effective readers of each writer's final value, per key, sorted;
     # only looked up, so its keys are in no particular order.
     readers: dict[tuple[str, TxnId], tuple[TxnId, ...]] = field(default_factory=dict)
@@ -160,6 +136,9 @@ class Polygraph:
     initial_targets: tuple[TxnId, ...] | None = None
 
     def clone(self) -> "Polygraph":
+        """A copy whose edge list, open pairs and resolved pairs are its own.
+        A check prunes its one graph in place; only the benchmark's traced
+        run and tests still clone one."""
         return Polygraph(
             vertices=self.vertices,
             known_edges=list(self.known_edges),
@@ -307,20 +286,16 @@ def rmw_runs(graph: Polygraph, key: str) -> list[tuple[TxnId, ...]]:
     return runs
 
 
-# A constraint from its id, as `Constraint(*cid)` but without the argument parsing.
-_constraint = partial(tuple.__new__, Constraint)
-
-
 def generate_constraints(graph: Polygraph) -> Polygraph:
-    """Add one constraint per unordered pair of distinct writers of each key,
-    but for the pairs of the virtual initial writer, which precedes every
-    real writer, and those inside one RMW run (`rmw_runs`), which come in
-    run order: s precedes its successor w, else WR s->w and WW w->s close a
-    cycle, and no x sits between them, as WW x->w and the RW w->x of
-    s-before-x compose to a self-loop at x. Such a pair's branch is known
-    but not listed: each key's runs go to `graph.runs`, and the initial
-    writer's branches follow from the key's writers and readers (see the
-    module docstring).
+    """Add one constraint, its id, per unordered pair of distinct writers of
+    each key, in id order, but for the pairs of the virtual initial writer,
+    which precedes every real writer, and those inside one RMW run
+    (`rmw_runs`), which come in run order: s precedes its successor w, else
+    WR s->w and WW w->s close a cycle, and no x sits between them, as WW
+    x->w and the RW w->x of s-before-x compose to a self-loop at x. Such a
+    pair's branch is known but not listed: each key's runs go to
+    `graph.runs`, and the initial writer's branches follow from the key's
+    writers and readers (see the module docstring).
     """
     constraints = graph.constraints
     for key, writers in graph.writers.items():
@@ -332,11 +307,12 @@ def generate_constraints(graph: Polygraph) -> Polygraph:
             if len(runs[0]) == len(writers):  # its one run orders every pair
                 continue
             run_of = {writer: run for run in runs for writer in run}
-            cids = [(key, first, second) for first, second in combinations(writers, 2)
-                    if (mine := run_of.get(first)) is None or run_of.get(second) is not mine]
+            pairs = [(first, second) for first, second in combinations(writers, 2)
+                     if (mine := run_of.get(first)) is None or run_of.get(second) is not mine]
         else:
-            cids = [(key, first, second) for first, second in combinations(writers, 2)]
-        constraints.update(zip(cids, map(_constraint, cids)))
+            pairs = combinations(writers, 2)
+        # Each pair's id, (key, first, second), built by tuple concatenation.
+        constraints.update(zip(map((key,).__add__, pairs), repeat(None)))
     return graph
 
 

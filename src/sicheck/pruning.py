@@ -65,7 +65,7 @@ from .explain import EdgeUniverse
 from .graphs import bfs_path, chain_starts, extend_reach, iter_bits, reach_masks
 from .histories import INIT_TXN, TxnId
 from .polygraph import (
-    EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends, initial_records,
+    EITHER, OR, RW, WW, ConstraintKey, Edge, Polygraph, branch_ends, initial_records,
 )
 from .witness import Origin, WitnessCycle, path_deps
 
@@ -245,12 +245,12 @@ class KnownIndex:
             self.starts = [v for v in starts if v not in links]
         return changed
 
-    def branch(self, cons: Constraint, branch: str) -> tuple[int, int, tuple[int, ...]]:
+    def branch(self, cid: ConstraintKey, branch: str) -> tuple[int, int, tuple[int, ...]]:
         """A constraint branch in vertex-index space: its write-order pair
         (s, d) and the reader row of its source writer s. The branch's edges
         are s -WW-> d and r -RW-> d for every reader r but d, in that order."""
-        src, dst = (cons.first, cons.second) if branch == EITHER else (cons.second, cons.first)
-        return self.vindex[src], self.vindex[dst], self.reader_row(cons.key, src)
+        key, src, dst = branch_ends(cid, branch)
+        return self.vindex[src], self.vindex[dst], self.reader_row(key, src)
 
     def reader_row(self, key: str, writer: TxnId) -> tuple[int, ...]:
         """A writer's reader row on key in vertex-index space, converted on the
@@ -297,7 +297,7 @@ class BlockedEdge:
 
 @dataclass(slots=True)
 class ImmediateViolation:
-    constraint: Constraint
+    constraint: ConstraintKey
     either_cycle: WitnessCycle
     or_cycle: WitnessCycle
 
@@ -311,7 +311,6 @@ class ImmediateViolation:
 
 @dataclass(slots=True)
 class PruneOutcome:
-    graph: Polygraph
     resolved_count: int = 0
     iterations: int = 0
     verdict: str = "ok"  # "ok" | "immediate-violation"
@@ -404,32 +403,33 @@ def _resolve_pass(index: KnownIndex, changed: set[int] | None, deadline: float |
     return None
 
 
-def _branch_blocked(index: KnownIndex, cons: Constraint, branch: str) -> BlockedEdge | None:
+def _branch_blocked(index: KnownIndex, cid: ConstraintKey, branch: str) -> BlockedEdge | None:
     """First impossible edge of the branch, in WW-then-readers order, for a
     witness cycle.
 
-    The branch's edges are those of `cons.edges`, tested without building
-    them; a blocked RW edge names its lowest blocking A-predecessor.
+    The branch's edges are those `polygraph.branch_edges` gives, tested
+    without building them; a blocked RW edge names its lowest blocking
+    A-predecessor.
     """
-    s, d, readers = index.branch(cons, branch)
-    vertices = index.vertices
+    s, d, readers = index.branch(cid, branch)
+    vertices, key = index.vertices, cid[0]
     if ww_branch_blocked(s, d, index.reach):
-        return BlockedEdge((vertices[s], vertices[d], WW, cons.key), None)
+        return BlockedEdge((vertices[s], vertices[d], WW, key), None)
     for r in readers:
         if r != d:
             blockers = rw_branch_blocked(r, d, index.a_pred, index.reach)
             if blockers:
-                edge = (vertices[r], vertices[d], RW, cons.key)
+                edge = (vertices[r], vertices[d], RW, key)
                 return BlockedEdge(edge, (blockers & -blockers).bit_length() - 1)
     return None
 
 
-def _blocked_cycle(index: KnownIndex, universe: EdgeUniverse, cons: Constraint,
+def _blocked_cycle(index: KnownIndex, universe: EdgeUniverse, cid: ConstraintKey,
                    branch: str) -> WitnessCycle:
     """The K cycle that makes an impossible branch impossible: the blocked
     edge, after its A-predecessor p when it is RW, then K's shortest path
     back; `universe` labels the known pairs."""
-    blocked = _branch_blocked(index, cons, branch)
+    blocked = _branch_blocked(index, cid, branch)
     assert blocked is not None
     edge, p = blocked.edge, blocked.predecessor
     vertices = index.vertices
@@ -439,7 +439,7 @@ def _blocked_cycle(index: KnownIndex, universe: EdgeUniverse, cons: Constraint,
 
     src, dst = index.vindex[edge[0]], index.vindex[edge[1]]
     deps = [] if p is None else [known_dep(p, src, False)]
-    deps.append((edge, ("branch", cons.id, branch)))
+    deps.append((edge, ("branch", cid, branch)))
     back_to = src if p is None else p
     path = bfs_path(index.k_adj, dst, back_to)
     assert path is not None, f"no path {dst}->{back_to} in the known induced graph"
@@ -453,7 +453,7 @@ def prune_constraints(
     budget_ms: int | None = None,
 ) -> PruneOutcome:
     """Iterate branch elimination to a fixpoint; mutates the given polygraph."""
-    outcome = PruneOutcome(graph=graph)
+    outcome = PruneOutcome()
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     index = KnownIndex(graph)
     if graph.constraints:  # with no open pair, no branch test reads the closure
@@ -469,16 +469,15 @@ def prune_constraints(
         outcome.resolved_per_iteration.append(count)
         outcome.iterations += 1
         if violating is not None:
-            cons = graph.constraints[violating]
             # The index holds the pairs resolved before this pass, not those
             # it resolved: the labels are of the graph the index is of.
             universe = EdgeUniverse(replace(graph, resolved=dict(islice(
                 graph.resolved.items(), before))))
             outcome.verdict = "immediate-violation"
             outcome.violation = ImmediateViolation(
-                constraint=cons,
-                either_cycle=_blocked_cycle(index, universe, cons, EITHER),
-                or_cycle=_blocked_cycle(index, universe, cons, OR),
+                constraint=violating,
+                either_cycle=_blocked_cycle(index, universe, violating, EITHER),
+                or_cycle=_blocked_cycle(index, universe, violating, OR),
             )
             return outcome
         if not count:

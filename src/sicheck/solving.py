@@ -34,8 +34,8 @@ from .errors import BudgetExceededError
 from .graphs import find_cycle, iter_bits, tarjan_scc
 from .histories import INIT_TXN, TxnId
 from .polygraph import (
-    EITHER, OR, RW, WW, Constraint, ConstraintKey, Edge, Polygraph, branch_ends, initial_records,
-    owning_branch,
+    EITHER, OR, RW, WW, ConstraintKey, Edge, Polygraph, branch_edges, branch_ends,
+    initial_records, owning_branch,
 )
 from .explain import EdgeUniverse
 from .pruning import KnownIndex
@@ -76,7 +76,7 @@ class Solver:
         self.known = KnownIndex(graph) if index is None else index
         self.n = self.known.n
         # Decision order is the sorted constraint ids.
-        self.constraints = [graph.constraints[cid] for cid in sorted(graph.constraints)]
+        self.constraints = sorted(graph.constraints)
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.max_decisions = max_decisions
         self.decisions = 0
@@ -149,9 +149,9 @@ class Solver:
                 return (vertices[i], vertices[j], rw), None
             k = (self.b_edges if rw else self.a_edges)[(i, j)][0]
             culprits.add(k)
-            cons = self.constraints[k]
-            edge = (vertices[i], vertices[j], RW if rw else WW, cons.key)
-            return edge, ("branch", cons.id, self.assigned[k])
+            cid = self.constraints[k]
+            edge = (vertices[i], vertices[j], RW if rw else WW, cid[0])
+            return edge, ("branch", cid, self.assigned[k])
 
         return path_deps(self.a_rows, self.b_rows, vcycle + vcycle[:1], dep), frozenset(culprits)
 
@@ -376,7 +376,7 @@ class Solver:
                     if eliminated[j].get(dropped) is why:
                         del eliminated[j][dropped]
                 eliminate(culprit, branch, union - {culprit})
-        assignment = {cons.id: self.assigned[k] for k, cons in enumerate(self.constraints)}
+        assignment = dict(zip(self.constraints, self.assigned))
         order = [self.known.vertices[v] for v in self.at]
         return SolveResult("sat", assignment=assignment, order=order,
                            decisions=self.decisions, conflicts=self.conflicts)
@@ -413,7 +413,8 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
     without building them. An unsat cycle must be closed, undesired, and
     justified edge by edge by its claimed provenance without drawing on
     both branches of any constraint; a known edge is a listed one, one of a
-    forced pair or one of a resolved branch.
+    forced pair or one of a resolved branch, and any other origin must name
+    a writer pair and one of its two branches, else the cycle is rejected.
     """
     readers, read_from, runs = graph.readers, graph.read_from, graph.runs
     if result.status == "sat":
@@ -492,29 +493,34 @@ def verify_witness(result: SolveResult, graph: Polygraph) -> bool:
             return True
         owner = owning_branch(graph, edge)
         return (owner is not None and graph.resolved.get(owner[0]) == owner[1]
-                and edge in Constraint(*owner[0]).edges(graph, owner[1]))
+                and edge in branch_edges(graph, *branch_ends(*owner)))
 
     used_branches: dict[ConstraintKey, set[str]] = {}
     for edge, origin in cycle.deps:
-        if origin[0] == "known":
+        kind = origin[0] if origin else None
+        if kind == "known":
             if not known(edge):
                 return False
-        elif origin[0] == "resolved":
-            # A resolved edge: prune or construct closed its constraint, a
-            # pair of writers of the key, and the edge is in the branch kept.
-            key, first, second = origin[1]
+            continue
+        # Any other origin names a writer pair, (key, first, second), and
+        # one of its two branches, and the edge is in that branch.
+        if kind not in ("resolved", "branch") or len(origin) != 3:
+            return False
+        cid, branch = origin[1], origin[2]
+        if not (isinstance(cid, tuple) and len(cid) == 3) or branch not in (EITHER, OR):
+            return False
+        if edge not in branch_edges(graph, *branch_ends(cid, branch)):
+            return False
+        if kind == "resolved":
+            # Prune or construct closed the pair, two writers of the key.
+            key, first, second = cid
             writers = graph.writers.get(key, ())
-            if not known(edge) or origin[1] in graph.constraints:
+            if not known(edge) or cid in graph.constraints:
                 return False
             if not (first < second and first in writers and second in writers):
                 return False
-            if edge not in Constraint(*origin[1]).edges(graph, origin[2]):
-                return False
-        elif origin[0] == "branch":
-            cons = graph.constraints.get(origin[1])
-            if cons is None or edge not in cons.edges(graph, origin[2]):
-                return False
-            used_branches.setdefault(origin[1], set()).add(origin[2])
+        elif cid in graph.constraints:
+            used_branches.setdefault(cid, set()).add(branch)
         else:
             return False
     return all(len(branches) == 1 for branches in used_branches.values())

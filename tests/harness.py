@@ -19,7 +19,7 @@ from pathlib import Path
 
 from sicheck.errors import LimitExceededError
 from sicheck.histories import ABORTED, COMMITTED, History, Operation, Transaction, serialize_history
-from sicheck.polygraph import Edge, Polygraph
+from sicheck.polygraph import Edge, Polygraph, branch_edges, branch_ends
 from sicheck.explain import EdgeUniverse, _first_gap
 from sicheck.witness import has_adjacent_rw
 
@@ -143,7 +143,7 @@ def minimal_counterexample_size(
             best = len(deps)
             continue
         cid, missing = gap
-        missing_edges = set(universe.graph.constraints[cid].edges(universe.graph, missing))
+        missing_edges = set(branch_edges(universe.graph, *branch_ends(cid, missing)))
         for cyc in all_cycles:
             if not missing_edges.intersection(cyc):
                 continue

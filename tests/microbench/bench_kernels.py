@@ -22,10 +22,11 @@ search, its Pearce–Kelly order repair (`Solver._pk_check`, which searches
 the rows through the mask of the affected region), one out-of-order
 retraction, and `graphs.transpose` of the B rows of the encoder's index;
 and the explainer's `EdgeUniverse` build and `find_cluster` on the same
-histories (these two only where the check finds a violation). One probe
-measures memory, not time: the tracemalloc peak of `build_polygraph` plus
-`prune_constraints` on the first `uniform-10k` history, reported in
-`extra_info` and printed (run with `-s` to see it). A scale probe times
+histories (these two only where the check finds a violation). Two probes
+measure memory, not time, each reported in `extra_info` and printed (run
+with `-s` to see it): the tracemalloc peak of `build_polygraph` plus
+`prune_constraints` on the first `uniform-10k` history, and that of one
+whole `check_si` of each shape's first history. A scale probe times
 construct plus prune, and takes their tracemalloc peak, on the
 `uniform-10k` shape at 1x, 2x and 4x its transactions per session.
 The file name keeps it out of the default test run; run it from the
@@ -55,7 +56,7 @@ from sicheck.gcpause import collector_paused
 from sicheck.graphs import reach_masks, tarjan_scc, transpose
 from sicheck.histories import completeness_gate, parse_history
 from sicheck.pipeline import check_si
-from sicheck.polygraph import build_polygraph
+from sicheck.polygraph import branch_ends, build_polygraph
 from sicheck.pruning import KnownIndex, _resolve_pass, prune_constraints
 from sicheck.solving import Solver
 from sicheck.workload import generate
@@ -109,6 +110,23 @@ def test_construct_and_prune_peak_memory(benchmark, front_end):
     peak_mb = round(benchmark.pedantic(probe, rounds=1, iterations=1) / 2**20, 1)
     benchmark.extra_info["peak_mb"] = peak_mb
     print(f"construct + prune tracemalloc peak: {peak_mb} MB")
+
+
+def test_check_peak_memory(benchmark, history):
+    """tracemalloc peak, in MB, of one whole `check_si` (which pauses the
+    collector itself) of the workload's first history, the explainer included."""
+
+    def probe():
+        tracemalloc.start()
+        try:
+            check_si(history)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_mb = round(benchmark.pedantic(probe, rounds=1, iterations=1) / 2**20, 2)
+    benchmark.extra_info["peak_mb"] = peak_mb
+    print(f"check_si tracemalloc peak: {peak_mb} MB")
 
 
 # Multiples of the `uniform-10k` shape's transactions per session (510) the scale probe checks.
@@ -323,7 +341,7 @@ def test_pk_check(benchmark, graphs):
         pytest.skip("no sat assignment with constraints to insert")
     pairs = []
     for cid in sorted(result.assignment):
-        src, dst, _, _ = pruned.constraints[cid].edges(pruned, result.assignment[cid])[0]
+        _, src, dst = branch_ends(cid, result.assignment[cid])
         u, v = final.vindex[src], final.vindex[dst]
         if not (final.k_adj[u] >> v) & 1:
             pairs.append((u, v))

@@ -19,7 +19,7 @@ from typing import Iterator
 from sicheck.errors import BudgetExceededError
 from sicheck.graphs import iter_bits
 from sicheck.histories import TxnId
-from sicheck.polygraph import EITHER, OR, ConstraintKey, Edge, Polygraph
+from sicheck.polygraph import EITHER, OR, ConstraintKey, Edge, Polygraph, branch_edges, branch_ends
 
 
 def tarjan_scc_per_edge(n: int, adj: list[int]) -> list[list[int]]:
@@ -214,9 +214,8 @@ def eager_edge_universe(
         known.add(edge)
         succ.setdefault(edge[0], []).append(edge)
     for cid in sorted(graph.constraints):
-        cons = graph.constraints[cid]
         for branch in (EITHER, OR):
-            for edge in cons.edges(graph, branch):
+            for edge in branch_edges(graph, *branch_ends(cid, branch)):
                 if edge in owner or edge in known:
                     continue
                 owner[edge] = (cid, branch)

@@ -49,7 +49,7 @@ from sicheck.histories import (
     txn_label,
 )
 from sicheck.polygraph import (
-    EITHER, OR, RW, SO, WR, WW, Constraint, Edge, Polygraph, record_initial,
+    EITHER, OR, RW, SO, WR, WW, Edge, Polygraph, branch_edges, branch_ends, record_initial,
 )
 
 _TXN_FIELDS = frozenset({"index", "status", "ops"})
@@ -371,13 +371,13 @@ def generate_constraints(history: History, graph: Polygraph, rmw_runs: bool = Tr
         forced = rmw_run_pairs(graph, key) if rmw_runs else {}
         for i, first in enumerate(writers):
             for second in writers[i + 1 :]:
-                cons = Constraint(key, first, second)
-                earlier = forced.get(cons.id[1:])
+                cid = (key, first, second)
+                earlier = forced.get((first, second))
                 if earlier is None:
-                    graph.constraints[cons.id] = cons
+                    graph.constraints[cid] = None
                 else:
                     branch = EITHER if earlier == first else OR
-                    graph.known_edges.extend(cons.edges(graph, branch))
+                    graph.known_edges.extend(branch_edges(graph, *branch_ends(cid, branch)))
     return graph
 
 

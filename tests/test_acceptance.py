@@ -201,8 +201,28 @@ def test_criterion_8_witness_verification():
     edge, origin = deps[0]
     deps[0] = ((edge[1], edge[0], edge[2], edge[3]), origin)
     assert not verify_witness(SolveResult("unsat", cycle=WitnessCycle(deps)), graph)
+    # Malformed origins are rejected, not raised on: a bogus branch label on
+    # a branch dep (the unpruned search's witness has one) and on a resolved
+    # dep (the pruned one's), and an origin too short or with no triple.
+    unpruned = build_polygraph(history)
+    malformed = 0
+    for searched in (unpruned, graph):
+        witness = solve(searched).cycle.deps
+        for at, (edge, origin) in enumerate(witness):
+            if origin[0] not in ("branch", "resolved"):
+                continue
+            kind, cid, branch = origin
+            for bad in ((kind, cid, "bogus"), (kind, cid), (kind,), (kind, cid[:2], branch),
+                        (kind, cid + cid[2:], branch), (kind, "x", branch)):
+                deps = [*witness[:at], (edge, bad), *witness[at + 1:]]
+                assert not verify_witness(SolveResult("unsat", cycle=WitnessCycle(deps)),
+                                          searched), bad
+                malformed += 1
+    assert {o[0] for _, o in solve(unpruned).cycle.deps} >= {"branch"}
+    assert {o[0] for _, o in result.cycle.deps} >= {"resolved"}
     _ok("8 witness verification",
-        f"{sat_checked} sat + {unsat_checked} unsat witnesses verified; corrupted control rejected")
+        f"{sat_checked} sat + {unsat_checked} unsat witnesses verified; corrupted control "
+        f"and {malformed} malformed origins rejected")
 
 
 def test_criterion_9_determinism(tmp_path, capsys):

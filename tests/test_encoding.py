@@ -11,7 +11,9 @@ from sicheck.graphs import iter_bits
 from harness import HistoryBounds, random_small_history
 from sicheck.histories import INIT_TXN, completeness_gate
 from sicheck.oracle import induced_graph
-from sicheck.polygraph import EITHER, OR, RW, build_polygraph, resolved_edges
+from sicheck.polygraph import (
+    EITHER, OR, RW, branch_edges, branch_ends, build_polygraph, resolved_edges,
+)
 from sicheck.pruning import KnownIndex, prune_constraints
 
 from conftest import T0, T1, T2, T3, T4, T5, committed, injected_histories, mk_history
@@ -142,7 +144,7 @@ class TestModelCorrespondence:
                 chosen = list(known)
                 for cid in sorted(graph.constraints):
                     branch = EITHER if rng.random() < 0.5 else OR
-                    chosen.extend(graph.constraints[cid].edges(graph, branch))
+                    chosen.extend(branch_edges(graph, *branch_ends(cid, branch)))
                 # Pair projection of the chosen compatible graph.
                 pairs = {(vindex[e[0]], vindex[e[1]]) for e in chosen}
                 assert pairs <= polygraph_pairs(enc)

@@ -23,7 +23,9 @@ from sicheck.explain import (
 from harness import minimal_counterexample_size, random_small_history
 from sicheck.histories import INIT_TXN, completeness_gate, parse_history
 from sicheck.pipeline import check_si
-from sicheck.polygraph import RW, SO, WR, WW, build_polygraph, resolved_edges
+from sicheck.polygraph import (
+    RW, SO, WR, WW, branch_edges, branch_ends, build_polygraph, resolved_edges,
+)
 from sicheck.pruning import prune_constraints
 from sicheck.witness import KNOWN_ORIGIN
 
@@ -199,10 +201,10 @@ class TestResolve:
         # branch becomes certain and the dead branch leaves the scenario.
         graph = build_polygraph(lost_update)
         cid = ("k", A, B)
-        cons = graph.constraints[cid]
+        assert cid in graph.constraints
         scenario = {}
         for branch in ("either", "or"):
-            for edge in cons.edges(graph, branch):
+            for edge in branch_edges(graph, *branch_ends(cid, branch)):
                 scenario[edge] = TaggedDependency(edge, ("branch", cid, branch), UNCERTAIN)
         known = (A, B, WR, "k")
         scenario[known] = TaggedDependency(known, ("known",), CERTAIN)
@@ -227,8 +229,8 @@ class TestResolve:
         )
         graph = build_polygraph(history)
         scenario = {}
-        for cid, cons in graph.constraints.items():
-            edge = cons.edges(graph, "either")[0]
+        for cid in graph.constraints:
+            edge = branch_edges(graph, *branch_ends(cid, "either"))[0]
             scenario[edge] = TaggedDependency(edge, ("branch", cid, "either"), UNCERTAIN)
         resolve_uncertain(scenario)
         assert all(d.tag == UNCERTAIN for d in scenario.values())

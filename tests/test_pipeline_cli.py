@@ -3,22 +3,24 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sicheck import cli, encoding
+from sicheck import cli, encoding, explain
 from sicheck.cli import main
 from sicheck.encoding import encode, export_encoding
 from sicheck.histories import parse_history, serialize_history
+from sicheck.explain import interpret
 from sicheck.pipeline import check_si
-from sicheck.polygraph import build_polygraph
+from sicheck.polygraph import Polygraph, build_polygraph
 from sicheck.pruning import prune_constraints
 from sicheck.workload import WorkloadParams, generate
 
-from conftest import immediate_violation_history
+from conftest import immediate_violation_history, injected_histories, workload_history
 from harness import random_small_history
 
 DATA = Path(__file__).parent / "data"
@@ -140,6 +142,56 @@ class TestCheckSi:
         assert record["classification"] == "long-fork"
         assert record["constraints"]["before"] == {"count": 4, "unknown_deps": 14}
         assert [d["label"] for d in record["witness_cycle"]] == ["WR", "RW", "WR", "RW"]
+
+
+def _contract_histories() -> list:
+    """The histories of `tests/data`, the injected ones and a seed bank."""
+    return [*(parse_history(path.read_bytes()) for path in sorted(DATA.glob("*.json"))),
+            *injected_histories(), *(random_small_history(seed) for seed in range(600))]
+
+
+class TestOneGraphPerCheck:
+    """A check prunes its one polygraph in place, and the explainer reopens
+    the pairs prune resolved."""
+
+    def test_check_never_clones(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("Polygraph.clone called by check_si")
+
+        monkeypatch.setattr(Polygraph, "clone", refused)
+        outcomes = Counter()
+        for history in _contract_histories():
+            for no_prune in (False, True):
+                outcomes[check_si(history, no_prune=no_prune).outcome, no_prune] += 1
+        assert min(outcomes.values()) > 100, outcomes
+
+    def test_interpret_reopens_resolved_pairs(self, monkeypatch):
+        """`interpret` of the pruned graph equals that of the unpruned one,
+        explains over a graph equal to it field by field, and leaves the
+        pruned graph as it was."""
+        universe_of = explain.EdgeUniverse
+        explained = []
+
+        def recorded(graph):
+            explained.append(graph)
+            return universe_of(graph)
+
+        monkeypatch.setattr(explain, "EdgeUniverse", recorded)
+        reopened = 0
+        for history in [*_contract_histories(), workload_history("zipf-anomaly", 1)]:
+            cycle = check_si(history, explain=False).cycle
+            if cycle is None:
+                continue
+            original, pruned = build_polygraph(history), build_polygraph(history)
+            prune_constraints(pruned)
+            kept = (dict(pruned.constraints), dict(pruned.resolved))
+            expected = interpret(history, original, cycle)
+            explained.clear()
+            assert interpret(history, pruned, cycle) == expected
+            assert explained == [original]
+            assert (pruned.constraints, pruned.resolved) == kept
+            reopened += bool(pruned.resolved)
+        assert reopened > 100, reopened
 
 
 class TestCli:

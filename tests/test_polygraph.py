@@ -14,7 +14,8 @@ from sicheck.polygraph import (
     SO,
     WR,
     WW,
-    Constraint,
+    branch_edges,
+    branch_ends,
     build_polygraph,
     constraint_count,
     create_known_graph,
@@ -138,25 +139,24 @@ class TestConstraints:
         graph = build_polygraph(history)
         t, s, t_reader, s_reader = (0, 0), (1, 0), (2, 0), (3, 0)
         assert len(graph.constraints) == 1
-        cons = next(iter(graph.constraints.values()))
-        assert set(cons.edges(graph, EITHER)) == {(t, s, WW, "x"), (t_reader, s, RW, "x")}
-        assert set(cons.edges(graph, OR)) == {(s, t, WW, "x"), (s_reader, t, RW, "x")}
+        cid = next(iter(graph.constraints))
+        assert set(branch_edges(graph, *branch_ends(cid, EITHER))) == {
+            (t, s, WW, "x"), (t_reader, s, RW, "x")}
+        assert set(branch_edges(graph, *branch_ends(cid, OR))) == {
+            (s, t, WW, "x"), (s_reader, t, RW, "x")}
 
-    def test_constraint_is_a_named_triple(self, long_fork):
-        cons = Constraint("x", T0, T1)
-        assert repr(cons) == "Constraint(key='x', first=(0, 0), second=(1, 0))"
-        assert (cons.key, cons.first, cons.second) == ("x", T0, T1)
-        assert cons == Constraint("x", T0, T1) and hash(cons) == hash(Constraint("x", T0, T1))
-        assert type(cons.id) is tuple and cons.id == ("x", T0, T1)
-        assert {cons.opposite(EITHER), cons.opposite(OR)} == {OR, EITHER}
-        assert cons.opposite(EITHER) == OR
+    def test_constraint_is_its_id(self, long_fork):
+        cid = ("x", T0, T1)
+        assert branch_ends(cid, EITHER) == cid and branch_ends(cid, OR) == ("x", T1, T0)
         graph = build_polygraph(long_fork)
-        assert graph.constraints[cons.id] == cons
+        # An insertion-ordered set of ids, made in id order.
+        assert cid in graph.constraints and set(graph.constraints.values()) == {None}
+        assert list(graph.constraints) == sorted(graph.constraints)
         # T4 read T0's x and T3 read T1's.
-        assert cons.edges(graph, EITHER) == [(T0, T1, WW, "x"), (T4, T1, RW, "x")]
-        assert cons.edges(graph, OR) == [(T1, T0, WW, "x"), (T3, T0, RW, "x")]
-        with pytest.raises(ValueError):
-            cons.edges(graph, "neither")
+        assert branch_edges(graph, *branch_ends(cid, EITHER)) == [
+            (T0, T1, WW, "x"), (T4, T1, RW, "x")]
+        assert branch_edges(graph, *branch_ends(cid, OR)) == [
+            (T1, T0, WW, "x"), (T3, T0, RW, "x")]
         prune_constraints(graph)
         assert graph.resolved
         assert all(type(cid) is tuple for cid in (*graph.resolved, *graph.constraints))
@@ -192,11 +192,13 @@ class TestConstraints:
                 len(ws) * (len(ws) - 1) // 2 for ws in graph.writers.values()
             ) - in_runs
             assert len(graph.constraints) == expected
+            assert list(graph.constraints) == sorted(graph.constraints)
+            assert set(graph.constraints.values()) <= {None}
             # The unknown-dependency count is the branch edge lists' total,
             # also on what prune leaves.
             for _ in range(2):
-                total = sum(len(cons.edges(graph, branch))
-                            for cons in graph.constraints.values() for branch in (EITHER, OR))
+                total = sum(len(branch_edges(graph, *branch_ends(cid, branch)))
+                            for cid in graph.constraints for branch in (EITHER, OR))
                 assert constraint_count(graph) == (len(graph.constraints), total)
                 prune_constraints(graph)
 
@@ -215,7 +217,7 @@ class TestConstraints:
             assert constraint_count(graph) == constraint_count_per_pair(graph), seed
             counts[verdict, bool(graph.rmw_keys), bool(graph.resolved)] += 1
             for cid in list(graph.resolved)[len(graph.resolved) // 3:]:
-                graph.constraints[cid] = Constraint(*cid)
+                graph.constraints[cid] = None
                 del graph.resolved[cid]
             assert constraint_count(graph) == constraint_count_per_pair(graph), seed
             counts["per key less resolved"] += len(graph.constraints) > len(graph.resolved) > 0
@@ -272,13 +274,11 @@ class TestExpansionEquivalence:
     def expanded(graph):
         """Expand each generalized constraint into its plain constraints."""
         out = set()
-        for cons in graph.constraints.values():
-            for first, second in ((cons.first, cons.second), (cons.second, cons.first)):
-                for reader in graph.readers.get((cons.key, first), ()):
+        for key, low, high in graph.constraints:
+            for first, second in ((low, high), (high, low)):
+                for reader in graph.readers.get((key, first), ()):
                     if reader != second:
-                        out.add(
-                            ((second, first, WW, cons.key), (reader, second, RW, cons.key))
-                        )
+                        out.add(((second, first, WW, key), (reader, second, RW, key)))
         return out
 
     def test_matches_plain_construction(self):
@@ -312,9 +312,9 @@ class TestConstraintLookup:
     def test_branch_edges_owned_by_their_branch(self, long_fork):
         graph = build_polygraph(long_fork)
         universe = EdgeUniverse(graph)
-        for cid, cons in graph.constraints.items():
+        for cid in graph.constraints:
             for branch in (EITHER, OR):
-                for edge in cons.edges(graph, branch):
+                for edge in branch_edges(graph, *branch_ends(cid, branch)):
                     assert universe.origin_of(edge) == ("branch", cid, branch)
 
     def test_known_edges_have_no_constraint(self, long_fork):
@@ -467,14 +467,15 @@ class TestRmwRunDifferential:
                 for run in runs:
                     for at, writer in enumerate(run):
                         for other in run[at + 1:]:
-                            cons = Constraint(key, min(writer, other), max(writer, other))
-                            in_runs.add(cons.id)
-                            ordered.update(cons.edges(graph, EITHER if writer < other else OR))
+                            cid = (key, min(writer, other), max(writer, other))
+                            in_runs.add(cid)
+                            ordered.update(branch_edges(
+                                graph, *branch_ends(cid, EITHER if writer < other else OR)))
             assert all(known[edge] == 1 for edge in ordered)
             assert known == Counter(plain_forced) + ordered
             assert in_runs <= plain.constraints.keys()
-            assert graph.constraints == {cid: cons for cid, cons in plain.constraints.items()
-                                         if cid not in in_runs}
+            assert graph.constraints == dict.fromkeys(
+                cid for cid in plain.constraints if cid not in in_runs)
             counts["pairs"] += len(in_runs)
 
             for no_prune in (False, True):

@@ -149,7 +149,7 @@ class TestSolverAgainstBranchEnumeration:
         import itertools
 
         from sicheck.oracle import induced_graph
-        from sicheck.polygraph import EITHER, OR
+        from sicheck.polygraph import EITHER, OR, branch_edges, branch_ends
 
         compared = 0
         for seed in range(250):
@@ -157,7 +157,7 @@ class TestSolverAgainstBranchEnumeration:
             if not completeness_gate(history).ok():
                 continue
             graph = build_polygraph(history)
-            constraints = [graph.constraints[cid] for cid in sorted(graph.constraints)]
+            constraints = sorted(graph.constraints)
             if len(constraints) > 12:
                 continue
             known = ref.known_edges(history)  # the forced edges too, which construct lists nowhere
@@ -165,7 +165,8 @@ class TestSolverAgainstBranchEnumeration:
                 self._acyclic(
                     induced_graph(
                         known
-                        + [e for c, b in zip(constraints, combo) for e in c.edges(graph, b)]
+                        + [e for cid, b in zip(constraints, combo)
+                           for e in branch_edges(graph, *branch_ends(cid, b))]
                     )
                 )
                 for combo in itertools.product((EITHER, OR), repeat=len(constraints))

@@ -16,7 +16,7 @@ from sicheck.explain import EdgeUniverse
 from sicheck.graphs import chain_starts, extend_reach, iter_bits, reach_masks
 from harness import random_small_history
 from sicheck.polygraph import (
-    EITHER, OR, RW, SO, WR, WW, Constraint, Polygraph, branch_ends, build_polygraph,
+    EITHER, OR, RW, SO, WR, WW, Polygraph, branch_edges, branch_ends, build_polygraph,
     resolved_edges,
 )
 from sicheck.pruning import (
@@ -33,8 +33,8 @@ from sicheck.workload import DISTRIBUTIONS, PROFILES, WorkloadParams, generate, 
 
 from conftest import (
     T0, T1, T2, T3, T4, T5, committed, immediate_violation_history, index_labels,
-    injected_histories, mk_history, rmw_run_history, with_closure, workload_history,
-    workload_seed_1_histories,
+    injected_histories, mk_history, patch_branch_edges, rmw_run_history, with_closure,
+    workload_history, workload_seed_1_histories,
 )
 from reference_closures import bfs_reach, floyd_warshall_reach, resolve_pass_per_pair
 import reference_frontend as ref
@@ -186,7 +186,7 @@ class TestImmediateViolation:
         outcome = prune_constraints(graph)
         assert outcome.verdict == "immediate-violation"
         violation = outcome.violation
-        assert violation.constraint.id == ("x", (0, 0), (0, 1))
+        assert violation.constraint == ("x", (0, 0), (0, 1))
         for cycle in (violation.either_cycle, violation.or_cycle):
             assert cycle.closed()
             assert not has_adjacent_rw(cycle.edges())
@@ -288,15 +288,14 @@ def test_reader_rows_filled_on_demand_equal_the_eager_conversion(long_fork, lost
         index = KnownIndex(graph)
         assert index.readers == {}
         eager = {kw: tuple(index.vindex[r] for r in rs) for kw, rs in graph.readers.items()}
-        for cons in graph.constraints.values():
-            for branch, (src, dst) in ((EITHER, (cons.first, cons.second)),
-                                       (OR, (cons.second, cons.first))):
-                expected = (index.vindex[src], index.vindex[dst], eager.get((cons.key, src), ()))
-                assert index.branch(cons, branch) == expected
-                if (cons.key, src) in graph.readers:  # filled once, then reused
-                    assert index.branch(cons, branch)[2] is index.readers[(cons.key, src)]
-        asked = {(cons.key, w) for cons in graph.constraints.values()
-                 for w in (cons.first, cons.second)}
+        for cid in graph.constraints:
+            key, first, second = cid
+            for branch, (src, dst) in ((EITHER, (first, second)), (OR, (second, first))):
+                expected = (index.vindex[src], index.vindex[dst], eager.get((key, src), ()))
+                assert index.branch(cid, branch) == expected
+                if (key, src) in graph.readers:  # filled once, then reused
+                    assert index.branch(cid, branch)[2] is index.readers[(key, src)]
+        asked = {(key, w) for key, first, second in graph.constraints for w in (first, second)}
         assert index.readers.keys() == asked & graph.readers.keys()
         rows += len(asked)
     assert rows > 1000
@@ -311,9 +310,9 @@ _RANK = {SO: 0, WR: 1, WW: 2, RW: 3}
 
 def _reference_edges(graph, unlisted=()) -> list:
     """The edges the graph does not list, the listed ones, then those of the
-    resolved branches, each branch's as `Constraint.edges` gives them."""
+    resolved branches, each branch's as `branch_edges` gives them."""
     resolved = [edge for cid, branch in graph.resolved.items()
-                for edge in Constraint(*cid).edges(graph, branch)]
+                for edge in branch_edges(graph, *branch_ends(cid, branch))]
     return [*unlisted, *graph.known_edges, *resolved]
 
 
@@ -580,10 +579,11 @@ class TestInitialWriterRow:
 
     def test_prune_and_check_as_when_folded(self, monkeypatch):
         def outcomes(history, graph):
-            outcome = prune_constraints(graph.clone())
+            pruned = graph.clone()
+            outcome = prune_constraints(pruned)
             violation = outcome.violation
             cycles = violation and (violation.either_cycle, violation.or_cycle)
-            return (outcome.resolved_per_iteration, sorted(outcome.graph.constraints), cycles,
+            return (outcome.resolved_per_iteration, sorted(pruned.constraints), cycles,
                     outcome.index and outcome.index.reach,
                     json.dumps(pipeline.check_si(history).to_json_dict(), sort_keys=True),
                     json.dumps(pipeline.check_si(history, no_prune=True).to_json_dict(),
@@ -694,13 +694,13 @@ def _reference_prune(graph, unlisted) -> tuple:
 
         resolved = 0
         for cid in sorted(open_):
-            cons = open_[cid]
-            dead = [any(map(impossible, cons.edges(graph, branch))) for branch in (EITHER, OR)]
+            dead = [any(map(impossible, branch_edges(graph, *branch_ends(cid, branch))))
+                    for branch in (EITHER, OR)]
             if all(dead):
                 return promoted, per_iteration + [resolved], True
             if any(dead):
                 del open_[cid]
-                promoted += cons.edges(graph, OR if dead[0] else EITHER)
+                promoted += branch_edges(graph, *branch_ends(cid, OR if dead[0] else EITHER))
                 resolved += 1
         per_iteration.append(resolved)
         if not resolved:
@@ -836,10 +836,10 @@ class TestIndexRowsAreTheUniversesKnownPairs:
         blocked_cycle = pruning._blocked_cycle
         checked = []
 
-        def checked_cycle(index, universe, cons, branch):
+        def checked_cycle(index, universe, cid, branch):
             _assert_rows_are_the_known_pairs(universe, index.vertices, index.a_adj, index.b_adj)
             checked.append(len(index.graph.resolved) > len(universe.graph.resolved))
-            return blocked_cycle(index, universe, cons, branch)
+            return blocked_cycle(index, universe, cid, branch)
 
         monkeypatch.setattr(pruning, "_blocked_cycle", checked_cycle)
         for _, graph in _gated_graphs(1500):
@@ -991,9 +991,9 @@ class TestChainWalk:
         assert pruning._walk_pays(379, 20, 10174)
 
 
-def branch_blocked_per_predecessor(index, graph, cons, branch):
+def branch_blocked_per_predecessor(index, graph, cid, branch):
     """Reference branch test: each RW edge's A-predecessors tried one by one."""
-    for edge in cons.edges(graph, branch):
+    for edge in branch_edges(graph, *branch_ends(cid, branch)):
         src, dst = index.vindex[edge[0]], index.vindex[edge[1]]
         if edge[2] == WW:
             if (index.reach[dst] >> src) & 1:
@@ -1023,11 +1023,10 @@ def audited_branch_tests(monkeypatch):
     def checked_pair(index, changed, deadline, records):
         graph = index.graph
         cids = sorted(graph.constraints)
-        pairs = dict(graph.constraints)
         violating = resolve_pass(index, changed, deadline, records)
         tested = cids if violating is None else cids[:cids.index(violating) + 1]
         for cid in tested:
-            expected = [branch_blocked_per_predecessor(index, graph, pairs[cid], branch)
+            expected = [branch_blocked_per_predecessor(index, graph, cid, branch)
                         for branch in (EITHER, OR)]
             survivor = graph.resolved.get(cid)
             result = (cid == violating or survivor == OR, cid == violating or survivor == EITHER)
@@ -1036,9 +1035,9 @@ def audited_branch_tests(monkeypatch):
                                        for e in expected)
         return violating
 
-    def checked(index, cons, branch):
-        result = blocked(index, cons, branch)
-        assert result == branch_blocked_per_predecessor(index, index.graph, cons, branch)
+    def checked(index, cid, branch):
+        result = blocked(index, cid, branch)
+        assert result == branch_blocked_per_predecessor(index, index.graph, cid, branch)
         return result
 
     monkeypatch.setattr(pruning, "_resolve_pass", checked_pair)
@@ -1150,14 +1149,14 @@ def _guarded_histories() -> list:
 
 
 def test_branch_tests_build_no_edge_lists(monkeypatch):
-    """`Constraint.edges` raises inside `_resolve_pass`; prune runs unchanged."""
-    resolve_pass, edges = pruning._resolve_pass, Constraint.edges
+    """`polygraph.branch_edges` raises inside `_resolve_pass`; prune runs unchanged."""
+    resolve_pass = pruning._resolve_pass
     inside = [False]
 
-    def guarded(cons, graph, branch):
+    def guarded(edges, *args):
         if inside[0]:
-            raise AssertionError("Constraint.edges called by a branch test")
-        return edges(cons, graph, branch)
+            raise AssertionError("branch_edges called by a branch test")
+        return edges(*args)
 
     def flagged(*args):
         inside[0] = True
@@ -1168,21 +1167,22 @@ def test_branch_tests_build_no_edge_lists(monkeypatch):
 
     histories = _guarded_histories()
     expected = [_pruned(history) for history in histories]
-    monkeypatch.setattr(Constraint, "edges", guarded)
+    patch_branch_edges(monkeypatch, guarded)
     monkeypatch.setattr(pruning, "_resolve_pass", flagged)
     assert [_pruned(history) for history in histories] == expected
 
 
 def test_prune_lists_branch_edges_only_for_witnesses(monkeypatch):
-    """`Constraint.edges` raises anywhere in prune but while a witness cycle
-    is built; prune resolves the same pairs and finds the same violations."""
-    blocked_cycle, edges = pruning._blocked_cycle, Constraint.edges
+    """`polygraph.branch_edges` raises anywhere in prune but while a witness
+    cycle is built; prune resolves the same pairs and finds the same
+    violations."""
+    blocked_cycle = pruning._blocked_cycle
     inside = [False]
 
-    def guarded(cons, graph, branch):
+    def guarded(edges, *args):
         if not inside[0]:
-            raise AssertionError("Constraint.edges called by prune")
-        return edges(cons, graph, branch)
+            raise AssertionError("branch_edges called by prune")
+        return edges(*args)
 
     def flagged(*args):
         inside[0] = True
@@ -1194,7 +1194,7 @@ def test_prune_lists_branch_edges_only_for_witnesses(monkeypatch):
     histories = _guarded_histories()
     expected = [_pruned(history) for history in histories]
     assert sum(1 for e in expected if e[2]) > 10
-    monkeypatch.setattr(Constraint, "edges", guarded)
+    patch_branch_edges(monkeypatch, guarded)
     monkeypatch.setattr(pruning, "_blocked_cycle", flagged)
     assert [_pruned(history) for history in histories] == expected
 

@@ -15,13 +15,15 @@ from sicheck.graphs import iter_bits, transpose
 from harness import HistoryBounds, random_small_history
 from sicheck.histories import INIT_TXN, completeness_gate, parse_history
 from sicheck.oracle import induced_graph, oracle_check
-from sicheck.polygraph import EITHER, OR, RW, SO, WR, WW, Constraint, Polygraph, build_polygraph
+from sicheck.polygraph import (
+    EITHER, OR, RW, SO, WR, WW, Polygraph, branch_edges, branch_ends, build_polygraph,
+)
 from sicheck.pruning import KnownIndex, prune_constraints
 from sicheck.solving import SolveResult, Solver, solve, verify_witness
 from sicheck.witness import WitnessCycle, has_adjacent_rw
 from sicheck.workload import WorkloadParams, generate, inject
 
-from conftest import T1, T2, T3, T4, committed, index_labels, mk_history
+from conftest import T1, T2, T3, T4, committed, index_labels, mk_history, patch_branch_edges
 from test_pruning import _reference_labels, _reference_unlisted_edges
 import reference_frontend as ref
 from reference_closures import pk_check_per_successor
@@ -158,16 +160,16 @@ def test_search_pinned(case, no_prune):
 
 @pytest.mark.parametrize("case, no_prune", sorted(SEARCH_PINS, key=repr))
 def test_search_builds_no_edge_lists(monkeypatch, case, no_prune):
-    """`Constraint.edges` raises while the solver is built and searches; the
-    results are the pinned ones."""
+    """`polygraph.branch_edges` raises while the solver is built and
+    searches; the results are the pinned ones."""
     graph = build_polygraph(pinned_history(case))
     index = KnownIndex(graph) if no_prune else prune_constraints(graph).index
 
     def guarded(*args):
-        raise AssertionError("Constraint.edges called by the search")
+        raise AssertionError("branch_edges called by the search")
 
     with monkeypatch.context() as patch:
-        patch.setattr(Constraint, "edges", guarded)
+        patch_branch_edges(patch, guarded)
         result = Solver(graph, index=index).solve()
     deps = None if result.cycle is None else result.cycle.deps
     assert (result.status, result.decisions, result.conflicts, deps) == SEARCH_PINS[case, no_prune]
@@ -222,7 +224,7 @@ def test_search_state_is_the_index_rows_plus_the_assignment(case, no_prune):
     assert result.status == "sat" and result.conflicts
     a_rows, b_rows = list(index.a_adj), list(index.b_adj)
     for cid, branch in result.assignment.items():
-        for src, dst, kind, _ in graph.constraints[cid].edges(graph, branch):
+        for src, dst, kind, _ in branch_edges(graph, *branch_ends(cid, branch)):
             rows = b_rows if kind == RW else a_rows
             rows[index.vindex[src]] |= 1 << index.vindex[dst]
     assert (solver.a_rows, solver.b_rows) == (a_rows, b_rows)
@@ -236,7 +238,7 @@ def test_search_state_is_the_index_rows_plus_the_assignment(case, no_prune):
         assert fresh.check_known_acyclic() is None
         for j in stamp_order:
             if j in assigned:
-                assert fresh._try_branch(j, result.assignment[solver.constraints[j].id]) is None
+                assert fresh._try_branch(j, result.assignment[solver.constraints[j]]) is None
         assert _search_state(solver) == _search_state(fresh)
     assert (solver.a_rows, solver.b_rows) == (index.a_adj, index.b_adj)
     assert (solver.a_pred, solver.ind_rows) == (index.a_pred, index.k_adj)
@@ -451,7 +453,7 @@ def test_retraction_takes_the_assigned_b_rows_per_cleared_pair():
     cids = [("x", s, d), ("y", s, r1)]
     graph = Polygraph(
         vertices=(s, d, r1, r2, w), known_edges=[(s, r2, WR, "x"), (d, w, RW, "z")],
-        constraints={cid: Constraint(*cid) for cid in cids},
+        constraints=dict.fromkeys(cids),
         readers={("x", s): (r1, r2)}, read_from={("x", r1): s, ("x", r2): s},
         writers={"x": (s, d), "y": (s, r1)})
     solver = _AuditedSolver(graph)
@@ -544,7 +546,7 @@ class TestVerifyWitness:
                 assignment = {cid: rng.choice((EITHER, OR)) for cid in sorted(graph.constraints)}
                 edges = list(constructed)
                 for cid, branch in assignment.items():
-                    edges += graph.constraints[cid].edges(graph, branch)
+                    edges += branch_edges(graph, *branch_ends(cid, branch))
                 sorter = TopologicalSorter({v: set() for v in graph.vertices})
                 for src, dst, _ in induced_graph(edges):
                     sorter.add(dst, src)
