@@ -100,8 +100,11 @@ class EdgeUniverse:
     witness cycles (`known_dep`).
     """
 
-    def __init__(self, graph: Polygraph):
+    def __init__(self, graph: Polygraph, reopened: bool = False):
         self.graph = graph
+        # With `reopened`, the writer pairs prune resolved read as open, so
+        # the universe is that of the graph construct built (see `interpret`).
+        self.reopened = reopened
         self._known_out: dict[TxnId, list[Edge]] = {}
         for edge in graph.known_edges:
             self._known_out.setdefault(edge[0], []).append(edge)
@@ -133,10 +136,10 @@ class EdgeUniverse:
         the constraint of those two writers is open or puts the source
         first: construct ordered them (the source is the initial writer, or
         the other writer follows it in one RMW run), or prune resolved them
-        so."""
+        so; a resolved pair of a reopened universe counts as open."""
         succ = self._succ.get(vertex)
         if succ is None:
-            graph, run_at = self.graph, self._run_at
+            graph, run_at, reopened = self.graph, self._run_at, self.reopened
             constraints, resolved = graph.constraints, graph.resolved
             edges = set(self._known_out.get(vertex, ()))  # a graph may list a forced edge
             for key, source, label in self._sources.get(vertex, ()):
@@ -146,7 +149,8 @@ class EdgeUniverse:
                     # nor an ordered one.
                     if other != vertex and (
                             initial or (cid := _constraint_of(key, source, other)) in constraints
-                            or resolved.get(cid) == (EITHER if source < other else OR)
+                            or (kept := resolved.get(cid)) is not None and (
+                                reopened or kept == (EITHER if source < other else OR))
                             or ahead is not None and _follows(ahead, run_at.get((key, other)))):
                         edges.add((vertex, other, label, key))
             succ = self._succ[vertex] = sorted(edges)
@@ -167,9 +171,12 @@ class EdgeUniverse:
         return None
 
     def origin_of(self, edge: Edge) -> Origin:
-        """The owning branch of a branch edge, else the known origin."""
-        owner = owning_branch(self.graph, edge)
-        if owner is None or owner[0] not in self.graph.constraints:
+        """The owning branch of a branch edge of an open pair, else the
+        known origin."""
+        graph = self.graph
+        owner = owning_branch(graph, edge)
+        if owner is None or owner[0] not in graph.constraints and not (
+                self.reopened and owner[0] in graph.resolved):
             return KNOWN_ORIGIN
         return ("branch", *owner)
 
@@ -420,18 +427,13 @@ def interpret(
 ) -> Counterexample:
     """Build the four-stage counterexample for a violation cycle.
 
-    `graph` may be the polygraph at any stage: the writer pairs prune
-    resolved are reopened, so the explanation is over the unpruned graph
-    (prune lists no edge, so that is the graph construct built), and
-    origins recorded by the pruner or the solver are re-derived here.
+    `graph` may be the polygraph at any stage: its edge universe reads the
+    writer pairs prune resolved as open (`EdgeUniverse(reopened=True)`), so
+    the explanation is over the unpruned graph (prune lists no edge, so that
+    is the graph construct built), and origins recorded by the pruner or the
+    solver are re-derived here.
     """
-    if graph.resolved:
-        # Built from the resolved pairs, most of them, and so sized once;
-        # a merge into a copy of the open pairs grows the table as it goes.
-        reopened = dict.fromkeys(graph.resolved)
-        reopened.update(graph.constraints)
-        graph = replace(graph, constraints=reopened, resolved={})
-    universe = EdgeUniverse(graph)
+    universe = EdgeUniverse(graph, reopened=True)
     max_len = max(DEFAULT_MAX_CYCLE_LEN, min(len(graph.vertices), 16))
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
 

@@ -7,9 +7,13 @@ writers of every key. Writes of 0 are therefore rejected, and for each key no
 two writes anywhere in the history may carry the same value (the unique-value
 assumption that makes writer-reader edges inferable from reads).
 
-Parsing checks each op on a fast path; only an op that fails it goes through
-the field-by-field checks, so a malformed op gets their error. `walk_ops`
-walks each transaction's ops once, for the completeness gate and for graph
+Parsing walks each transaction's ops in one loop. An op of three fields,
+read by name, with valid values takes a fast path; any other goes through
+the field-by-field checks, so a malformed op gets their error. The same loop
+notes the first write whose (key, value) an earlier write has, and the
+duplicate is reported only once every op of the transaction is well formed,
+so a format error in the transaction comes first. `walk_ops` walks each
+transaction's ops once, for the completeness gate and for graph
 construction alike.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -226,26 +231,38 @@ def parse_history(data: bytes | str) -> History:
                 raise FormatError(f"{_txn_at(sid, ti)} ops must be a non-empty array")
             tid: TxnId = (sid, index)
             ops = []
-            for oi, raw in enumerate(raw_ops):
-                # Fast path for a well-formed op; any other goes through
-                # `_parse_op`, which raises the error its checks find first.
-                # `tuple.__new__` builds the Operation without a Python frame.
-                if type(raw) is dict and raw.keys() == _OP_FIELDS:
-                    kind, key, value = raw["t"], raw["k"], raw["v"]
-                    if (type(key) is str and type(value) is int and INT64_MIN <= value <= INT64_MAX
-                            and (kind == "r" or kind == "w" and value != 0)):
-                        ops.append(tuple.__new__(Operation, (kind, key, value)))
-                        continue
-                ops.append(_parse_op(raw, sid, ti, oi))
-            for kind, key, value in ops:
+            repeated = None  # the first written (key, value) some earlier write has
+            for raw in raw_ops:
+                # Fast path for a well-formed op: three fields, read by name.
+                # Any other op goes through `_parse_op`, which raises the error
+                # its checks find first; `len(ops)` is the op's index.
+                kind = None
+                if type(raw) is dict and len(raw) == 3:
+                    try:
+                        kind, key, value = raw["t"], raw["k"], raw["v"]
+                    except KeyError:  # a misnamed field
+                        pass
+                if not ((kind == "r" or kind == "w" and value != 0) and type(key) is str
+                        and type(value) is int and INT64_MIN <= value <= INT64_MAX):
+                    kind, key, value = _parse_op(raw, sid, ti, len(ops))
+                ops.append((kind, key, value))
                 if kind == "w":
-                    if (key, value) in seen_writes:
-                        raise UniqueValueError(
-                            f"writes in {txn_label(seen_writes[key, value])} and {txn_label(tid)} "
-                            f"both assign {value} to key {key!r}"
-                        )
-                    seen_writes[key, value] = tid
-            txns.append(Transaction(tid, status, tuple(ops)))
+                    if (key, value) not in seen_writes:
+                        seen_writes[key, value] = tid
+                    elif repeated is None:
+                        repeated = key, value
+            # A duplicate write is reported only once every op is well formed.
+            if repeated is not None:
+                key, value = repeated
+                raise UniqueValueError(
+                    f"writes in {txn_label(seen_writes[repeated])} and {txn_label(tid)} "
+                    f"both assign {value} to key {key!r}"
+                )
+            # `tuple.__new__` makes each an Operation without a Python frame.
+            # The list gives `tuple` the length: a tuple grown from an
+            # iterator is resized, so it cannot reuse a freed tuple's memory.
+            operations = tuple(list(map(tuple.__new__, repeat(Operation), ops)))
+            txns.append(Transaction(tid, status, operations))
         sessions.append(tuple(txns))
 
     return History(tuple(sessions), tuple(session_ids))

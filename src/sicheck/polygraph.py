@@ -47,6 +47,7 @@ completeness gate reads too.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable
 from itertools import combinations, repeat
 from dataclasses import dataclass, field
@@ -111,7 +112,8 @@ class Polygraph:
     vertices: tuple[TxnId, ...] = ()
     known_edges: list[Edge] = field(default_factory=list)
     # The open writer pairs, an insertion-ordered set of ids (values None);
-    # construct adds them in id order.
+    # construct adds them in id order and prune only deletes, so they
+    # iterate in sorted id order, which prune's branch pass relies on.
     constraints: dict[ConstraintKey, None] = field(default_factory=dict)
     # Committed effective readers of each writer's final value, per key, sorted;
     # only looked up, so its keys are in no particular order.
@@ -296,6 +298,10 @@ def generate_constraints(graph: Polygraph) -> Polygraph:
     pair's branch is known but not listed: each key's runs go to
     `graph.runs`, and the initial writer's branches follow from the key's
     writers and readers (see the module docstring).
+
+    A key's pair ids are built at C speed, all of them, and those inside its
+    runs deleted after; a deletion keeps the order of the rest, so the open
+    pairs stay in sorted id order, which prune's branch pass relies on.
     """
     constraints = graph.constraints
     for key, writers in graph.writers.items():
@@ -306,13 +312,11 @@ def generate_constraints(graph: Polygraph) -> Polygraph:
             graph.runs[key] = runs
             if len(runs[0]) == len(writers):  # its one run orders every pair
                 continue
-            run_of = {writer: run for run in runs for writer in run}
-            pairs = [(first, second) for first, second in combinations(writers, 2)
-                     if (mine := run_of.get(first)) is None or run_of.get(second) is not mine]
-        else:
-            pairs = combinations(writers, 2)
         # Each pair's id, (key, first, second), built by tuple concatenation.
-        constraints.update(zip(map((key,).__add__, pairs), repeat(None)))
+        with_key = (key,).__add__
+        constraints.update(zip(map(with_key, combinations(writers, 2)), repeat(None)))
+        for run in runs:  # a zero-length deque drains the map: each deletion at C speed
+            deque(map(constraints.__delitem__, map(with_key, combinations(sorted(run), 2))), 0)
     return graph
 
 

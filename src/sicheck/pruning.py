@@ -122,36 +122,44 @@ class KnownIndex:
         if init is not None:
             initial, targets = initial_records(graph)
             for key, row in initial.items():
-                overwriting = [vindex[w] for w in writers[key]]
-                mask = _row(overwriting)
-                for i in map(vindex.__getitem__, row):
-                    b_adj[i] |= mask ^ (1 << i) if i in overwriting else mask
+                mask = 0
+                for w in writers[key]:
+                    mask |= 1 << vindex[w]
+                for r in row:
+                    i = vindex[r]
+                    b_adj[i] |= mask & ~(1 << i)
             a_adj[init] = k_adj[init] = _row(map(vindex.__getitem__, targets))
-        # A run member's readers are overwritten by each later member.
-        runs = [(key, run, [vindex[w] for w in run])
-                for key, keyed in graph.runs.items() for run in keyed]
-        for key, run, members in runs:
-            later = 0
-            for writer, m in zip(reversed(run), reversed(members)):
-                for r in readers.get((key, writer), ()) if later else ():
-                    b_adj[vindex[r]] |= later & ~(1 << vindex[r])
-                later |= 1 << m
+        # A run member's readers are overwritten by each later member. One
+        # walk from the run's end builds the run's mask: `later` holds the
+        # members after the one at hand, and the walk keeps it per member.
+        runs = []
+        for key, keyed in graph.runs.items():
+            for run in keyed:
+                later, walked = 0, []
+                for writer in reversed(run):
+                    m = vindex[writer]
+                    if later:
+                        for r in readers.get((key, writer), ()):
+                            i = vindex[r]
+                            b_adj[i] |= later & ~(1 << i)
+                    walked.append((m, later))
+                    later |= 1 << m
+                runs.append((walked, later))
         for src, dst, kind, _ in graph.known_edges:
             if kind == RW:
                 b_adj[vindex[src]] |= 1 << vindex[dst]
         # The B rows are whole now. A run member's A row is the members after
-        # it, its K row those and their B rows; a listed A pair's K row gains
-        # its target and the target's B row.
-        for _, _, members in runs:
-            earlier = later = composed = 0
-            for m, at in zip(members, reversed(members)):
-                a_pred[m] |= earlier
-                earlier |= 1 << m
+        # it, its A-predecessor row the run's mask less those and itself, its
+        # K row its A row and the B rows of the members after it; a listed A
+        # pair's K row gains its target and the target's B row.
+        for walked, mask in runs:
+            composed = 0
+            for m, later in walked:
+                a_pred[m] |= mask ^ later ^ (1 << m)
                 if later:
-                    a_adj[at] |= later
-                    k_adj[at] |= later | composed
-                later |= 1 << at
-                composed |= b_adj[at]
+                    a_adj[m] |= later
+                    k_adj[m] |= later | composed
+                composed |= b_adj[m]
         for src, dst, kind, _ in graph.known_edges:
             if kind != RW:
                 i, j = vindex[src], vindex[dst]
@@ -201,7 +209,7 @@ class KnownIndex:
             if fresh:
                 a_adj[s] |= fresh
                 k_adj[s] |= fresh
-                new_a.append((s, list(iter_bits(fresh)) if known else targets))
+                new_a.append((s, [d for d in targets if fresh >> d & 1] if known else targets))
         # A middle's B row composes with its A-predecessors of before the batch
         # (old pairs too); a new A pair then composes with every B pair.
         grown: set[int] = set()
@@ -331,11 +339,13 @@ def _preds(a_pred: list[int], row: tuple[int, ...], but: int) -> int:
 
 def _resolve_pass(index: KnownIndex, changed: set[int] | None, deadline: float | None,
                   records: list[tuple[str, int, tuple[int, ...], list[int]]]) -> ConstraintKey | None:
-    """One iteration's tests: the open writer pairs in sorted order, so key
-    by key and, within a key, grouped by first writer, against the index;
-    resolve each pair with one impossible branch and append its target to
-    the branch record of its source writer and key in `records`. Returns
-    the first pair whose two branches are both impossible, and stops there.
+    """One iteration's tests: the open writer pairs, key by key and, within
+    a key, grouped by first writer, against the index; resolve each pair
+    with one impossible branch and append its target to the branch record
+    of its source writer and key in `records`. Returns the first pair whose
+    two branches are both impossible, and stops there. The pairs are walked
+    as `graph.constraints` holds them, unsorted: construct adds them in id
+    order and prune only deletes, so they come in sorted id order.
 
     A branch s -> d is impossible when d reaches s, or when d is or reaches
     an A-predecessor of a reader of s but d: when (reach[d] | 1 << d) and
@@ -365,7 +375,7 @@ def _resolve_pass(index: KnownIndex, changed: set[int] | None, deadline: float |
 
     key = first = None
     writers: dict[TxnId, tuple] = {}  # `tested` of each writer of `key` asked for
-    for cid in sorted(constraints):
+    for cid in list(constraints):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError("pruning budget exhausted")
         if cid[0] != key:

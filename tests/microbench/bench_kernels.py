@@ -1,11 +1,14 @@
 """Layer micro-benchmarks for the front end, the known-graph kernels and the explainer.
 
-Times `parse_history` and `completeness_gate` on the first `uniform-10k`
-history of run seed 1, where the two are a large share of a check (the
-gate walks the ops, as it does when called alone), and `encode` plus
-`export_encoding` of its pruned polygraph; `prune_constraints` on the
-first `zipf-anomaly` history, where prune resolves most writer pairs, and
-on the first `rmw-chains` history, where construct leaves it none; the
+Times `parse_history` on the first history of run seed 1 of each of the
+benchmark's workload shapes; `completeness_gate` on the first
+`uniform-10k` history, where it is a large share of a check (the gate
+walks the ops, as it does when called alone), and `encode` plus
+`export_encoding` of its pruned polygraph; `generate_constraints` and
+`prune_constraints` on the first `zipf-anomaly` history, where prune
+resolves most writer pairs, and the rows of prune's first fold there
+(`KnownIndex.add_branches` with no closure); `prune_constraints` on the
+first `rmw-chains` history, where construct leaves it none; the
 solver's conflict analysis (`Solver._cycle_deps`) of every conflict of
 the search on the first `hotspot-write` history; the labels of the cycle
 the search reports on the first `zipf-anomaly` history (`Solver._witness`,
@@ -56,7 +59,9 @@ from sicheck.gcpause import collector_paused
 from sicheck.graphs import reach_masks, tarjan_scc, transpose
 from sicheck.histories import completeness_gate, parse_history
 from sicheck.pipeline import check_si
-from sicheck.polygraph import branch_ends, build_polygraph
+from sicheck.polygraph import (
+    branch_ends, build_polygraph, create_known_graph, generate_constraints,
+)
 from sicheck.pruning import KnownIndex, _resolve_pass, prune_constraints
 from sicheck.solving import Solver
 from sicheck.workload import generate
@@ -73,8 +78,10 @@ def front_end():
     return data, parse_history(data)
 
 
-def test_parse_history(benchmark, front_end):
-    benchmark(parse_history, front_end[0])
+@pytest.mark.parametrize("shape", sorted(WORKLOADS))
+def test_parse_history(benchmark, shape):
+    """Parse of the workload's first history, `json.loads` included."""
+    benchmark(parse_history, WORKLOADS[shape].case(SEED).data)
 
 
 def test_completeness_gate(benchmark, front_end):
@@ -205,6 +212,15 @@ def test_prune_zipf_anomaly(benchmark):
                        setup=lambda: ((build_polygraph(history),), {}), rounds=7)
 
 
+def test_generate_constraints(benchmark):
+    """The writer pairs of the first `zipf-anomaly` history, on a fresh known
+    graph each round: every pair id of a key at C speed, less the pairs
+    inside its RMW runs."""
+    history = parse_history(WORKLOADS["zipf-anomaly"].case(SEED).data)
+    benchmark.pedantic(collector_paused(generate_constraints),
+                       setup=lambda: ((create_known_graph(history),), {}), rounds=20)
+
+
 def test_prune_rmw_chains(benchmark):
     """Prune on the first `rmw-chains` history, from a fresh polygraph each
     round, the collector paused: construct orders every writer pair in RMW
@@ -249,7 +265,8 @@ def _copy_index(index: KnownIndex) -> KnownIndex:
     """An index that a fold can update without touching the original."""
     fresh = copy.copy(index)
     for name in ("a_adj", "b_adj", "a_pred", "k_adj", "reach", "starts"):
-        setattr(fresh, name, list(getattr(index, name)))
+        rows = getattr(index, name)
+        setattr(fresh, name, None if rows is None else list(rows))
     fresh.readers = dict(index.readers)
     return fresh
 
@@ -287,6 +304,32 @@ def test_closure_update(benchmark, closure_updates, number):
         return (_copy_index(before), records), {}
 
     benchmark.pedantic(KnownIndex.add_branches, setup=setup, rounds=10)
+
+
+def test_first_fold_rows(benchmark):
+    """The first fold of prune on the first `zipf-anomaly` history, on a copy
+    of the index before it with no closure, so only the A, B and K rows
+    fold: one record per source writer and key, the targets a source
+    already has left out by a bit test."""
+    history = parse_history(WORKLOADS["zipf-anomaly"].case(SEED).data)
+    fold, folds = KnownIndex.add_branches, []
+
+    def recorded(index, records):
+        folds.append((_copy_index(index), records))
+        return fold(index, records)
+
+    KnownIndex.add_branches = recorded
+    try:
+        prune_constraints(build_polygraph(history))
+    finally:
+        KnownIndex.add_branches = fold
+    before, records = folds[0]
+    before.reach = None
+
+    def setup():
+        return (_copy_index(before), records), {}
+
+    benchmark.pedantic(KnownIndex.add_branches, setup=setup, rounds=20)
 
 
 def test_known_index_build(benchmark, graphs):

@@ -30,9 +30,9 @@ from sicheck.histories import (
     serialize_history,
 )
 from sicheck.encoding import creation_order
-from sicheck.polygraph import Polygraph, build_polygraph
+from sicheck.polygraph import Polygraph, build_polygraph, rmw_runs
 
-from conftest import injected_histories
+from conftest import committed, injected_histories, mk_history
 
 
 def outcome(fn, *args):
@@ -110,6 +110,10 @@ class TestParseFastPath:
         {"t": "w", "k": "x", "v": 1, "extra": 1},
         {"t": "w", "k": "x"},
         {"k": "x", "v": 1},
+        # Three fields, one misnamed: the fast path's read by name fails.
+        {"t": "w", "k": "x", "val": 1},
+        {"type": "w", "k": "x", "v": 1},
+        {"t": "r", "key": "x", "v": 0},
         {},
         [["t", "w"], ["k", "x"], ["v", 1]],
         "w x 1",
@@ -125,6 +129,8 @@ class TestParseFastPath:
         # A duplicate write inside one transaction, then across transactions.
         [[("w", "x", 1), ("w", "x", 1)]],
         [[("w", "x", 1)], [("r", "x", 1), ("w", "x", 1)]],
+        # Two duplicates in one transaction: the first is reported.
+        [[("w", "x", 1), ("w", "y", 2)], [("w", "y", 2), ("w", "x", 1)]],
         # The same value on two keys is no duplicate.
         [[("w", "x", 1)], [("w", "y", 1)]],
         # A malformed op after a duplicate: the format error comes first.
@@ -138,6 +144,25 @@ class TestParseFastPath:
             for i, ops in enumerate(txns)
         ]}]})
         assert outcome(parse_history, data) == outcome(ref.parse_history, data)
+
+    @pytest.mark.parametrize("txns", [
+        # A duplicate in an aborted transaction, of a committed write and of its own.
+        [("committed", [("w", "x", 1)]), ("aborted", [("w", "x", 1)])],
+        [("aborted", [("w", "x", 1), ("r", "y", 0), ("w", "x", 1)])],
+        # A duplicate, then a valid op, then a malformed one: the format error wins.
+        [("committed", [("w", "x", 1)]),
+         ("committed", [("w", "x", 1), ("w", "y", 2), ("w", "x", 0)])],
+        [("committed", [("w", "x", 1)]),
+         ("aborted", [("w", "x", 1), ("r", "x", 1), {"t": "w", "k": "x", "val": 3}])],
+    ])
+    def test_duplicate_writes_by_status(self, txns):
+        data = json.dumps({"sessions": [{"id": 0, "transactions": [
+            {"index": i, "status": status,
+             "ops": [op if isinstance(op, dict) else dict(zip("tkv", op)) for op in ops]}
+            for i, (status, ops) in enumerate(txns)
+        ]}]})
+        got = outcome(parse_history, data)
+        assert isinstance(got, tuple) and got == outcome(ref.parse_history, data)
 
     def test_serialized_random_histories(self):
         for seed in range(300):
@@ -221,3 +246,24 @@ class TestGateAndConstruction:
             assert_front_end_matches(history)
         for seed, history in enumerate(histories):
             assert_front_end_matches(with_dangling_read(history, random.Random(seed)))
+
+    def test_run_of_three_among_outside_writers(self):
+        """One key x: the run C, A, B (A reads C's x, B reads A's), which is
+        not in id order, and the writers D, blind, and E, which reads the
+        initial x; F reads A's x and writes nothing. Construct drops the
+        run's three pairs and keeps the other seven open, in id order."""
+        A, D, B, E, C, F = (0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)
+        history = mk_history([
+            [committed([("r", "x", 1), ("w", "x", 2)])],  # A
+            [committed([("w", "x", 4)])],  # D
+            [committed([("r", "x", 2), ("w", "x", 3)])],  # B
+            [committed([("r", "x", 0), ("w", "x", 5)])],  # E
+            [committed([("w", "x", 1)])],  # C
+            [committed([("r", "x", 2)])],  # F
+        ])
+        assert_front_end_matches(history)
+        graph = build_polygraph(history)
+        assert rmw_runs(graph, "x") == [(C, A, B)] and graph.readers["x", A] == (B, F)
+        assert list(graph.constraints) == [
+            ("x", A, D), ("x", A, E), ("x", D, B), ("x", D, E), ("x", D, C), ("x", B, E),
+            ("x", E, C)]

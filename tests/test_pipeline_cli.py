@@ -166,15 +166,16 @@ class TestOneGraphPerCheck:
         assert min(outcomes.values()) > 100, outcomes
 
     def test_interpret_reopens_resolved_pairs(self, monkeypatch):
-        """`interpret` of the pruned graph equals that of the unpruned one,
-        explains over a graph equal to it field by field, and leaves the
-        pruned graph as it was."""
+        """`interpret` of the pruned graph equals that of the unpruned one;
+        it explains over one universe of the pruned graph itself, which
+        reads as the universe of the unpruned graph, edge for edge and
+        origin for origin, and it leaves the pruned graph as it was."""
         universe_of = explain.EdgeUniverse
         explained = []
 
-        def recorded(graph):
-            explained.append(graph)
-            return universe_of(graph)
+        def recorded(graph, **options):
+            explained.append(universe_of(graph, **options))
+            return explained[-1]
 
         monkeypatch.setattr(explain, "EdgeUniverse", recorded)
         reopened = 0
@@ -184,12 +185,19 @@ class TestOneGraphPerCheck:
                 continue
             original, pruned = build_polygraph(history), build_polygraph(history)
             prune_constraints(pruned)
-            kept = (dict(pruned.constraints), dict(pruned.resolved))
+            kept = (list(pruned.constraints), dict(pruned.resolved))
             expected = interpret(history, original, cycle)
             explained.clear()
             assert interpret(history, pruned, cycle) == expected
-            assert explained == [original]
-            assert (pruned.constraints, pruned.resolved) == kept
+            [universe] = explained
+            assert universe.graph is pruned and universe.reopened
+            unpruned = universe_of(original)
+            for vertex in original.vertices:
+                edges = universe.successors(vertex)
+                assert edges == unpruned.successors(vertex)
+                assert list(map(universe.origin_of, edges)) == list(
+                    map(unpruned.origin_of, edges))
+            assert (list(pruned.constraints), pruned.resolved) == kept
             reopened += bool(pruned.resolved)
         assert reopened > 100, reopened
 

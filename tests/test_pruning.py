@@ -1111,6 +1111,33 @@ def test_grouped_pass_matches_the_per_pair_reference(monkeypatch):
     assert violations > 100 and resolved > 1000, (violations, resolved)
 
 
+def test_open_pairs_stay_in_id_order(monkeypatch):
+    """The pass walks `graph.constraints` as it iterates, not sorted, so the
+    open pairs must iterate in sorted id order: construct adds them so and
+    prune only deletes. Checked after construct and after every pass, on
+    random histories and the first history of each workload shape."""
+    resolve_pass = pruning._resolve_pass
+    passes = Counter()
+
+    def checked(index, changed, deadline, records):
+        violating = resolve_pass(index, changed, deadline, records)
+        open_pairs = list(index.graph.constraints)
+        assert open_pairs == sorted(open_pairs)
+        passes[bool(open_pairs)] += 1
+        return violating
+
+    monkeypatch.setattr(pruning, "_resolve_pass", checked)
+    histories = [random_small_history(seed) for seed in range(3000)]
+    for history in histories + list(workload_seed_1_histories().values()):
+        if not completeness_gate(history).ok():
+            continue
+        graph = build_polygraph(history)
+        open_pairs = list(graph.constraints)
+        assert open_pairs == sorted(open_pairs)
+        prune_constraints(graph)
+    assert min(passes.values()) > 500, passes
+
+
 def test_budget_runs_out_inside_a_key(monkeypatch):
     """With a budget, prune reads the clock before each pair it tests, so a
     clock that runs out after N readings stops it inside a key with more
