@@ -1,7 +1,7 @@
 """Command-line interface: check, generate, explain, oracle, stats.
 
 Exit codes: 0 the history satisfies snapshot isolation, 1 a violation was
-found, 2 input or usage error, 3 time or work budget exceeded.
+found, 2 input or usage error, 3 time budget exceeded.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import BudgetExceededError, LimitExceededError, SicheckError
 from .explain import STAGES, render_dot
 from .histories import parse_history, serialize_history, txn_label
 from .oracle import OracleLimits, oracle_check
-from .pipeline import Verdict, check_si, pruning_stats
+from .pipeline import Verdict, check_si
 from .workload import ANOMALIES, DISTRIBUTIONS, PROFILES, WorkloadParams, generate, inject
 
 EXIT_OK = 0
@@ -239,9 +239,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    history = _load(args.history)
-    before, after = pruning_stats(history)
-    rows = [("before", before), ("after", after)]
+    verdict = check_si(_load(args.history))
+    if not verdict.gate.ok():
+        raise SicheckError("history fails the completeness gate; no constraint stats")
+    rows = [("before", verdict.stats_before), ("after", verdict.stats_after)]
     print(f"{'phase':<8} {'constraints':>12} {'unknown_deps':>13}")
     for name, (cons, unknown) in rows:
         print(f"{name:<8} {cons:>12} {unknown:>13}")

@@ -29,7 +29,7 @@ class LimitExceededError(SicheckError):
 
 
 class BudgetExceededError(SicheckError):
-    """A configured time or work budget ran out before completion."""
+    """A configured time budget ran out before completion."""
 
 
 class UnsupportedShapeError(SicheckError):

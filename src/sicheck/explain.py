@@ -29,13 +29,12 @@ import time
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .errors import BudgetExceededError, MissingSupportError
 from .histories import INIT_TXN, TxnId, txn_label
 from .polygraph import (
     EITHER, OR, RW, SO, WR, WW, ConstraintKey, Edge, Polygraph, branch_edges, branch_ends,
-    forced_edges, owning_branch,
+    owning_branch,
 )
 from .witness import KNOWN_ORIGIN, Origin, WitnessCycle, has_adjacent_rw, known_origin
 
@@ -120,14 +119,6 @@ class EdgeUniverse:
         self._run_at = {(key, writer): (run, at) for key, runs in graph.runs.items()
                         for run in runs for at, writer in enumerate(run)}
         self._succ: dict[TxnId, list[Edge]] = {}
-
-    @cached_property
-    def known(self) -> set[Edge]:
-        """The known edges but the initial writer's own: the listed ones and
-        those of the pairs construct ordered (`forced_edges`)."""
-        graph = self.graph
-        return {*graph.known_edges, *(edge for key in graph.writers
-                                      for edge in forced_edges(graph, key))}
 
     def successors(self, vertex: TxnId) -> list[Edge]:
         """Sorted out-edges of `vertex`, built on first request: its listed

@@ -1,5 +1,9 @@
 """End-to-end check: gate, construct, prune, solve, explain.
 
+`check_si` is the one sequence of these phases: `sicheck check`, `explain`
+and `stats` all run it, and `stats` prints the constraint counts it records
+before and after prune. A violation is always explained.
+
 A check holds one polygraph: prune resolves writer pairs in it in place,
 the solver and the witness check read it as prune left it, and the
 explainer reopens the resolved pairs itself. The Boolean encoding is built
@@ -89,7 +93,6 @@ def check_si(
     history: History,
     no_prune: bool = False,
     budget_ms: int | None = None,
-    explain: bool = True,
     emit_encoding_path: str | None = None,
 ) -> Verdict:
     """Run the full checking pipeline on a parsed history."""
@@ -170,25 +173,11 @@ def check_si(
 
     verdict.outcome = VIOLATION
     verdict.cycle = cycle
-    if explain and cycle is not None:
-        t0 = time.monotonic()
-        ce = interpret(history, graph, cycle, budget_ms=remaining_ms())
-        verdict.counterexample = ce
-        verdict.classification = ce.classification
-        verdict.timings_ms["interpret"] = (time.monotonic() - t0) * 1000
+    t0 = time.monotonic()
+    ce = interpret(history, graph, cycle, budget_ms=remaining_ms())
+    verdict.counterexample = ce
+    verdict.classification = ce.classification
+    verdict.timings_ms["interpret"] = (time.monotonic() - t0) * 1000
     verdict.timings_ms["total"] = (time.monotonic() - started) * 1000
     return verdict
 
-
-@collector_paused
-def pruning_stats(history: History) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(constraints, unknown deps) before and after pruning, for reporting."""
-    walk = walk_ops(history)
-    if not completeness_gate(history, walk).ok():
-        raise SicheckError("history fails the completeness gate; no constraint stats")
-    graph = build_polygraph(history, walk)
-    del walk
-    before = constraint_count(graph)
-    prune_constraints(graph)
-    after = constraint_count(graph)
-    return before, after

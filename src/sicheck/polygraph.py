@@ -23,7 +23,7 @@ each reader of an initial value to each other writer of the key, follow
 from `readers` and `writers`. `known_edges` holds only session-order and
 writer-to-reader edges. The known-graph index folds the forced edges as
 rows, the witness check reads them off the runs and reader rows, and
-`forced_edges` lists them for the encoding export and the explainer.
+`forced_edges` lists them for the encoding export.
 
 Construct also records, in the loop over each transaction's reads, the
 initial writer's rows that the index and the witness check read
@@ -328,12 +328,12 @@ def constraint_count(graph: Polygraph) -> tuple[int, int]:
     """(number of constraints, total edges across all constraint branches).
 
     A branch holds its WW edge plus one RW edge per reader of its source
-    writer, except the other writer when that is one of them. While most of
-    the pairs construct generated are open they are counted per key, from
-    the key's writers, their reader rows and its RMW runs, less the pairs
-    prune resolved; once most are resolved, pair by pair.
+    writer, except the other writer when that is one of them. Construct's
+    graph, every generated pair open, is counted per key, from the key's
+    writers, their reader rows and its RMW runs; a graph prune resolved
+    pairs in, or one with no open pair, pair by pair.
     """
-    if len(graph.constraints) <= len(graph.resolved):
+    if graph.resolved or not graph.constraints:
         return len(graph.constraints), sum(_pair_edges(graph, *cid) for cid in graph.constraints)
     readers, read_from, rmw_keys = graph.readers, graph.read_from, graph.rmw_keys
     count = unknown = 0
@@ -369,8 +369,7 @@ def constraint_count(graph: Polygraph) -> tuple[int, int]:
                     unknown_here -= 1
         count += pairs
         unknown += 2 * pairs + unknown_here
-    resolved = graph.resolved
-    return count - len(resolved), unknown - sum(_pair_edges(graph, *cid) for cid in resolved)
+    return count, unknown
 
 
 def _pair_edges(graph: Polygraph, key: str, first: TxnId, second: TxnId) -> int:

@@ -457,12 +457,13 @@ def _blocked_cycle(index: KnownIndex, universe: EdgeUniverse, cid: ConstraintKey
     return WitnessCycle(deps).canonical()
 
 
-def prune_constraints(
-    graph: Polygraph,
-    max_iterations: int | None = None,
-    budget_ms: int | None = None,
-) -> PruneOutcome:
-    """Iterate branch elimination to a fixpoint; mutates the given polygraph."""
+def prune_constraints(graph: Polygraph, budget_ms: int | None = None) -> PruneOutcome:
+    """Iterate branch elimination to a fixpoint; mutates the given polygraph.
+
+    Each iteration is one `_resolve_pass` over the open pairs; its
+    resolutions are folded into the index before the next. The loop ends at
+    the first pass that resolves nothing, or at an immediate violation.
+    """
     outcome = PruneOutcome()
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     index = KnownIndex(graph)
@@ -470,7 +471,7 @@ def prune_constraints(
         index.with_reach()
     changed: set[int] | None = None  # None: test every constraint
 
-    while max_iterations is None or outcome.iterations < max_iterations:
+    while True:
         records: list[tuple[str, int, tuple[int, ...], list[int]]] = []
         before = len(graph.resolved)
         violating = _resolve_pass(index, changed, deadline, records)

@@ -59,26 +59,29 @@ class _Conflict(Exception):
 
 
 class Solver:
+    """The search over a polygraph's open writer pairs (`solve`).
+
+    Its one budget is time: `budget_ms`, counted from construction and read
+    once per decision (`_check_budget`). `index` may pass the pruner's final
+    known-graph index of the graph; it is only read, so it is used as it is.
+    """
+
     def __init__(
         self,
         graph: Polygraph,
         _encoding: object = None,
         budget_ms: int | None = None,
-        max_decisions: int | None = None,
         index: KnownIndex | None = None,
     ):
         # The second parameter is ignored: the benchmark's traced run still
         # passes an encoding here. It goes with the next change to the
         # benchmark, as `interpret`'s `history` does.
         self.graph = graph
-        # The known-graph index is only read here, so a supplied one (the
-        # pruner's final index of this graph) is used as it is.
         self.known = KnownIndex(graph) if index is None else index
         self.n = self.known.n
         # Decision order is the sorted constraint ids.
         self.constraints = sorted(graph.constraints)
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-        self.max_decisions = max_decisions
         self.decisions = 0
         self.conflicts = 0
 
@@ -296,8 +299,8 @@ class Solver:
     # ----- search -----------------------------------------------------------
 
     def _check_budget(self) -> None:
-        if self.max_decisions is not None and self.decisions > self.max_decisions:
-            raise BudgetExceededError(f"decision budget {self.max_decisions} exhausted")
+        """The time budget, read once per decision: past the deadline the
+        search raises rather than report a verdict."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("solve time budget exhausted")
 
@@ -385,7 +388,6 @@ class Solver:
 def solve(
     graph: Polygraph,
     budget_ms: int | None = None,
-    max_decisions: int | None = None,
     index: KnownIndex | None = None,
 ) -> SolveResult:
     """Decide whether some branch resolution yields an acyclic induced graph.
@@ -393,7 +395,7 @@ def solve(
     `index` may pass the pruner's final known-graph index of `graph`, which
     saves building it again; it is not modified.
     """
-    return Solver(graph, budget_ms=budget_ms, max_decisions=max_decisions, index=index).solve()
+    return Solver(graph, budget_ms=budget_ms, index=index).solve()
 
 
 def verify_witness(result: SolveResult, graph: Polygraph) -> bool:

@@ -12,6 +12,7 @@ from sicheck.graphs import iter_bits
 from sicheck.histories import (
     ABORTED, COMMITTED, INIT_TXN, History, Operation, Transaction, parse_history,
 )
+from sicheck.pruning import KnownIndex, _resolve_pass
 from sicheck.workload import WorkloadParams, generate, inject
 
 
@@ -162,6 +163,13 @@ def with_closure(index):
         assert not index.graph.constraints
         index.with_reach()
     return index
+
+
+def prune_first_pass(graph):
+    """Prune's first pass alone, against a fresh index with its closure:
+    resolves in `graph` each open pair one of whose branches is impossible,
+    and returns the first pair with both impossible, or None."""
+    return _resolve_pass(KnownIndex(graph).with_reach(), None, None, [])
 
 
 def patch_branch_edges(monkeypatch, replacement) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from sicheck.errors import LimitExceededError
 from sicheck.histories import ABORTED, COMMITTED, History, Operation, Transaction, serialize_history
-from sicheck.polygraph import Edge, Polygraph, branch_edges, branch_ends
+from sicheck.polygraph import Edge, Polygraph, branch_edges, branch_ends, forced_edges
 from sicheck.explain import EdgeUniverse, _first_gap
 from sicheck.witness import has_adjacent_rw
 
@@ -33,6 +33,13 @@ class HistoryBounds:
     max_ops_per_txn: int = 4
     abort_pct: int = 10
     corruption_pct: int = 8
+
+
+def known_edges(graph: Polygraph) -> set[Edge]:
+    """The known edges of a graph but the initial writer's own: the listed
+    ones and those of the pairs construct ordered (`forced_edges`)."""
+    return {*graph.known_edges, *(edge for key in graph.writers
+                                  for edge in forced_edges(graph, key))}
 
 
 def random_small_history(seed: int, bounds: HistoryBounds | None = None) -> History:

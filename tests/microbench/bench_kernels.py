@@ -473,7 +473,7 @@ def test_witness_labels(benchmark):
 def violation(request):
     """The workload's original polygraph and the witness cycle of its check."""
     history = parse_history(WORKLOADS[request.param].case(SEED).data)
-    cycle = check_si(history, explain=False).cycle
+    cycle = check_si(history).cycle
     if cycle is None:
         pytest.skip("the check finds no violation")
     return build_polygraph(history), tuple(cycle.edges())

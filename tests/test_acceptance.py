@@ -16,10 +16,10 @@ import pytest
 
 from sicheck.cli import main
 from sicheck.explain import EdgeUniverse
-from harness import minimal_counterexample_size, random_small_history, record_failure
+from harness import known_edges, minimal_counterexample_size, random_small_history, record_failure
 from sicheck.histories import parse_history, serialize_history
 from sicheck.oracle import oracle_check
-from sicheck.pipeline import check_si, pruning_stats
+from sicheck.pipeline import check_si
 from sicheck.polygraph import build_polygraph
 from sicheck.pruning import prune_constraints
 from sicheck.solving import SolveResult, solve, verify_witness
@@ -60,7 +60,7 @@ def test_criterion_2_known_anomaly_patterns():
         WorkloadParams(sessions=6, txns_per_session=10, ops_per_txn=5, keys=40,
                        dist="uniform", seed=3)
     )
-    assert check_si(host, explain=False).outcome == "si-holds"
+    assert check_si(host).outcome == "si-holds"
     for kind in ANOMALIES:
         verdict = check_si(inject(host, kind, seed=11))
         assert verdict.outcome == "violation", kind
@@ -74,7 +74,7 @@ def test_criterion_3_oracle_equivalence():
     for seed in range(500):
         history = random_small_history(seed)
         expected = oracle_check(history).satisfiable
-        got = check_si(history, explain=False).outcome == "si-holds"
+        got = check_si(history).outcome == "si-holds"
         if got != expected:
             record_failure("oracle-equivalence", seed, history, CORPUS)
             disagreements += 1
@@ -89,8 +89,8 @@ def test_criterion_4_pruning_correctness():
     replayed = 0
     for seed in range(500):
         history = random_small_history(seed)
-        pruned = check_si(history, explain=False)
-        raw = check_si(history, no_prune=True, explain=False)
+        pruned = check_si(history)
+        raw = check_si(history, no_prune=True)
         if pruned.outcome != raw.outcome:
             record_failure("prune-differential", seed, history, CORPUS)
             disagreements += 1
@@ -98,12 +98,12 @@ def test_criterion_4_pruning_correctness():
         if pruned.outcome != "violation" or pruned.cycle is None:
             continue
         original = build_polygraph(history)
-        universe = EdgeUniverse(original)
+        universe, known = EdgeUniverse(original), known_edges(original)
         used: dict = {}
         for edge, _ in pruned.cycle.deps:
             origin = universe.origin_of(edge)
             if origin[0] == "known":
-                assert edge in universe.known, seed
+                assert edge in known, seed
             else:
                 used.setdefault(origin[1], set()).add(origin[2])
         assert all(len(branches) == 1 for branches in used.values()), seed
@@ -120,7 +120,9 @@ def test_criterion_5_pruning_power_rmw():
     )
     history = generate(params)
     assert history.txn_count() == 1000
-    before, after = pruning_stats(history)
+    verdict = check_si(history)
+    assert verdict.gate.ok()
+    before, after = verdict.stats_before, verdict.stats_after
     assert after == (0, 0)
     _ok("5 pruning power", f"rmw 1k txns: {before[0]} constraints -> 0, {before[1]} unknown deps -> 0")
 
@@ -131,7 +133,7 @@ def test_criterion_6_desk_scale_throughput():
     assert history.txn_count() == 2000
     assert history.op_count() == 30_000
     started = time.monotonic()
-    verdict = check_si(history, explain=False)
+    verdict = check_si(history)
     elapsed = time.monotonic() - started
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
     assert verdict.outcome == "si-holds"

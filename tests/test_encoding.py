@@ -16,14 +16,16 @@ from sicheck.polygraph import (
 )
 from sicheck.pruning import KnownIndex, prune_constraints
 
-from conftest import T0, T1, T2, T3, T4, T5, committed, injected_histories, mk_history
+from conftest import (
+    T0, T1, T2, T3, T4, T5, committed, injected_histories, mk_history, prune_first_pass,
+)
 
 
 def paper_stage_encoding(long_fork):
     """Encoding of the long-fork polygraph pruned for one iteration: the
     {T5, T1} write-order constraint is the only one left open."""
     graph = build_polygraph(long_fork)
-    prune_constraints(graph, max_iterations=1)
+    prune_first_pass(graph)
     return graph, encode(graph)
 
 
@@ -195,7 +197,7 @@ class TestExport:
     def test_byte_identical_across_runs(self, long_fork):
         def dump():
             graph = build_polygraph(long_fork)
-            prune_constraints(graph, max_iterations=1)
+            prune_first_pass(graph)
             sink = io.BytesIO()
             export_encoding(encode(graph), sink)
             return sink.getvalue()
@@ -251,10 +253,13 @@ class TestCreationOrder:
 
 
 def _export(history, iterations):
-    """Export bytes and variable counts; iterations 0 skips pruning, None prunes to the fixpoint."""
+    """Export bytes and variable counts; iterations 0 skips pruning, 1 takes
+    prune's first pass alone, None prunes to the fixpoint."""
     graph = build_polygraph(history)
-    if iterations != 0:
-        prune_constraints(graph, max_iterations=iterations)
+    if iterations == 1:
+        prune_first_pass(graph)
+    elif iterations is None:
+        prune_constraints(graph)
     enc = encode(graph)
     sink = io.BytesIO()
     export_encoding(enc, sink)

@@ -130,8 +130,8 @@ class TestCheckSi:
         assert target.read_bytes() == expected.getvalue()
 
     def test_no_prune_same_verdict_more_solving(self, long_fork):
-        pruned = check_si(long_fork, explain=False)
-        raw = check_si(long_fork, no_prune=True, explain=False)
+        pruned = check_si(long_fork)
+        raw = check_si(long_fork, no_prune=True)
         assert pruned.outcome == raw.outcome == "violation"
         assert raw.stats_after == raw.stats_before
         assert raw.decisions >= pruned.decisions
@@ -180,7 +180,7 @@ class TestOneGraphPerCheck:
         monkeypatch.setattr(explain, "EdgeUniverse", recorded)
         reopened = 0
         for history in [*_contract_histories(), workload_history("zipf-anomaly", 1)]:
-            cycle = check_si(history, explain=False).cycle
+            cycle = check_si(history).cycle
             if cycle is None:
                 continue
             original, pruned = build_polygraph(history), build_polygraph(history)
@@ -416,6 +416,26 @@ class TestCli:
         assert out[1].split() == ["before", "4", "14"]
         assert out[2].split() == ["after", "0", "0"]
 
+    def test_stats_prints_the_constraints_block_of_check_json(self, capsys):
+        """`stats` runs the check: its two rows are the `constraints` block
+        that `check --json` reports, on every fixture and corpus history
+        that passes the completeness gate."""
+        paths = sorted(DATA.glob("*.json")) + sorted((Path(__file__).parent / "corpus").rglob("*.json"))
+        for path in paths:
+            assert main(["check", "--json", str(path)]) in (0, 1)
+            record = json.loads(capsys.readouterr().out)
+            if any(record["gate"].values()):
+                assert main(["stats", str(path)]) == 2
+                continue
+            block = record["constraints"]
+            assert main(["stats", str(path)]) == 0
+            rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+            assert rows == [["phase", "constraints", "unknown_deps"],
+                            ["before", str(block["before"]["count"]),
+                             str(block["before"]["unknown_deps"])],
+                            ["after", str(block["after"]["count"]),
+                             str(block["after"]["unknown_deps"])]], path.name
+
     def test_stats_requires_gate_passing_history(self, tmp_path, capsys):
         payload = {
             "sessions": [
@@ -430,7 +450,8 @@ class TestCli:
         path = tmp_path / "gate.json"
         path.write_text(json.dumps(payload))
         assert main(["stats", str(path)]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == (
+            "sicheck: error: history fails the completeness gate; no constraint stats\n")
 
     def test_outputs_survive_hash_randomization(self, long_fork_file):
         # String hashing must never leak into any serialized output; run the

@@ -205,7 +205,8 @@ class TestConstraints:
     def test_count_matches_the_per_pair_loop(self):
         """The count equals a loop over the open pairs after construct, after
         prune, whatever its verdict, and with all but a third of the pairs it
-        resolved open again, which counts per key less the resolved pairs."""
+        resolved open again: construct's graph counts per key, the others
+        pair by pair."""
         counts = Counter()
         for seed in range(3000):
             history = random_small_history(seed)
@@ -220,9 +221,9 @@ class TestConstraints:
                 graph.constraints[cid] = None
                 del graph.resolved[cid]
             assert constraint_count(graph) == constraint_count_per_pair(graph), seed
-            counts["per key less resolved"] += len(graph.constraints) > len(graph.resolved) > 0
+            counts["more open than resolved"] += len(graph.constraints) > len(graph.resolved) > 0
         assert counts["immediate-violation", True, True] > 20
-        assert counts["per key less resolved"] > 300
+        assert counts["more open than resolved"] > 300
         assert min(counts["ok", runs, resolved]
                    for runs in (False, True) for resolved in (False, True)) > 50, counts
 

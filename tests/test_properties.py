@@ -15,6 +15,7 @@ import pytest
 from sicheck.errors import LimitExceededError
 from harness import (
     HistoryBounds,
+    known_edges,
     minimal_counterexample_size,
     random_small_history,
     record_failure,
@@ -52,7 +53,7 @@ class TestOracleEquivalence:
         for seed in range(150):
             history = random_small_history(seed)
             expected = oracle_check(history).satisfiable
-            got = check_si(history, explain=False).outcome == "si-holds"
+            got = check_si(history).outcome == "si-holds"
             if got != expected:
                 record_failure("oracle-equivalence", seed, history, CORPUS)
                 pytest.fail(f"seed {seed}: checker disagrees with oracle")
@@ -62,8 +63,8 @@ class TestPruningPreservesVerdicts:
     def test_prune_vs_no_prune(self):
         for seed in range(150):
             history = random_small_history(seed)
-            a = check_si(history, explain=False).outcome
-            b = check_si(history, no_prune=True, explain=False).outcome
+            a = check_si(history).outcome
+            b = check_si(history, no_prune=True).outcome
             if a != b:
                 record_failure("prune-differential", seed, history, CORPUS)
                 pytest.fail(f"seed {seed}: pruning changed the verdict {b} -> {a}")
@@ -72,16 +73,16 @@ class TestPruningPreservesVerdicts:
         replayed = 0
         for seed in range(150):
             history = random_small_history(seed)
-            verdict = check_si(history, explain=False)
+            verdict = check_si(history)
             if verdict.outcome != "violation" or verdict.cycle is None:
                 continue
             original = build_polygraph(history)
-            universe = EdgeUniverse(original)
+            universe, known = EdgeUniverse(original), known_edges(original)
             used: dict = {}
             for edge, _ in verdict.cycle.deps:
                 origin = universe.origin_of(edge)
                 if origin[0] == "known":
-                    assert edge in universe.known, (seed, edge)
+                    assert edge in known, (seed, edge)
                 else:
                     used.setdefault(origin[1], set()).add(origin[2])
             for cid, branches in used.items():
@@ -99,7 +100,7 @@ class TestSessionOrderReduction:
             history = random_small_history(seed)
             if not completeness_gate(history).ok():
                 continue
-            reduced = check_si(history, explain=False).outcome
+            reduced = check_si(history).outcome
             full = _check_with_full_session_order(history)
             if reduced != full:
                 record_failure("session-order-reduction", seed, history, CORPUS)

@@ -33,8 +33,8 @@ from sicheck.workload import DISTRIBUTIONS, PROFILES, WorkloadParams, generate, 
 
 from conftest import (
     T0, T1, T2, T3, T4, T5, committed, immediate_violation_history, index_labels,
-    injected_histories, mk_history, patch_branch_edges, rmw_run_history, with_closure,
-    workload_history, workload_seed_1_histories,
+    injected_histories, mk_history, patch_branch_edges, prune_first_pass, rmw_run_history,
+    with_closure, workload_history, workload_seed_1_histories,
 )
 from reference_closures import bfs_reach, floyd_warshall_reach, resolve_pass_per_pair
 import reference_frontend as ref
@@ -134,8 +134,8 @@ class TestBranchTests:
         assert not rw_branch_blocked(fi, ti, index.a_pred, index.reach)
         from sicheck.pipeline import check_si
 
-        assert check_si(history, no_prune=True, explain=False).outcome == "si-holds"
-        assert check_si(history, explain=False).outcome == "si-holds"
+        assert check_si(history, no_prune=True).outcome == "si-holds"
+        assert check_si(history).outcome == "si-holds"
 
     def test_rw_not_blocked_without_predecessor(self):
         # The RW source has no A-predecessor at all: never blocked, whatever
@@ -148,9 +148,8 @@ class TestBranchTests:
 class TestLongForkPruning:
     def test_first_iteration_resolutions(self, long_fork):
         graph = build_polygraph(long_fork)
-        outcome = prune_constraints(graph, max_iterations=1)
-        assert outcome.verdict == "ok"
-        assert outcome.resolved_count == 3
+        assert prune_first_pass(graph) is None
+        assert len(graph.resolved) == 3
         # {T1, T5} on x is the only surviving constraint after one round.
         assert sorted(graph.constraints) == [("x", T5, T1)]  # pair sorted by id
         known = {*graph.known_edges, *resolved_edges(graph)}
@@ -195,6 +194,30 @@ class TestImmediateViolation:
         assert len(violation.cycle.deps) == min(
             len(violation.either_cycle.deps), len(violation.or_cycle.deps)
         )
+
+    def test_dead_branch_cycles_have_no_self_loop(self):
+        """The other writer of a pair is no reader of its branch, so no dead
+        branch's witness holds a self-loop r -RW-> r."""
+        checked = 0
+        for seed in range(8000):
+            history = random_small_history(seed)
+            if not completeness_gate(history).ok():
+                continue
+            violation = prune_constraints(build_polygraph(history)).violation
+            if violation is not None:
+                for cycle in (violation.either_cycle, violation.or_cycle):
+                    assert all(edge[0] != edge[1] for edge in cycle.edges()), seed
+                checked += 1
+        assert checked > 1000
+
+    def test_blocked_rw_edge_follows_its_lowest_blocking_predecessor(self):
+        """On `random_small_history` seed 1371 the or branch's RW edge
+        (2, 2) -> (0, 0) is blocked through its A-predecessors (2, 1) and
+        (2, 3). The lowest, (2, 1), closes a 3-edge cycle; (2, 3) would
+        close one that visits (2, 2) twice."""
+        violation = prune_constraints(build_polygraph(random_small_history(1371))).violation
+        assert [edge[:3] for edge in violation.or_cycle.edges()] == [
+            ((0, 0), (2, 1), WR), ((2, 1), (2, 2), SO), ((2, 2), (0, 0), RW)]
 
     def test_lost_update_not_pruned_but_left_to_solver(self, lost_update):
         # Both orders of the two overwriters are impossible, but only through

@@ -89,7 +89,7 @@ class TestSolve:
         graph = build_polygraph(lost_update)
         prune_constraints(graph)
         with pytest.raises(BudgetExceededError):
-            solve(graph, max_decisions=0)
+            solve(graph, budget_ms=0)
 
     def test_no_prune_agrees(self, long_fork, lost_update, causality_violation):
         for history in (long_fork, lost_update, causality_violation):
@@ -520,6 +520,15 @@ class TestVerifyWitness:
         swapped[position[src]], swapped[position[dst]] = dst, src
         assert not verify_witness(SolveResult("sat", assignment=result.assignment,
                                               order=swapped), graph)
+
+    def test_sat_order_must_follow_a_listed_rw_composition(self):
+        """A listed RW edge composes with the non-RW edges into its source:
+        a -SO-> b -RW-> c puts a before c. Construct lists no RW edge, so
+        only a hand-built graph has one."""
+        a, b, c = (0, 0), (1, 0), (2, 0)
+        graph = Polygraph(vertices=(a, b, c), known_edges=[(a, b, SO, None), (b, c, RW, "x")])
+        assert verify_witness(SolveResult("sat", assignment={}, order=[a, b, c]), graph)
+        assert not verify_witness(SolveResult("sat", assignment={}, order=[c, a, b]), graph)
 
     def test_sat_order_must_hold_every_vertex_once(self):
         graph, result = pipeline(pinned_history((35, 4, None)))

@@ -3,7 +3,7 @@ import pytest
 from sicheck.errors import UnsupportedShapeError
 from sicheck.histories import parse_history, serialize_history
 from sicheck.oracle import OracleLimits, oracle_check
-from sicheck.pipeline import check_si, pruning_stats
+from sicheck.pipeline import check_si
 from sicheck.workload import (
     ANOMALIES,
     MockStore,
@@ -56,7 +56,7 @@ class TestGenerate:
         assert len(history.sessions) == 4
         assert history.txn_count() == 24
         assert history.op_count() == 120
-        assert check_si(history, explain=False).outcome == "si-holds"
+        assert check_si(history).outcome == "si-holds"
 
     def test_small_generated_pass_oracle(self):
         for seed in range(6):
@@ -79,7 +79,7 @@ class TestGenerate:
         params = WorkloadParams(sessions=1, txns_per_session=10, ops_per_txn=4, keys=5, seed=2)
         history = generate(params)
         assert abort_rate(history) == 0.0
-        assert check_si(history, explain=False).outcome == "si-holds"
+        assert check_si(history).outcome == "si-holds"
 
     def test_contended_write_heavy_aborts(self):
         params = WorkloadParams(
@@ -94,7 +94,9 @@ class TestGenerate:
             dist="uniform", profile="rmw", seed=4,
         )
         history = generate(params)
-        before, after = pruning_stats(history)
+        verdict = check_si(history)
+        assert verdict.gate.ok()
+        before, after = verdict.stats_before, verdict.stats_after
         assert after == (0, 0)
 
     def test_profiles_shift_read_share(self):
